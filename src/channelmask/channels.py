@@ -277,17 +277,19 @@ def choi(spec: ChannelSpec) -> np.ndarray:
 
     The defining entangled operator is unnormalized, so the partial trace of
     the result over the output factor equals the identity on the input space.
+    Entry ``[(i, x), (j, y)]`` is ``E(|i><j|)[x, y]``; for Kraus operators
+    ``K_k`` that is ``sum_k K_k[x, i] conj(K_k[y, j])``, one matrix product
+    over the stacked operators.
     """
     din, dout = channel_dims(spec)
-    out = np.zeros((din * dout, din * dout), dtype=complex)
-    basis_op = np.zeros((din, din), dtype=complex)
-    for i in range(din):
-        for j in range(din):
-            basis_op[i, j] = 1.0
-            block = apply(spec, basis_op)
-            out[i * dout:(i + 1) * dout, j * dout:(j + 1) * dout] = block
-            basis_op[i, j] = 0.0
-    return out
+    if isinstance(spec, ClassicalChannel):
+        # E(|i><j|) = delta_ij diag(p(.|i)): the Choi matrix is diagonal.
+        return np.diag(spec.probs.T.reshape(-1).astype(complex))
+    if isinstance(spec, DepolarizedUnitary):
+        vec = spec.matrix.T.reshape(-1)
+        return spec.p * np.outer(vec, vec.conj()) + (1.0 - spec.p) / dout * np.eye(din * dout)
+    vecs = np.stack([k.T.reshape(-1) for k in to_kraus(spec).kraus_ops])
+    return vecs.T @ vecs.conj()
 
 
 def bloch_affine(spec: ChannelSpec) -> BlochAffine:

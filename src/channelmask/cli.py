@@ -278,13 +278,14 @@ def decide_family(family: FamilyFile, tol: float, seed: int) -> MaskingDecision:
     raise SchemaError(f"kind: unsupported family kind {family.kind!r}")
 
 
-def synthesize_family_masker(family: FamilyFile, decision: MaskingDecision) -> Masker:
+def synthesize_family_masker(family: FamilyFile, decision: MaskingDecision,
+                             tol: float = DECISION_TOL) -> Masker:
     cert = decision.certificate
     if isinstance(cert, (CommonEigenbasis,)) or (
         isinstance(cert, Trivial) and family.kind in ("gate", "depolarized")
     ):
         us = tuple(m.matrix for m in family.members)
-        return masking.synthesize_gate_masker(GateFamily(us), cert)
+        return masking.synthesize_gate_masker(GateFamily(us), cert, tol)
     if isinstance(cert, PauliAxis):
         return masking.synthesize_pauli_masker(cert.axis)
     if isinstance(cert, FixedPointAxis):
@@ -421,7 +422,7 @@ def cmd_synthesize(args) -> int:
         else:
             _print_decision_text(decision)
         return EXIT_NEGATIVE
-    masker = synthesize_family_masker(family, decision)
+    masker = synthesize_family_masker(family, decision, tol)
     save_masker_file(args.out, masker)
     if args.json:
         payload = decision_to_dict(decision)

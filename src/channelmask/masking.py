@@ -238,12 +238,13 @@ def decide_gate_family(fam: GateFamily, tol: float = DECISION_TOL, seed: int = 0
     return _maskable(CommonEigenbasis(basis, reference_index=0))
 
 
-def synthesize_gate_masker(fam: GateFamily, cert: Certificate) -> Masker:
+def synthesize_gate_masker(fam: GateFamily, cert: Certificate, tol: float = DECISION_TOL) -> Masker:
     """Masker for a gate family: copy the common eigenbasis, undo the reference gate.
 
     With basis vectors ``f_k`` the isometry is ``(sum_k |kk><f_k|) U_ref^dag``.
     A :class:`Trivial` certificate yields the same construction with the
-    computational basis.
+    computational basis.  The basis must diagonalize every relative gate
+    within ``tol * dim``, the threshold the decision used.
     """
     dim = fam.dim
     if isinstance(cert, Trivial):
@@ -260,7 +261,7 @@ def synthesize_gate_masker(fam: GateFamily, cert: Certificate) -> Masker:
             raise ValueError("certificate basis is not orthonormal")
         for w in _relative_gates(fam, reference):
             d = basis.conj().T @ w @ basis
-            if np.linalg.norm(d - np.diag(np.diag(d))) > DECISION_TOL * dim:
+            if np.linalg.norm(d - np.diag(np.diag(d))) > tol * dim:
                 raise ValueError("certificate basis does not diagonalize the family")
     else:
         raise ValueError(f"unsupported certificate for a gate family: {cert!r}")

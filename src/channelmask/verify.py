@@ -1,10 +1,20 @@
 """Brute-force numerical verification of masking.
 
 The reduced channel seen by one subsystem is computed as an explicit Choi
-matrix by pushing a full operator basis through the masker; two channels are
-equal iff their Choi matrices are, so comparing them is a complete equality
-test at desk scale.  Deviations are aggregated with max (masking is a
-worst-case property over inputs and family members).
+matrix; two channels are equal iff their Choi matrices are, so comparing them
+is a complete equality test.  Deviations are aggregated with max (masking is
+a worst-case property over inputs and family members).
+
+Two routes give the same matrix.  Inputs of dimension at most 4 push each of
+the ``din**2`` basis operators through the channel and the masker and trace
+out one factor.  Larger inputs compose the channel's Choi matrix with the
+masker in one matrix product, which at ``din = 16`` is about 15 times faster.
+The split follows input size because reports print round-off digits (such
+as ``1.570e-16``, or an exact ``0.0``) that another summation order changes;
+families with inputs of dimension at most 4, every file in ``samples/``
+among them, keep the digits they always had.
+Inputs above dimension 16 are refused: the Choi matrices grow as
+``(din * dred)**2``.
 """
 
 from __future__ import annotations
@@ -14,12 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .channels import ChannelSpec, apply, channel_dims, identity_channel
+from .channels import ChannelSpec, apply, channel_dims, choi, identity_channel
 from .linalg import VERIFY_TOL, as_complex_matrix, cluster_phases, is_isometry, partial_trace
 from .masking import Masker
 
 # Choi matrices grow as (din * dred)^2; keep the brute force at desk scale.
 _MAX_INPUT_DIM = 16
+# Inputs up to this dimension keep the basis-operator loop (see the module
+# docstring): it fixes the round-off digits of the CLI's small reports.
+_LOOP_MAX_INPUT_DIM = 4
 
 
 @dataclass(frozen=True)
@@ -48,6 +61,13 @@ def reduced_channel_choi(masker: Masker, spec: ChannelSpec, side: str) -> np.nda
         )
     if side not in ("A", "B"):
         raise ValueError("side must be 'A' or 'B'")
+    if din <= _LOOP_MAX_INPUT_DIM:
+        return _reduced_choi_by_basis(masker, spec, side)
+    return _reduced_choi_by_contraction(masker, spec, side)
+
+
+def _reduced_choi_by_basis(masker: Masker, spec: ChannelSpec, side: str) -> np.ndarray:
+    din, _ = channel_dims(spec)
     dred = masker.dims.dim_b if side == "A" else masker.dims.dim_a
     m = masker.matrix
     out = np.zeros((din * dred, din * dred), dtype=complex)
@@ -60,6 +80,28 @@ def reduced_channel_choi(masker: Masker, spec: ChannelSpec, side: str) -> np.nda
             out[i * dred:(i + 1) * dred, j * dred:(j + 1) * dred] = block
             basis_op[i, j] = 0.0
     return out
+
+
+def _reduced_choi_by_contraction(masker: Masker, spec: ChannelSpec, side: str) -> np.ndarray:
+    """Contract ``J = choi(spec)`` with the masker reshaped to ``M[a, b, x]``.
+
+    For ``side="B"``, ``R[(i,a),(j,a')] = sum_{b,x,y} M[a,b,x] J[(i,x),(j,y)]
+    conj(M[a',b,y])``, and ``side="A"`` swaps the roles of ``a`` and ``b``.
+    The sum over the discarded index is done on the masker alone, giving
+    ``K[(x,y),(a,a')]``; the sum over ``x, y`` is then one product of
+    ``J`` regrouped as ``[(i,j),(x,y)]`` with ``K``.  No array is larger than
+    ``J``, ``K`` or ``R`` (1 MB each at ``d = 16`` with a copy masker).
+    """
+    din, dout = channel_dims(spec)
+    m = masker.matrix.reshape(masker.dims.dim_a, masker.dims.dim_b, dout)
+    if side == "A":
+        m = m.transpose(1, 0, 2)
+    dkeep, dgone, _ = m.shape
+    rows = m.transpose(0, 2, 1).reshape(dkeep * dout, dgone)
+    k = (rows @ rows.conj().T).reshape(dkeep, dout, dkeep, dout).transpose(1, 3, 0, 2)
+    j = choi(spec).reshape(din, dout, din, dout).transpose(0, 2, 1, 3)
+    r = j.reshape(din * din, dout * dout) @ k.reshape(dout * dout, dkeep * dkeep)
+    return r.reshape(din, din, dkeep, dkeep).transpose(0, 2, 1, 3).reshape(din * dkeep, din * dkeep)
 
 
 def _max_pairwise(mats: list[np.ndarray]) -> tuple[float, tuple]:

@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from channelmask.channels import KrausChannel, rotation_about
+from channelmask.channels import KrausChannel, apply, channel_dims, rotation_about
 from channelmask.linalg import commutator_norm, random_unitary
-from channelmask.masking import GateFamily
+from channelmask.masking import GateFamily, Masker
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -51,3 +51,36 @@ def rotation_mixture_channel(rng: np.random.Generator, axis: np.ndarray,
         for w in weights
     )
     return KrausChannel(ops)
+
+
+def random_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """Dense isometry with orthonormal columns, from the QR of a Gaussian matrix."""
+    z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    return np.linalg.qr(z)[0]
+
+
+def random_kraus_channel(rng: np.random.Generator, din: int, dout: int, rank: int) -> KrausChannel:
+    """Channel whose ``rank`` Kraus operators are blocks of one random isometry."""
+    stacked = random_isometry(rng, rank * dout, din)
+    return KrausChannel(tuple(stacked[k * dout:(k + 1) * dout] for k in range(rank)))
+
+
+def brute_force_reduced_choi(masker: Masker, spec, side: str) -> np.ndarray:
+    """Oracle for ``reduced_channel_choi``: the full Choi matrix of ``M o E``, then a partial trace.
+
+    The Choi matrix lives on ``input (x) A (x) B``; ``side`` names the factor
+    that is traced out.
+    """
+    din, _ = channel_dims(spec)
+    da, db = masker.dims.dim_a, masker.dims.dim_b
+    m = masker.matrix
+    full = np.zeros((din, da * db, din, da * db), dtype=complex)
+    for i in range(din):
+        for j in range(din):
+            basis_op = np.zeros((din, din), dtype=complex)
+            basis_op[i, j] = 1.0
+            full[i, :, j, :] = m @ apply(spec, basis_op) @ m.conj().T
+    six = full.reshape(din, da, db, din, da, db)
+    if side == "B":
+        return np.einsum("iabjcb->iajc", six).reshape(din * da, din * da)
+    return np.einsum("iabjad->ibjd", six).reshape(din * db, din * db)

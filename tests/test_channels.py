@@ -26,10 +26,12 @@ from channelmask.channels import (
     is_unital,
     pure_fixed_points,
     rotation_about,
+    random_classical_channel,
     to_kraus,
 )
+from channelmask.linalg import random_unitary
 
-from helpers import random_axis, random_density
+from helpers import random_axis, random_density, random_kraus_channel
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 PLUS_STATE = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
@@ -129,6 +131,25 @@ class TestChoi:
 
     def test_dephasing_half(self):
         assert_allclose(choi(dephasing(0.5)), np.diag([1.0, 0, 0, 1.0]), atol=1e-15)
+
+    def test_matches_basis_operator_definition(self):
+        # the block-by-block definition, one apply per basis operator
+        rng = np.random.default_rng(5)
+        wider = [
+            Unitary(random_unitary(16, rng)),
+            DepolarizedUnitary(0.3, random_unitary(5, rng)),
+            random_kraus_channel(rng, 8, 6, 3),
+            random_classical_channel(5, 6, rng),
+        ]
+        for spec in _spec_zoo(rng) + wider:
+            din, dout = channel_dims(spec)
+            expected = np.zeros((din * dout, din * dout), dtype=complex)
+            for i in range(din):
+                for j in range(din):
+                    basis_op = np.zeros((din, din))
+                    basis_op[i, j] = 1.0
+                    expected[i * dout:(i + 1) * dout, j * dout:(j + 1) * dout] = apply(spec, basis_op)
+            assert np.abs(choi(spec) - expected).max() <= 1e-12
 
     def test_positive_with_identity_marginal(self):
         from channelmask.linalg import BipartiteDims, partial_trace

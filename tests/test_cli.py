@@ -13,6 +13,8 @@ from channelmask.cli import (
 )
 from channelmask.masking import synthesize_classical_masker
 
+from helpers import random_commuting_family, random_density
+
 
 def _matrix_json(m):
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
@@ -186,6 +188,21 @@ class TestSynthesizeAndVerify:
         out = tmp_path / "masker.json"
         assert main(["synthesize", family, "-o", str(out)]) == EXIT_OK
         assert main(["verify", family, str(out)]) == EXIT_OK
+
+    def test_synthesize_honours_the_decision_tolerance(self, tmp_path, capsys):
+        # one member of a commuting triple nudged by exp(i 1e-6 H): maskable at
+        # --tol 1e-5, so synthesis must check the basis at that tolerance too
+        rng = np.random.default_rng(7)
+        us = list(random_commuting_family(rng, 4, 3).unitaries)
+        values, vectors = np.linalg.eigh(random_density(rng, 4))
+        us[2] = us[2] @ (vectors * np.exp(1e-6j * values)) @ vectors.conj().T
+        members = [{"type": "unitary", "matrix": _matrix_json(u)} for u in us]
+        family = write_family(tmp_path / "nudged.json", "gate", members)
+        out = tmp_path / "masker.json"
+        assert main(["decide", family]) == EXIT_NEGATIVE
+        assert main(["decide", family, "--tol", "1e-5"]) == EXIT_OK
+        assert main(["synthesize", family, "--tol", "1e-5", "-o", str(out)]) == EXIT_OK
+        assert load_masker_file(out).dims.total == 16
 
     def test_deterministic_bytes(self, gate_family, tmp_path):
         first = tmp_path / "a.json"

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from channelmask.channels import (
+    DepolarizedUnitary,
     PauliFourVector,
     SIGMA_X,
     SIGMA_Z,
@@ -31,6 +34,8 @@ from channelmask.verify import (
     verify_identity_masking,
     verify_masking,
 )
+
+from helpers import brute_force_reduced_choi, random_commuting_family, random_isometry, random_kraus_channel
 
 I2 = np.eye(2, dtype=complex)
 SQRT_Z = np.diag([1.0, 1j])
@@ -222,3 +227,59 @@ class TestChoiConventionAgreement:
                 )
                 basis_op[i, j] = 0.0
         assert_allclose(red, expected, atol=1e-14)
+
+
+def _member(kind: str, din: int, rng: np.random.Generator):
+    if kind == "unitary":
+        return Unitary(random_unitary(din, rng))
+    if kind == "kraus":
+        return random_kraus_channel(rng, din, din, 3)
+    if kind == "depolarized":
+        return DepolarizedUnitary(rng.uniform(), random_unitary(din, rng))
+    return random_classical_channel(din, din + 1, rng)
+
+
+class TestContractionAgainstOracle:
+    """Both routes of ``reduced_channel_choi`` against a full Choi matrix and a partial trace."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        din=st.sampled_from([4, 5, 8, 16]),
+        kind=st.sampled_from(["unitary", "kraus", "depolarized", "classical"]),
+        dim_a=st.sampled_from([2, 3]),
+        extra=st.integers(0, 1),
+        swap=st.booleans(),
+        side=st.sampled_from(["A", "B"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_isometry_masker(self, din, kind, dim_a, extra, swap, side, seed):
+        rng = np.random.default_rng(seed)
+        spec = _member(kind, din, rng)
+        dout = spec.out_size if kind == "classical" else din
+        dim_b = -(-dout // dim_a) + extra
+        if dim_b == dim_a:
+            dim_b += 1
+        if swap:
+            dim_a, dim_b = dim_b, dim_a
+        masker = Masker(random_isometry(rng, dim_a * dim_b, dout), BipartiteDims(dim_a, dim_b))
+        red = reduced_channel_choi(masker, spec, side)
+        assert np.abs(red - brute_force_reduced_choi(masker, spec, side)).max() <= 1e-12
+
+    @pytest.mark.parametrize("dim", [8, 16])
+    def test_gate_masker_passes_and_random_isometry_fails(self, dim):
+        rng = np.random.default_rng(dim)
+        fam = random_commuting_family(rng, dim, 3)
+        members = [Unitary(u) for u in fam.unitaries]
+        masker = synthesize_gate_masker(fam, decide_gate_family(fam).certificate)
+        assert verify_masking(masker, members, 1e-9).passed
+
+        wrong = Masker(random_isometry(rng, 4 * 8, dim), BipartiteDims(4, 8))
+        report = verify_masking(wrong, members, 1e-9)
+        assert not report.passed
+        for deviation, side in ((report.max_deviation_a, "B"), (report.max_deviation_b, "A")):
+            oracle = [brute_force_reduced_choi(wrong, spec, side) for spec in members]
+            expected = max(
+                np.linalg.norm(oracle[i] - oracle[j])
+                for i in range(len(oracle)) for j in range(i + 1, len(oracle))
+            )
+            assert abs(deviation - expected) <= 1e-12
