@@ -18,8 +18,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -41,19 +42,16 @@ from .channels import (
 )
 from .linalg import DECISION_TOL, VERIFY_TOL, BipartiteDims, is_isometry
 from .masking import (
-    CommonEigenbasis,
-    FixedPointAxis,
     Fourier,
     GateFamily,
     Masker,
     MaskingDecision,
-    PauliAxis,
-    Trivial,
     classical_no_go_search,
-    copy_isometry,
+    fixed_points_to_json,
+    matrix_to_json,
+    vector_to_json,
 )
 
-FAMILY_KINDS = ("gate", "pauli", "identity_pair", "identity_family", "depolarized", "classical")
 _OPTION_KEYS = ("tol", "verify_tol", "seed")
 
 EXIT_OK = 0
@@ -78,6 +76,15 @@ def _expect(condition: bool, rule: str) -> None:
         raise SchemaError(rule)
 
 
+def _read_json_object(path, what: str) -> dict:
+    try:
+        raw = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+    _expect(isinstance(raw, dict), f"{what}: top level must be an object")
+    return raw
+
+
 # -- JSON <-> matrices ---------------------------------------------------------
 
 
@@ -90,38 +97,22 @@ def _complex_from_json(entry, where: str) -> complex:
     return complex(entry[0], entry[1])
 
 
-def _matrix_from_json(obj, where: str) -> np.ndarray:
+def _matrix_from_json(obj, where: str, real: bool = False) -> np.ndarray:
+    """Complex matrix of ``[re, im]`` pairs, or a real one of plain numbers when ``real``."""
     _expect(isinstance(obj, list) and obj, f"{where}: must be a non-empty list of rows")
-    width = None
     rows = []
     for r, row in enumerate(obj):
         _expect(isinstance(row, list) and row, f"{where}: row {r} must be a non-empty list")
-        if width is None:
-            width = len(row)
-        _expect(len(row) == width, f"{where}: row {r} has {len(row)} entries, expected {width}")
-        rows.append([_complex_from_json(e, f"{where}[{r}][{c}]") for c, e in enumerate(row)])
-    return np.array(rows, dtype=complex)
-
-
-def _matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
-
-
-def _real_matrix_from_json(obj, where: str) -> np.ndarray:
-    _expect(isinstance(obj, list) and obj, f"{where}: must be a non-empty list of rows")
-    width = None
-    rows = []
-    for r, row in enumerate(obj):
-        _expect(isinstance(row, list) and row, f"{where}: row {r} must be a non-empty list")
-        if width is None:
-            width = len(row)
-        _expect(len(row) == width, f"{where}: row {r} has {len(row)} entries, expected {width}")
-        _expect(
-            all(isinstance(v, (int, float)) for v in row),
-            f"{where}: row {r} must contain numbers only",
-        )
-        rows.append([float(v) for v in row])
-    return np.array(rows)
+        _expect(len(row) == len(obj[0]), f"{where}: row {r} has {len(row)} entries, expected {len(obj[0])}")
+        if real:
+            _expect(
+                all(isinstance(v, (int, float)) for v in row),
+                f"{where}: row {r} must contain numbers only",
+            )
+            rows.append([float(v) for v in row])
+        else:
+            rows.append([_complex_from_json(e, f"{where}[{r}][{c}]") for c, e in enumerate(row)])
+    return np.array(rows, dtype=float if real else complex)
 
 
 # -- channel payloads ------------------------------------------------------------
@@ -129,26 +120,26 @@ def _real_matrix_from_json(obj, where: str) -> np.ndarray:
 
 def channel_from_json(obj, where: str) -> ChannelSpec:
     _expect(isinstance(obj, dict), f"{where}: must be an object")
-    kind = obj.get("type")
+    payload_type = obj.get("type")
     try:
-        if kind == "unitary":
+        if payload_type == "unitary":
             return Unitary(_matrix_from_json(obj.get("matrix"), f"{where}.matrix"))
-        if kind == "kraus":
+        if payload_type == "kraus":
             ops = obj.get("ops")
             _expect(isinstance(ops, list) and ops, f"{where}.ops: must be a non-empty list")
             return KrausChannel(
                 tuple(_matrix_from_json(op, f"{where}.ops[{i}]") for i, op in enumerate(ops))
             )
-        if kind == "pauli":
+        if payload_type == "pauli":
             p = obj.get("p")
             _expect(
                 isinstance(p, list) and len(p) == 4 and all(isinstance(v, (int, float)) for v in p),
                 f"{where}.p: must be a list of four probabilities",
             )
             return PauliFourVector(*[float(v) for v in p])
-        if kind == "classical":
-            return ClassicalChannel(_real_matrix_from_json(obj.get("probs"), f"{where}.probs"))
-        if kind == "depolarized_unitary":
+        if payload_type == "classical":
+            return ClassicalChannel(_matrix_from_json(obj.get("probs"), f"{where}.probs", real=True))
+        if payload_type == "depolarized_unitary":
             p = obj.get("p")
             _expect(isinstance(p, (int, float)), f"{where}.p: must be a number")
             return DepolarizedUnitary(float(p), _matrix_from_json(obj.get("matrix"), f"{where}.matrix"))
@@ -161,45 +152,87 @@ def channel_from_json(obj, where: str) -> ChannelSpec:
     )
 
 
-def _check_kind_consistency(kind: str, members: tuple) -> None:
-    if kind == "gate":
-        _expect(all(isinstance(m, Unitary) for m in members), "members: gate families hold unitary payloads only")
-        dims = {m.dim for m in members}
-        _expect(len(dims) == 1, "members: gate family members must share one dimension")
-    elif kind == "pauli":
-        _expect(all(isinstance(m, PauliFourVector) for m in members), "members: pauli families hold pauli payloads only")
-    elif kind == "identity_pair":
-        _expect(len(members) == 1, "members: identity_pair files hold exactly one channel")
-        _expect(channel_dims(members[0]) == (2, 2), "members: identity_pair channel must act on a qubit")
-    elif kind == "identity_family":
-        _expect(
-            all(channel_dims(m) == (2, 2) for m in members),
-            "members: identity_family channels must act on qubits",
-        )
-    elif kind == "depolarized":
-        _expect(
-            all(isinstance(m, DepolarizedUnitary) for m in members),
-            "members: depolarized families hold depolarized_unitary payloads only",
-        )
-        dims = {m.dim for m in members}
-        _expect(len(dims) == 1, "members: depolarized family members must share one dimension")
-        ps = [m.p for m in members]
-        _expect(max(ps) - min(ps) <= 1e-12, "members: depolarized family members must share one noise level p")
-    elif kind == "classical":
-        _expect(all(isinstance(m, ClassicalChannel) for m in members), "members: classical families hold classical payloads only")
-        sizes = {(m.in_size, m.out_size) for m in members}
-        _expect(len(sizes) == 1, "members: classical family members must share input and output alphabets")
+# -- family kinds ------------------------------------------------------------------
 
 
-def load_family_file(path) -> FamilyFile:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
-    _expect(isinstance(raw, dict), "family file: top level must be an object")
+@dataclass(frozen=True)
+class FamilyKind:
+    """What one family kind requires of its members, and how it is decided and verified.
+
+    ``rules`` pairs a test on the member tuple with the schema message shown
+    when it fails; they are checked in order.  ``decide(members, tol, seed)``
+    gives the verdict.  ``gates(members)`` are the unitaries a certificate
+    refers to (``None`` unless the family is a gate family), and
+    ``channels(members)`` is the channel set that verification checks.
+    """
+
+    rules: tuple
+    decide: Callable
+    gates: Callable = lambda members: None
+    channels: Callable = list
+
+
+def _holds(payload) -> Callable:
+    return lambda members: all(isinstance(m, payload) for m in members)
+
+
+def _share(key) -> Callable:
+    return lambda members: len({key(m) for m in members}) == 1
+
+
+def _unitaries(members) -> tuple:
+    return tuple(m.matrix for m in members)
+
+
+def _is_qubit(spec) -> bool:
+    return channel_dims(spec) == (2, 2)
+
+
+KINDS = {
+    "gate": FamilyKind(
+        rules=((_holds(Unitary), "gate families hold unitary payloads only"),
+               (_share(lambda m: m.dim), "gate family members must share one dimension")),
+        decide=lambda ms, tol, seed: masking.decide_gate_family(GateFamily(_unitaries(ms)), tol, seed),
+        gates=_unitaries,
+    ),
+    "pauli": FamilyKind(
+        rules=((_holds(PauliFourVector), "pauli families hold pauli payloads only"),),
+        decide=lambda ms, tol, seed: masking.decide_pauli_family(ms, tol),
+    ),
+    "identity_pair": FamilyKind(
+        rules=((lambda ms: len(ms) == 1, "identity_pair files hold exactly one channel"),
+               (lambda ms: _is_qubit(ms[0]), "identity_pair channel must act on a qubit")),
+        decide=lambda ms, tol, seed: masking.decide_identity_pair(ms[0], tol),
+        channels=lambda ms: [identity_channel(2), ms[0]],
+    ),
+    "identity_family": FamilyKind(
+        rules=((lambda ms: all(_is_qubit(m) for m in ms), "identity_family channels must act on qubits"),),
+        decide=lambda ms, tol, seed: masking.decide_identity_family(ms, tol),
+    ),
+    "depolarized": FamilyKind(
+        rules=((_holds(DepolarizedUnitary), "depolarized families hold depolarized_unitary payloads only"),
+               (_share(lambda m: m.dim), "depolarized family members must share one dimension"),
+               (lambda ms: max(m.p for m in ms) - min(m.p for m in ms) <= 1e-12,
+                "depolarized family members must share one noise level p")),
+        decide=lambda ms, tol, seed: masking.decide_depolarized_family(ms[0].p, _unitaries(ms), tol, seed),
+        gates=_unitaries,
+    ),
+    "classical": FamilyKind(
+        rules=((_holds(ClassicalChannel), "classical families hold classical payloads only"),
+               (_share(lambda m: (m.in_size, m.out_size)),
+                "classical family members must share input and output alphabets")),
+        decide=lambda ms, tol, seed: masking.decide_classical_family(ms),
+    ),
+}
+
+
+# -- files ---------------------------------------------------------------------------
+
+
+def _family_from_json(raw: dict) -> FamilyFile:
     _expect(raw.get("version") == "1", 'version: must be the string "1"')
     kind = raw.get("kind")
-    _expect(kind in FAMILY_KINDS, f"kind: must be one of {', '.join(FAMILY_KINDS)}")
+    _expect(kind in KINDS, f"kind: must be one of {', '.join(KINDS)}")
     members_raw = raw.get("members")
     _expect(isinstance(members_raw, list) and members_raw, "members: must be a non-empty list")
     members = tuple(channel_from_json(m, f"members[{i}]") for i, m in enumerate(members_raw))
@@ -208,16 +241,17 @@ def load_family_file(path) -> FamilyFile:
     for key, value in options.items():
         _expect(key in _OPTION_KEYS, f"options: unknown key {key!r}")
         _expect(isinstance(value, (int, float)), f"options.{key}: must be a number")
-    _check_kind_consistency(kind, members)
+    for rule, message in KINDS[kind].rules:
+        _expect(rule(members), f"members: {message}")
     return FamilyFile("1", kind, members, dict(options))
 
 
+def load_family_file(path) -> FamilyFile:
+    return _family_from_json(_read_json_object(path, "family file"))
+
+
 def load_masker_file(path) -> Masker:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
-    _expect(isinstance(raw, dict), "masker file: top level must be an object")
+    raw = _read_json_object(path, "masker file")
     _expect(raw.get("version") == "1", 'version: must be the string "1"')
     dims = raw.get("dims")
     _expect(
@@ -237,154 +271,68 @@ def save_masker_file(path, masker: Masker) -> None:
     payload = {
         "version": "1",
         "dims": {"dimA": masker.dims.dim_a, "dimB": masker.dims.dim_b},
-        "matrix": _matrix_to_json(masker.matrix),
+        "matrix": matrix_to_json(masker.matrix),
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-# -- decision / synthesis dispatch ------------------------------------------------
+# -- decision / synthesis ------------------------------------------------------------
 
 
 def _resolve(flag_value, options: dict, key: str, default):
-    if flag_value is not None:
-        return flag_value
-    if key in options:
-        return options[key]
-    return default
+    return flag_value if flag_value is not None else options.get(key, default)
 
 
 def family_channels(family: FamilyFile) -> list[ChannelSpec]:
     """The channel family the file denotes (identity_pair adds the identity)."""
-    if family.kind == "identity_pair":
-        return [identity_channel(2), family.members[0]]
-    return list(family.members)
+    return KINDS[family.kind].channels(family.members)
 
 
 def decide_family(family: FamilyFile, tol: float, seed: int) -> MaskingDecision:
-    if family.kind == "gate":
-        fam = GateFamily(tuple(m.matrix for m in family.members))
-        return masking.decide_gate_family(fam, tol, seed)
-    if family.kind == "pauli":
-        return masking.decide_pauli_family(family.members, tol)
-    if family.kind == "identity_pair":
-        return masking.decide_identity_pair(family.members[0], tol)
-    if family.kind == "identity_family":
-        return masking.decide_identity_family(family.members, tol)
-    if family.kind == "depolarized":
-        us = tuple(m.matrix for m in family.members)
-        return masking.decide_depolarized_family(family.members[0].p, us, tol, seed)
-    if family.kind == "classical":
-        return masking.decide_classical_family(family.members)
-    raise SchemaError(f"kind: unsupported family kind {family.kind!r}")
+    return KINDS[family.kind].decide(family.members, tol, seed)
 
 
 def synthesize_family_masker(family: FamilyFile, decision: MaskingDecision,
                              tol: float = DECISION_TOL) -> Masker:
-    cert = decision.certificate
-    if isinstance(cert, (CommonEigenbasis,)) or (
-        isinstance(cert, Trivial) and family.kind in ("gate", "depolarized")
-    ):
-        us = tuple(m.matrix for m in family.members)
-        return masking.synthesize_gate_masker(GateFamily(us), cert, tol)
-    if isinstance(cert, PauliAxis):
-        return masking.synthesize_pauli_masker(cert.axis)
-    if isinstance(cert, FixedPointAxis):
-        return masking.synthesize_identity_masker(family.members[0], cert.direction)
-    if isinstance(cert, Fourier):
-        return masking.synthesize_classical_masker(cert.dim)
-    if isinstance(cert, Trivial):
-        _, dout = channel_dims(family.members[0])
-        return Masker(copy_isometry(dout), BipartiteDims(dout, dout))
-    raise ValueError(f"cannot synthesize from certificate {cert!r}")
+    if not decision.maskable:
+        raise ValueError("cannot synthesize a masker for a family that is not maskable")
+    gates = KINDS[family.kind].gates(family.members)
+    return masking.copy_masker(decision.certificate.copy_rows(family.members, gates, tol))
 
 
 # -- reports ----------------------------------------------------------------------
 
 
-def _vector_json(v) -> list:
-    return [float(x) for x in np.asarray(v, dtype=float)]
-
-
-def _fixed_points_json(fp):
-    if fp is None:
-        return None
-    if fp is ALL_DIRECTIONS:
-        return "all"
-    return [_vector_json(v) for v in fp]
-
-
 def decision_to_dict(decision: MaskingDecision) -> dict:
     out: dict = {"verdict": "maskable" if decision.maskable else "not_maskable"}
-    cert = decision.certificate
-    wit = decision.witness
-    if isinstance(cert, CommonEigenbasis):
-        out["certificate"] = {
-            "type": "common_eigenbasis",
-            "reference_index": cert.reference_index,
-            "basis": _matrix_to_json(cert.basis),
-        }
-    elif isinstance(cert, PauliAxis):
-        out["certificate"] = {"type": "pauli_axis", "axis": cert.axis, "constant": cert.constant}
-    elif isinstance(cert, FixedPointAxis):
-        out["certificate"] = {"type": "fixed_point_axis", "direction": _vector_json(cert.direction)}
-    elif isinstance(cert, Fourier):
-        out["certificate"] = {"type": "fourier", "dim": cert.dim}
-    elif isinstance(cert, Trivial):
-        out["certificate"] = {"type": "trivial"}
-    if isinstance(wit, masking.NoncommutingPair):
-        out["witness"] = {
-            "type": "noncommuting_pair",
-            "i": wit.i,
-            "j": wit.j,
-            "commutator_norm": wit.comm_norm,
-        }
-    elif isinstance(wit, masking.NoConstantAxis):
-        out["witness"] = {"type": "no_constant_axis", "spreads": dict(wit.spreads)}
-    elif isinstance(wit, masking.NonUnital):
-        out["witness"] = {"type": "non_unital", "shift": _vector_json(wit.shift), "member": wit.index}
-    elif isinstance(wit, masking.NoPureFixedPoint):
-        out["witness"] = {
-            "type": "no_pure_fixed_point",
-            "eigenvalues": [[float(e.real), float(e.imag)] for e in wit.eigenvalues],
-        }
-    elif isinstance(wit, masking.NoCommonFixedPoint):
-        out["witness"] = {
-            "type": "no_common_fixed_point",
-            "per_channel": [_fixed_points_json(fp) for fp in wit.per_channel],
-        }
+    if decision.certificate is not None:
+        out["certificate"] = decision.certificate.to_json()
+    if decision.witness is not None:
+        out["witness"] = decision.witness.to_json()
     return out
 
 
-def report_to_dict(report: verify.VerificationReport) -> dict:
-    return {
-        "passed": report.passed,
-        "max_deviation_a": report.max_deviation_a,
-        "max_deviation_b": report.max_deviation_b,
-        "worst_pair": list(report.worst_pair),
-        "tol": report.tol,
-    }
+def _print_json(payload: dict) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _print_decision_text(decision: MaskingDecision) -> None:
+def _print_decision(decision: MaskingDecision, as_json: bool) -> None:
     data = decision_to_dict(decision)
+    if as_json:
+        _print_json(data)
+        return
     print(f"verdict: {data['verdict'].replace('_', ' ')}")
-    if "certificate" in data:
-        cert = data["certificate"]
-        print(f"certificate: {cert['type']}")
-        for key, value in cert.items():
-            if key == "type":
-                continue
+    for part in ("certificate", "witness"):
+        if part not in data:
+            continue
+        fields = dict(data[part])
+        print(f"{part}: {fields.pop('type')}")
+        for key, value in fields.items():
             if key == "basis":
                 print("  basis (rows):")
                 for row in value:
                     print("    " + "  ".join(f"{re:+.6f}{im:+.6f}j" for re, im in row))
             else:
-                print(f"  {key}: {value}")
-    if "witness" in data:
-        wit = data["witness"]
-        print(f"witness: {wit['type']}")
-        for key, value in wit.items():
-            if key != "type":
                 print(f"  {key}: {value}")
 
 
@@ -399,28 +347,23 @@ def _print_report_text(report: verify.VerificationReport, heading: str) -> None:
 # -- commands ----------------------------------------------------------------------
 
 
-def cmd_decide(args) -> int:
+def _decide_file(args) -> tuple[FamilyFile, float, MaskingDecision]:
     family = load_family_file(args.family)
     tol = float(_resolve(args.tol, family.options, "tol", DECISION_TOL))
     seed = int(_resolve(args.seed, family.options, "seed", 0))
-    decision = decide_family(family, tol, seed)
-    if args.json:
-        print(json.dumps(decision_to_dict(decision), indent=2, sort_keys=True))
-    else:
-        _print_decision_text(decision)
+    return family, tol, decide_family(family, tol, seed)
+
+
+def cmd_decide(args) -> int:
+    _, _, decision = _decide_file(args)
+    _print_decision(decision, args.json)
     return EXIT_OK if decision.maskable else EXIT_NEGATIVE
 
 
 def cmd_synthesize(args) -> int:
-    family = load_family_file(args.family)
-    tol = float(_resolve(args.tol, family.options, "tol", DECISION_TOL))
-    seed = int(_resolve(args.seed, family.options, "seed", 0))
-    decision = decide_family(family, tol, seed)
+    family, tol, decision = _decide_file(args)
     if not decision.maskable:
-        if args.json:
-            print(json.dumps(decision_to_dict(decision), indent=2, sort_keys=True))
-        else:
-            _print_decision_text(decision)
+        _print_decision(decision, args.json)
         return EXIT_NEGATIVE
     masker = synthesize_family_masker(family, decision, tol)
     save_masker_file(args.out, masker)
@@ -428,9 +371,9 @@ def cmd_synthesize(args) -> int:
         payload = decision_to_dict(decision)
         payload["masker_path"] = str(args.out)
         payload["dims"] = {"dimA": masker.dims.dim_a, "dimB": masker.dims.dim_b}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload)
     else:
-        _print_decision_text(decision)
+        _print_decision(decision, False)
         print(f"masker written to {args.out} (dims {masker.dims.dim_a} x {masker.dims.dim_b})")
     return EXIT_OK
 
@@ -441,23 +384,18 @@ def cmd_verify(args) -> int:
     tol = float(_resolve(args.verify_tol, family.options, "verify_tol", VERIFY_TOL))
     report = verify.verify_masking(masker, family_channels(family), tol)
     if args.json:
-        print(json.dumps(report_to_dict(report), indent=2, sort_keys=True))
+        _print_json(asdict(report))
     else:
         _print_report_text(report, "masking verification")
     return EXIT_OK if report.passed else EXIT_NEGATIVE
 
 
 def _load_single_channel(path) -> ChannelSpec:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
-    _expect(isinstance(raw, dict), "channel file: top level must be an object")
+    raw = _read_json_object(path, "channel file")
     if "type" in raw:
         return channel_from_json(raw, "channel")
     if "members" in raw:
-        family = load_family_file(path)
-        return family.members[0]
+        return _family_from_json(raw).members[0]
     raise SchemaError("channel file: expected a channel payload or a family file")
 
 
@@ -471,11 +409,11 @@ def cmd_bloch(args) -> int:
     if args.json:
         payload = {
             "matrix": [[float(v) for v in row] for row in aff.matrix],
-            "shift": _vector_json(aff.shift),
+            "shift": vector_to_json(aff.shift),
             "unital": unital,
-            "fixed_points": _fixed_points_json(fixed),
+            "fixed_points": fixed_points_to_json(fixed),
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload)
     else:
         print("Bloch affine action n -> A n + b")
         print("  A:")
@@ -511,15 +449,13 @@ def cmd_demo_classical(args) -> int:
         perms = _parse_perms(args.perms, dim)
     else:
         perms = [tuple(range(dim)), tuple((x + 1) % dim for x in range(dim))]
-    tol = args.verify_tol if args.verify_tol is not None else VERIFY_TOL
-    seed = args.seed if args.seed is not None else 0
+    tol = _resolve(args.verify_tol, {}, "verify_tol", VERIFY_TOL)
+    seed = _resolve(args.seed, {}, "seed", 0)
 
     search = classical_no_go_search(dim, perms)
 
-    masker = masking.synthesize_classical_masker(dim)
-    perm_channels = [
-        ClassicalChannel(np.eye(dim)[:, list(p)]) for p in perms
-    ]
+    masker = masking.copy_masker(Fourier(dim).copy_rows())
+    perm_channels = [ClassicalChannel(np.eye(dim)[:, list(p)]) for p in perms]
     rng = np.random.default_rng(seed)
     random_channels = [random_classical_channel(dim, dim, rng) for _ in range(3)]
     report = verify.verify_masking(masker, perm_channels + random_channels, tol)
@@ -545,7 +481,7 @@ def cmd_demo_classical(args) -> int:
                 "constant_marginal_deviation": marginal_dev,
             },
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload)
     else:
         print(f"classical search over {search.injection_count} injections ({dim} symbols into {dim * dim} pairs)")
         if search.violating_all:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 #: Decision-level tolerance: separates "equal" from "different" in verdicts.
 DECISION_TOL = 1e-8
@@ -170,17 +169,25 @@ def _diagonalizes_all(ws: list[np.ndarray], basis: np.ndarray, tol: float) -> bo
     return all(_offdiagonal_mass(w, basis) <= tol * dim for w in ws)
 
 
+def _phase_clusters(block: np.ndarray):
+    # Bases of the eigenphase clusters of a normal matrix: the joint clusters
+    # of its commuting Hermitian (cos) and anti-Hermitian (sin) parts.  Values
+    # in [-1, 1] never wrap around in cluster_phases.
+    cos, vectors = np.linalg.eigh((block + block.conj().T) / 2)
+    for idx in cluster_phases(cos):
+        sub = vectors[:, idx]
+        sin, inner = np.linalg.eigh(sub.conj().T @ ((block - block.conj().T) / 2j) @ sub)
+        for jdx in cluster_phases(sin):
+            yield sub @ inner[:, jdx]
+
+
 def _refine_subspaces(ws: list[np.ndarray], cols: np.ndarray) -> np.ndarray:
     # cols spans a subspace invariant under every w; peel one unitary at a
     # time, splitting by eigenphase cluster and recursing on the rest.
     if not ws:
         return cols
     block = cols.conj().T @ ws[0] @ cols
-    t, z = scipy.linalg.schur(block, output="complex")
-    rotated = cols @ z
-    phases = np.angle(np.diag(t))
-    pieces = [_refine_subspaces(ws[1:], rotated[:, idx]) for idx in cluster_phases(phases)]
-    return np.hstack(pieces)
+    return np.hstack([_refine_subspaces(ws[1:], cols @ piece) for piece in _phase_clusters(block)])
 
 
 def _canonical_column_order(ws: list[np.ndarray], basis: np.ndarray) -> np.ndarray:

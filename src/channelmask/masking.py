@@ -5,8 +5,10 @@ space makes both reduced outputs independent of which family member acted.
 This module decides maskability for the certified classes (unitary gate
 families, Pauli channel families, identity-paired qubit channels, unitaries
 under depolarizing noise, classical channels) and builds an explicit masker
-for every positive verdict.  Negative verdicts carry a numerical witness of
-the violated condition.
+for every positive verdict.  Every masker copies a basis, ``|v_k> -> |kk>``:
+the certificate of a positive verdict names the basis, and
+:func:`copy_masker` is the one construction.  Negative verdicts carry a
+numerical witness of the violated condition.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from .channels import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _canonical_direction,
+    _dedupe_directions,
     bloch_affine,
     channel_dims,
     pure_fixed_points,
@@ -32,6 +36,7 @@ from .channels import (
 from .linalg import (
     DECISION_TOL,
     BipartiteDims,
+    _diagonalizes_all,
     as_complex_matrix,
     commutator_norm,
     eig_hermitian,
@@ -95,7 +100,13 @@ class GateFamily:
         return len(self.unitaries)
 
 
-# -- certificates (how to build the masker) ----------------------------------
+# -- certificates (which basis the masker copies) -----------------------------
+#
+# Every masker copies a basis: ``|v_k> -> |kk>`` (see :func:`copy_masker`).
+# A certificate's ``copy_rows(members, gates, tol)`` returns ``V^dag``, the
+# rows the masker copies, after checking the certificate against the family:
+# ``members`` are its channels, ``gates`` its unitaries when the family is a
+# gate family (with or without depolarizing noise) and ``None`` otherwise.
 
 
 @dataclass(frozen=True)
@@ -105,6 +116,27 @@ class CommonEigenbasis:
     basis: np.ndarray
     reference_index: int = 0
 
+    def copy_rows(self, members=(), gates=None, tol: float = DECISION_TOL) -> np.ndarray:
+        """``basis^dag U_ref^dag``, once ``basis`` diagonalizes every relative gate within ``tol * dim``."""
+        if gates is None:
+            raise ValueError("a common-eigenbasis certificate needs the family's gates")
+        fam = GateFamily(tuple(gates))
+        basis = as_complex_matrix(self.basis, "basis")
+        reference = self.reference_index
+        if basis.shape != (fam.dim, fam.dim):
+            raise ValueError("certificate basis dimension does not match the family")
+        if not 0 <= reference < len(fam):
+            raise ValueError("certificate reference index out of range")
+        if not is_isometry(basis, 1e-8):
+            raise ValueError("certificate basis is not orthonormal")
+        if not _diagonalizes_all(_relative_gates(fam, reference), basis, tol):
+            raise ValueError("certificate basis does not diagonalize the family")
+        return basis.conj().T @ fam.unitaries[reference].conj().T
+
+    def to_json(self) -> dict:
+        return {"type": "common_eigenbasis", "reference_index": self.reference_index,
+                "basis": matrix_to_json(self.basis)}
+
 
 @dataclass(frozen=True)
 class PauliAxis:
@@ -113,12 +145,37 @@ class PauliAxis:
     axis: str
     constant: float
 
+    def copy_rows(self, members=(), gates=None, tol: float = DECISION_TOL) -> np.ndarray:
+        """Rows ``<u+|`` and ``<u-|`` from the eigenvectors of ``sigma_axis``."""
+        if self.axis not in _AXIS_SIGMA:
+            raise ValueError(f"axis must be one of {AXES}")
+        vectors = eig_hermitian(_AXIS_SIGMA[self.axis]).vectors  # eigenvalues ascend
+        return vectors[:, ::-1].conj().T
+
+    def to_json(self) -> dict:
+        return {"type": "pauli_axis", "axis": self.axis, "constant": self.constant}
+
 
 @dataclass(frozen=True)
 class FixedPointAxis:
     """Every family member fixes the pure state with this Bloch direction."""
 
     direction: np.ndarray
+
+    def copy_rows(self, members=(), gates=None, tol: float = DECISION_TOL) -> np.ndarray:
+        """``U^dag`` for a unitary with ``U|0>`` on ``direction``, fixed by the first member within 1e-6."""
+        spec = members[0]
+        _require_qubit(spec)
+        v = np.asarray(self.direction, dtype=float)
+        if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > 1e-8:
+            raise ValueError("direction must be a unit 3-vector")
+        aff = bloch_affine(spec)
+        if np.linalg.norm(aff.matrix @ v + aff.shift - v) > 1e-6:
+            raise ValueError("direction is not a fixed point of the channel")
+        return _bloch_frame_unitary(v).conj().T
+
+    def to_json(self) -> dict:
+        return {"type": "fixed_point_axis", "direction": vector_to_json(self.direction)}
 
 
 @dataclass(frozen=True)
@@ -127,10 +184,30 @@ class Fourier:
 
     dim: int
 
+    def copy_rows(self, members=(), gates=None, tol: float = DECISION_TOL) -> np.ndarray:
+        """Entries ``w^{kj} / sqrt(d)``, ``w = exp(2 pi i / d)``: the masker's columns are
+        orthonormal and its marginals maximally mixed, so every classical channel is masked."""
+        d = self.dim
+        if d < 1:
+            raise ValueError("dimension must be at least 1")
+        return np.array([[np.exp(2j * np.pi * k * j / d) / np.sqrt(d) for j in range(d)] for k in range(d)])
+
+    def to_json(self) -> dict:
+        return {"type": "fourier", "dim": self.dim}
+
 
 @dataclass(frozen=True)
 class Trivial:
     """Constant or single-member family: any isometry masks it."""
+
+    def copy_rows(self, members=(), gates=None, tol: float = DECISION_TOL) -> np.ndarray:
+        """``U_0^dag`` for a gate family, the identity on the output space otherwise."""
+        if gates is not None:
+            return as_complex_matrix(gates[0], "gates[0]").conj().T
+        return np.eye(channel_dims(members[0])[1], dtype=complex)
+
+    def to_json(self) -> dict:
+        return {"type": "trivial"}
 
 
 Certificate = Union[CommonEigenbasis, PauliAxis, FixedPointAxis, Fourier, Trivial]
@@ -147,12 +224,18 @@ class NoncommutingPair:
     j: int
     comm_norm: float
 
+    def to_json(self) -> dict:
+        return {"type": "noncommuting_pair", "i": self.i, "j": self.j, "commutator_norm": self.comm_norm}
+
 
 @dataclass(frozen=True)
 class NoConstantAxis:
     """Per-axis spread (max - min) of ``p0 + p_axis`` across the family."""
 
     spreads: dict
+
+    def to_json(self) -> dict:
+        return {"type": "no_constant_axis", "spreads": dict(self.spreads)}
 
 
 @dataclass(frozen=True)
@@ -162,6 +245,9 @@ class NonUnital:
     shift: np.ndarray
     index: int = 0
 
+    def to_json(self) -> dict:
+        return {"type": "non_unital", "shift": vector_to_json(self.shift), "member": self.index}
+
 
 @dataclass(frozen=True)
 class NoPureFixedPoint:
@@ -169,12 +255,19 @@ class NoPureFixedPoint:
 
     eigenvalues: np.ndarray
 
+    def to_json(self) -> dict:
+        return {"type": "no_pure_fixed_point",
+                "eigenvalues": [[float(e.real), float(e.imag)] for e in self.eigenvalues]}
+
 
 @dataclass(frozen=True)
 class NoCommonFixedPoint:
     """Per-channel fixed directions have empty intersection."""
 
     per_channel: tuple
+
+    def to_json(self) -> dict:
+        return {"type": "no_common_fixed_point", "per_channel": [fixed_points_to_json(f) for f in self.per_channel]}
 
 
 Witness = Union[NoncommutingPair, NoConstantAxis, NonUnital, NoPureFixedPoint, NoCommonFixedPoint]
@@ -197,14 +290,43 @@ def _not_maskable(wit: Witness) -> MaskingDecision:
     return MaskingDecision(False, witness=wit)
 
 
-def copy_isometry(dim: int) -> np.ndarray:
-    """The basis-copy isometry ``|k> -> |kk>``."""
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
-    m = np.zeros((dim * dim, dim), dtype=complex)
-    for k in range(dim):
-        m[k * dim + k, k] = 1.0
-    return m
+# -- JSON forms of matrices, vectors and fixed-point sets --------------------------
+
+
+def matrix_to_json(m) -> list:
+    """Row-major ``[re, im]`` pairs."""
+    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
+
+
+def vector_to_json(v) -> list:
+    return [float(x) for x in np.asarray(v, dtype=float)]
+
+
+def fixed_points_to_json(fixed):
+    """``None``, ``"all"`` or a list of directions, as :func:`pure_fixed_points` returns them."""
+    if fixed is None:
+        return None
+    if fixed is ALL_DIRECTIONS:
+        return "all"
+    return [vector_to_json(v) for v in fixed]
+
+
+# -- the copy masker ------------------------------------------------------------
+
+
+def copy_masker(rows) -> Masker:
+    """The masker ``|psi> -> sum_k (V^dag psi)_k |kk>`` that copies the basis ``V``.
+
+    ``rows`` is the unitary ``V^dag``; its row ``k`` is written into masker
+    row ``k*d + k``, so that ``|v_k> -> |kk>``.  Every masker of the paper
+    has this form: the gate, Pauli, fixed-axis and Fourier maskers differ
+    only in the basis they copy.
+    """
+    v_dag = as_complex_matrix(rows, "rows")
+    d = v_dag.shape[0]
+    m = np.zeros((d * d, v_dag.shape[1]), dtype=complex)
+    m[:: d + 1] = v_dag
+    return Masker(m, BipartiteDims(d, d))
 
 
 # -- unitary gate families ----------------------------------------------------
@@ -238,40 +360,6 @@ def decide_gate_family(fam: GateFamily, tol: float = DECISION_TOL, seed: int = 0
     return _maskable(CommonEigenbasis(basis, reference_index=0))
 
 
-def synthesize_gate_masker(fam: GateFamily, cert: Certificate, tol: float = DECISION_TOL) -> Masker:
-    """Masker for a gate family: copy the common eigenbasis, undo the reference gate.
-
-    With basis vectors ``f_k`` the isometry is ``(sum_k |kk><f_k|) U_ref^dag``.
-    A :class:`Trivial` certificate yields the same construction with the
-    computational basis.  The basis must diagonalize every relative gate
-    within ``tol * dim``, the threshold the decision used.
-    """
-    dim = fam.dim
-    if isinstance(cert, Trivial):
-        basis = np.eye(dim, dtype=complex)
-        reference = 0
-    elif isinstance(cert, CommonEigenbasis):
-        basis = as_complex_matrix(cert.basis, "basis")
-        reference = cert.reference_index
-        if basis.shape != (dim, dim):
-            raise ValueError("certificate basis dimension does not match the family")
-        if not 0 <= reference < len(fam):
-            raise ValueError("certificate reference index out of range")
-        if not is_isometry(basis, 1e-8):
-            raise ValueError("certificate basis is not orthonormal")
-        for w in _relative_gates(fam, reference):
-            d = basis.conj().T @ w @ basis
-            if np.linalg.norm(d - np.diag(np.diag(d))) > tol * dim:
-                raise ValueError("certificate basis does not diagonalize the family")
-    else:
-        raise ValueError(f"unsupported certificate for a gate family: {cert!r}")
-    m = np.zeros((dim * dim, dim), dtype=complex)
-    for k in range(dim):
-        m[k * dim + k, :] = basis[:, k].conj()
-    m = m @ fam.unitaries[reference].conj().T
-    return Masker(m, BipartiteDims(dim, dim))
-
-
 # -- Pauli channel families ---------------------------------------------------
 
 
@@ -302,18 +390,6 @@ def decide_pauli_family(ps, tol: float = DECISION_TOL) -> MaskingDecision:
     return _not_maskable(NoConstantAxis(spreads))
 
 
-def synthesize_pauli_masker(axis: str) -> Masker:
-    """Masker ``|00><u+| + |11><u-|`` built from the eigenvectors of ``sigma_axis``."""
-    if axis not in _AXIS_SIGMA:
-        raise ValueError(f"axis must be one of {AXES}")
-    dec = eig_hermitian(_AXIS_SIGMA[axis])
-    u_minus, u_plus = dec.vectors[:, 0], dec.vectors[:, 1]  # eigenvalues ascend
-    m = np.zeros((4, 2), dtype=complex)
-    m[0, :] = u_plus.conj()
-    m[3, :] = u_minus.conj()
-    return Masker(m, BipartiteDims(2, 2))
-
-
 # -- qubit channels masked together with the identity -------------------------
 
 
@@ -325,15 +401,7 @@ def _require_qubit(spec: ChannelSpec) -> None:
 def _pick_axis(dirs) -> np.ndarray:
     # Deterministic representative: orient each direction so its last
     # non-negligible coordinate is positive, then take the (z, y, x)-largest.
-    canon = []
-    for v in dirs:
-        w = np.asarray(v, dtype=float)
-        w = w / np.linalg.norm(w)
-        nz = np.flatnonzero(np.abs(w) > 1e-8)
-        if nz.size and w[nz[-1]] < 0:
-            w = -w
-        if all(np.linalg.norm(w - u) > 1e-8 for u in canon):
-            canon.append(w)
+    canon = _dedupe_directions([_canonical_direction(np.asarray(v, dtype=float)) for v in dirs])
     return max(canon, key=lambda w: (w[2], w[1], w[0]))
 
 
@@ -358,24 +426,6 @@ def _bloch_frame_unitary(direction: np.ndarray) -> np.ndarray:
     psi = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
     perp = np.array([-psi[1].conj(), psi[0].conj()])
     return fix_column_phases(np.column_stack([psi, perp]))
-
-
-def synthesize_identity_masker(spec: ChannelSpec, direction) -> Masker:
-    """Masker for ``{identity, E}``: copy the eigenframe of the fixed axis.
-
-    A unitary ``U`` sending ``|0>`` to the pure state with Bloch vector
-    ``direction`` is completed deterministically, and the masker is
-    ``(|00><0| + |11><1|) U^dag``.
-    """
-    _require_qubit(spec)
-    v = np.asarray(direction, dtype=float)
-    if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > 1e-8:
-        raise ValueError("direction must be a unit 3-vector")
-    aff = bloch_affine(spec)
-    if np.linalg.norm(aff.matrix @ v + aff.shift - v) > 1e-6:
-        raise ValueError("direction is not a fixed point of the channel")
-    u = _bloch_frame_unitary(v)
-    return Masker(copy_isometry(2) @ u.conj().T, BipartiteDims(2, 2))
 
 
 def decide_identity_family(specs, tol: float = DECISION_TOL) -> MaskingDecision:
@@ -447,22 +497,6 @@ def decide_classical_family(channels) -> MaskingDecision:
         if (c.in_size, c.out_size) != (in_size, out_size):
             raise ValueError("family members must share input and output alphabets")
     return _maskable(Fourier(out_size))
-
-
-def synthesize_classical_masker(dim: int) -> Masker:
-    """Fourier masker ``|j> -> d^{-1/2} sum_k w^{kj} |kk>`` with ``w = exp(2 pi i / d)``.
-
-    Its columns are orthonormal by character orthogonality and every column's
-    marginals are maximally mixed, so the reduced outputs of any classical
-    channel composed with it are constant.
-    """
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
-    m = np.zeros((dim * dim, dim), dtype=complex)
-    for j in range(dim):
-        for k in range(dim):
-            m[k * dim + k, j] = np.exp(2j * np.pi * k * j / dim) / np.sqrt(dim)
-    return Masker(m, BipartiteDims(dim, dim))
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .channels import ChannelSpec, apply, channel_dims, choi, identity_channel
-from .linalg import VERIFY_TOL, as_complex_matrix, cluster_phases, is_isometry, partial_trace
+from .linalg import VERIFY_TOL, as_complex_matrix, cluster_phases, is_isometry, partial_trace, simultaneous_eigenbasis
 from .masking import Masker
 
 # Choi matrices grow as (din * dred)^2; keep the brute force at desk scale.
@@ -114,6 +113,20 @@ def _max_pairwise(mats: list[np.ndarray]) -> tuple[float, tuple]:
     return worst, pair
 
 
+def _report(view_a: list[np.ndarray], view_b: list[np.ndarray], tol: float) -> VerificationReport:
+    # What subsystems A and B see for each member; the worst pair is taken
+    # from the side that deviates more.
+    dev_a, pair_a = _max_pairwise(view_a)
+    dev_b, pair_b = _max_pairwise(view_b)
+    return VerificationReport(
+        passed=bool(dev_a <= tol and dev_b <= tol),
+        max_deviation_a=dev_a,
+        max_deviation_b=dev_b,
+        worst_pair=pair_a if dev_a >= dev_b else pair_b,
+        tol=tol,
+    )
+
+
 def verify_masking(masker: Masker, family, tol: float = VERIFY_TOL) -> VerificationReport:
     """Check that both reduced channels are identical across the whole family."""
     members = list(family)
@@ -122,18 +135,8 @@ def verify_masking(masker: Masker, family, tol: float = VERIFY_TOL) -> Verificat
     dims = channel_dims(members[0])
     if any(channel_dims(spec) != dims for spec in members):
         raise ValueError("family members must share input and output dimensions")
-    view_a = [reduced_channel_choi(masker, spec, "B") for spec in members]
-    view_b = [reduced_channel_choi(masker, spec, "A") for spec in members]
-    dev_a, pair_a = _max_pairwise(view_a)
-    dev_b, pair_b = _max_pairwise(view_b)
-    worst_pair = pair_a if dev_a >= dev_b else pair_b
-    return VerificationReport(
-        passed=bool(dev_a <= tol and dev_b <= tol),
-        max_deviation_a=dev_a,
-        max_deviation_b=dev_b,
-        worst_pair=worst_pair,
-        tol=tol,
-    )
+    return _report([reduced_channel_choi(masker, spec, "B") for spec in members],
+                   [reduced_channel_choi(masker, spec, "A") for spec in members], tol)
 
 
 def verify_identity_masking(masker: Masker, spec: ChannelSpec, tol: float = VERIFY_TOL) -> VerificationReport:
@@ -160,8 +163,8 @@ def local_orthogonality_check(masker: Masker, u, tol: float = VERIFY_TOL) -> boo
         raise ValueError("unitary dimension does not match the masker input")
     if not is_isometry(mat, 1e-10):
         raise ValueError("u is not unitary within 1e-10")
-    t, z = scipy.linalg.schur(mat, output="complex")
-    clusters = cluster_phases(np.angle(np.diag(t)))
+    z = simultaneous_eigenbasis([mat])
+    clusters = cluster_phases(np.angle(np.diag(z.conj().T @ mat @ z)))
     m = masker.matrix
     marginals = []
     for col in range(z.shape[1]):
@@ -194,13 +197,4 @@ def state_mask_check(masker: Masker, states, tol: float = VERIFY_TOL) -> Verific
         state = np.outer(masked, masked.conj())
         margins_a.append(partial_trace(state, masker.dims, "B"))
         margins_b.append(partial_trace(state, masker.dims, "A"))
-    dev_a, pair_a = _max_pairwise(margins_a)
-    dev_b, pair_b = _max_pairwise(margins_b)
-    worst_pair = pair_a if dev_a >= dev_b else pair_b
-    return VerificationReport(
-        passed=bool(dev_a <= tol and dev_b <= tol),
-        max_deviation_a=dev_a,
-        max_deviation_b=dev_b,
-        worst_pair=worst_pair,
-        tol=tol,
-    )
+    return _report(margins_a, margins_b, tol)

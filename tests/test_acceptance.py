@@ -25,21 +25,20 @@ from channelmask.channels import (
 from channelmask.cli import load_masker_file, save_masker_file
 from channelmask.linalg import BipartiteDims, commutator_norm, is_isometry, partial_trace, random_unitary
 from channelmask.masking import (
+    Fourier,
     GateFamily,
     Masker,
     NoCommonFixedPoint,
     NonUnital,
     NoPureFixedPoint,
+    PauliAxis,
     classical_no_go_search,
+    copy_masker,
     decide_depolarized_family,
     decide_gate_family,
     decide_identity_family,
     decide_identity_pair,
     decide_pauli_family,
-    synthesize_classical_masker,
-    synthesize_gate_masker,
-    synthesize_identity_masker,
-    synthesize_pauli_masker,
 )
 from channelmask.verify import (
     local_orthogonality_check,
@@ -72,7 +71,7 @@ def test_criterion_1_commuting_families_mask_and_verify():
         if not decision.maskable:
             problems.append(f"trial {trial}: refused a commuting family (d={dim}, n={size})")
             continue
-        masker = synthesize_gate_masker(fam, decision.certificate)
+        masker = copy_masker(decision.certificate.copy_rows(gates=fam.unitaries))
         report = verify_masking(masker, [Unitary(u) for u in fam.unitaries], 1e-9)
         if not report.passed:
             problems.append(
@@ -113,7 +112,7 @@ def test_criterion_3_identity_pair_maskers_broadcast_orthogonality():
         if not decision.maskable:
             problems.append(f"trial {trial}: pair with the identity refused")
             continue
-        masker = synthesize_gate_masker(pair, decision.certificate)
+        masker = copy_masker(decision.certificate.copy_rows(gates=pair.unitaries))
         if not verify_masking(masker, [Unitary(u) for u in pair.unitaries], 1e-9).passed:
             problems.append(f"trial {trial}: pair masker failed verification")
             continue
@@ -138,7 +137,7 @@ def test_criterion_4_constant_axis_pauli_families():
             problems.append(f"grid certified on axis {cert.axis}, expected x")
         if abs(cert.constant - c) > 1e-12:
             problems.append(f"certified constant {cert.constant} differs from {c}")
-        masker = synthesize_pauli_masker("x")
+        masker = copy_masker(PauliAxis("x", 0.0).copy_rows())
         report = verify_masking(masker, grid, 1e-12)
         if not report.passed:
             problems.append(
@@ -148,7 +147,7 @@ def test_criterion_4_constant_axis_pauli_families():
     depol_decision = decide_pauli_family(depol, 1e-8)
     if depol_decision.maskable:
         problems.append("depolarizing family accepted")
-    report = verify_masking(synthesize_pauli_masker("x"), depol, 1e-6)
+    report = verify_masking(copy_masker(PauliAxis("x", 0.0).copy_rows()), depol, 1e-6)
     if report.passed or max(report.max_deviation_a, report.max_deviation_b) < 0.05:
         problems.append("depolarizing family not separated by the x masker")
     _report(4, "constant-axis grid certifies (k=x, c=0.6) at 1e-12; depolarizing family refused", problems)
@@ -163,7 +162,7 @@ def test_criterion_5_identity_masking_of_qubit_channels():
         if not decision.maskable:
             problems.append(f"dephasing({p:.1f}) refused")
             continue
-        masker = synthesize_identity_masker(spec, decision.certificate.direction)
+        masker = copy_masker(decision.certificate.copy_rows([spec]))
         report = verify_identity_masking(masker, spec, 1e-12)
         if not report.passed:
             problems.append(f"dephasing({p:.1f}) deviation above 1e-12")
@@ -180,7 +179,7 @@ def test_criterion_5_identity_masking_of_qubit_channels():
         if not decision.maskable:
             problems.append(f"trial {trial}: unital fixed-axis mixture refused")
             continue
-        masker = synthesize_identity_masker(spec, decision.certificate.direction)
+        masker = copy_masker(decision.certificate.copy_rows([spec]))
         if not verify_identity_masking(masker, spec, 1e-9).passed:
             problems.append(f"trial {trial}: fixed-axis masker failed at 1e-9")
     _report(5, "identity masking: dephasing ladder at 1e-12, witnesses, 100 random unital channels", problems)
@@ -197,7 +196,7 @@ def test_criterion_6_families_with_a_common_fixed_axis():
         if not decision.maskable:
             problems.append(f"trial {trial}: common-axis family refused")
             continue
-        masker = synthesize_identity_masker(family[0], decision.certificate.direction)
+        masker = copy_masker(decision.certificate.copy_rows([family[0]]))
         if not verify_masking(masker, family, 1e-9).passed:
             problems.append(f"trial {trial}: common masker failed at 1e-9")
     for trial in range(25):
@@ -230,7 +229,7 @@ def test_criterion_7_classical_no_go_and_quantum_masker():
         d = int(rng.integers(2, 7))
         batch = [random_classical_channel(d, d, rng) for _ in range(min(5, 50 - checked))]
         checked += len(batch)
-        masker = synthesize_classical_masker(d)
+        masker = copy_masker(Fourier(d).copy_rows())
         report = verify_masking(masker, batch, 1e-9)
         if not report.passed:
             problems.append(f"Fourier masker failed on a batch at d={d}")
@@ -260,7 +259,7 @@ def test_criterion_8_depolarized_families_reduce_to_gates():
             if depol_decision.maskable != expected:
                 problems.append(f"unexpected verdict at p={p}")
             if depol_decision.maskable:
-                masker = synthesize_gate_masker(fam, depol_decision.certificate)
+                masker = copy_masker(depol_decision.certificate.copy_rows(gates=fam.unitaries))
                 family = [DepolarizedUnitary(p, u) for u in fam.unitaries]
                 if not verify_masking(masker, family, 1e-9).passed:
                     problems.append(f"gate masker failed on the depolarized family at p={p}")
@@ -282,17 +281,17 @@ def test_criterion_9_structural_suite(tmp_path):
     rng = np.random.default_rng(2024_09)
     problems = []
 
-    maskers = [synthesize_pauli_masker(axis) for axis in ("x", "y", "z")]
-    maskers += [synthesize_classical_masker(d) for d in range(1, 7)]
+    maskers = [copy_masker(PauliAxis(axis, 0.0).copy_rows()) for axis in ("x", "y", "z")]
+    maskers += [copy_masker(Fourier(d).copy_rows()) for d in range(1, 7)]
     for _ in range(10):
         dim = int(rng.choice(DIMS))
         fam = random_commuting_family(rng, dim, int(rng.integers(2, 5)))
-        maskers.append(synthesize_gate_masker(fam, decide_gate_family(fam).certificate))
+        maskers.append(copy_masker(decide_gate_family(fam).certificate.copy_rows(gates=fam.unitaries)))
     for _ in range(10):
         axis = random_axis(rng)
         spec = rotation_mixture_channel(rng, axis)
         decision = decide_identity_pair(spec)
-        maskers.append(synthesize_identity_masker(spec, decision.certificate.direction))
+        maskers.append(copy_masker(decision.certificate.copy_rows([spec])))
     for i, masker in enumerate(maskers):
         if not is_isometry(masker.matrix, 1e-10):
             problems.append(f"masker {i} is not an isometry at 1e-10")

@@ -11,7 +11,7 @@ from channelmask.cli import (
     main,
     save_masker_file,
 )
-from channelmask.masking import synthesize_classical_masker
+from channelmask.masking import Fourier, copy_masker
 
 from helpers import random_commuting_family, random_density
 
@@ -212,7 +212,7 @@ class TestSynthesizeAndVerify:
         assert first.read_bytes() == second.read_bytes()
 
     def test_masker_file_round_trip_is_bit_exact(self, tmp_path):
-        masker = synthesize_classical_masker(3)
+        masker = copy_masker(Fourier(3).copy_rows())
         path = tmp_path / "fourier.json"
         save_masker_file(path, masker)
         loaded = load_masker_file(path)

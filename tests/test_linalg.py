@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import channelmask
 from channelmask.linalg import (
     BipartiteDims,
     cluster_phases,
@@ -183,8 +189,17 @@ class TestSimultaneousEigenbasis:
         for _ in range(3):
             phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=4))
             ws.append(eigvecs @ np.diag(phases) @ eigvecs.conj().T)
-        basis = _refine_subspaces(ws, np.eye(4, dtype=complex))
-        assert _diagonalizes_all(ws, basis, 1e-8)
+        # a degenerate family: a multiple of the identity, repeated phases and
+        # conjugate phase pairs, whose Hermitian parts coincide
+        eigvecs6 = random_unitary(6, rng)
+        a, b, c = rng.uniform(0.1, 3.0, size=3)
+        degenerate = [
+            eigvecs6 @ np.diag(np.exp(1j * np.array(phases))) @ eigvecs6.conj().T
+            for phases in ([0.7] * 6, [a, a, -a, -a, b, b], [c, -c, c, -c, 0.0, 0.0])
+        ]
+        for family in (ws, degenerate):
+            basis = _refine_subspaces(family, np.eye(family[0].shape[0], dtype=complex))
+            assert _diagonalizes_all(family, basis, 1e-8)
 
     def test_rejects_noncommuting(self):
         with pytest.raises(ValueError):
@@ -232,3 +247,11 @@ class TestPhaseHelpers:
     def test_cluster_separated(self):
         clusters = cluster_phases(np.array([0.0, 1.0, 1.0 + 1e-12]))
         assert len(clusters) == 2
+
+
+def test_import_loads_no_scipy():
+    src = Path(channelmask.__file__).resolve().parent.parent
+    code = "import sys, channelmask; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

@@ -20,6 +20,7 @@ from channelmask.channels import (
 from channelmask.linalg import BipartiteDims, is_isometry, random_unitary
 from channelmask.masking import (
     CommonEigenbasis,
+    FixedPointAxis,
     Fourier,
     GateFamily,
     Masker,
@@ -31,17 +32,13 @@ from channelmask.masking import (
     PauliAxis,
     Trivial,
     classical_no_go_search,
-    copy_isometry,
+    copy_masker,
     decide_classical_family,
     decide_depolarized_family,
     decide_gate_family,
     decide_identity_family,
     decide_identity_pair,
     decide_pauli_family,
-    synthesize_classical_masker,
-    synthesize_gate_masker,
-    synthesize_identity_masker,
-    synthesize_pauli_masker,
 )
 from channelmask.verify import (
     local_orthogonality_check,
@@ -55,7 +52,7 @@ from helpers import random_axis, random_commuting_family, random_noncommuting_tr
 I2 = np.eye(2, dtype=complex)
 SQRT_Z = np.diag([1.0, 1j])
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-COPY2 = copy_isometry(2)
+COPY2 = copy_masker(I2).matrix
 
 
 def constant_x_family(c: float, grid: int) -> list:
@@ -125,13 +122,13 @@ class TestSynthesizeGateMasker:
     def test_identity_z_pair(self):
         fam = GateFamily((I2, SIGMA_Z))
         decision = decide_gate_family(fam)
-        masker = synthesize_gate_masker(fam, decision.certificate)
+        masker = copy_masker(decision.certificate.copy_rows(gates=fam.unitaries))
         assert_allclose(masker.matrix, COPY2, atol=1e-12)
 
     def test_x_z_powers_masker(self):
         fam = GateFamily((SIGMA_X, SIGMA_X @ SIGMA_Z, SIGMA_X @ SQRT_Z))
         decision = decide_gate_family(fam)
-        masker = synthesize_gate_masker(fam, decision.certificate)
+        masker = copy_masker(decision.certificate.copy_rows(gates=fam.unitaries))
         assert_allclose(masker.matrix, COPY2 @ SIGMA_X, atol=1e-12)
         report = verify_masking(masker, [Unitary(u) for u in fam.unitaries], 1e-9)
         assert report.passed
@@ -141,14 +138,14 @@ class TestSynthesizeGateMasker:
         u = random_unitary(3, rng)
         fam = GateFamily((u, u))
         decision = decide_gate_family(fam)
-        masker = synthesize_gate_masker(fam, decision.certificate)
+        masker = copy_masker(decision.certificate.copy_rows(gates=fam.unitaries))
         assert verify_masking(masker, [Unitary(u), Unitary(u)], 1e-9).passed
 
     def test_certificate_family_mismatch(self):
         fam = GateFamily((I2, SIGMA_Z))
         other = decide_gate_family(GateFamily((I2, HADAMARD))).certificate
         with pytest.raises(ValueError):
-            synthesize_gate_masker(fam, other)
+            copy_masker(other.copy_rows(gates=fam.unitaries))
 
     def test_soundness_on_random_families(self):
         rng = np.random.default_rng(4)
@@ -158,7 +155,7 @@ class TestSynthesizeGateMasker:
             fam = random_commuting_family(rng, dim, size)
             decision = decide_gate_family(fam)
             assert decision.maskable
-            masker = synthesize_gate_masker(fam, decision.certificate)
+            masker = copy_masker(decision.certificate.copy_rows(gates=fam.unitaries))
             assert is_isometry(masker.matrix, 1e-10)
             report = verify_masking(masker, [Unitary(u) for u in fam.unitaries], 1e-9)
             assert report.passed
@@ -170,7 +167,7 @@ class TestSynthesizeGateMasker:
             fam = random_commuting_family(rng, dim, 2, repeated_phase=trial % 2 == 0)
             pair = GateFamily((np.eye(dim), fam.unitaries[0]))
             decision = decide_gate_family(pair)
-            masker = synthesize_gate_masker(pair, decision.certificate)
+            masker = copy_masker(decision.certificate.copy_rows(gates=pair.unitaries))
             assert verify_masking(masker, [Unitary(u) for u in pair.unitaries], 1e-9).passed
             assert local_orthogonality_check(masker, pair.unitaries[1], 1e-9)
 
@@ -229,17 +226,17 @@ class TestDecidePauliFamily:
 
 class TestSynthesizePauliMasker:
     def test_axis_x(self):
-        masker = synthesize_pauli_masker("x")
+        masker = copy_masker(PauliAxis("x", 0.0).copy_rows())
         expected = np.zeros((4, 2), dtype=complex)
         expected[0] = [1, 1] / np.sqrt(2)
         expected[3] = [1, -1] / np.sqrt(2)
         assert_allclose(masker.matrix, expected, atol=1e-15)
 
     def test_axis_z(self):
-        assert_allclose(synthesize_pauli_masker("z").matrix, COPY2, atol=1e-15)
+        assert_allclose(copy_masker(PauliAxis("z", 0.0).copy_rows()).matrix, COPY2, atol=1e-15)
 
     def test_axis_y(self):
-        masker = synthesize_pauli_masker("y")
+        masker = copy_masker(PauliAxis("y", 0.0).copy_rows())
         expected = np.zeros((4, 2), dtype=complex)
         expected[0] = np.array([1, -1j]) / np.sqrt(2)  # <y+| row
         expected[3] = np.array([1, 1j]) / np.sqrt(2)  # <y-| row
@@ -249,12 +246,12 @@ class TestSynthesizePauliMasker:
 
     def test_bad_axis(self):
         with pytest.raises(ValueError):
-            synthesize_pauli_masker("w")
+            copy_masker(PauliAxis("w", 0.0).copy_rows())
 
     def test_refused_family_masker_fails_loudly(self):
         family = [depolarizing(0.2), depolarizing(0.8)]
         assert not decide_pauli_family(family).maskable
-        report = verify_masking(synthesize_pauli_masker("x"), family, 1e-6)
+        report = verify_masking(copy_masker(PauliAxis("x", 0.0).copy_rows()), family, 1e-6)
         assert not report.passed
         assert max(report.max_deviation_a, report.max_deviation_b) > 1e-6
 
@@ -289,7 +286,7 @@ class TestDecideIdentityPair:
             decide_identity_pair(identity_channel(3))
 
     def test_refused_channels_fail_class_masker(self):
-        masker = synthesize_pauli_masker("z")  # the fixed-axis masker for z
+        masker = copy_masker(PauliAxis("z", 0.0).copy_rows())  # the fixed-axis masker for z
         for spec in (amplitude_damping(0.3), depolarizing(0.5)):
             report = verify_identity_masking(masker, spec, 1e-6)
             assert not report.passed
@@ -298,25 +295,25 @@ class TestDecideIdentityPair:
 
 class TestSynthesizeIdentityMasker:
     def test_dephasing_z(self):
-        masker = synthesize_identity_masker(dephasing(0.3), np.array([0, 0, 1.0]))
+        masker = copy_masker(FixedPointAxis(np.array([0, 0, 1.0])).copy_rows([dephasing(0.3)]))
         assert_allclose(masker.matrix, COPY2, atol=1e-12)
         assert verify_identity_masking(masker, dephasing(0.3), 1e-12).passed
 
     def test_dephasing_x_through_hadamard(self):
         spec = conjugate(dephasing(0.3), HADAMARD, HADAMARD)
-        masker = synthesize_identity_masker(spec, np.array([1.0, 0, 0]))
+        masker = copy_masker(FixedPointAxis(np.array([1.0, 0, 0])).copy_rows([spec]))
         assert_allclose(masker.matrix, COPY2 @ HADAMARD, atol=1e-12)
         assert verify_identity_masking(masker, spec, 1e-12).passed
 
     def test_identity_any_axis(self):
         rng = np.random.default_rng(8)
         axis = random_axis(rng)
-        masker = synthesize_identity_masker(identity_channel(2), axis)
+        masker = copy_masker(FixedPointAxis(axis).copy_rows([identity_channel(2)]))
         assert verify_identity_masking(masker, identity_channel(2), 1e-12).passed
 
     def test_rejects_non_fixed_axis(self):
         with pytest.raises(ValueError, match="not a fixed point"):
-            synthesize_identity_masker(dephasing(0.3), np.array([1.0, 0, 0]))
+            copy_masker(FixedPointAxis(np.array([1.0, 0, 0])).copy_rows([dephasing(0.3)]))
 
     def test_random_fixed_axis_mixtures(self):
         rng = np.random.default_rng(9)
@@ -325,7 +322,7 @@ class TestSynthesizeIdentityMasker:
             spec = rotation_mixture_channel(rng, axis)
             decision = decide_identity_pair(spec)
             assert decision.maskable
-            masker = synthesize_identity_masker(spec, decision.certificate.direction)
+            masker = copy_masker(decision.certificate.copy_rows([spec]))
             assert verify_identity_masking(masker, spec, 1e-9).passed
 
 
@@ -335,7 +332,7 @@ class TestDecideIdentityFamily:
         decision = decide_identity_family(family)
         assert decision.maskable
         assert_allclose(decision.certificate.direction, [0, 0, 1], atol=1e-12)
-        masker = synthesize_identity_masker(family[0], decision.certificate.direction)
+        masker = copy_masker(decision.certificate.copy_rows([family[0]]))
         assert verify_masking(masker, family, 1e-9).passed
 
     def test_mixed_axes_refused(self):
@@ -361,7 +358,7 @@ class TestDecideIdentityFamily:
         family = [identity_channel(2)] + [dephasing_about(axis, p) for p in (0.2, 0.5, 0.8)]
         decision = decide_identity_family(family)
         assert decision.maskable
-        masker = synthesize_identity_masker(family[0], decision.certificate.direction)
+        masker = copy_masker(decision.certificate.copy_rows([family[0]]))
         assert verify_masking(masker, family, 1e-9).passed
 
 
@@ -387,7 +384,7 @@ class TestDecideDepolarizedFamily:
             decision = decide_depolarized_family(p, fam.unitaries)
             gate_decision = decide_gate_family(fam)
             assert decision.maskable == gate_decision.maskable
-            masker = synthesize_gate_masker(fam, decision.certificate)
+            masker = copy_masker(decision.certificate.copy_rows(gates=fam.unitaries))
             family = [DepolarizedUnitary(p, u) for u in fam.unitaries]
             assert verify_masking(masker, family, 1e-9).passed
 
@@ -401,21 +398,21 @@ class TestClassicalMasking:
         assert decision.certificate == Fourier(3)
 
     def test_fourier_masker_d2(self):
-        masker = synthesize_classical_masker(2)
+        masker = copy_masker(Fourier(2).copy_rows())
         expected = np.zeros((4, 2), dtype=complex)
         expected[0] = [1, 1] / np.sqrt(2)
         expected[3] = [1, -1] / np.sqrt(2)
         assert_allclose(masker.matrix, expected, atol=1e-15)
 
     def test_fourier_masker_d1(self):
-        masker = synthesize_classical_masker(1)
+        masker = copy_masker(Fourier(1).copy_rows())
         assert masker.matrix.shape == (1, 1)
         assert masker.matrix[0, 0] == pytest.approx(1.0)
 
     def test_fourier_masker_d3_marginals(self):
         from channelmask.linalg import partial_trace
 
-        masker = synthesize_classical_masker(3)
+        masker = copy_masker(Fourier(3).copy_rows())
         assert is_isometry(masker.matrix, 1e-12)
         for j in range(3):
             column = masker.matrix[:, j]
@@ -430,7 +427,7 @@ class TestClassicalMasking:
             din = int(rng.integers(1, 7))
             dout = int(rng.integers(1, 7))
             spec = random_classical_channel(din, dout, rng)
-            masker = synthesize_classical_masker(dout)
+            masker = copy_masker(Fourier(dout).copy_rows())
             for side in ("A", "B"):
                 red = reduced_channel_choi(masker, spec, side)
                 assert np.linalg.norm(red - np.eye(din * dout) / dout) <= 1e-9
@@ -481,7 +478,7 @@ class TestMaskerValidation:
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            Masker(copy_isometry(2), BipartiteDims(2, 3))
+            Masker(COPY2, BipartiteDims(2, 3))
 
     def test_gate_family_rejects_non_unitary(self):
         with pytest.raises(ValueError):

@@ -19,13 +19,12 @@ from channelmask.channels import (
 )
 from channelmask.linalg import BipartiteDims, random_unitary
 from channelmask.masking import (
+    Fourier,
     GateFamily,
     Masker,
-    copy_isometry,
+    PauliAxis,
+    copy_masker,
     decide_gate_family,
-    synthesize_classical_masker,
-    synthesize_gate_masker,
-    synthesize_pauli_masker,
 )
 from channelmask.verify import (
     local_orthogonality_check,
@@ -39,7 +38,7 @@ from helpers import brute_force_reduced_choi, random_commuting_family, random_is
 
 I2 = np.eye(2, dtype=complex)
 SQRT_Z = np.diag([1.0, 1j])
-COPY2_MASKER = Masker(copy_isometry(2), BipartiteDims(2, 2))
+COPY2_MASKER = copy_masker(I2)
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
 MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2)
 
@@ -51,7 +50,7 @@ class TestReducedChannelChoi:
 
     def test_fourier_masker_is_constant(self):
         rng = np.random.default_rng(0)
-        masker = synthesize_classical_masker(4)
+        masker = copy_masker(Fourier(4).copy_rows())
         spec = random_classical_channel(4, 4, rng)
         for side in ("A", "B"):
             red = reduced_channel_choi(masker, spec, side)
@@ -59,7 +58,7 @@ class TestReducedChannelChoi:
 
     def test_x_axis_masker_on_identity(self):
         # discarding A leaves rho -> <+|rho|+> |0><0| + <-|rho|-> |1><1| on B
-        masker = synthesize_pauli_masker("x")
+        masker = copy_masker(PauliAxis("x", 0.0).copy_rows())
 
         def expected_map(rho):
             return (PLUS.conj() @ rho @ PLUS) * np.diag([1.0, 0.0]) + (
@@ -81,7 +80,7 @@ class TestReducedChannelChoi:
 
         rng = np.random.default_rng(1)
         fam = GateFamily((random_unitary(3, rng), random_unitary(3, rng)))
-        masker = synthesize_gate_masker(fam, decide_gate_family(fam).certificate)
+        masker = copy_masker(decide_gate_family(fam).certificate.copy_rows(gates=fam.unitaries))
         red = reduced_channel_choi(masker, Unitary(fam.unitaries[0]), "B")
         eigs = np.linalg.eigvalsh(red)
         assert eigs.min() >= -1e-10
@@ -102,7 +101,7 @@ class TestReducedChannelChoi:
             reduced_channel_choi(COPY2_MASKER, identity_channel(3), "A")
 
     def test_desk_scale_guard(self):
-        masker = Masker(copy_isometry(17), BipartiteDims(17, 17))
+        masker = copy_masker(np.eye(17))
         with pytest.raises(ValueError):
             reduced_channel_choi(masker, identity_channel(17), "A")
 
@@ -110,7 +109,7 @@ class TestReducedChannelChoi:
 class TestVerifyMasking:
     def test_gate_masker_verifies_exactly(self):
         fam = GateFamily((SIGMA_X, SIGMA_X @ SIGMA_Z, SIGMA_X @ SQRT_Z))
-        masker = synthesize_gate_masker(fam, decide_gate_family(fam).certificate)
+        masker = copy_masker(decide_gate_family(fam).certificate.copy_rows(gates=fam.unitaries))
         report = verify_masking(masker, [Unitary(u) for u in fam.unitaries], 1e-12)
         assert report.passed
         assert max(report.max_deviation_a, report.max_deviation_b) <= 1e-12
@@ -168,13 +167,13 @@ class TestLocalOrthogonality:
         eigvecs = random_unitary(3, rng)
         u = eigvecs @ np.diag(np.exp(1j * np.array([0.3, 1.7, 2.9]))) @ eigvecs.conj().T
         fam = GateFamily((np.eye(3), u))
-        masker = synthesize_gate_masker(fam, decide_gate_family(fam).certificate)
+        masker = copy_masker(decide_gate_family(fam).certificate.copy_rows(gates=fam.unitaries))
         assert local_orthogonality_check(masker, u, 1e-9)
 
     def test_detects_violation(self):
         # an isometry that copies the wrong basis does not broadcast Z's orthogonality
         hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-        masker = Masker(copy_isometry(2) @ hadamard, BipartiteDims(2, 2))
+        masker = copy_masker(hadamard)
         assert not local_orthogonality_check(masker, SIGMA_Z, 1e-9)
 
     def test_dimension_mismatch(self):
@@ -210,7 +209,7 @@ class TestChoiConventionAgreement:
 
         rng = np.random.default_rng(5)
         fam = GateFamily((random_unitary(2, rng), random_unitary(2, rng)))
-        masker = synthesize_gate_masker(fam, decide_gate_family(fam).certificate)
+        masker = copy_masker(decide_gate_family(fam).certificate.copy_rows(gates=fam.unitaries))
         spec = dephasing(0.3)
         red = reduced_channel_choi(masker, spec, "B")
 
@@ -270,7 +269,7 @@ class TestContractionAgainstOracle:
         rng = np.random.default_rng(dim)
         fam = random_commuting_family(rng, dim, 3)
         members = [Unitary(u) for u in fam.unitaries]
-        masker = synthesize_gate_masker(fam, decide_gate_family(fam).certificate)
+        masker = copy_masker(decide_gate_family(fam).certificate.copy_rows(gates=fam.unitaries))
         assert verify_masking(masker, members, 1e-9).passed
 
         wrong = Masker(random_isometry(rng, 4 * 8, dim), BipartiteDims(4, 8))
