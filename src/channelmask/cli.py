@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -40,7 +41,7 @@ from .channels import (
     pure_fixed_points,
     random_classical_channel,
 )
-from .linalg import DECISION_TOL, VERIFY_TOL, BipartiteDims, is_isometry
+from .linalg import DECISION_TOL, VERIFY_TOL, BipartiteDims
 from .masking import (
     Fourier,
     GateFamily,
@@ -85,16 +86,27 @@ def _read_json_object(path, what: str) -> dict:
     return raw
 
 
-# -- JSON <-> matrices ---------------------------------------------------------
+# -- JSON <-> numbers and matrices ---------------------------------------------
+
+
+def _number(value, where: str, integer: bool = False) -> float:
+    """A JSON number as a finite float; booleans and numbers beyond float range are schema errors."""
+    if isinstance(value, int if integer else (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise SchemaError(f"{where}: must be {'an integer' if integer else 'a number'} within float range")
 
 
 def _complex_from_json(entry, where: str) -> complex:
     _expect(
-        isinstance(entry, (list, tuple)) and len(entry) == 2
-        and all(isinstance(v, (int, float)) for v in entry),
+        isinstance(entry, (list, tuple)) and len(entry) == 2,
         f"{where}: complex entries must be [re, im] number pairs",
     )
-    return complex(entry[0], entry[1])
+    return complex(_number(entry[0], where), _number(entry[1], where))
 
 
 def _matrix_from_json(obj, where: str, real: bool = False) -> np.ndarray:
@@ -105,11 +117,7 @@ def _matrix_from_json(obj, where: str, real: bool = False) -> np.ndarray:
         _expect(isinstance(row, list) and row, f"{where}: row {r} must be a non-empty list")
         _expect(len(row) == len(obj[0]), f"{where}: row {r} has {len(row)} entries, expected {len(obj[0])}")
         if real:
-            _expect(
-                all(isinstance(v, (int, float)) for v in row),
-                f"{where}: row {r} must contain numbers only",
-            )
-            rows.append([float(v) for v in row])
+            rows.append([_number(v, f"{where}[{r}][{c}]") for c, v in enumerate(row)])
         else:
             rows.append([_complex_from_json(e, f"{where}[{r}][{c}]") for c, e in enumerate(row)])
     return np.array(rows, dtype=float if real else complex)
@@ -132,17 +140,13 @@ def channel_from_json(obj, where: str) -> ChannelSpec:
             )
         if payload_type == "pauli":
             p = obj.get("p")
-            _expect(
-                isinstance(p, list) and len(p) == 4 and all(isinstance(v, (int, float)) for v in p),
-                f"{where}.p: must be a list of four probabilities",
-            )
-            return PauliFourVector(*[float(v) for v in p])
+            _expect(isinstance(p, list) and len(p) == 4, f"{where}.p: must be a list of four probabilities")
+            return PauliFourVector(*[_number(v, f"{where}.p[{k}]") for k, v in enumerate(p)])
         if payload_type == "classical":
             return ClassicalChannel(_matrix_from_json(obj.get("probs"), f"{where}.probs", real=True))
         if payload_type == "depolarized_unitary":
-            p = obj.get("p")
-            _expect(isinstance(p, (int, float)), f"{where}.p: must be a number")
-            return DepolarizedUnitary(float(p), _matrix_from_json(obj.get("matrix"), f"{where}.matrix"))
+            p = _number(obj.get("p"), f"{where}.p")
+            return DepolarizedUnitary(p, _matrix_from_json(obj.get("matrix"), f"{where}.matrix"))
     except SchemaError:
         raise
     except ValueError as exc:
@@ -188,6 +192,14 @@ def _is_qubit(spec) -> bool:
     return channel_dims(spec) == (2, 2)
 
 
+def _decide_with_identity(members, tol, seed) -> MaskingDecision:
+    return masking.decide_identity_family(members, tol)
+
+
+def _with_identity(members) -> list:
+    return [identity_channel(2), *members]
+
+
 KINDS = {
     "gate": FamilyKind(
         rules=((_holds(Unitary), "gate families hold unitary payloads only"),
@@ -202,12 +214,13 @@ KINDS = {
     "identity_pair": FamilyKind(
         rules=((lambda ms: len(ms) == 1, "identity_pair files hold exactly one channel"),
                (lambda ms: _is_qubit(ms[0]), "identity_pair channel must act on a qubit")),
-        decide=lambda ms, tol, seed: masking.decide_identity_pair(ms[0], tol),
-        channels=lambda ms: [identity_channel(2), ms[0]],
+        decide=_decide_with_identity,
+        channels=_with_identity,
     ),
     "identity_family": FamilyKind(
         rules=((lambda ms: all(_is_qubit(m) for m in ms), "identity_family channels must act on qubits"),),
-        decide=lambda ms, tol, seed: masking.decide_identity_family(ms, tol),
+        decide=_decide_with_identity,
+        channels=_with_identity,
     ),
     "depolarized": FamilyKind(
         rules=((_holds(DepolarizedUnitary), "depolarized families hold depolarized_unitary payloads only"),
@@ -240,7 +253,7 @@ def _family_from_json(raw: dict) -> FamilyFile:
     _expect(isinstance(options, dict), "options: must be an object")
     for key, value in options.items():
         _expect(key in _OPTION_KEYS, f"options: unknown key {key!r}")
-        _expect(isinstance(value, (int, float)), f"options.{key}: must be a number")
+        _number(value, f"options.{key}")
     for rule, message in KINDS[kind].rules:
         _expect(rule(members), f"members: {message}")
     return FamilyFile("1", kind, members, dict(options))
@@ -254,17 +267,10 @@ def load_masker_file(path) -> Masker:
     raw = _read_json_object(path, "masker file")
     _expect(raw.get("version") == "1", 'version: must be the string "1"')
     dims = raw.get("dims")
-    _expect(
-        isinstance(dims, dict) and isinstance(dims.get("dimA"), int) and isinstance(dims.get("dimB"), int),
-        "dims: must be an object with integer dimA and dimB",
-    )
-    matrix = _matrix_from_json(raw.get("matrix"), "matrix")
-    _expect(
-        matrix.shape[0] == dims["dimA"] * dims["dimB"],
-        "matrix: row count must equal dimA * dimB",
-    )
-    _expect(is_isometry(matrix, 1e-9), "matrix: not an isometry within 1e-9")
-    return Masker(matrix, BipartiteDims(dims["dimA"], dims["dimB"]))
+    _expect(isinstance(dims, dict), "dims: must be an object with integer dimA and dimB")
+    for key in ("dimA", "dimB"):
+        _number(dims.get(key), f"dims.{key}", integer=True)
+    return Masker(_matrix_from_json(raw.get("matrix"), "matrix"), BipartiteDims(dims["dimA"], dims["dimB"]))
 
 
 def save_masker_file(path, masker: Masker) -> None:
@@ -284,7 +290,7 @@ def _resolve(flag_value, options: dict, key: str, default):
 
 
 def family_channels(family: FamilyFile) -> list[ChannelSpec]:
-    """The channel family the file denotes (identity_pair adds the identity)."""
+    """The channel family the file denotes (both identity kinds add the identity)."""
     return KINDS[family.kind].channels(family.members)
 
 
@@ -401,8 +407,6 @@ def _load_single_channel(path) -> ChannelSpec:
 
 def cmd_bloch(args) -> int:
     spec = _load_single_channel(args.channel)
-    if channel_dims(spec) != (2, 2):
-        raise SchemaError("channel: Bloch analysis requires a qubit channel")
     aff = bloch_affine(spec)
     unital = is_unital(spec, DECISION_TOL)
     fixed = pure_fixed_points(spec, DECISION_TOL)
@@ -503,34 +507,41 @@ def build_parser() -> argparse.ArgumentParser:
         prog="channelmask",
         description="Decide, synthesize, and verify isometric maskers for channel families.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None, help="decision tolerance (default 1e-8)")
-    common.add_argument("--verify-tol", dest="verify_tol", type=float, default=None,
-                        help="verification tolerance (default 1e-9)")
-    common.add_argument("--seed", type=int, default=None, help="seed for randomized diagonalization")
-    common.add_argument("--json", action="store_true", help="emit the report as JSON")
+
+    def flag(*names, **options) -> argparse.ArgumentParser:
+        # one parent parser per flag, so each command takes only the flags it reads
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*names, **options)
+        return parent
+
+    tol = flag("--tol", type=float, default=None, help="decision tolerance (default 1e-8)")
+    verify_tol = flag("--verify-tol", dest="verify_tol", type=float, default=None,
+                      help="verification tolerance (default 1e-9)")
+    seed = flag("--seed", type=int, default=None, help="seed for randomized diagonalization")
+    as_json = flag("--json", action="store_true", help="emit the report as JSON")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("decide", parents=[common], help="decide maskability of a family file")
+    p = sub.add_parser("decide", parents=[tol, seed, as_json], help="decide maskability of a family file")
     p.add_argument("family", help="path to a family JSON file")
     p.set_defaults(func=cmd_decide)
 
-    p = sub.add_parser("synthesize", parents=[common], help="synthesize a masker for a family file")
+    p = sub.add_parser("synthesize", parents=[tol, seed, as_json],
+                       help="synthesize a masker for a family file")
     p.add_argument("family", help="path to a family JSON file")
     p.add_argument("-o", "--out", required=True, help="path for the masker JSON file")
     p.set_defaults(func=cmd_synthesize)
 
-    p = sub.add_parser("verify", parents=[common], help="verify a masker against a family file")
+    p = sub.add_parser("verify", parents=[verify_tol, as_json], help="verify a masker against a family file")
     p.add_argument("family", help="path to a family JSON file")
     p.add_argument("masker", help="path to a masker JSON file")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bloch", parents=[common], help="print the Bloch affine action of a qubit channel")
+    p = sub.add_parser("bloch", parents=[as_json], help="print the Bloch affine action of a qubit channel")
     p.add_argument("channel", help="path to a channel payload or family JSON file")
     p.set_defaults(func=cmd_bloch)
 
-    p = sub.add_parser("demo-classical", parents=[common],
+    p = sub.add_parser("demo-classical", parents=[verify_tol, seed, as_json],
                        help="classical no-go search plus the quantum Fourier masker")
     p.add_argument("--dim", type=int, default=2, help="alphabet size (1-4)")
     p.add_argument("--perms", default=None,

@@ -3,11 +3,14 @@
 A family of channels is *maskable* when a single isometry into a bipartite
 space makes both reduced outputs independent of which family member acted.
 This module decides maskability for the certified classes (unitary gate
-families, Pauli channel families, identity-paired qubit channels, unitaries
-under depolarizing noise, classical channels) and builds an explicit masker
-for every positive verdict.  Every masker copies a basis, ``|v_k> -> |kk>``:
-the certificate of a positive verdict names the basis, and
-:func:`copy_masker` is the one construction.  Negative verdicts carry a
+families, Pauli channel families, qubit channels masked together with the
+identity, unitaries under depolarizing noise, classical channels) and builds
+an explicit masker for every positive verdict.  One decider,
+:func:`decide_identity_family`, covers masking with the identity: it decides
+``{identity} ∪ members``, and one member is the pair ``{identity, E}``.
+Every masker copies a basis, ``|v_k> -> |kk>``: the certificate of a
+positive verdict names the basis, and :func:`copy_masker` is the one
+construction.  Negative verdicts carry a
 numerical witness of the violated condition.
 """
 
@@ -405,21 +408,6 @@ def _pick_axis(dirs) -> np.ndarray:
     return max(canon, key=lambda w: (w[2], w[1], w[0]))
 
 
-def decide_identity_pair(spec: ChannelSpec, tol: float = DECISION_TOL) -> MaskingDecision:
-    """Maskability of ``{identity, E}``: E must be unital with a pure fixed state."""
-    _require_qubit(spec)
-    aff = bloch_affine(spec)
-    if np.linalg.norm(aff.shift) > tol:
-        return _not_maskable(NonUnital(aff.shift))
-    fixed = pure_fixed_points(spec, tol)
-    if fixed is None:
-        eigs = np.sort_complex(np.linalg.eigvals(aff.matrix))
-        return _not_maskable(NoPureFixedPoint(eigs))
-    if fixed is ALL_DIRECTIONS:
-        return _maskable(FixedPointAxis(Z_AXIS.copy()))
-    return _maskable(FixedPointAxis(_pick_axis(fixed)))
-
-
 def _bloch_frame_unitary(direction: np.ndarray) -> np.ndarray:
     theta = np.arccos(np.clip(direction[2], -1.0, 1.0))
     phi = np.arctan2(direction[1], direction[0])
@@ -429,19 +417,18 @@ def _bloch_frame_unitary(direction: np.ndarray) -> np.ndarray:
 
 
 def decide_identity_family(specs, tol: float = DECISION_TOL) -> MaskingDecision:
-    """Maskability of a qubit channel family sharing one masker with the identity.
+    """Maskability of ``{identity} ∪ specs``: one masker for the qubit members and the identity.
 
     All members must be unital and fix a common pure state.  Candidate
-    directions are collected from each member's fixed set and cross-checked
-    against every other member.
+    directions are collected from each member's fixed set and checked
+    against every other member.  A single member that fixes no pure state
+    is refused with the eigenvalues of its Bloch matrix.
     """
     members = list(specs)
     if not members:
         raise ValueError("family must be non-empty")
     for spec in members:
         _require_qubit(spec)
-    if len(members) == 1:
-        return _maskable(Trivial())
     affines = [bloch_affine(spec) for spec in members]
     for index, aff in enumerate(affines):
         if np.linalg.norm(aff.shift) > tol:
@@ -449,6 +436,8 @@ def decide_identity_family(specs, tol: float = DECISION_TOL) -> MaskingDecision:
     fixed_sets = [pure_fixed_points(spec, tol) for spec in members]
     if all(f is ALL_DIRECTIONS for f in fixed_sets):
         return _maskable(FixedPointAxis(Z_AXIS.copy()))
+    if len(members) == 1 and fixed_sets[0] is None:
+        return _not_maskable(NoPureFixedPoint(np.sort_complex(np.linalg.eigvals(affines[0].matrix))))
 
     def fixes(i: int, v: np.ndarray) -> bool:
         if fixed_sets[i] is ALL_DIRECTIONS:
@@ -456,8 +445,8 @@ def decide_identity_family(specs, tol: float = DECISION_TOL) -> MaskingDecision:
         aff = affines[i]
         return bool(np.linalg.norm(aff.matrix @ v + aff.shift - v) <= tol)
 
-    candidates = [v for f in fixed_sets if isinstance(f, list) for v in f]
-    common = [v for v in candidates if all(fixes(i, v) for i in range(len(members)))]
+    common = [v for i, f in enumerate(fixed_sets) if isinstance(f, list) for v in f
+              if all(fixes(j, v) for j in range(len(members)) if j != i)]
     if common:
         return _maskable(FixedPointAxis(_pick_axis(common)))
     return _not_maskable(NoCommonFixedPoint(tuple(fixed_sets)))

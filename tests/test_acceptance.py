@@ -37,7 +37,6 @@ from channelmask.masking import (
     decide_depolarized_family,
     decide_gate_family,
     decide_identity_family,
-    decide_identity_pair,
     decide_pauli_family,
 )
 from channelmask.verify import (
@@ -158,7 +157,7 @@ def test_criterion_5_identity_masking_of_qubit_channels():
     problems = []
     for p in np.arange(0.1, 0.95, 0.1):
         spec = dephasing(float(p))
-        decision = decide_identity_pair(spec, 1e-8)
+        decision = decide_identity_family([spec], 1e-8)
         if not decision.maskable:
             problems.append(f"dephasing({p:.1f}) refused")
             continue
@@ -166,16 +165,16 @@ def test_criterion_5_identity_masking_of_qubit_channels():
         report = verify_identity_masking(masker, spec, 1e-12)
         if not report.passed:
             problems.append(f"dephasing({p:.1f}) deviation above 1e-12")
-    ad_decision = decide_identity_pair(amplitude_damping(0.3), 1e-8)
+    ad_decision = decide_identity_family([amplitude_damping(0.3)], 1e-8)
     if ad_decision.maskable or not isinstance(ad_decision.witness, NonUnital):
         problems.append("amplitude damping should be refused as non-unital")
-    depol_decision = decide_identity_pair(depolarizing(0.5), 1e-8)
+    depol_decision = decide_identity_family([depolarizing(0.5)], 1e-8)
     if depol_decision.maskable or not isinstance(depol_decision.witness, NoPureFixedPoint):
         problems.append("depolarizing should be refused for lacking a pure fixed point")
     for trial in range(100):
         axis = random_axis(rng)
         spec = rotation_mixture_channel(rng, axis, terms=int(rng.integers(2, 5)))
-        decision = decide_identity_pair(spec, 1e-8)
+        decision = decide_identity_family([spec], 1e-8)
         if not decision.maskable:
             problems.append(f"trial {trial}: unital fixed-axis mixture refused")
             continue
@@ -290,7 +289,7 @@ def test_criterion_9_structural_suite(tmp_path):
     for _ in range(10):
         axis = random_axis(rng)
         spec = rotation_mixture_channel(rng, axis)
-        decision = decide_identity_pair(spec)
+        decision = decide_identity_family([spec])
         maskers.append(copy_masker(decision.certificate.copy_rows([spec])))
     for i, masker in enumerate(maskers):
         if not is_isometry(masker.matrix, 1e-10):

@@ -232,6 +232,80 @@ class TestSynthesizeAndVerify:
         assert "isometry" in capsys.readouterr().err
 
 
+class TestIdentityKinds:
+    """Both identity kinds mean the identity next to the members, in every command."""
+
+    def test_single_damping_member_is_refused(self, tmp_path, capsys):
+        gamma = 0.3
+        k0 = [[[1, 0], [0, 0]], [[0, 0], [float(np.sqrt(1 - gamma)), 0]]]
+        k1 = [[[0, 0], [float(np.sqrt(gamma)), 0]], [[0, 0], [0, 0]]]
+        family = write_family(tmp_path / "ad.json", "identity_family", [{"type": "kraus", "ops": [k0, k1]}])
+        assert main(["decide", "--json", family]) == EXIT_NEGATIVE
+        witness = json.loads(capsys.readouterr().out)["witness"]
+        assert witness["type"] == "non_unital"
+        assert witness["member"] == 0
+        out = tmp_path / "masker.json"
+        assert main(["synthesize", family, "-o", str(out)]) == EXIT_NEGATIVE
+        assert not out.exists()
+
+    def test_single_x_dephasing_member_round_trip(self, tmp_path, capsys):
+        x_dephasing = {"type": "pauli", "p": [0.6, 0.4, 0.0, 0.0]}
+        family = write_family(tmp_path / "xdeph.json", "identity_family", [x_dephasing])
+        out = tmp_path / "masker.json"
+        assert main(["synthesize", family, "-o", str(out)]) == EXIT_OK
+        assert main(["verify", family, str(out)]) == EXIT_OK
+        # the member alone is masked by any isometry; next to the identity the z-axis copy fails
+        z_axis = tmp_path / "z.json"
+        save_masker_file(z_axis, copy_masker(np.eye(2)))
+        assert main(["verify", family, str(z_axis)]) == EXIT_NEGATIVE
+
+
+BIG = 10**400
+
+
+@pytest.mark.parametrize(
+    "kind, member, options, field",
+    [
+        ("gate", {"type": "unitary", "matrix": [[[BIG, 0], [0, 0]], [[0, 0], [1, 0]]]}, None,
+         "members[0].matrix[0][0]"),
+        ("gate", {"type": "unitary", "matrix": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]]}, None,
+         "members[0].matrix[0][0]"),
+        ("pauli", {"type": "pauli", "p": [True, False, False, False]}, None, "members[0].p[0]"),
+        ("pauli", {"type": "pauli", "p": [1.0, 0.0, 0.0, BIG]}, None, "members[0].p[3]"),
+        ("classical", {"type": "classical", "probs": [[1, 0], [0, True]]}, None, "members[0].probs[1][1]"),
+        ("depolarized", {"type": "depolarized_unitary", "p": True, "matrix": IDENTITY}, None, "members[0].p"),
+        ("pauli", {"type": "pauli", "p": [1, 0, 0, 0]}, {"tol": BIG}, "options.tol"),
+        ("pauli", {"type": "pauli", "p": [1, 0, 0, 0]}, {"tol": True}, "options.tol"),
+        ("pauli", {"type": "pauli", "p": [1, 0, 0, 0]}, {"tol": float("nan")}, "options.tol"),
+    ],
+    ids=["matrix-huge", "matrix-bool", "pauli-bool", "pauli-huge", "probs-bool", "depolarized-bool",
+         "tol-huge", "tol-bool", "tol-nan"],
+)
+def test_number_fields_reject_booleans_and_out_of_range_values(kind, member, options, field,
+                                                                tmp_path, capsys):
+    path = write_family(tmp_path / "family.json", kind, [member], options)
+    assert main(["decide", path]) == EXIT_ERROR
+    assert field in capsys.readouterr().err
+
+
+def test_masker_dimensions_reject_booleans(gate_family, tmp_path, capsys):
+    path = tmp_path / "masker.json"
+    path.write_text(json.dumps({"version": "1", "dims": {"dimA": True, "dimB": 2},
+                                "matrix": _matrix_json(np.eye(2)[[0, 1]])}))
+    assert main(["verify", gate_family, str(path)]) == EXIT_ERROR
+    assert "dims.dimA" in capsys.readouterr().err
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [["verify", "--tol", "5", "FAMILY", "FAMILY"],
+                                      ["bloch", "--seed", "3", "FAMILY"]])
+    def test_flags_a_command_does_not_read_are_rejected(self, gate_family, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([gate_family if a == "FAMILY" else a for a in argv])
+        assert exc.value.code == EXIT_ERROR
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestBloch:
     def test_dephasing(self, tmp_path, capsys):
         path = tmp_path / "channel.json"

@@ -37,7 +37,6 @@ from channelmask.masking import (
     decide_depolarized_family,
     decide_gate_family,
     decide_identity_family,
-    decide_identity_pair,
     decide_pauli_family,
 )
 from channelmask.verify import (
@@ -258,32 +257,32 @@ class TestSynthesizePauliMasker:
 
 class TestDecideIdentityPair:
     def test_dephasing(self):
-        decision = decide_identity_pair(dephasing(0.4))
+        decision = decide_identity_family([dephasing(0.4)])
         assert decision.maskable
         assert_allclose(decision.certificate.direction, [0, 0, 1], atol=1e-12)
 
     def test_amplitude_damping(self):
-        decision = decide_identity_pair(amplitude_damping(0.3))
+        decision = decide_identity_family([amplitude_damping(0.3)])
         assert not decision.maskable
         wit = decision.witness
         assert isinstance(wit, NonUnital)
         assert_allclose(wit.shift, [0, 0, 0.3], atol=1e-12)
 
     def test_depolarizing(self):
-        decision = decide_identity_pair(depolarizing(0.5))
+        decision = decide_identity_family([depolarizing(0.5)])
         assert not decision.maskable
         wit = decision.witness
         assert isinstance(wit, NoPureFixedPoint)
         assert_allclose(wit.eigenvalues, [0.5, 0.5, 0.5], atol=1e-12)
 
     def test_identity_channel(self):
-        decision = decide_identity_pair(identity_channel(2))
+        decision = decide_identity_family([identity_channel(2)])
         assert decision.maskable
         assert_allclose(decision.certificate.direction, [0, 0, 1])
 
     def test_rejects_large_dimension(self):
         with pytest.raises(ValueError, match="unsupported dimension"):
-            decide_identity_pair(identity_channel(3))
+            decide_identity_family([identity_channel(3)])
 
     def test_refused_channels_fail_class_masker(self):
         masker = copy_masker(PauliAxis("z", 0.0).copy_rows())  # the fixed-axis masker for z
@@ -320,7 +319,7 @@ class TestSynthesizeIdentityMasker:
         for _ in range(20):
             axis = random_axis(rng)
             spec = rotation_mixture_channel(rng, axis)
-            decision = decide_identity_pair(spec)
+            decision = decide_identity_family([spec])
             assert decision.maskable
             masker = copy_masker(decision.certificate.copy_rows([spec]))
             assert verify_identity_masking(masker, spec, 1e-9).passed
