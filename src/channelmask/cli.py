@@ -44,7 +44,6 @@ from .channels import (
 from .linalg import DECISION_TOL, VERIFY_TOL, BipartiteDims
 from .masking import (
     Fourier,
-    GateFamily,
     Masker,
     MaskingDecision,
     classical_no_go_search,
@@ -165,14 +164,13 @@ class FamilyKind:
 
     ``rules`` pairs a test on the member tuple with the schema message shown
     when it fails; they are checked in order.  ``decide(members, tol, seed)``
-    gives the verdict.  ``gates(members)`` are the unitaries a certificate
-    refers to (``None`` unless the family is a gate family), and
-    ``channels(members)`` is the channel set that verification checks.
+    gives the verdict, whose certificate copies its rows from the same
+    members, and ``channels(members)`` is the channel set that verification
+    checks.
     """
 
     rules: tuple
     decide: Callable
-    gates: Callable = lambda members: None
     channels: Callable = list
 
 
@@ -182,10 +180,6 @@ def _holds(payload) -> Callable:
 
 def _share(key) -> Callable:
     return lambda members: len({key(m) for m in members}) == 1
-
-
-def _unitaries(members) -> tuple:
-    return tuple(m.matrix for m in members)
 
 
 def _is_qubit(spec) -> bool:
@@ -204,8 +198,7 @@ KINDS = {
     "gate": FamilyKind(
         rules=((_holds(Unitary), "gate families hold unitary payloads only"),
                (_share(lambda m: m.dim), "gate family members must share one dimension")),
-        decide=lambda ms, tol, seed: masking.decide_gate_family(GateFamily(_unitaries(ms)), tol, seed),
-        gates=_unitaries,
+        decide=masking.decide_gate_family,
     ),
     "pauli": FamilyKind(
         rules=((_holds(PauliFourVector), "pauli families hold pauli payloads only"),),
@@ -227,8 +220,7 @@ KINDS = {
                (_share(lambda m: m.dim), "depolarized family members must share one dimension"),
                (lambda ms: max(m.p for m in ms) - min(m.p for m in ms) <= 1e-12,
                 "depolarized family members must share one noise level p")),
-        decide=lambda ms, tol, seed: masking.decide_depolarized_family(ms[0].p, _unitaries(ms), tol, seed),
-        gates=_unitaries,
+        decide=masking.decide_depolarized_family,
     ),
     "classical": FamilyKind(
         rules=((_holds(ClassicalChannel), "classical families hold classical payloads only"),
@@ -286,7 +278,16 @@ def save_masker_file(path, masker: Masker) -> None:
 
 
 def _resolve(flag_value, options: dict, key: str, default):
-    return flag_value if flag_value is not None else options.get(key, default)
+    """The flag, else the file option, else ``default``: a finite positive tolerance or a non-negative integer seed."""
+    if flag_value is not None:
+        value, where = flag_value, "--" + key.replace("_", "-")
+    else:
+        value, where = options.get(key, default), f"options.{key}"
+    if key == "seed":
+        _expect(isinstance(value, int) and value >= 0, f"{where}: must be a non-negative integer")
+        return value
+    _expect(math.isfinite(value) and value > 0, f"{where}: must be a finite positive number")
+    return float(value)
 
 
 def family_channels(family: FamilyFile) -> list[ChannelSpec]:
@@ -302,8 +303,7 @@ def synthesize_family_masker(family: FamilyFile, decision: MaskingDecision,
                              tol: float = DECISION_TOL) -> Masker:
     if not decision.maskable:
         raise ValueError("cannot synthesize a masker for a family that is not maskable")
-    gates = KINDS[family.kind].gates(family.members)
-    return masking.copy_masker(decision.certificate.copy_rows(family.members, gates, tol))
+    return masking.copy_masker(decision.certificate.copy_rows(family.members, tol))
 
 
 # -- reports ----------------------------------------------------------------------
@@ -355,8 +355,8 @@ def _print_report_text(report: verify.VerificationReport, heading: str) -> None:
 
 def _decide_file(args) -> tuple[FamilyFile, float, MaskingDecision]:
     family = load_family_file(args.family)
-    tol = float(_resolve(args.tol, family.options, "tol", DECISION_TOL))
-    seed = int(_resolve(args.seed, family.options, "seed", 0))
+    tol = _resolve(args.tol, family.options, "tol", DECISION_TOL)
+    seed = _resolve(args.seed, family.options, "seed", 0)
     return family, tol, decide_family(family, tol, seed)
 
 
@@ -387,7 +387,7 @@ def cmd_synthesize(args) -> int:
 def cmd_verify(args) -> int:
     family = load_family_file(args.family)
     masker = load_masker_file(args.masker)
-    tol = float(_resolve(args.verify_tol, family.options, "verify_tol", VERIFY_TOL))
+    tol = _resolve(args.verify_tol, family.options, "verify_tol", VERIFY_TOL)
     report = verify.verify_masking(masker, family_channels(family), tol)
     if args.json:
         _print_json(asdict(report))

@@ -26,10 +26,12 @@ from .channels import (
     ALL_DIRECTIONS,
     ChannelSpec,
     ClassicalChannel,
+    DepolarizedUnitary,
     PauliFourVector,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    Unitary,
     _canonical_direction,
     _dedupe_directions,
     bloch_affine,
@@ -52,6 +54,9 @@ AXES = ("x", "y", "z")
 _AXIS_SIGMA = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
+
+# Members that carry a gate: the gate and depolarized kinds share certificates.
+_GATE_KINDS = (Unitary, DepolarizedUnitary)
 
 
 @dataclass(frozen=True)
@@ -77,39 +82,13 @@ class Masker:
         return self.matrix.shape[1]
 
 
-@dataclass(frozen=True)
-class GateFamily:
-    """Finite family of unitary gates on a common dimension."""
-
-    unitaries: tuple
-
-    def __post_init__(self) -> None:
-        mats = tuple(as_complex_matrix(u, f"unitaries[{i}]") for i, u in enumerate(self.unitaries))
-        if not mats:
-            raise ValueError("gate family must be non-empty")
-        dim = mats[0].shape[0]
-        for i, u in enumerate(mats):
-            if u.shape != (dim, dim):
-                raise ValueError("all gates must be square with a common dimension")
-            if not is_isometry(u, 1e-10):
-                raise ValueError(f"unitaries[{i}] is not unitary within 1e-10")
-        object.__setattr__(self, "unitaries", mats)
-
-    @property
-    def dim(self) -> int:
-        return self.unitaries[0].shape[0]
-
-    def __len__(self) -> int:
-        return len(self.unitaries)
-
-
 # -- certificates (which basis the masker copies) -----------------------------
 #
 # Every masker copies a basis: ``|v_k> -> |kk>`` (see :func:`copy_masker`).
-# A certificate's ``copy_rows(members, gates, tol)`` returns ``V^dag``, the
-# rows the masker copies, after checking the certificate against the family:
-# ``members`` are its channels, ``gates`` its unitaries when the family is a
-# gate family (with or without depolarizing noise) and ``None`` otherwise.
+# A certificate's ``copy_rows(members, tol)`` returns ``V^dag``, the rows the
+# masker copies, after checking the certificate against the family's
+# ``members``; a gate family (with or without depolarizing noise) carries its
+# gates in its members.
 
 
 @dataclass(frozen=True)
@@ -119,22 +98,20 @@ class CommonEigenbasis:
     basis: np.ndarray
     reference_index: int = 0
 
-    def copy_rows(self, members=(), gates=None, tol: float = DECISION_TOL) -> np.ndarray:
+    def copy_rows(self, members=(), tol: float = DECISION_TOL) -> np.ndarray:
         """``basis^dag U_ref^dag``, once ``basis`` diagonalizes every relative gate within ``tol * dim``."""
-        if gates is None:
-            raise ValueError("a common-eigenbasis certificate needs the family's gates")
-        fam = GateFamily(tuple(gates))
+        us = _gates(members)
         basis = as_complex_matrix(self.basis, "basis")
         reference = self.reference_index
-        if basis.shape != (fam.dim, fam.dim):
+        if basis.shape != us[0].shape:
             raise ValueError("certificate basis dimension does not match the family")
-        if not 0 <= reference < len(fam):
+        if not 0 <= reference < len(us):
             raise ValueError("certificate reference index out of range")
         if not is_isometry(basis, 1e-8):
             raise ValueError("certificate basis is not orthonormal")
-        if not _diagonalizes_all(_relative_gates(fam, reference), basis, tol):
+        if not _diagonalizes_all(_relative_gates(us, reference), basis, tol):
             raise ValueError("certificate basis does not diagonalize the family")
-        return basis.conj().T @ fam.unitaries[reference].conj().T
+        return basis.conj().T @ us[reference].conj().T
 
     def to_json(self) -> dict:
         return {"type": "common_eigenbasis", "reference_index": self.reference_index,
@@ -148,7 +125,7 @@ class PauliAxis:
     axis: str
     constant: float
 
-    def copy_rows(self, members=(), gates=None, tol: float = DECISION_TOL) -> np.ndarray:
+    def copy_rows(self, members=(), tol: float = DECISION_TOL) -> np.ndarray:
         """Rows ``<u+|`` and ``<u-|`` from the eigenvectors of ``sigma_axis``."""
         if self.axis not in _AXIS_SIGMA:
             raise ValueError(f"axis must be one of {AXES}")
@@ -165,7 +142,7 @@ class FixedPointAxis:
 
     direction: np.ndarray
 
-    def copy_rows(self, members=(), gates=None, tol: float = DECISION_TOL) -> np.ndarray:
+    def copy_rows(self, members=(), tol: float = DECISION_TOL) -> np.ndarray:
         """``U^dag`` for a unitary with ``U|0>`` on ``direction``, fixed by the first member within 1e-6."""
         spec = members[0]
         _require_qubit(spec)
@@ -187,7 +164,7 @@ class Fourier:
 
     dim: int
 
-    def copy_rows(self, members=(), gates=None, tol: float = DECISION_TOL) -> np.ndarray:
+    def copy_rows(self, members=(), tol: float = DECISION_TOL) -> np.ndarray:
         """Entries ``w^{kj} / sqrt(d)``, ``w = exp(2 pi i / d)``: the masker's columns are
         orthonormal and its marginals maximally mixed, so every classical channel is masked."""
         d = self.dim
@@ -203,11 +180,10 @@ class Fourier:
 class Trivial:
     """Constant or single-member family: any isometry masks it."""
 
-    def copy_rows(self, members=(), gates=None, tol: float = DECISION_TOL) -> np.ndarray:
-        """``U_0^dag`` for a gate family, the identity on the output space otherwise."""
-        if gates is not None:
-            return as_complex_matrix(gates[0], "gates[0]").conj().T
-        return np.eye(channel_dims(members[0])[1], dtype=complex)
+    def copy_rows(self, members=(), tol: float = DECISION_TOL) -> np.ndarray:
+        """``U_0^dag`` when the first member carries a gate, the identity on the output space otherwise."""
+        spec = members[0]
+        return spec.matrix.conj().T if isinstance(spec, _GATE_KINDS) else np.eye(channel_dims(spec)[1], dtype=complex)
 
     def to_json(self) -> dict:
         return {"type": "trivial"}
@@ -335,32 +311,42 @@ def copy_masker(rows) -> Masker:
 # -- unitary gate families ----------------------------------------------------
 
 
-def _relative_gates(fam: GateFamily, reference_index: int) -> list[np.ndarray]:
-    ref = fam.unitaries[reference_index].conj().T
-    return [ref @ u for i, u in enumerate(fam.unitaries) if i != reference_index]
+def _gates(members, kinds=_GATE_KINDS) -> list[np.ndarray]:
+    """The gates of a family: at least one member, each of ``kinds``, on one dimension."""
+    if not members:
+        raise ValueError("family must be non-empty")
+    if not all(isinstance(m, kinds) for m in members):
+        raise ValueError("family members must be " + " or ".join(k.__name__ for k in kinds))
+    if len({m.dim for m in members}) != 1:
+        raise ValueError("family members must share one dimension")
+    return [m.matrix for m in members]
 
 
-def decide_gate_family(fam: GateFamily, tol: float = DECISION_TOL, seed: int = 0) -> MaskingDecision:
-    """Maskability of a gate family: the relative gates must pairwise commute.
+def _relative_gates(us: list[np.ndarray], reference_index: int) -> list[np.ndarray]:
+    ref = us[reference_index].conj().T
+    return [ref @ u for i, u in enumerate(us) if i != reference_index]
+
+
+def _decide_gates(us: list[np.ndarray], tol: float, seed: int) -> MaskingDecision:
+    if len(us) == 1:
+        return _maskable(Trivial())
+    ws = _relative_gates(us, 0)  # ws[k - 1] belongs to family position k
+    pairs = itertools.combinations(range(1, len(us)), 2)
+    norm, i, j = max(((commutator_norm(ws[a - 1], ws[b - 1]), a, b) for a, b in pairs),
+                     key=lambda t: t[0], default=(0.0, 0, 0))  # the first worst pair
+    if norm > tol * us[0].shape[0]:
+        return _not_maskable(NoncommutingPair(i, j, norm))
+    return _maskable(CommonEigenbasis(simultaneous_eigenbasis(ws, tol, seed), reference_index=0))
+
+
+def decide_gate_family(members, tol: float = DECISION_TOL, seed: int = 0) -> MaskingDecision:
+    """Maskability of a family of :class:`Unitary` members: the relative gates must pairwise commute.
 
     The gates relative to the first member, ``W_n = U_1^dag U_n``, are formed
     and every pair is tested; the worst commutator norm decides.  A positive
     verdict carries their common eigenbasis.
     """
-    if len(fam) == 1:
-        return _maskable(Trivial())
-    dim = fam.dim
-    ws = _relative_gates(fam, 0)
-    worst = (0.0, (0, 0))
-    for a in range(len(ws)):
-        for b in range(a + 1, len(ws)):
-            norm = commutator_norm(ws[a], ws[b])
-            if norm > worst[0]:
-                worst = (norm, (a + 1, b + 1))  # family positions, reference excluded
-    if worst[0] > tol * dim:
-        return _not_maskable(NoncommutingPair(worst[1][0], worst[1][1], worst[0]))
-    basis = simultaneous_eigenbasis(ws, tol, seed)
-    return _maskable(CommonEigenbasis(basis, reference_index=0))
+    return _decide_gates(_gates(members, (Unitary,)), tol, seed)
 
 
 # -- Pauli channel families ---------------------------------------------------
@@ -455,20 +441,19 @@ def decide_identity_family(specs, tol: float = DECISION_TOL) -> MaskingDecision:
 # -- unitaries mixed with depolarizing noise -----------------------------------
 
 
-def decide_depolarized_family(p: float, us, tol: float = DECISION_TOL, seed: int = 0) -> MaskingDecision:
-    """Maskability of ``rho -> p U rho U^dag + (1-p) 1/d`` with varying ``U``.
+def decide_depolarized_family(members, tol: float = DECISION_TOL, seed: int = 0) -> MaskingDecision:
+    """Maskability of :class:`DepolarizedUnitary` members ``rho -> p U rho U^dag + (1-p) 1/d``.
 
-    At ``p = 0`` every member is the same constant channel, so any isometry
-    masks.  For ``p > 0`` the verdict and certificate are exactly those of
-    the underlying gate family.
+    The members must share ``p`` within 1e-12.  At ``p = 0`` every member is
+    the same constant channel, so any isometry masks.  For ``p > 0`` the
+    verdict and certificate are exactly those of the underlying gate family.
     """
-    p = float(p)
-    if p < -1e-12 or p > 1.0 + 1e-12:
-        raise ValueError(f"p = {p} is not a probability")
-    fam = GateFamily(tuple(us))
-    if p <= 0.0:
+    us = _gates(members, (DepolarizedUnitary,))
+    if max(m.p for m in members) - min(m.p for m in members) > 1e-12:
+        raise ValueError("depolarized family members must share one noise level p")
+    if members[0].p <= 0.0:
         return _maskable(Trivial())
-    return decide_gate_family(fam, tol, seed)
+    return _decide_gates(us, tol, seed)
 
 
 # -- classical channels ---------------------------------------------------------

@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from channelmask.channels import KrausChannel, apply, channel_dims, rotation_about
+from channelmask.channels import DepolarizedUnitary, KrausChannel, Unitary, apply, channel_dims, rotation_about
 from channelmask.linalg import commutator_norm, random_unitary
-from channelmask.masking import GateFamily, Masker
+from channelmask.masking import Masker
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -18,9 +18,19 @@ def random_axis(rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def gate_family(*us) -> tuple:
+    """A gate family: one :class:`Unitary` member per matrix."""
+    return tuple(Unitary(u) for u in us)
+
+
+def depolarized_family(p: float, *us) -> tuple:
+    """A depolarized family: one :class:`DepolarizedUnitary` member per matrix, all at noise level ``p``."""
+    return tuple(DepolarizedUnitary(p, u) for u in us)
+
+
 def random_commuting_family(rng: np.random.Generator, dim: int, size: int,
-                            repeated_phase: bool = False) -> GateFamily:
-    """Gates sharing a random eigenbasis (hence maskable), hidden by a left unitary."""
+                            repeated_phase: bool = False) -> tuple:
+    """Unitary members sharing a random eigenbasis (hence maskable), hidden by a left unitary."""
     basis = random_unitary(dim, rng)
     left = random_unitary(dim, rng)
     members = []
@@ -29,17 +39,17 @@ def random_commuting_family(rng: np.random.Generator, dim: int, size: int,
         if repeated_phase and dim >= 2:
             phases[1] = phases[0]
         members.append(left @ (basis * np.exp(1j * phases)) @ basis.conj().T)
-    return GateFamily(tuple(members))
+    return gate_family(*members)
 
 
-def random_noncommuting_triple(rng: np.random.Generator, dim: int) -> GateFamily:
-    """Three gates whose relative pair has commutator norm at least 0.1."""
+def random_noncommuting_triple(rng: np.random.Generator, dim: int) -> tuple:
+    """Three Unitary members whose relative pair has commutator norm at least 0.1."""
     while True:
         us = [random_unitary(dim, rng) for _ in range(3)]
         w1 = us[0].conj().T @ us[1]
         w2 = us[0].conj().T @ us[2]
         if commutator_norm(w1, w2) >= 0.1:
-            return GateFamily(tuple(us))
+            return gate_family(*us)
 
 
 def rotation_mixture_channel(rng: np.random.Generator, axis: np.ndarray,

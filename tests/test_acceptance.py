@@ -26,7 +26,6 @@ from channelmask.cli import load_masker_file, save_masker_file
 from channelmask.linalg import BipartiteDims, commutator_norm, is_isometry, partial_trace, random_unitary
 from channelmask.masking import (
     Fourier,
-    GateFamily,
     Masker,
     NoCommonFixedPoint,
     NonUnital,
@@ -46,7 +45,14 @@ from channelmask.verify import (
     verify_masking,
 )
 
-from helpers import random_axis, random_commuting_family, random_noncommuting_triple, rotation_mixture_channel
+from helpers import (
+    depolarized_family,
+    gate_family,
+    random_axis,
+    random_commuting_family,
+    random_noncommuting_triple,
+    rotation_mixture_channel,
+)
 
 DIMS = (2, 3, 4, 6)
 
@@ -70,8 +76,8 @@ def test_criterion_1_commuting_families_mask_and_verify():
         if not decision.maskable:
             problems.append(f"trial {trial}: refused a commuting family (d={dim}, n={size})")
             continue
-        masker = copy_masker(decision.certificate.copy_rows(gates=fam.unitaries))
-        report = verify_masking(masker, [Unitary(u) for u in fam.unitaries], 1e-9)
+        masker = copy_masker(decision.certificate.copy_rows(fam))
+        report = verify_masking(masker, fam, 1e-9)
         if not report.passed:
             problems.append(
                 f"trial {trial}: deviation {max(report.max_deviation_a, report.max_deviation_b):.2e}"
@@ -93,8 +99,8 @@ def test_criterion_2_noncommuting_families_refused_with_witness():
             problems.append(f"trial {trial}: accepted a noncommuting triple")
             continue
         wit = decision.witness
-        ref = fam.unitaries[0].conj().T
-        recomputed = commutator_norm(ref @ fam.unitaries[wit.i], ref @ fam.unitaries[wit.j])
+        ref = fam[0].matrix.conj().T
+        recomputed = commutator_norm(ref @ fam[wit.i].matrix, ref @ fam[wit.j].matrix)
         if abs(recomputed - wit.comm_norm) > 1e-12:
             problems.append(f"trial {trial}: witness norm {wit.comm_norm} vs recomputed {recomputed}")
     _report(2, "200 noncommuting triples refused; witness norms recompute within 1e-12", problems)
@@ -106,16 +112,16 @@ def test_criterion_3_identity_pair_maskers_broadcast_orthogonality():
     for trial in range(200):
         dim = int(rng.choice(DIMS))
         fam = random_commuting_family(rng, dim, 2, repeated_phase=trial % 2 == 0)
-        pair = GateFamily((np.eye(dim), fam.unitaries[0]))
+        pair = gate_family(np.eye(dim), fam[0].matrix)
         decision = decide_gate_family(pair, 1e-8)
         if not decision.maskable:
             problems.append(f"trial {trial}: pair with the identity refused")
             continue
-        masker = copy_masker(decision.certificate.copy_rows(gates=pair.unitaries))
-        if not verify_masking(masker, [Unitary(u) for u in pair.unitaries], 1e-9).passed:
+        masker = copy_masker(decision.certificate.copy_rows(pair))
+        if not verify_masking(masker, pair, 1e-9).passed:
             problems.append(f"trial {trial}: pair masker failed verification")
             continue
-        if not local_orthogonality_check(masker, pair.unitaries[1], 1e-9):
+        if not local_orthogonality_check(masker, pair[1].matrix, 1e-9):
             problems.append(f"trial {trial}: masked eigenstates not locally orthogonal")
     _report(3, "pair maskers map distinct eigenspaces to locally orthogonal states at 1e-9", problems)
 
@@ -251,26 +257,26 @@ def test_criterion_8_depolarized_families_reduce_to_gates():
         good = random_commuting_family(rng, 3, 4)
         bad = random_noncommuting_triple(rng, 3)
         for fam, expected in ((good, True), (bad, False)):
-            depol_decision = decide_depolarized_family(p, fam.unitaries, 1e-8)
+            family = depolarized_family(p, *(m.matrix for m in fam))
+            depol_decision = decide_depolarized_family(family, 1e-8)
             gate_decision = decide_gate_family(fam, 1e-8)
             if depol_decision.maskable != gate_decision.maskable:
                 problems.append(f"verdicts diverge at p={p}")
             if depol_decision.maskable != expected:
                 problems.append(f"unexpected verdict at p={p}")
             if depol_decision.maskable:
-                masker = copy_masker(depol_decision.certificate.copy_rows(gates=fam.unitaries))
-                family = [DepolarizedUnitary(p, u) for u in fam.unitaries]
+                masker = copy_masker(depol_decision.certificate.copy_rows(fam))
                 if not verify_masking(masker, family, 1e-9).passed:
                     problems.append(f"gate masker failed on the depolarized family at p={p}")
     for trial in range(5):
         dim = int(rng.choice((2, 3, 4)))
         us = [random_unitary(dim, rng) for _ in range(3)]
-        decision = decide_depolarized_family(0.0, us, 1e-8)
+        family = depolarized_family(0.0, *us)
+        decision = decide_depolarized_family(family, 1e-8)
         if not decision.maskable:
             problems.append("p=0 family refused")
         iso = random_unitary(dim * dim, rng)[:, :dim]
         masker = Masker(iso, BipartiteDims(dim, dim))
-        family = [DepolarizedUnitary(0.0, u) for u in us]
         if not verify_masking(masker, family, 1e-9).passed:
             problems.append("p=0 family not masked by an arbitrary isometry")
     _report(8, "depolarized verdicts equal gate verdicts; masker transfers; p=0 masks trivially", problems)
@@ -285,7 +291,7 @@ def test_criterion_9_structural_suite(tmp_path):
     for _ in range(10):
         dim = int(rng.choice(DIMS))
         fam = random_commuting_family(rng, dim, int(rng.integers(2, 5)))
-        maskers.append(copy_masker(decide_gate_family(fam).certificate.copy_rows(gates=fam.unitaries)))
+        maskers.append(copy_masker(decide_gate_family(fam).certificate.copy_rows(fam)))
     for _ in range(10):
         axis = random_axis(rng)
         spec = rotation_mixture_channel(rng, axis)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from channelmask.cli import (
 from channelmask.masking import Fourier, copy_masker
 
 from helpers import random_commuting_family, random_density
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def _matrix_json(m):
@@ -193,7 +196,7 @@ class TestSynthesizeAndVerify:
         # one member of a commuting triple nudged by exp(i 1e-6 H): maskable at
         # --tol 1e-5, so synthesis must check the basis at that tolerance too
         rng = np.random.default_rng(7)
-        us = list(random_commuting_family(rng, 4, 3).unitaries)
+        us = [m.matrix for m in random_commuting_family(rng, 4, 3)]
         values, vectors = np.linalg.eigh(random_density(rng, 4))
         us[2] = us[2] @ (vectors * np.exp(1e-6j * values)) @ vectors.conj().T
         members = [{"type": "unitary", "matrix": _matrix_json(u)} for u in us]
@@ -304,6 +307,28 @@ class TestFlags:
             main([gate_family if a == "FAMILY" else a for a in argv])
         assert exc.value.code == EXIT_ERROR
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, options, name", [
+        (["decide", "--tol", "-1", str(SAMPLES / "gate_family.json")], None, "--tol"),
+        (["decide", "--tol", "inf", str(SAMPLES / "pauli_depolarizing.json")], None, "--tol"),
+        (["synthesize", "--tol", "0", "FAMILY", "-o", "MASKER"], None, "--tol"),
+        (["decide", "--seed", "-1", "FAMILY"], None, "--seed"),
+        (["demo-classical", "--verify-tol", "nan"], None, "--verify-tol"),
+        (["decide", "FAMILY"], {"seed": 1.5}, "options.seed"),
+        (["decide", "FAMILY"], {"seed": -2}, "options.seed"),
+        (["decide", "FAMILY"], {"tol": -1e-8}, "options.tol"),
+        (["verify", "FAMILY", "MASKER"], {"verify_tol": 0}, "options.verify_tol"),
+    ], ids=["tol-negative", "tol-inf", "tol-zero", "seed-negative", "verify-tol-nan",
+            "option-seed-fraction", "option-seed-negative", "option-tol-negative", "option-verify-tol-zero"])
+    def test_tolerances_and_seeds_are_checked_where_they_enter(self, argv, options, name, tmp_path, capsys):
+        family = write_family(tmp_path / "family.json", "pauli", [{"type": "pauli", "p": [1, 0, 0, 0]}], options)
+        masker = tmp_path / "masker.json"
+        save_masker_file(masker, copy_masker(np.eye(2)))
+        argv = [{"FAMILY": family, "MASKER": str(masker)}.get(a, a) for a in argv]
+        assert main(argv) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {name}: must be")
+        assert captured.out == ""
 
 
 class TestBloch:

@@ -22,6 +22,8 @@ from channelmask.linalg import (
 )
 from channelmask.linalg import _refine_subspaces, _diagonalizes_all
 
+from helpers import random_noncommuting_triple
+
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -204,6 +206,12 @@ class TestSimultaneousEigenbasis:
     def test_rejects_noncommuting(self):
         with pytest.raises(ValueError):
             simultaneous_eigenbasis([X, Z])
+        # relative gates of noncommuting triples: the check of the result is the only refusal
+        rng = np.random.default_rng(12)
+        for dim in (2, 3, 4, 6):
+            us = [m.matrix for m in random_noncommuting_triple(rng, dim)]
+            with pytest.raises(ValueError, match="no basis diagonalizes every member"):
+                simultaneous_eigenbasis([us[0].conj().T @ u for u in us[1:]])
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):

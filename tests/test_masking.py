@@ -22,7 +22,6 @@ from channelmask.masking import (
     CommonEigenbasis,
     FixedPointAxis,
     Fourier,
-    GateFamily,
     Masker,
     NoCommonFixedPoint,
     NoConstantAxis,
@@ -46,7 +45,14 @@ from channelmask.verify import (
     verify_masking,
 )
 
-from helpers import random_axis, random_commuting_family, random_noncommuting_triple, rotation_mixture_channel
+from helpers import (
+    depolarized_family,
+    gate_family,
+    random_axis,
+    random_commuting_family,
+    random_noncommuting_triple,
+    rotation_mixture_channel,
+)
 
 I2 = np.eye(2, dtype=complex)
 SQRT_Z = np.diag([1.0, 1j])
@@ -64,13 +70,13 @@ def constant_x_family(c: float, grid: int) -> list:
 
 class TestDecideGateFamily:
     def test_x_z_powers_maskable(self):
-        fam = GateFamily((SIGMA_X, SIGMA_X @ SIGMA_Z, SIGMA_X @ SQRT_Z))
+        fam = gate_family(SIGMA_X, SIGMA_X @ SIGMA_Z, SIGMA_X @ SQRT_Z)
         decision = decide_gate_family(fam)
         assert decision.maskable
         assert isinstance(decision.certificate, CommonEigenbasis)
 
     def test_pauli_pair_not_maskable(self):
-        fam = GateFamily((I2, SIGMA_X, SIGMA_Z))
+        fam = gate_family(I2, SIGMA_X, SIGMA_Z)
         decision = decide_gate_family(fam)
         assert not decision.maskable
         wit = decision.witness
@@ -80,11 +86,11 @@ class TestDecideGateFamily:
 
     def test_any_pair_maskable(self):
         rng = np.random.default_rng(0)
-        fam = GateFamily((random_unitary(3, rng), random_unitary(3, rng)))
+        fam = gate_family(random_unitary(3, rng), random_unitary(3, rng))
         assert decide_gate_family(fam).maskable
 
     def test_single_gate_trivial(self):
-        fam = GateFamily((SIGMA_X,))
+        fam = gate_family(SIGMA_X)
         decision = decide_gate_family(fam)
         assert decision.maskable
         assert isinstance(decision.certificate, Trivial)
@@ -97,11 +103,11 @@ class TestDecideGateFamily:
             else:
                 fam = random_noncommuting_triple(rng, 3)
             verdicts = set()
-            us = list(fam.unitaries)
+            us = list(fam)
             for k in range(len(us)):
                 swapped = list(us)
                 swapped[0], swapped[k] = swapped[k], swapped[0]
-                verdicts.add(decide_gate_family(GateFamily(tuple(swapped))).maskable)
+                verdicts.add(decide_gate_family(tuple(swapped)).maskable)
             assert len(verdicts) == 1
 
     def test_pre_post_invariance(self):
@@ -113,38 +119,38 @@ class TestDecideGateFamily:
                 fam = random_noncommuting_triple(rng, 2)
             v = random_unitary(2, rng)
             w = random_unitary(2, rng)
-            wrapped = GateFamily(tuple(v @ u @ w for u in fam.unitaries))
+            wrapped = gate_family(*(v @ m.matrix @ w for m in fam))
             assert decide_gate_family(fam).maskable == decide_gate_family(wrapped).maskable
 
 
 class TestSynthesizeGateMasker:
     def test_identity_z_pair(self):
-        fam = GateFamily((I2, SIGMA_Z))
+        fam = gate_family(I2, SIGMA_Z)
         decision = decide_gate_family(fam)
-        masker = copy_masker(decision.certificate.copy_rows(gates=fam.unitaries))
+        masker = copy_masker(decision.certificate.copy_rows(fam))
         assert_allclose(masker.matrix, COPY2, atol=1e-12)
 
     def test_x_z_powers_masker(self):
-        fam = GateFamily((SIGMA_X, SIGMA_X @ SIGMA_Z, SIGMA_X @ SQRT_Z))
+        fam = gate_family(SIGMA_X, SIGMA_X @ SIGMA_Z, SIGMA_X @ SQRT_Z)
         decision = decide_gate_family(fam)
-        masker = copy_masker(decision.certificate.copy_rows(gates=fam.unitaries))
+        masker = copy_masker(decision.certificate.copy_rows(fam))
         assert_allclose(masker.matrix, COPY2 @ SIGMA_X, atol=1e-12)
-        report = verify_masking(masker, [Unitary(u) for u in fam.unitaries], 1e-9)
+        report = verify_masking(masker, fam, 1e-9)
         assert report.passed
 
     def test_repeated_gate(self):
         rng = np.random.default_rng(3)
         u = random_unitary(3, rng)
-        fam = GateFamily((u, u))
+        fam = gate_family(u, u)
         decision = decide_gate_family(fam)
-        masker = copy_masker(decision.certificate.copy_rows(gates=fam.unitaries))
+        masker = copy_masker(decision.certificate.copy_rows(fam))
         assert verify_masking(masker, [Unitary(u), Unitary(u)], 1e-9).passed
 
     def test_certificate_family_mismatch(self):
-        fam = GateFamily((I2, SIGMA_Z))
-        other = decide_gate_family(GateFamily((I2, HADAMARD))).certificate
+        fam = gate_family(I2, SIGMA_Z)
+        other = decide_gate_family(gate_family(I2, HADAMARD)).certificate
         with pytest.raises(ValueError):
-            copy_masker(other.copy_rows(gates=fam.unitaries))
+            copy_masker(other.copy_rows(fam))
 
     def test_soundness_on_random_families(self):
         rng = np.random.default_rng(4)
@@ -154,9 +160,9 @@ class TestSynthesizeGateMasker:
             fam = random_commuting_family(rng, dim, size)
             decision = decide_gate_family(fam)
             assert decision.maskable
-            masker = copy_masker(decision.certificate.copy_rows(gates=fam.unitaries))
+            masker = copy_masker(decision.certificate.copy_rows(fam))
             assert is_isometry(masker.matrix, 1e-10)
-            report = verify_masking(masker, [Unitary(u) for u in fam.unitaries], 1e-9)
+            report = verify_masking(masker, fam, 1e-9)
             assert report.passed
 
     def test_local_orthogonality_of_pair_maskers(self):
@@ -164,11 +170,38 @@ class TestSynthesizeGateMasker:
         for trial in range(20):
             dim = int(rng.choice([2, 3, 4]))
             fam = random_commuting_family(rng, dim, 2, repeated_phase=trial % 2 == 0)
-            pair = GateFamily((np.eye(dim), fam.unitaries[0]))
+            pair = gate_family(np.eye(dim), fam[0].matrix)
             decision = decide_gate_family(pair)
-            masker = copy_masker(decision.certificate.copy_rows(gates=pair.unitaries))
-            assert verify_masking(masker, [Unitary(u) for u in pair.unitaries], 1e-9).passed
-            assert local_orthogonality_check(masker, pair.unitaries[1], 1e-9)
+            masker = copy_masker(decision.certificate.copy_rows(pair))
+            assert verify_masking(masker, pair, 1e-9).passed
+            assert local_orthogonality_check(masker, pair[1].matrix, 1e-9)
+
+
+class TestGateMembers:
+    def test_gate_members_are_checked_where_they_enter(self):
+        cert = decide_gate_family(gate_family(I2, SIGMA_Z)).certificate
+        with pytest.raises(ValueError, match="non-empty"):
+            decide_gate_family(())
+        with pytest.raises(ValueError, match="non-empty"):
+            cert.copy_rows(())
+        with pytest.raises(ValueError, match="one dimension"):
+            decide_gate_family(gate_family(I2, np.eye(3)))
+        with pytest.raises(ValueError, match="must be Unitary or DepolarizedUnitary"):
+            cert.copy_rows((Unitary(I2), PauliFourVector(1, 0, 0, 0)))
+        with pytest.raises(ValueError, match="must be Unitary$"):
+            decide_gate_family(depolarized_family(0.5, I2, SIGMA_Z))
+        with pytest.raises(ValueError, match="must be DepolarizedUnitary$"):
+            decide_depolarized_family(gate_family(I2, SIGMA_Z))
+        with pytest.raises(ValueError, match="one noise level p"):
+            decide_depolarized_family((DepolarizedUnitary(0.5, I2), DepolarizedUnitary(0.5 + 1e-9, SIGMA_Z)))
+        assert decide_depolarized_family((DepolarizedUnitary(0.5, I2), DepolarizedUnitary(0.5 + 1e-13, SIGMA_Z))).maskable
+
+    def test_both_gate_kinds_give_the_same_rows(self):
+        cert = decide_gate_family(gate_family(SIGMA_X, SIGMA_X @ SIGMA_Z)).certificate
+        assert_allclose(cert.copy_rows(depolarized_family(0.3, SIGMA_X, SIGMA_X @ SIGMA_Z)),
+                        cert.copy_rows(gate_family(SIGMA_X, SIGMA_X @ SIGMA_Z)), atol=0)
+        assert_allclose(Trivial().copy_rows(depolarized_family(0.3, SIGMA_X)), SIGMA_X.conj().T, atol=0)
+        assert_allclose(Trivial().copy_rows([PauliFourVector(1, 0, 0, 0)]), I2, atol=0)
 
 
 class TestDecidePauliFamily:
@@ -363,16 +396,16 @@ class TestDecideIdentityFamily:
 
 class TestDecideDepolarizedFamily:
     def test_pair_always_maskable(self):
-        decision = decide_depolarized_family(0.5, (SIGMA_X, SIGMA_X @ SIGMA_Z))
+        decision = decide_depolarized_family(depolarized_family(0.5, SIGMA_X, SIGMA_X @ SIGMA_Z))
         assert decision.maskable
 
     def test_noncommuting_refused(self):
-        decision = decide_depolarized_family(0.5, (I2, SIGMA_X, SIGMA_Z))
+        decision = decide_depolarized_family(depolarized_family(0.5, I2, SIGMA_X, SIGMA_Z))
         assert not decision.maskable
         assert isinstance(decision.witness, NoncommutingPair)
 
     def test_p_zero_trivial(self):
-        decision = decide_depolarized_family(0.0, (I2, SIGMA_X, SIGMA_Z))
+        decision = decide_depolarized_family(depolarized_family(0.0, I2, SIGMA_X, SIGMA_Z))
         assert decision.maskable
         assert isinstance(decision.certificate, Trivial)
 
@@ -380,11 +413,11 @@ class TestDecideDepolarizedFamily:
         rng = np.random.default_rng(11)
         for p in (0.1, 0.5, 1.0):
             fam = random_commuting_family(rng, 3, 3)
-            decision = decide_depolarized_family(p, fam.unitaries)
+            family = depolarized_family(p, *(m.matrix for m in fam))
+            decision = decide_depolarized_family(family)
             gate_decision = decide_gate_family(fam)
             assert decision.maskable == gate_decision.maskable
-            masker = copy_masker(decision.certificate.copy_rows(gates=fam.unitaries))
-            family = [DepolarizedUnitary(p, u) for u in fam.unitaries]
+            masker = copy_masker(decision.certificate.copy_rows(fam))
             assert verify_masking(masker, family, 1e-9).passed
 
 
@@ -481,11 +514,11 @@ class TestMaskerValidation:
 
     def test_gate_family_rejects_non_unitary(self):
         with pytest.raises(ValueError):
-            GateFamily((np.diag([1.0, 0.5]),))
+            gate_family(np.diag([1.0, 0.5]))
 
     def test_gate_family_rejects_empty(self):
         with pytest.raises(ValueError):
-            GateFamily(())
+            decide_gate_family(())
 
 
 class TestConjugationInvariance:
@@ -494,8 +527,8 @@ class TestConjugationInvariance:
         fam = random_commuting_family(rng, 2, 3)
         v = random_unitary(2, rng)
         w = random_unitary(2, rng)
-        wrapped = GateFamily(tuple(v @ u @ w for u in fam.unitaries))
+        wrapped = gate_family(*(v @ m.matrix @ w for m in fam))
         assert decide_gate_family(fam).maskable == decide_gate_family(wrapped).maskable
         bad = random_noncommuting_triple(rng, 2)
-        wrapped_bad = GateFamily(tuple(v @ u @ w for u in bad.unitaries))
+        wrapped_bad = gate_family(*(v @ m.matrix @ w for m in bad))
         assert decide_gate_family(bad).maskable == decide_gate_family(wrapped_bad).maskable

@@ -51,7 +51,7 @@ VERIFY_TOL = 1e-9
 
 def _gates(rng, size: int) -> tuple:
     dim = int(rng.integers(1, 7))
-    return random_commuting_family(rng, dim, size, repeated_phase=bool(rng.integers(2))).unitaries
+    return [m.matrix for m in random_commuting_family(rng, dim, size, repeated_phase=bool(rng.integers(2)))]
 
 
 def _constant_axis_pauli(rng, size: int) -> list:
@@ -119,7 +119,7 @@ def _refused_family(kind: str, size: int, rng) -> FamilyFile:
     """A family of ``kind`` (not classical: those are always maskable) that is not maskable."""
     if kind in ("gate", "depolarized"):
         dim = int(rng.integers(2, 5))
-        us = list(random_noncommuting_triple(rng, dim).unitaries)
+        us = [m.matrix for m in random_noncommuting_triple(rng, dim)]
         us += [random_unitary(dim, rng) for _ in range(size - 3)]
         p = rng.uniform(0.05, 1.0)
         members = [Unitary(u) if kind == "gate" else DepolarizedUnitary(p, u) for u in us]

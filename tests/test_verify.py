@@ -20,7 +20,6 @@ from channelmask.channels import (
 from channelmask.linalg import BipartiteDims, random_unitary
 from channelmask.masking import (
     Fourier,
-    GateFamily,
     Masker,
     PauliAxis,
     copy_masker,
@@ -34,7 +33,13 @@ from channelmask.verify import (
     verify_masking,
 )
 
-from helpers import brute_force_reduced_choi, random_commuting_family, random_isometry, random_kraus_channel
+from helpers import (
+    brute_force_reduced_choi,
+    gate_family,
+    random_commuting_family,
+    random_isometry,
+    random_kraus_channel,
+)
 
 I2 = np.eye(2, dtype=complex)
 SQRT_Z = np.diag([1.0, 1j])
@@ -79,9 +84,9 @@ class TestReducedChannelChoi:
         from channelmask.linalg import partial_trace
 
         rng = np.random.default_rng(1)
-        fam = GateFamily((random_unitary(3, rng), random_unitary(3, rng)))
-        masker = copy_masker(decide_gate_family(fam).certificate.copy_rows(gates=fam.unitaries))
-        red = reduced_channel_choi(masker, Unitary(fam.unitaries[0]), "B")
+        fam = gate_family(random_unitary(3, rng), random_unitary(3, rng))
+        masker = copy_masker(decide_gate_family(fam).certificate.copy_rows(fam))
+        red = reduced_channel_choi(masker, fam[0], "B")
         eigs = np.linalg.eigvalsh(red)
         assert eigs.min() >= -1e-10
         marginal = partial_trace(red, BipartiteDims(3, 3), "B")
@@ -108,9 +113,9 @@ class TestReducedChannelChoi:
 
 class TestVerifyMasking:
     def test_gate_masker_verifies_exactly(self):
-        fam = GateFamily((SIGMA_X, SIGMA_X @ SIGMA_Z, SIGMA_X @ SQRT_Z))
-        masker = copy_masker(decide_gate_family(fam).certificate.copy_rows(gates=fam.unitaries))
-        report = verify_masking(masker, [Unitary(u) for u in fam.unitaries], 1e-12)
+        fam = gate_family(SIGMA_X, SIGMA_X @ SIGMA_Z, SIGMA_X @ SQRT_Z)
+        masker = copy_masker(decide_gate_family(fam).certificate.copy_rows(fam))
+        report = verify_masking(masker, fam, 1e-12)
         assert report.passed
         assert max(report.max_deviation_a, report.max_deviation_b) <= 1e-12
 
@@ -166,8 +171,8 @@ class TestLocalOrthogonality:
         rng = np.random.default_rng(4)
         eigvecs = random_unitary(3, rng)
         u = eigvecs @ np.diag(np.exp(1j * np.array([0.3, 1.7, 2.9]))) @ eigvecs.conj().T
-        fam = GateFamily((np.eye(3), u))
-        masker = copy_masker(decide_gate_family(fam).certificate.copy_rows(gates=fam.unitaries))
+        fam = gate_family(np.eye(3), u)
+        masker = copy_masker(decide_gate_family(fam).certificate.copy_rows(fam))
         assert local_orthogonality_check(masker, u, 1e-9)
 
     def test_detects_violation(self):
@@ -208,8 +213,8 @@ class TestChoiConventionAgreement:
         from channelmask.linalg import partial_trace
 
         rng = np.random.default_rng(5)
-        fam = GateFamily((random_unitary(2, rng), random_unitary(2, rng)))
-        masker = copy_masker(decide_gate_family(fam).certificate.copy_rows(gates=fam.unitaries))
+        fam = gate_family(random_unitary(2, rng), random_unitary(2, rng))
+        masker = copy_masker(decide_gate_family(fam).certificate.copy_rows(fam))
         spec = dephasing(0.3)
         red = reduced_channel_choi(masker, spec, "B")
 
@@ -268,8 +273,8 @@ class TestContractionAgainstOracle:
     def test_gate_masker_passes_and_random_isometry_fails(self, dim):
         rng = np.random.default_rng(dim)
         fam = random_commuting_family(rng, dim, 3)
-        members = [Unitary(u) for u in fam.unitaries]
-        masker = copy_masker(decide_gate_family(fam).certificate.copy_rows(gates=fam.unitaries))
+        members = list(fam)
+        masker = copy_masker(decide_gate_family(fam).certificate.copy_rows(fam))
         assert verify_masking(masker, members, 1e-9).passed
 
         wrong = Masker(random_isometry(rng, 4 * 8, dim), BipartiteDims(4, 8))
