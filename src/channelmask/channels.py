@@ -199,6 +199,11 @@ def channel_dims(spec: ChannelSpec) -> tuple[int, int]:
     raise TypeError(f"not a channel spec: {spec!r}")
 
 
+def is_qubit(spec: ChannelSpec) -> bool:
+    """True iff the channel maps a qubit to a qubit."""
+    return channel_dims(spec) == (2, 2)
+
+
 def identity_channel(dim: int = 2) -> Unitary:
     """The identity channel on a ``dim``-dimensional system."""
     return Unitary(np.eye(dim, dtype=complex))
@@ -294,7 +299,7 @@ def choi(spec: ChannelSpec) -> np.ndarray:
 
 def bloch_affine(spec: ChannelSpec) -> BlochAffine:
     """Affine Bloch-sphere action ``n -> A n + b`` of a qubit channel."""
-    if channel_dims(spec) != (2, 2):
+    if not is_qubit(spec):
         raise ValueError("Bloch representation requires a qubit channel")
     sigmas = (SIGMA_X, SIGMA_Y, SIGMA_Z)
     a = np.empty((3, 3), dtype=complex)

@@ -35,8 +35,8 @@ from .channels import (
     PauliFourVector,
     Unitary,
     bloch_affine,
-    channel_dims,
     identity_channel,
+    is_qubit,
     is_unital,
     pure_fixed_points,
     random_classical_channel,
@@ -182,10 +182,6 @@ def _share(key) -> Callable:
     return lambda members: len({key(m) for m in members}) == 1
 
 
-def _is_qubit(spec) -> bool:
-    return channel_dims(spec) == (2, 2)
-
-
 def _decide_with_identity(members, tol, seed) -> MaskingDecision:
     return masking.decide_identity_family(members, tol)
 
@@ -206,20 +202,19 @@ KINDS = {
     ),
     "identity_pair": FamilyKind(
         rules=((lambda ms: len(ms) == 1, "identity_pair files hold exactly one channel"),
-               (lambda ms: _is_qubit(ms[0]), "identity_pair channel must act on a qubit")),
+               (lambda ms: is_qubit(ms[0]), "identity_pair channel must act on a qubit")),
         decide=_decide_with_identity,
         channels=_with_identity,
     ),
     "identity_family": FamilyKind(
-        rules=((lambda ms: all(_is_qubit(m) for m in ms), "identity_family channels must act on qubits"),),
+        rules=((lambda ms: all(is_qubit(m) for m in ms), "identity_family channels must act on qubits"),),
         decide=_decide_with_identity,
         channels=_with_identity,
     ),
     "depolarized": FamilyKind(
         rules=((_holds(DepolarizedUnitary), "depolarized families hold depolarized_unitary payloads only"),
                (_share(lambda m: m.dim), "depolarized family members must share one dimension"),
-               (lambda ms: max(m.p for m in ms) - min(m.p for m in ms) <= 1e-12,
-                "depolarized family members must share one noise level p")),
+               (masking.share_noise_level, masking.NOISE_LEVEL_RULE)),
         decide=masking.decide_depolarized_family,
     ),
     "classical": FamilyKind(

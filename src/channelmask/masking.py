@@ -36,6 +36,7 @@ from .channels import (
     _dedupe_directions,
     bloch_affine,
     channel_dims,
+    is_qubit,
     pure_fixed_points,
 )
 from .linalg import (
@@ -383,7 +384,7 @@ def decide_pauli_family(ps, tol: float = DECISION_TOL) -> MaskingDecision:
 
 
 def _require_qubit(spec: ChannelSpec) -> None:
-    if channel_dims(spec) != (2, 2):
+    if not is_qubit(spec):
         raise ValueError("unsupported dimension: identity-masking decisions cover qubit channels only")
 
 
@@ -441,6 +442,14 @@ def decide_identity_family(specs, tol: float = DECISION_TOL) -> MaskingDecision:
 # -- unitaries mixed with depolarizing noise -----------------------------------
 
 
+NOISE_LEVEL_RULE = "depolarized family members must share one noise level p"
+
+
+def share_noise_level(members) -> bool:
+    """True iff the :class:`DepolarizedUnitary` members share one noise level ``p`` within 1e-12."""
+    return max(m.p for m in members) - min(m.p for m in members) <= 1e-12
+
+
 def decide_depolarized_family(members, tol: float = DECISION_TOL, seed: int = 0) -> MaskingDecision:
     """Maskability of :class:`DepolarizedUnitary` members ``rho -> p U rho U^dag + (1-p) 1/d``.
 
@@ -449,8 +458,8 @@ def decide_depolarized_family(members, tol: float = DECISION_TOL, seed: int = 0)
     verdict and certificate are exactly those of the underlying gate family.
     """
     us = _gates(members, (DepolarizedUnitary,))
-    if max(m.p for m in members) - min(m.p for m in members) > 1e-12:
-        raise ValueError("depolarized family members must share one noise level p")
+    if not share_noise_level(members):
+        raise ValueError(NOISE_LEVEL_RULE)
     if members[0].p <= 0.0:
         return _maskable(Trivial())
     return _decide_gates(us, tol, seed)

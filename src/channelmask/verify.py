@@ -1,20 +1,24 @@
-"""Brute-force numerical verification of masking.
+"""Numerical verification of masking.
 
 The reduced channel seen by one subsystem is computed as an explicit Choi
 matrix; two channels are equal iff their Choi matrices are, so comparing them
 is a complete equality test.  Deviations are aggregated with max (masking is
 a worst-case property over inputs and family members).
 
-Two routes give the same matrix.  Inputs of dimension at most 4 push each of
-the ``din**2`` basis operators through the channel and the masker and trace
-out one factor.  Larger inputs compose the channel's Choi matrix with the
-masker in one matrix product, which at ``din = 16`` is about 15 times faster.
-The split follows input size because reports print round-off digits (such
-as ``1.570e-16``, or an exact ``0.0``) that another summation order changes;
-families with inputs of dimension at most 4, every file in ``samples/``
-among them, keep the digits they always had.
-Inputs above dimension 16 are refused: the Choi matrices grow as
-``(din * dred)**2``.
+Three routes give the reduced Choi matrices.  Inputs of dimension at most 4
+push each of the ``din**2`` basis operators through the channel and the
+masker and trace out one factor.  Above that, a copy masker (``d x d``
+factors, every row other than ``k*(d+1)`` exactly zero, as every masker this
+package writes) is recognised from its matrix: both of its reduced channels
+are ``rho -> diag(R E(rho) R^dag)`` for its copy rows ``R``, whose Choi
+matrix is ``d`` blocks of size ``din x din`` in closed form, and no input
+dimension is refused.  Any other masker composes the channel's Choi matrix
+with the masker in one matrix product, and refuses inputs above dimension 16,
+since those matrices grow as ``(din * dred)**2``.
+The split at 4 follows input size because reports print round-off digits
+(such as ``1.570e-16``, or an exact ``0.0``) that another summation order
+changes; families with inputs of dimension at most 4, every file in
+``samples/`` among them, keep the digits they always had.
 """
 
 from __future__ import annotations
@@ -23,11 +27,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelSpec, apply, channel_dims, choi, identity_channel
+from .channels import (
+    ChannelSpec,
+    ClassicalChannel,
+    DepolarizedUnitary,
+    Unitary,
+    apply,
+    channel_dims,
+    choi,
+    identity_channel,
+    to_kraus,
+)
 from .linalg import VERIFY_TOL, as_complex_matrix, cluster_phases, is_isometry, partial_trace, simultaneous_eigenbasis
 from .masking import Masker
 
-# Choi matrices grow as (din * dred)^2; keep the brute force at desk scale.
+# Choi matrices grow as (din * dred)^2; keep the general routes at desk scale.
 _MAX_INPUT_DIM = 16
 # Inputs up to this dimension keep the basis-operator loop (see the module
 # docstring): it fixes the round-off digits of the CLI's small reports.
@@ -54,15 +68,19 @@ def reduced_channel_choi(masker: Masker, spec: ChannelSpec, side: str) -> np.nda
     din, dout = channel_dims(spec)
     if din > _MAX_INPUT_DIM:
         raise ValueError(f"input dimension {din} exceeds the brute-force limit {_MAX_INPUT_DIM}")
-    if masker.input_dim != dout:
-        raise ValueError(
-            f"masker input dimension {masker.input_dim} does not match channel output {dout}"
-        )
+    _check_masker_input(masker, dout)
     if side not in ("A", "B"):
         raise ValueError("side must be 'A' or 'B'")
     if din <= _LOOP_MAX_INPUT_DIM:
         return _reduced_choi_by_basis(masker, spec, side)
     return _reduced_choi_by_contraction(masker, spec, side)
+
+
+def _check_masker_input(masker: Masker, dout: int) -> None:
+    if masker.input_dim != dout:
+        raise ValueError(
+            f"masker input dimension {masker.input_dim} does not match channel output {dout}"
+        )
 
 
 def _reduced_choi_by_basis(masker: Masker, spec: ChannelSpec, side: str) -> np.ndarray:
@@ -103,6 +121,51 @@ def _reduced_choi_by_contraction(masker: Masker, spec: ChannelSpec, side: str) -
     return r.reshape(din, din, dkeep, dkeep).transpose(0, 2, 1, 3).reshape(din * dkeep, din * dkeep)
 
 
+def _copy_rows(masker: Masker):
+    """The rows ``R`` a copy masker writes to ``|kk>``, or ``None`` for any other masker.
+
+    A copy masker has ``d x d`` factors and every row other than ``k*(d+1)``
+    exactly zero; the test reads the matrix, not how it was made.
+    """
+    d = masker.dims.dim_a
+    if masker.dims.dim_b != d:
+        return None
+    rows = masker.matrix[:: d + 1]
+    if np.count_nonzero(masker.matrix) != np.count_nonzero(rows):
+        return None
+    return rows
+
+
+def _copy_choi_blocks(rows: np.ndarray, spec: ChannelSpec) -> np.ndarray:
+    """The ``d`` diagonal blocks of the Choi matrix of ``rho -> diag(R E(rho) R^dag)``.
+
+    Block ``k`` is ``C_k[i, j] = sum_a (R K_a)[k, i] conj((R K_a)[k, j])``
+    for Kraus operators ``K_a`` of ``spec``; unitary, depolarized and
+    classical members use their closed forms, so neither ``choi(spec)`` nor
+    the ``din**2`` or ``din * dout`` Kraus operators of depolarized and
+    classical members are built.  Every other entry of
+    that Choi matrix is zero, so it equals either reduced Choi matrix of the
+    copy masker with copy rows ``rows``.
+    """
+    din, _ = channel_dims(spec)
+    if isinstance(spec, ClassicalChannel):
+        # E(|i><j|) = delta_ij diag(P[:, i]): block k is diag(sum_y |R[k, y]|^2 P[y, :]).
+        blocks = np.zeros((rows.shape[0], din, din), dtype=complex)
+        diagonal = np.arange(din)
+        blocks[:, diagonal, diagonal] = (np.abs(rows) ** 2) @ spec.probs
+        return blocks
+    if isinstance(spec, (Unitary, DepolarizedUnitary)):
+        r = rows @ spec.matrix
+        blocks = r[:, :, None] * r.conj()[:, None, :]
+        if isinstance(spec, Unitary):
+            return blocks
+        # (1 - p) Tr(rho) 1/din contributes (1 - p)/din ||R_k||^2 delta_ij to block k.
+        weights = (1.0 - spec.p) / din * np.sum(np.abs(rows) ** 2, axis=1)
+        return spec.p * blocks + weights[:, None, None] * np.eye(din)
+    r = (rows @ np.stack(to_kraus(spec).kraus_ops)).transpose(1, 2, 0)  # r[k, i, a] = (R K_a)[k, i]
+    return r @ r.conj().transpose(0, 2, 1)
+
+
 def _max_pairwise(mats: list[np.ndarray]) -> tuple[float, tuple]:
     worst, pair = 0.0, (0, 0)
     for i in range(len(mats)):
@@ -135,6 +198,12 @@ def verify_masking(masker: Masker, family, tol: float = VERIFY_TOL) -> Verificat
     dims = channel_dims(members[0])
     if any(channel_dims(spec) != dims for spec in members):
         raise ValueError("family members must share input and output dimensions")
+    rows = _copy_rows(masker) if dims[0] > _LOOP_MAX_INPUT_DIM else None
+    if rows is not None:
+        # Both reduced channels of a copy masker are the same map.
+        _check_masker_input(masker, dims[1])
+        blocks = [_copy_choi_blocks(rows, spec) for spec in members]
+        return _report(blocks, blocks, tol)
     return _report([reduced_channel_choi(masker, spec, "B") for spec in members],
                    [reduced_channel_choi(masker, spec, "A") for spec in members], tol)
 

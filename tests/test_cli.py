@@ -167,6 +167,30 @@ class TestSynthesizeAndVerify:
         assert main(["synthesize", family, "-o", str(out)]) == EXIT_OK
         assert main(["verify", family, str(out)]) == EXIT_OK
 
+    def test_mixed_noise_levels_are_refused_where_the_file_enters(self, tmp_path, capsys):
+        members = [
+            {"type": "depolarized_unitary", "p": 0.5, "matrix": X},
+            {"type": "depolarized_unitary", "p": 0.5 + 1e-9, "matrix": XZ},
+        ]
+        family = write_family(tmp_path / "depol.json", "depolarized", members)
+        masker = tmp_path / "masker.json"
+        save_masker_file(masker, copy_masker(np.eye(2)))
+        for argv in (["decide", family], ["verify", family, str(masker)]):
+            assert main(argv) == EXIT_ERROR
+            assert capsys.readouterr().err == (
+                "error: members: depolarized family members must share one noise level p\n")
+
+    def test_copy_masker_verifies_above_dimension_sixteen(self, tmp_path, capsys):
+        rng = np.random.default_rng(64)
+        members = [{"type": "unitary", "matrix": _matrix_json(m.matrix)}
+                   for m in random_commuting_family(rng, 64, 3)]
+        family = write_family(tmp_path / "gate64.json", "gate", members)
+        out = tmp_path / "masker.json"
+        assert main(["synthesize", family, "-o", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["verify", "--json", family, str(out)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+
     def test_pauli_family_round_trip(self, tmp_path, capsys):
         members = [{"type": "pauli", "p": [1 - p, p, 0.0, 0.0]} for p in (0.1, 0.3, 0.7)]
         family = write_family(tmp_path / "bitflip.json", "pauli", members)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from channelmask import verify
 from channelmask.channels import (
     DepolarizedUnitary,
     PauliFourVector,
@@ -26,6 +27,7 @@ from channelmask.masking import (
     decide_gate_family,
 )
 from channelmask.verify import (
+    _copy_choi_blocks,
     local_orthogonality_check,
     reduced_channel_choi,
     state_mask_check,
@@ -233,13 +235,13 @@ class TestChoiConventionAgreement:
         assert_allclose(red, expected, atol=1e-14)
 
 
-def _member(kind: str, din: int, rng: np.random.Generator):
+def _member(kind: str, din: int, rng: np.random.Generator, p=None):
     if kind == "unitary":
         return Unitary(random_unitary(din, rng))
     if kind == "kraus":
         return random_kraus_channel(rng, din, din, 3)
     if kind == "depolarized":
-        return DepolarizedUnitary(rng.uniform(), random_unitary(din, rng))
+        return DepolarizedUnitary(rng.uniform() if p is None else p, random_unitary(din, rng))
     return random_classical_channel(din, din + 1, rng)
 
 
@@ -287,3 +289,128 @@ class TestContractionAgainstOracle:
                 for i in range(len(oracle)) for j in range(i + 1, len(oracle))
             )
             assert abs(deviation - expected) <= 1e-12
+
+
+def _expand(blocks: np.ndarray) -> np.ndarray:
+    """The reduced Choi matrix whose only nonzero entries ``[(i,k),(j,k)]`` are ``blocks[k][i, j]``."""
+    d, din, _ = blocks.shape
+    full = np.zeros((din, d, din, d), dtype=complex)
+    for k in range(d):
+        full[:, k, :, k] = blocks[k]
+    return full.reshape(din * d, din * d)
+
+
+def _oracle_deviations(masker, members, oracle=brute_force_reduced_choi) -> tuple:
+    """Worst pairwise deviation seen by A and by B, from reduced Choi matrices computed by ``oracle``."""
+    out = []
+    for side in ("B", "A"):
+        chois = [oracle(masker, spec, side) for spec in members]
+        out.append(max(np.linalg.norm(chois[i] - chois[j])
+                       for i in range(len(chois)) for j in range(i + 1, len(chois))))
+    return tuple(out)
+
+
+def _count_general_route(monkeypatch) -> list:
+    """Record every call ``verify_masking`` makes to ``reduced_channel_choi``."""
+    calls = []
+    general = verify.reduced_channel_choi
+
+    def counted(masker, spec, side):
+        calls.append(side)
+        return general(masker, spec, side)
+
+    monkeypatch.setattr(verify, "reduced_channel_choi", counted)
+    return calls
+
+
+def _leak_off_copy_row(masker: Masker) -> Masker:
+    """Rotate copy row 0 by 0.1 rad into row 1 (``|0,1>``): still an isometry, no longer a copy masker."""
+    m = masker.matrix.copy()
+    m[1] = np.sin(0.1) * m[0]
+    m[0] = np.cos(0.1) * m[0]
+    return Masker(m, masker.dims)
+
+
+class TestCopyMaskerClosedForm:
+    """The closed-form blocks of a copy masker against the full reduced Choi matrices of both sides."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        din=st.sampled_from([5, 6, 8, 12, 16]),
+        kind=st.sampled_from(["unitary", "kraus", "depolarized", "classical"]),
+        p=st.sampled_from([0.0, None, 1.0]),
+        extra_row=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_match_the_reduced_choi_matrices(self, din, kind, p, extra_row, seed):
+        # Above dimension 8 the oracle's full Choi matrix is too large (268 MB
+        # at 16), so the contraction route stands in for it.
+        rng = np.random.default_rng(seed)
+        spec = _member(kind, din, rng, p)
+        dout = spec.out_size if kind == "classical" else din
+        rows = random_isometry(rng, dout + extra_row, dout)
+        masker = copy_masker(rows)
+        closed = _expand(_copy_choi_blocks(rows, spec))
+        oracle = brute_force_reduced_choi if din <= 8 else reduced_channel_choi
+        for side in ("A", "B"):
+            assert np.abs(closed - oracle(masker, spec, side)).max() <= 1e-12
+
+    @pytest.mark.parametrize("dim", [8, 16])
+    def test_copy_masker_takes_the_closed_form(self, dim, monkeypatch):
+        rng = np.random.default_rng(dim)
+        members = list(random_commuting_family(rng, dim, 3))
+        masker = copy_masker(decide_gate_family(members).certificate.copy_rows(members))
+        calls = _count_general_route(monkeypatch)
+        report = verify_masking(masker, members, 1e-12)
+        assert report.passed and calls == []
+        assert report.max_deviation_a == report.max_deviation_b
+
+    def test_input_dimension_mismatch_is_refused(self):
+        masker = copy_masker(np.eye(6))
+        with pytest.raises(ValueError, match="masker input dimension 6 does not match channel output 5"):
+            verify_masking(masker, [identity_channel(5)], 1e-9)
+
+
+class TestClosedFormCannotBeFooled:
+    """Only a matrix that is a copy masker takes the closed form; every other masker keeps the general route."""
+
+    @pytest.mark.parametrize("dim", [8, 16])
+    def test_leaking_row_takes_the_general_route(self, dim, monkeypatch):
+        # At 16 the oracle's full Choi matrix would take 268 MB; the
+        # basis-operator loop computes the same matrices one block at a time.
+        reference = brute_force_reduced_choi if dim <= 8 else verify._reduced_choi_by_basis
+        rng = np.random.default_rng(100 + dim)
+        members = list(random_commuting_family(rng, dim, 3))
+        edited = _leak_off_copy_row(copy_masker(decide_gate_family(members).certificate.copy_rows(members)))
+        calls = _count_general_route(monkeypatch)
+        report = verify_masking(edited, members, 1e-9)
+        assert len(calls) == 2 * len(members)
+        assert not report.passed
+        expected_a, expected_b = _oracle_deviations(edited, members, reference)
+        assert abs(report.max_deviation_a - expected_a) <= 1e-12
+        assert abs(report.max_deviation_b - expected_b) <= 1e-12
+
+    def test_cap_applies_above_sixteen_except_to_copy_maskers(self):
+        rng = np.random.default_rng(17)
+        members = list(random_commuting_family(rng, 17, 3))
+        masker = copy_masker(decide_gate_family(members).certificate.copy_rows(members))
+        assert verify_masking(masker, members, 1e-9).passed
+        with pytest.raises(ValueError, match="exceeds the brute-force limit 16"):
+            verify_masking(_leak_off_copy_row(masker), members, 1e-9)
+
+    def test_unequal_factors_take_the_general_route(self, monkeypatch):
+        # rows k*(dimA + 1) hold the basis, as in a copy masker on dimA x dimA,
+        # but in dimA x (dimA + 1) they write |k, 0>: A sees the whole channel
+        dim = 8
+        rng = np.random.default_rng(3)
+        members = list(random_commuting_family(rng, dim, 3))
+        matrix = np.zeros((dim * (dim + 1), dim), dtype=complex)
+        matrix[:: dim + 1] = random_unitary(dim, rng)
+        masker = Masker(matrix, BipartiteDims(dim, dim + 1))
+        calls = _count_general_route(monkeypatch)
+        report = verify_masking(masker, members, 1e-9)
+        assert len(calls) == 2 * len(members)
+        expected_a, expected_b = _oracle_deviations(masker, members)
+        assert abs(report.max_deviation_a - expected_a) <= 1e-12
+        assert abs(report.max_deviation_b - expected_b) <= 1e-12
+        assert report.max_deviation_a > 0.1 and report.max_deviation_b <= 1e-12
