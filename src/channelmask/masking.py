@@ -144,15 +144,24 @@ class FixedPointAxis:
     direction: np.ndarray
 
     def copy_rows(self, members=(), tol: float = DECISION_TOL) -> np.ndarray:
-        """``U^dag`` for a unitary with ``U|0>`` on ``direction``, fixed by the first member within 1e-6."""
-        spec = members[0]
-        _require_qubit(spec)
+        """``U^dag`` for a unitary with ``U|0>`` on ``direction``, once every member fixes it.
+
+        A member fixes ``direction`` as in :func:`decide_identity_family`: it
+        fixes every direction, lists it among its pure fixed points, or maps it
+        to itself within ``tol``.
+        """
+        if not members:
+            raise ValueError("family must be non-empty")
+        for spec in members:
+            _require_qubit(spec)
         v = np.asarray(self.direction, dtype=float)
         if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > 1e-8:
             raise ValueError("direction must be a unit 3-vector")
-        aff = bloch_affine(spec)
-        if np.linalg.norm(aff.matrix @ v + aff.shift - v) > 1e-6:
-            raise ValueError("direction is not a fixed point of the channel")
+        for spec in members:
+            fixed = pure_fixed_points(spec, tol)
+            listed = isinstance(fixed, list) and any(np.linalg.norm(u - v) <= 1e-8 for u in fixed)
+            if not (listed or _fixes(bloch_affine(spec), fixed, v, tol)):
+                raise ValueError("direction is not a fixed point of the channel")
         return _bloch_frame_unitary(v).conj().T
 
     def to_json(self) -> dict:
@@ -403,6 +412,11 @@ def _bloch_frame_unitary(direction: np.ndarray) -> np.ndarray:
     return fix_column_phases(np.column_stack([psi, perp]))
 
 
+def _fixes(aff, fixed, v: np.ndarray, tol: float) -> bool:
+    """A member (Bloch map ``aff``, pure fixed points ``fixed``) fixes every direction, or ``v`` within ``tol``."""
+    return fixed is ALL_DIRECTIONS or bool(np.linalg.norm(aff.matrix @ v + aff.shift - v) <= tol)
+
+
 def decide_identity_family(specs, tol: float = DECISION_TOL) -> MaskingDecision:
     """Maskability of ``{identity} ∪ specs``: one masker for the qubit members and the identity.
 
@@ -426,14 +440,8 @@ def decide_identity_family(specs, tol: float = DECISION_TOL) -> MaskingDecision:
     if len(members) == 1 and fixed_sets[0] is None:
         return _not_maskable(NoPureFixedPoint(np.sort_complex(np.linalg.eigvals(affines[0].matrix))))
 
-    def fixes(i: int, v: np.ndarray) -> bool:
-        if fixed_sets[i] is ALL_DIRECTIONS:
-            return True
-        aff = affines[i]
-        return bool(np.linalg.norm(aff.matrix @ v + aff.shift - v) <= tol)
-
     common = [v for i, f in enumerate(fixed_sets) if isinstance(f, list) for v in f
-              if all(fixes(j, v) for j in range(len(members)) if j != i)]
+              if all(_fixes(affines[j], fixed_sets[j], v, tol) for j in range(len(members)) if j != i)]
     if common:
         return _maskable(FixedPointAxis(_pick_axis(common)))
     return _not_maskable(NoCommonFixedPoint(tuple(fixed_sets)))

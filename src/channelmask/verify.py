@@ -5,17 +5,15 @@ matrix; two channels are equal iff their Choi matrices are, so comparing them
 is a complete equality test.  Deviations are aggregated with max (masking is
 a worst-case property over inputs and family members).
 
-Three routes give the reduced Choi matrices.  Inputs of dimension at most 4
-push each of the ``din**2`` basis operators through the channel and the
-masker and trace out one factor.  Above that, a copy masker (``d x d``
+Two routes give the reduced Choi matrices.  A copy masker (``d x d``
 factors, every row other than ``k*(d+1)`` exactly zero, as every masker this
-package writes) is recognised from its matrix: both of its reduced channels
-are ``rho -> diag(R E(rho) R^dag)`` for its copy rows ``R``, whose Choi
-matrix is ``d`` blocks of size ``din x din`` in closed form, and no input
-dimension is refused.  Any other masker composes the channel's Choi matrix
-with the masker in one matrix product, and refuses inputs above dimension 16,
-since those matrices grow as ``(din * dred)**2``.
-The split at 4 follows input size because reports print round-off digits
+package writes) with inputs above dimension 4 is recognised from its matrix:
+both of its reduced channels are ``rho -> diag(R E(rho) R^dag)`` for its copy
+rows ``R``, whose Choi matrix is ``d`` blocks of size ``din x din`` in closed
+form, and no input dimension is refused.  Everything else pushes each of the
+``din**2`` basis operators through the channel and the masker and traces out
+one factor, and refuses inputs above dimension 16.  Copy maskers with inputs
+of dimension at most 4 keep the loop because reports print round-off digits
 (such as ``1.570e-16``, or an exact ``0.0``) that another summation order
 changes; families with inputs of dimension at most 4, every file in
 ``samples/`` among them, keep the digits they always had.
@@ -34,17 +32,17 @@ from .channels import (
     Unitary,
     apply,
     channel_dims,
-    choi,
     identity_channel,
     to_kraus,
 )
 from .linalg import VERIFY_TOL, as_complex_matrix, cluster_phases, is_isometry, partial_trace, simultaneous_eigenbasis
 from .masking import Masker
 
-# Choi matrices grow as (din * dred)^2; keep the general routes at desk scale.
+# The basis-operator loop pushes din**2 operators through the masker; keep it
+# at desk scale.  Only copy maskers, in closed form, go beyond.
 _MAX_INPUT_DIM = 16
-# Inputs up to this dimension keep the basis-operator loop (see the module
-# docstring): it fixes the round-off digits of the CLI's small reports.
+# Copy maskers with inputs up to this dimension keep the loop too (see the
+# module docstring): it fixes the round-off digits of the CLI's small reports.
 _LOOP_MAX_INPUT_DIM = 4
 
 
@@ -71,9 +69,7 @@ def reduced_channel_choi(masker: Masker, spec: ChannelSpec, side: str) -> np.nda
     _check_masker_input(masker, dout)
     if side not in ("A", "B"):
         raise ValueError("side must be 'A' or 'B'")
-    if din <= _LOOP_MAX_INPUT_DIM:
-        return _reduced_choi_by_basis(masker, spec, side)
-    return _reduced_choi_by_contraction(masker, spec, side)
+    return _reduced_choi_by_basis(masker, spec, side)
 
 
 def _check_masker_input(masker: Masker, dout: int) -> None:
@@ -97,28 +93,6 @@ def _reduced_choi_by_basis(masker: Masker, spec: ChannelSpec, side: str) -> np.n
             out[i * dred:(i + 1) * dred, j * dred:(j + 1) * dred] = block
             basis_op[i, j] = 0.0
     return out
-
-
-def _reduced_choi_by_contraction(masker: Masker, spec: ChannelSpec, side: str) -> np.ndarray:
-    """Contract ``J = choi(spec)`` with the masker reshaped to ``M[a, b, x]``.
-
-    For ``side="B"``, ``R[(i,a),(j,a')] = sum_{b,x,y} M[a,b,x] J[(i,x),(j,y)]
-    conj(M[a',b,y])``, and ``side="A"`` swaps the roles of ``a`` and ``b``.
-    The sum over the discarded index is done on the masker alone, giving
-    ``K[(x,y),(a,a')]``; the sum over ``x, y`` is then one product of
-    ``J`` regrouped as ``[(i,j),(x,y)]`` with ``K``.  No array is larger than
-    ``J``, ``K`` or ``R`` (1 MB each at ``d = 16`` with a copy masker).
-    """
-    din, dout = channel_dims(spec)
-    m = masker.matrix.reshape(masker.dims.dim_a, masker.dims.dim_b, dout)
-    if side == "A":
-        m = m.transpose(1, 0, 2)
-    dkeep, dgone, _ = m.shape
-    rows = m.transpose(0, 2, 1).reshape(dkeep * dout, dgone)
-    k = (rows @ rows.conj().T).reshape(dkeep, dout, dkeep, dout).transpose(1, 3, 0, 2)
-    j = choi(spec).reshape(din, dout, din, dout).transpose(0, 2, 1, 3)
-    r = j.reshape(din * din, dout * dout) @ k.reshape(dout * dout, dkeep * dkeep)
-    return r.reshape(din, din, dkeep, dkeep).transpose(0, 2, 1, 3).reshape(din * dkeep, din * dkeep)
 
 
 def _copy_rows(masker: Masker):

@@ -1,12 +1,15 @@
 """The public surface stays in step with the code: README's library example
-runs, and every name in ``channelmask.__all__`` resolves and appears once."""
+runs, every name in ``channelmask.__all__`` resolves and appears once, and no
+module imports a name it never uses."""
 
+import ast
 import re
 from pathlib import Path
 
 import channelmask
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = Path(channelmask.__file__).resolve().parent
 
 
 def test_readme_library_example_runs():
@@ -19,3 +22,26 @@ def test_every_export_resolves_once():
     names = channelmask.__all__
     assert sorted(n for n in set(names) if names.count(n) > 1) == []
     assert [n for n in names if not hasattr(channelmask, n)] == []
+
+
+def _unused_imports(tree: ast.Module) -> list:
+    """Names a module imports but never reads; names listed in ``__all__`` count as read."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {path.name: _unused_imports(ast.parse(path.read_text(), str(path)))
+              for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in unused.items() if names} == {}

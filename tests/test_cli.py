@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from channelmask.channels import amplitude_damping, dephasing_about
 from channelmask.cli import (
     EXIT_ERROR,
     EXIT_NEGATIVE,
@@ -99,6 +100,19 @@ class TestDecide:
         path.write_text(json.dumps({"version": "1", "kind": "weird", "members": [{}]}))
         assert main(["decide", str(path)]) == EXIT_ERROR
         assert "kind" in capsys.readouterr().err
+
+    def test_family_file_that_is_not_json_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "truncated.json"
+        path.write_text('{"version": "1", ')
+        assert main(["decide", str(path)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: {path}: not valid JSON (")
+
+    def test_unknown_payload_type_exit_2(self, tmp_path, capsys):
+        path = write_family(tmp_path / "qutrit.json", "gate", [{"type": "qutrit"}])
+        assert main(["decide", path]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: members[0].type: must be one of unitary, kraus, pauli, classical, depolarized_unitary\n"
+        )
 
     def test_bad_version_exit_2(self, tmp_path, capsys):
         path = tmp_path / "v2.json"
@@ -286,6 +300,21 @@ class TestIdentityKinds:
         save_masker_file(z_axis, copy_masker(np.eye(2)))
         assert main(["verify", family, str(z_axis)]) == EXIT_NEGATIVE
 
+    def test_synthesize_accepts_a_direction_fixed_within_the_decision_tolerance(self, tmp_path, capsys):
+        # two dephasings 5e-6 rad apart: the decider takes member 1's axis and
+        # finds member 0 fixes it within --tol 1e-5, so synthesis must agree
+        members = []
+        for angle in (0.3, 0.3 - 5e-6):
+            axis = [np.sin(angle), 0.0, np.cos(angle)]
+            ops = dephasing_about(axis, 0.5).kraus_ops
+            members.append({"type": "kraus", "ops": [_matrix_json(k) for k in ops]})
+        family = write_family(tmp_path / "near.json", "identity_family", members)
+        assert main(["decide", "--tol", "1e-5", "--json", family]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["certificate"]["type"] == "fixed_point_axis"
+        out = tmp_path / "masker.json"
+        assert main(["synthesize", "--tol", "1e-5", family, "-o", str(out)]) == EXIT_OK
+        assert load_masker_file(out).dims.total == 4
+
 
 BIG = 10**400
 
@@ -388,6 +417,53 @@ class TestBloch:
         path = tmp_path / "qutrit.json"
         path.write_text(json.dumps({"type": "unitary", "matrix": _matrix_json(np.eye(3))}))
         assert main(["bloch", str(path)]) == EXIT_ERROR
+
+    @pytest.mark.parametrize("p, diagonal, fixed_lines", [
+        ([0.625, 0.125, 0.125, 0.125], "+0.5000000000  +0.5000000000  +0.5000000000",
+         ["  pure fixed points: none"]),
+        ([1.0, 0.0, 0.0, 0.0], "+1.0000000000  +1.0000000000  +1.0000000000",
+         ["  pure fixed points: all directions"]),
+        ([0.75, 0.0, 0.0, 0.25], "+0.5000000000  +0.5000000000  +1.0000000000",
+         ["  pure fixed point: [+0.0000000000  +0.0000000000  +1.0000000000]",
+          "  pure fixed point: [-0.0000000000  -0.0000000000  -1.0000000000]"]),
+    ])
+    def test_text_output(self, p, diagonal, fixed_lines, tmp_path, capsys):
+        path = tmp_path / "channel.json"
+        path.write_text(json.dumps({"type": "pauli", "p": p}))
+        assert main(["bloch", str(path)]) == EXIT_OK
+        a = diagonal.split("  ")
+        zero = "+0.0000000000"
+        assert capsys.readouterr().out.splitlines() == [
+            "Bloch affine action n -> A n + b",
+            "  A:",
+            f"    [{a[0]}  {zero}  {zero}]",
+            f"    [{zero}  {a[1]}  {zero}]",
+            f"    [{zero}  {zero}  {a[2]}]",
+            f"  b: [{zero}  {zero}  {zero}]",
+            "  unital: yes",
+            *fixed_lines,
+        ]
+
+    def test_unital_by_the_deciders_rule(self, tmp_path, capsys):
+        # |b| = 8e-9 is within the decision tolerance, so the identity pair is
+        # maskable; |E(1) - 1| = sqrt(2)|b| is not, and must not be the test
+        ops = amplitude_damping(0.8e-8).kraus_ops
+        path = write_family(tmp_path / "weak.json", "identity_pair",
+                            [{"type": "kraus", "ops": [_matrix_json(k) for k in ops]}])
+        assert main(["decide", path]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["bloch", path]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == ["  unital: yes", "  pure fixed points: all directions"]
+        assert main(["bloch", "--json", path]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["unital"] is True and payload["fixed_points"] == "all"
+
+    def test_file_that_is_neither_payload_nor_family_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "neither.json"
+        path.write_text(json.dumps({"version": "1"}))
+        assert main(["bloch", str(path)]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: channel file: expected a channel payload or a family file\n"
 
 
 class TestDemoClassical:

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from channelmask.channels import (
     DepolarizedUnitary,
+    KrausChannel,
     PauliFourVector,
     SIGMA_X,
     SIGMA_Z,
@@ -196,6 +197,15 @@ class TestGateMembers:
             decide_depolarized_family((DepolarizedUnitary(0.5, I2), DepolarizedUnitary(0.5 + 1e-9, SIGMA_Z)))
         assert decide_depolarized_family((DepolarizedUnitary(0.5, I2), DepolarizedUnitary(0.5 + 1e-13, SIGMA_Z))).maskable
 
+    def test_common_eigenbasis_refuses_a_basis_that_does_not_fit(self):
+        fam = gate_family(I2, SIGMA_Z)
+        with pytest.raises(ValueError, match="^certificate basis dimension does not match the family$"):
+            CommonEigenbasis(np.eye(3)).copy_rows(fam)
+        with pytest.raises(ValueError, match="^certificate reference index out of range$"):
+            CommonEigenbasis(I2, reference_index=2).copy_rows(fam)
+        with pytest.raises(ValueError, match="^certificate basis is not orthonormal$"):
+            CommonEigenbasis(np.array([[1.0, 1.0], [0.0, 1.0]])).copy_rows(fam)
+
     def test_both_gate_kinds_give_the_same_rows(self):
         cert = decide_gate_family(gate_family(SIGMA_X, SIGMA_X @ SIGMA_Z)).certificate
         assert_allclose(cert.copy_rows(depolarized_family(0.3, SIGMA_X, SIGMA_X @ SIGMA_Z)),
@@ -342,6 +352,24 @@ class TestSynthesizeIdentityMasker:
         axis = random_axis(rng)
         masker = copy_masker(FixedPointAxis(axis).copy_rows([identity_channel(2)]))
         assert verify_identity_masking(masker, identity_channel(2), 1e-12).passed
+
+    def test_listed_direction_is_accepted_beyond_tol(self):
+        # weak damping toward |1> (gamma 0.9e-8) after z-dephasing: |b| and the
+        # smallest singular value of A - 1 are within 1e-8, so +z is listed as
+        # fixed, yet A z + b - z has norm 1.8e-8, beyond the tolerance
+        gamma, p = 0.9e-8, 0.25
+        damping = (np.diag([np.sqrt(1 - gamma), 1.0]), np.array([[0.0, 0.0], [np.sqrt(gamma), 0.0]]))
+        spec = KrausChannel(tuple(np.sqrt(1 - p) * k for k in damping)
+                            + tuple(np.sqrt(p) * SIGMA_Z @ k for k in damping))
+        cert = decide_identity_family([spec]).certificate
+        assert_allclose(cert.direction, [0, 0, 1], atol=0)
+        assert_allclose(cert.copy_rows([spec]), I2, atol=1e-12)
+
+    def test_rejects_axis_a_later_member_moves(self):
+        with pytest.raises(ValueError, match="not a fixed point"):
+            FixedPointAxis(np.array([0, 0, 1.0])).copy_rows([dephasing(0.3), bit_flip(0.3)])
+        with pytest.raises(ValueError, match="non-empty"):
+            FixedPointAxis(np.array([0, 0, 1.0])).copy_rows(())
 
     def test_rejects_non_fixed_axis(self):
         with pytest.raises(ValueError, match="not a fixed point"):

@@ -12,7 +12,9 @@ pair ``{identity, E}``.
 * a verdict does not change when the members are permuted or one is
   duplicated, nor when a gate or identity family is conjugated by one
   unitary;
-* every witness of a negative verdict recomputes from the members.
+* every witness of a negative verdict recomputes from the members;
+* near the threshold, at any decision tolerance, a family that decides
+  maskable gets a masker from its certificate.
 """
 
 import numpy as np
@@ -232,3 +234,26 @@ def test_every_witness_recomputes_from_the_members(kind, size, seed):
     decision = decide_family(family, DECISION_TOL, 0)
     assert not decision.maskable
     _check_witness(family.members, decision.witness)
+
+
+def _nudged(rng, axis: np.ndarray, angle: float) -> np.ndarray:
+    """``axis`` turned by ``angle`` toward a random perpendicular direction."""
+    perp = np.cross(axis, random_axis(rng))
+    perp /= np.linalg.norm(perp)
+    return np.cos(angle) * axis + np.sin(angle) * perp
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.integers(1, 4), tol=st.sampled_from([1e-8, 1e-6, 1e-5]),
+       decades=st.floats(-2.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_maskable_identity_family_near_threshold_gets_a_masker(size, tol, decades, seed):
+    # member axes up to tol * 10**decades apart straddle the threshold: the
+    # decider takes a direction from one member and checks the others at tol
+    rng = np.random.default_rng(seed)
+    axis = random_axis(rng)
+    spread = tol * 10.0 ** decades
+    members = [_fixes_axis(rng, _nudged(rng, axis, rng.uniform(0.0, spread))) for _ in range(size)]
+    family = FamilyFile("1", "identity_family", tuple(members), {})
+    decision = decide_family(family, tol, 0)
+    if decision.maskable:
+        synthesize_family_masker(family, decision, tol)

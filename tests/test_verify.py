@@ -145,6 +145,10 @@ class TestVerifyMasking:
         with pytest.raises(ValueError):
             verify_masking(COPY2_MASKER, [], 1e-9)
 
+    def test_members_of_different_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="^family members must share input and output dimensions$"):
+            verify_masking(COPY2_MASKER, [identity_channel(2), identity_channel(3)], 1e-9)
+
 
 class TestVerifyIdentityMasking:
     def test_dephasing_passes(self):
