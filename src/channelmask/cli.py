@@ -9,8 +9,10 @@ Commands
 ``demo-classical``  exhaustive classical no-go search plus the quantum masker
 
 Family and masker files are JSON with complex scalars as ``[re, im]`` pairs
-and matrices in row-major order.  Exit codes: 0 for a positive verdict or a
-passing verification, 1 for a definitive negative, 2 for input errors.
+and matrices in row-major order.  Masker files are always written in the
+layout of ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline;
+readers accept any JSON whitespace.  Exit codes: 0 for a positive verdict or
+a passing verification, 1 for a definitive negative, 2 for input errors.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .masking import (
     MaskingDecision,
     classical_no_go_search,
     fixed_points_to_json,
-    matrix_to_json,
     vector_to_json,
 )
 
@@ -108,7 +109,30 @@ def _complex_from_json(entry, where: str) -> complex:
 
 
 def _matrix_from_json(obj, where: str, real: bool = False) -> np.ndarray:
-    """Complex matrix of ``[re, im]`` pairs, or a real one of plain numbers when ``real``."""
+    """Complex matrix of ``[re, im]`` pairs, or a real one of plain numbers when ``real``.
+
+    One type scan of the flat entries (``int`` or ``float``, never ``bool``)
+    and one ``np.array`` read a well-formed matrix; anything else (a wrong
+    type, a number beyond float range, ``NaN``, a ragged row, a malformed
+    pair) is read again entry by entry, which raises the schema message that
+    names the field.
+    """
+    try:
+        if real:
+            flat = [v for row in obj for v in row]
+        else:
+            flat = [v for row in obj for entry in row for v in entry]
+        if {*map(type, flat)} <= {int, float}:
+            arr = np.array(obj, dtype=float)
+            rows_cols = arr.shape[:2]
+            if arr.shape == (rows_cols if real else (*rows_cols, 2)) and arr.size and np.isfinite(arr).all():
+                return arr if real else arr.view(complex).reshape(rows_cols)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return _matrix_entry_by_entry(obj, where, real)
+
+
+def _matrix_entry_by_entry(obj, where: str, real: bool) -> np.ndarray:
     _expect(isinstance(obj, list) and obj, f"{where}: must be a non-empty list of rows")
     rows = []
     for r, row in enumerate(obj):
@@ -260,12 +284,25 @@ def load_masker_file(path) -> Masker:
 
 
 def save_masker_file(path, masker: Masker) -> None:
-    payload = {
-        "version": "1",
-        "dims": {"dimA": masker.dims.dim_a, "dimB": masker.dims.dim_b},
-        "matrix": matrix_to_json(masker.matrix),
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write the bytes of ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline, at array speed.
+
+    The layout is fixed, so it is written directly: each number on its own
+    line, each float as ``float.__repr__`` writes it, as ``json`` does.
+    """
+    m = masker.matrix
+    # Masker refuses non-finite entries, so this holds unless the array was
+    # changed in place; json would write NaN or Infinity, which is not JSON.
+    if not np.isfinite(m).all():
+        raise ValueError("masker matrix has non-finite entries")
+    pair = "      [\n        %r,\n        %r\n      ]"
+    row = "    [\n" + ",\n".join([pair] * m.shape[1]) + "\n    ]" if m.shape[1] else "    []"
+    entries = tuple(np.stack((m.real, m.imag), axis=-1).ravel().tolist())
+    Path(path).write_text(
+        '{\n  "dims": {\n    "dimA": %s,\n    "dimB": %s\n  },\n  "matrix": [\n'
+        % (json.dumps(masker.dims.dim_a), json.dumps(masker.dims.dim_b))
+        + ",\n".join([row] * m.shape[0]) % entries
+        + '\n  ],\n  "version": "1"\n}\n'
+    )
 
 
 # -- decision / synthesis ------------------------------------------------------------

@@ -3,19 +3,26 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from channelmask.channels import amplitude_damping, dephasing_about
 from channelmask.cli import (
+    DECISION_TOL,
     EXIT_ERROR,
     EXIT_NEGATIVE,
     EXIT_OK,
+    decide_family,
+    load_family_file,
     load_masker_file,
     main,
     save_masker_file,
+    synthesize_family_masker,
 )
-from channelmask.masking import Fourier, copy_masker
+from channelmask.linalg import BipartiteDims
+from channelmask.masking import Fourier, Masker, copy_masker, matrix_to_json
 
-from helpers import random_commuting_family, random_density
+from helpers import random_commuting_family, random_density, random_isometry
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -273,6 +280,80 @@ class TestSynthesizeAndVerify:
         assert "isometry" in capsys.readouterr().err
 
 
+def _json_layout(masker) -> bytes:
+    """The bytes ``json`` writes for ``masker``: the layout every masker file has."""
+    payload = {"version": "1", "dims": {"dimA": masker.dims.dim_a, "dimB": masker.dims.dim_b},
+               "matrix": matrix_to_json(masker.matrix)}
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.fixture(scope="module")
+def masker_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("bytes") / "masker.json"
+
+
+def _assert_saved_as_json_writes_it(masker, path, loads_back=True):
+    save_masker_file(path, masker)
+    written = path.read_bytes()
+    assert written == _json_layout(masker)
+    if loads_back:
+        loaded = load_masker_file(path)
+        assert np.array_equal(loaded.matrix, masker.matrix) and loaded.dims == masker.dims
+        save_masker_file(path, loaded)  # the signs of zeros survive too
+        assert path.read_bytes() == written
+
+
+class TestMaskerFileBytes:
+    """``save_masker_file`` writes exactly what ``json.dumps(indent=2, sort_keys=True)`` writes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 16), dim_a=st.integers(1, 5), extra=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    @example(d=6, dim_a=2, extra=1, seed=0)
+    def test_random_isometry(self, masker_path, d, dim_a, extra, seed):
+        dim_b = -(-d // dim_a) + extra
+        matrix = random_isometry(np.random.default_rng(seed), dim_a * dim_b, d)
+        _assert_saved_as_json_writes_it(Masker(matrix, BipartiteDims(dim_a, dim_b)), masker_path)
+
+    def test_zeros_subnormals_and_exponents_load_back(self, masker_path):
+        matrix = np.zeros((4, 2), dtype=complex)
+        matrix[0, 0] = complex(1.0, -0.0)
+        matrix[1, 0] = complex(-0.0, 5e-324)
+        matrix[2, 0] = complex(2.2e-308, -1e-7)
+        matrix[3, 1] = complex(-1.0, 1e-16)
+        _assert_saved_as_json_writes_it(Masker(matrix, BipartiteDims(2, 2)), masker_path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=8, max_size=8))
+    @example([-0.0, 5e-324, 1e16, 1e-7, 2.0, -3.0, 1e308, 2.2e-308])
+    def test_every_finite_float(self, masker_path, values):
+        # an in-place edit skips Masker's isometry check, so the writer sees any finite entry
+        masker = copy_masker(np.eye(2))
+        masker.matrix[:2] = np.array(values).view(complex).reshape(2, 2)
+        _assert_saved_as_json_writes_it(masker, masker_path, loads_back=False)
+
+    def test_masker_without_columns(self, masker_path):
+        _assert_saved_as_json_writes_it(Masker(np.zeros((4, 0)), BipartiteDims(2, 2)), masker_path,
+                                        loads_back=False)
+
+    def test_masker_of_every_maskable_sample(self, masker_path):
+        maskers = 0
+        for path in sorted(SAMPLES.glob("*.json")):
+            family = load_family_file(path)
+            decision = decide_family(family, DECISION_TOL, 0)
+            if decision.maskable:
+                _assert_saved_as_json_writes_it(synthesize_family_masker(family, decision), masker_path)
+                maskers += 1
+        assert maskers == 6
+
+    def test_non_finite_entry_is_refused_not_written(self, tmp_path):
+        masker = copy_masker(np.eye(2))
+        masker.matrix[0, 0] = np.nan
+        path = tmp_path / "masker.json"
+        with pytest.raises(ValueError, match="masker matrix has non-finite entries"):
+            save_masker_file(path, masker)
+        assert not path.exists()
+
+
 class TestIdentityKinds:
     """Both identity kinds mean the identity next to the members, in every command."""
 
@@ -342,6 +423,51 @@ def test_number_fields_reject_booleans_and_out_of_range_values(kind, member, opt
     path = write_family(tmp_path / "family.json", kind, [member], options)
     assert main(["decide", path]) == EXIT_ERROR
     assert field in capsys.readouterr().err
+
+
+_BAD_NUMBERS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "string": '"1"', "true": "true",
+                "huge": str(BIG)}
+_FAMILY_MATRIX = '{"version": "1", "kind": "gate", "members": [{"type": "unitary", "matrix": %s}]}'
+_FAMILY_PROBS = '{"version": "1", "kind": "classical", "members": [{"type": "classical", "probs": %s}]}'
+_MASKER = '{"version": "1", "dims": {"dimA": 2, "dimB": 1}, "matrix": %s}'
+_MATRIX_WITH = "[[[1, 0], [0, 0]], [[0, 0], %s]]"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        *[(_FAMILY_MATRIX % _MATRIX_WITH % f"[{v}, 0]", "members[0].matrix[1][1]: must be a number within float range")
+          for v in _BAD_NUMBERS.values()],
+        *[(_FAMILY_PROBS % f"[[1, 0], [0, {v}]]", "members[0].probs[1][1]: must be a number within float range")
+          for v in _BAD_NUMBERS.values()],
+        *[(_MASKER % _MATRIX_WITH % f"[0, {v}]", "matrix[1][1]: must be a number within float range")
+          for v in _BAD_NUMBERS.values()],
+        (_FAMILY_MATRIX % _MATRIX_WITH % "[1]", "members[0].matrix[1][1]: complex entries must be [re, im] number pairs"),
+        (_FAMILY_MATRIX % _MATRIX_WITH % "[1, 0, 0]",
+         "members[0].matrix[1][1]: complex entries must be [re, im] number pairs"),
+        (_MASKER % _MATRIX_WITH % "[1]", "matrix[1][1]: complex entries must be [re, im] number pairs"),
+        (_MASKER % _MATRIX_WITH % "[1, 0, 0]", "matrix[1][1]: complex entries must be [re, im] number pairs"),
+        (_FAMILY_MATRIX % "[[[1, 0], [0, 0]], [[0, 0]]]", "members[0].matrix: row 1 has 1 entries, expected 2"),
+        (_FAMILY_PROBS % "[[1, 0], [0]]", "members[0].probs: row 1 has 1 entries, expected 2"),
+        (_MASKER % "[[[1, 0], [0, 0]], [[0, 0]]]", "matrix: row 1 has 1 entries, expected 2"),
+        (_FAMILY_PROBS % "[[1, 0], [0, [1]]]", "members[0].probs[1][1]: must be a number within float range"),
+        (_FAMILY_PROBS % "[]", "members[0].probs: must be a non-empty list of rows"),
+        (_FAMILY_PROBS % "[[]]", "members[0].probs: row 0 must be a non-empty list"),
+        (_MASKER % "[]", "matrix: must be a non-empty list of rows"),
+        (_MASKER % "[[]]", "matrix: row 0 must be a non-empty list"),
+    ],
+    ids=[*[f"family-matrix-{k}" for k in _BAD_NUMBERS], *[f"family-probs-{k}" for k in _BAD_NUMBERS],
+         *[f"masker-{k}" for k in _BAD_NUMBERS],
+         "family-matrix-short-pair", "family-matrix-long-pair", "masker-short-pair", "masker-long-pair",
+         "family-matrix-ragged", "family-probs-ragged", "masker-ragged", "family-probs-nested",
+         "family-probs-empty", "family-probs-empty-row", "masker-empty", "masker-empty-row"],
+)
+def test_matrix_entries_are_refused_by_the_field_they_sit_in(text, message, gate_family, tmp_path, capsys):
+    path = tmp_path / "file.json"
+    path.write_text(text)
+    argv = ["verify", gate_family, str(path)] if '"dims"' in text else ["decide", str(path)]
+    assert main(argv) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_masker_dimensions_reject_booleans(gate_family, tmp_path, capsys):

@@ -249,8 +249,8 @@ def _member(kind: str, din: int, rng: np.random.Generator, p=None):
     return random_classical_channel(din, din + 1, rng)
 
 
-class TestContractionAgainstOracle:
-    """Both routes of ``reduced_channel_choi`` against a full Choi matrix and a partial trace."""
+class TestBasisLoopAgainstOracle:
+    """The basis-operator loop of ``reduced_channel_choi`` against a full Choi matrix and a partial trace."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -348,7 +348,7 @@ class TestCopyMaskerClosedForm:
     )
     def test_blocks_match_the_reduced_choi_matrices(self, din, kind, p, extra_row, seed):
         # Above dimension 8 the oracle's full Choi matrix is too large (268 MB
-        # at 16), so the contraction route stands in for it.
+        # at 16), so the basis-operator loop of reduced_channel_choi stands in for it.
         rng = np.random.default_rng(seed)
         spec = _member(kind, din, rng, p)
         dout = spec.out_size if kind == "classical" else din
