@@ -38,7 +38,6 @@ from .channels import (
     Unitary,
     bloch_affine,
     identity_channel,
-    is_qubit,
     pure_fixed_points,
     random_classical_channel,
 )
@@ -111,23 +110,24 @@ def _complex_from_json(entry, where: str) -> complex:
 def _matrix_from_json(obj, where: str, real: bool = False) -> np.ndarray:
     """Complex matrix of ``[re, im]`` pairs, or a real one of plain numbers when ``real``.
 
-    One type scan of the flat entries (``int`` or ``float``, never ``bool``)
-    and one ``np.array`` read a well-formed matrix; anything else (a wrong
-    type, a number beyond float range, ``NaN``, a ragged row, a malformed
-    pair) is read again entry by entry, which raises the schema message that
-    names the field.
+    One walk flattens the rows, unpacking each pair; a type scan of the flat
+    entries (``int`` or ``float``, never ``bool``), a check of the row lengths
+    and one ``np.array`` of the flat list read a well-formed matrix.  Anything
+    else (a wrong type, a number beyond float range, ``NaN``, a ragged row, a
+    malformed pair) is read again entry by entry, which raises the schema
+    message that names the field.
     """
     try:
         if real:
             flat = [v for row in obj for v in row]
         else:
-            flat = [v for row in obj for entry in row for v in entry]
-        if {*map(type, flat)} <= {int, float}:
-            arr = np.array(obj, dtype=float)
-            rows_cols = arr.shape[:2]
-            if arr.shape == (rows_cols if real else (*rows_cols, 2)) and arr.size and np.isfinite(arr).all():
-                return arr if real else arr.view(complex).reshape(rows_cols)
-    except (TypeError, ValueError, OverflowError):
+            flat = [v for row in obj for re, im in row for v in (re, im)]
+        cols = len(obj[0])
+        if {*map(type, flat)} <= {int, float} and cols and all(len(row) == cols for row in obj):
+            arr = np.array(flat, dtype=float)
+            if np.isfinite(arr).all():
+                return (arr if real else arr.view(complex)).reshape(len(obj), cols)
+    except (TypeError, ValueError, OverflowError, IndexError, KeyError):
         pass
     return _matrix_entry_by_entry(obj, where, real)
 
@@ -183,26 +183,25 @@ def channel_from_json(obj, where: str) -> ChannelSpec:
 
 @dataclass(frozen=True)
 class FamilyKind:
-    """What one family kind requires of its members, and how it is decided and verified.
+    """How one family kind's members are checked, decided and verified.
 
-    ``rules`` pairs a test on the member tuple with the schema message shown
-    when it fails; they are checked in order.  ``decide(members, tol, seed)``
-    gives the verdict, whose certificate copies its rows from the same
-    members, and ``channels(members)`` is the channel set that verification
-    checks.
+    ``rule(members)`` is the kind's member rule, the one its decider calls
+    (:mod:`masking` holds each; identity_pair files add that they hold
+    exactly one channel); it raises ``ValueError`` with its message.
+    ``decide(members, tol, seed)`` gives the verdict, whose certificate
+    copies its rows from the same members, and ``channels(members)`` is the
+    channel set that verification checks.
     """
 
-    rules: tuple
+    rule: Callable
     decide: Callable
     channels: Callable = list
 
 
-def _holds(payload) -> Callable:
-    return lambda members: all(isinstance(m, payload) for m in members)
-
-
-def _share(key) -> Callable:
-    return lambda members: len({key(m) for m in members}) == 1
+def _one_qubit_channel(members) -> list:
+    if len(members) != 1:
+        raise ValueError("identity_pair files hold exactly one channel")
+    return masking.qubit_members(members)
 
 
 def _decide_with_identity(members, tol, seed) -> MaskingDecision:
@@ -214,38 +213,12 @@ def _with_identity(members) -> list:
 
 
 KINDS = {
-    "gate": FamilyKind(
-        rules=((_holds(Unitary), "gate families hold unitary payloads only"),
-               (_share(lambda m: m.dim), "gate family members must share one dimension")),
-        decide=masking.decide_gate_family,
-    ),
-    "pauli": FamilyKind(
-        rules=((_holds(PauliFourVector), "pauli families hold pauli payloads only"),),
-        decide=lambda ms, tol, seed: masking.decide_pauli_family(ms, tol),
-    ),
-    "identity_pair": FamilyKind(
-        rules=((lambda ms: len(ms) == 1, "identity_pair files hold exactly one channel"),
-               (lambda ms: is_qubit(ms[0]), "identity_pair channel must act on a qubit")),
-        decide=_decide_with_identity,
-        channels=_with_identity,
-    ),
-    "identity_family": FamilyKind(
-        rules=((lambda ms: all(is_qubit(m) for m in ms), "identity_family channels must act on qubits"),),
-        decide=_decide_with_identity,
-        channels=_with_identity,
-    ),
-    "depolarized": FamilyKind(
-        rules=((_holds(DepolarizedUnitary), "depolarized families hold depolarized_unitary payloads only"),
-               (_share(lambda m: m.dim), "depolarized family members must share one dimension"),
-               (masking.share_noise_level, masking.NOISE_LEVEL_RULE)),
-        decide=masking.decide_depolarized_family,
-    ),
-    "classical": FamilyKind(
-        rules=((_holds(ClassicalChannel), "classical families hold classical payloads only"),
-               (_share(lambda m: (m.in_size, m.out_size)),
-                "classical family members must share input and output alphabets")),
-        decide=lambda ms, tol, seed: masking.decide_classical_family(ms),
-    ),
+    "gate": FamilyKind(masking.gate_members, masking.decide_gate_family),
+    "pauli": FamilyKind(masking.pauli_members, lambda ms, tol, seed: masking.decide_pauli_family(ms, tol)),
+    "identity_pair": FamilyKind(_one_qubit_channel, _decide_with_identity, _with_identity),
+    "identity_family": FamilyKind(masking.qubit_members, _decide_with_identity, _with_identity),
+    "depolarized": FamilyKind(masking.depolarized_members, masking.decide_depolarized_family),
+    "classical": FamilyKind(masking.classical_members, lambda ms, tol, seed: masking.decide_classical_family(ms)),
 }
 
 
@@ -264,8 +237,10 @@ def _family_from_json(raw: dict) -> FamilyFile:
     for key, value in options.items():
         _expect(key in _OPTION_KEYS, f"options: unknown key {key!r}")
         _number(value, f"options.{key}")
-    for rule, message in KINDS[kind].rules:
-        _expect(rule(members), f"members: {message}")
+    try:
+        KINDS[kind].rule(members)
+    except ValueError as exc:
+        raise SchemaError(f"members: {exc}") from exc
     return FamilyFile("1", kind, members, dict(options))
 
 

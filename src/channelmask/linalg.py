@@ -218,10 +218,10 @@ def simultaneous_eigenbasis(ws, tol: float = DECISION_TOL, seed: int = 0) -> np.
     Parameters
     ----------
     ws : sequence of array_like
-        Pairwise commuting unitary matrices of a common dimension.
+        Pairwise commuting unitary matrices of a common dimension, each
+        unitary within 1e-9 (Frobenius), whatever ``tol`` is.
     tol : float
-        Unitarity / diagonality tolerance (scaled by the dimension for
-        diagonality).
+        Diagonality tolerance, scaled by the dimension.
     seed : int
         Seed for the random combination coefficients.
 
@@ -238,8 +238,10 @@ def simultaneous_eigenbasis(ws, tol: float = DECISION_TOL, seed: int = 0) -> np.
     for i, w in enumerate(mats):
         if w.shape != (dim, dim):
             raise ValueError("all matrices must be square with equal dimension")
-        if not is_isometry(w, tol):
-            raise ValueError(f"ws[{i}] is not unitary within {tol}")
+        # A fixed bound, not tol: gates are unitary within 1e-10, so a
+        # relative gate U_i^dag U_j is within about 2e-10.
+        if not is_isometry(w, 1e-9):
+            raise ValueError(f"ws[{i}] is not unitary within 1e-9")
 
     rng = np.random.default_rng(seed)
     basis = None

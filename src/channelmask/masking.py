@@ -12,6 +12,11 @@ Every masker copies a basis, ``|v_k> -> |kk>``: the certificate of a
 positive verdict names the basis, and :func:`copy_masker` is the one
 construction.  Negative verdicts carry a
 numerical witness of the violated condition.
+
+Which members a family kind admits is written here once, as the kind's member
+rule (:func:`gate_members`, :func:`pauli_members`, :func:`qubit_members`,
+:func:`depolarized_members`, :func:`classical_members`).  The deciders and
+certificates call it, and the CLI refuses a file whose members break it.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ import numpy as np
 
 from .channels import (
     ALL_DIRECTIONS,
-    ChannelSpec,
     ClassicalChannel,
     DepolarizedUnitary,
     PauliFourVector,
@@ -58,6 +62,56 @@ Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 # Members that carry a gate: the gate and depolarized kinds share certificates.
 _GATE_KINDS = (Unitary, DepolarizedUnitary)
+
+
+# -- member rules ---------------------------------------------------------------
+#
+# Each checks that there is a member, then each member's type, then what the
+# members share; it raises ValueError and returns the members as a list.
+
+
+def _members(members, family: str, types: tuple = (), shared: str = "") -> list:
+    """``members`` as a list: at least one, each of ``types``, and all of one input and output dimension
+    when ``shared`` says what that dimension is called."""
+    members = list(members)
+    if not members:
+        raise ValueError(f"{family} must be non-empty")
+    if types and not all(isinstance(m, types) for m in members):
+        raise ValueError(f"{family} members must be " + " or ".join(t.__name__ for t in types))
+    if shared and len({channel_dims(m) for m in members}) != 1:
+        raise ValueError(f"{family} members must share {shared}")
+    return members
+
+
+def gate_members(members) -> list:
+    """The gate kind's rule: :class:`Unitary` members of one dimension."""
+    return _members(members, "gate family", (Unitary,), "one dimension")
+
+
+def pauli_members(members) -> list:
+    """The pauli kind's rule: :class:`PauliFourVector` members."""
+    return _members(members, "pauli family", (PauliFourVector,))
+
+
+def qubit_members(members) -> list:
+    """The rule of both identity kinds: qubit channels."""
+    members = _members(members, "identity family")
+    if not all(is_qubit(m) for m in members):
+        raise ValueError("identity family members must be qubit channels")
+    return members
+
+
+def depolarized_members(members) -> list:
+    """The depolarized kind's rule: :class:`DepolarizedUnitary` members of one dimension and one ``p`` within 1e-12."""
+    members = _members(members, "depolarized family", (DepolarizedUnitary,), "one dimension")
+    if max(m.p for m in members) - min(m.p for m in members) > 1e-12:
+        raise ValueError("depolarized family members must share one noise level p")
+    return members
+
+
+def classical_members(members) -> list:
+    """The classical kind's rule: :class:`ClassicalChannel` members with one input and one output alphabet."""
+    return _members(members, "classical family", (ClassicalChannel,), "input and output alphabets")
 
 
 @dataclass(frozen=True)
@@ -101,7 +155,7 @@ class CommonEigenbasis:
 
     def copy_rows(self, members=(), tol: float = DECISION_TOL) -> np.ndarray:
         """``basis^dag U_ref^dag``, once ``basis`` diagonalizes every relative gate within ``tol * dim``."""
-        us = _gates(members)
+        us = [m.matrix for m in _members(members, "family", _GATE_KINDS, "one dimension")]
         basis = as_complex_matrix(self.basis, "basis")
         reference = self.reference_index
         if basis.shape != us[0].shape:
@@ -150,10 +204,7 @@ class FixedPointAxis:
         fixes every direction, lists it among its pure fixed points, or maps it
         to itself within ``tol``.
         """
-        if not members:
-            raise ValueError("family must be non-empty")
-        for spec in members:
-            _require_qubit(spec)
+        members = qubit_members(members)
         v = np.asarray(self.direction, dtype=float)
         if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > 1e-8:
             raise ValueError("direction must be a unit 3-vector")
@@ -192,7 +243,7 @@ class Trivial:
 
     def copy_rows(self, members=(), tol: float = DECISION_TOL) -> np.ndarray:
         """``U_0^dag`` when the first member carries a gate, the identity on the output space otherwise."""
-        spec = members[0]
+        spec = _members(members, "family")[0]
         return spec.matrix.conj().T if isinstance(spec, _GATE_KINDS) else np.eye(channel_dims(spec)[1], dtype=complex)
 
     def to_json(self) -> dict:
@@ -321,17 +372,6 @@ def copy_masker(rows) -> Masker:
 # -- unitary gate families ----------------------------------------------------
 
 
-def _gates(members, kinds=_GATE_KINDS) -> list[np.ndarray]:
-    """The gates of a family: at least one member, each of ``kinds``, on one dimension."""
-    if not members:
-        raise ValueError("family must be non-empty")
-    if not all(isinstance(m, kinds) for m in members):
-        raise ValueError("family members must be " + " or ".join(k.__name__ for k in kinds))
-    if len({m.dim for m in members}) != 1:
-        raise ValueError("family members must share one dimension")
-    return [m.matrix for m in members]
-
-
 def _relative_gates(us: list[np.ndarray], reference_index: int) -> list[np.ndarray]:
     ref = us[reference_index].conj().T
     return [ref @ u for i, u in enumerate(us) if i != reference_index]
@@ -356,7 +396,7 @@ def decide_gate_family(members, tol: float = DECISION_TOL, seed: int = 0) -> Mas
     and every pair is tested; the worst commutator norm decides.  A positive
     verdict carries their common eigenbasis.
     """
-    return _decide_gates(_gates(members, (Unitary,)), tol, seed)
+    return _decide_gates([m.matrix for m in gate_members(members)], tol, seed)
 
 
 # -- Pauli channel families ---------------------------------------------------
@@ -369,11 +409,7 @@ def decide_pauli_family(ps, tol: float = DECISION_TOL) -> MaskingDecision:
     computed; the first axis (x, y, z order) with spread within ``tol`` wins
     and the certificate records the mean value as the constant.
     """
-    members = list(ps)
-    if not members:
-        raise ValueError("family must be non-empty")
-    if not all(isinstance(p, PauliFourVector) for p in members):
-        raise ValueError("family members must be Pauli four-vectors")
+    members = pauli_members(ps)
     if len(members) == 1:
         return _maskable(Trivial())
     table = np.array([p.probabilities for p in members])
@@ -390,11 +426,6 @@ def decide_pauli_family(ps, tol: float = DECISION_TOL) -> MaskingDecision:
 
 
 # -- qubit channels masked together with the identity -------------------------
-
-
-def _require_qubit(spec: ChannelSpec) -> None:
-    if not is_qubit(spec):
-        raise ValueError("unsupported dimension: identity-masking decisions cover qubit channels only")
 
 
 def _pick_axis(dirs) -> np.ndarray:
@@ -425,11 +456,7 @@ def decide_identity_family(specs, tol: float = DECISION_TOL) -> MaskingDecision:
     against every other member.  A single member that fixes no pure state
     is refused with the eigenvalues of its Bloch matrix.
     """
-    members = list(specs)
-    if not members:
-        raise ValueError("family must be non-empty")
-    for spec in members:
-        _require_qubit(spec)
+    members = qubit_members(specs)
     affines = [bloch_affine(spec) for spec in members]
     for index, aff in enumerate(affines):
         if np.linalg.norm(aff.shift) > tol:
@@ -450,14 +477,6 @@ def decide_identity_family(specs, tol: float = DECISION_TOL) -> MaskingDecision:
 # -- unitaries mixed with depolarizing noise -----------------------------------
 
 
-NOISE_LEVEL_RULE = "depolarized family members must share one noise level p"
-
-
-def share_noise_level(members) -> bool:
-    """True iff the :class:`DepolarizedUnitary` members share one noise level ``p`` within 1e-12."""
-    return max(m.p for m in members) - min(m.p for m in members) <= 1e-12
-
-
 def decide_depolarized_family(members, tol: float = DECISION_TOL, seed: int = 0) -> MaskingDecision:
     """Maskability of :class:`DepolarizedUnitary` members ``rho -> p U rho U^dag + (1-p) 1/d``.
 
@@ -465,12 +484,10 @@ def decide_depolarized_family(members, tol: float = DECISION_TOL, seed: int = 0)
     the same constant channel, so any isometry masks.  For ``p > 0`` the
     verdict and certificate are exactly those of the underlying gate family.
     """
-    us = _gates(members, (DepolarizedUnitary,))
-    if not share_noise_level(members):
-        raise ValueError(NOISE_LEVEL_RULE)
+    members = depolarized_members(members)
     if members[0].p <= 0.0:
         return _maskable(Trivial())
-    return _decide_gates(us, tol, seed)
+    return _decide_gates([m.matrix for m in members], tol, seed)
 
 
 # -- classical channels ---------------------------------------------------------
@@ -478,16 +495,7 @@ def decide_depolarized_family(members, tol: float = DECISION_TOL, seed: int = 0)
 
 def decide_classical_family(channels) -> MaskingDecision:
     """Any family of classical channels is maskable by the Fourier masker."""
-    members = list(channels)
-    if not members:
-        raise ValueError("family must be non-empty")
-    if not all(isinstance(c, ClassicalChannel) for c in members):
-        raise ValueError("family members must be classical channels")
-    in_size, out_size = members[0].in_size, members[0].out_size
-    for c in members[1:]:
-        if (c.in_size, c.out_size) != (in_size, out_size):
-            raise ValueError("family members must share input and output alphabets")
-    return _maskable(Fourier(out_size))
+    return _maskable(Fourier(classical_members(channels)[0].out_size))
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from channelmask import masking
 from channelmask.channels import amplitude_damping, dephasing_about
 from channelmask.cli import (
     DECISION_TOL,
     EXIT_ERROR,
     EXIT_NEGATIVE,
     EXIT_OK,
+    channel_from_json,
     decide_family,
     load_family_file,
     load_masker_file,
@@ -19,7 +21,7 @@ from channelmask.cli import (
     save_masker_file,
     synthesize_family_masker,
 )
-from channelmask.linalg import BipartiteDims
+from channelmask.linalg import BipartiteDims, random_unitary
 from channelmask.masking import Fourier, Masker, copy_masker, matrix_to_json
 
 from helpers import random_commuting_family, random_density, random_isometry
@@ -120,6 +122,18 @@ class TestDecide:
         assert capsys.readouterr().err == (
             "error: members[0].type: must be one of unitary, kraus, pauli, classical, depolarized_unitary\n"
         )
+
+    def test_decision_tolerance_does_not_bound_unitarity(self, tmp_path, capsys):
+        # member 1 is unitary within 2.1e-11, inside a gate's 1e-10 bound,
+        # and so is its relative gate; --tol 1e-11 bounds the commutators
+        # and the eigenbasis, not unitarity
+        rng = np.random.default_rng(3)
+        basis = random_unitary(8, rng)
+        us = [basis @ np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 8))) @ basis.conj().T for _ in range(3)]
+        us[1] = us[1] @ (np.eye(8) + 2e-12 * rng.standard_normal((8, 8)))
+        family = write_family(tmp_path / "gate8.json", "gate",
+                              [{"type": "unitary", "matrix": _matrix_json(u)} for u in us])
+        assert main(["decide", "--tol", "1e-11", family]) == EXIT_OK
 
     def test_bad_version_exit_2(self, tmp_path, capsys):
         path = tmp_path / "v2.json"
@@ -425,6 +439,54 @@ def test_number_fields_reject_booleans_and_out_of_range_values(kind, member, opt
     assert field in capsys.readouterr().err
 
 
+_PAULI = {"type": "pauli", "p": [1, 0, 0, 0]}
+_QUTRIT = {"type": "unitary", "matrix": _matrix_json(np.eye(3))}
+_BIT = {"type": "classical", "probs": [[1, 0], [0, 1]]}
+
+
+_DECIDERS = {"gate": masking.decide_gate_family, "pauli": masking.decide_pauli_family,
+             "identity_pair": masking.decide_identity_family, "identity_family": masking.decide_identity_family,
+             "depolarized": masking.decide_depolarized_family, "classical": masking.decide_classical_family}
+
+
+@pytest.mark.parametrize(
+    "kind, members, message",
+    [
+        ("gate", [{"type": "unitary", "matrix": X}, _PAULI], "gate family members must be Unitary"),
+        ("gate", [{"type": "unitary", "matrix": X}, _QUTRIT], "gate family members must share one dimension"),
+        ("pauli", [_PAULI, {"type": "unitary", "matrix": X}], "pauli family members must be PauliFourVector"),
+        ("identity_pair", [_PAULI, _PAULI], "identity_pair files hold exactly one channel"),
+        ("identity_pair", [_QUTRIT], "identity family members must be qubit channels"),
+        ("identity_family", [_PAULI, _QUTRIT], "identity family members must be qubit channels"),
+        ("depolarized", [{"type": "depolarized_unitary", "p": 0.5, "matrix": X}, {"type": "unitary", "matrix": X}],
+         "depolarized family members must be DepolarizedUnitary"),
+        ("depolarized", [{"type": "depolarized_unitary", "p": 0.5, "matrix": X},
+                         {"type": "depolarized_unitary", "p": 0.5, "matrix": _QUTRIT["matrix"]}],
+         "depolarized family members must share one dimension"),
+        ("classical", [_BIT, _PAULI], "classical family members must be ClassicalChannel"),
+        ("classical", [_BIT, {"type": "classical", "probs": [[1, 0], [0, 1], [0, 0]]}],
+         "classical family members must share input and output alphabets"),
+    ],
+    ids=["gate-pauli-member", "gate-mixed-dims", "pauli-unitary-member", "identity-pair-two-members",
+         "identity-pair-qutrit", "identity-family-qutrit", "depolarized-unitary-member",
+         "depolarized-mixed-dims", "classical-pauli-member", "classical-mixed-alphabets"],
+)
+def test_members_that_break_their_kinds_rule_are_input_errors_in_every_command(kind, members, message,
+                                                                               tmp_path, capsys):
+    family = write_family(tmp_path / "family.json", kind, members)
+    masker = tmp_path / "masker.json"
+    save_masker_file(masker, copy_masker(np.eye(2)))
+    for argv in (["decide", family], ["synthesize", family, "-o", str(tmp_path / "out.json")],
+                 ["verify", family, str(masker)]):
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: members: {message}\n"
+    assert not (tmp_path / "out.json").exists()
+    if kind != "identity_pair" or len(members) == 1:  # one channel per identity_pair file is the file's own rule
+        specs = [channel_from_json(m, f"members[{i}]") for i, m in enumerate(members)]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _DECIDERS[kind](specs)
+
+
 _BAD_NUMBERS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "string": '"1"', "true": "true",
                 "huge": str(BIG)}
 _FAMILY_MATRIX = '{"version": "1", "kind": "gate", "members": [{"type": "unitary", "matrix": %s}]}'
@@ -463,6 +525,22 @@ _MATRIX_WITH = "[[[1, 0], [0, 0]], [[0, 0], %s]]"
          "family-probs-empty", "family-probs-empty-row", "masker-empty", "masker-empty-row"],
 )
 def test_matrix_entries_are_refused_by_the_field_they_sit_in(text, message, gate_family, tmp_path, capsys):
+    path = tmp_path / "file.json"
+    path.write_text(text)
+    argv = ["verify", gate_family, str(path)] if '"dims"' in text else ["decide", str(path)]
+    assert main(argv) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (_FAMILY_MATRIX % "[[[1, 0], [0, 0]], [[0, 0]], [[0, 0], [1, 0], [0, 0]]]",
+     "members[0].matrix: row 1 has 1 entries, expected 2"),
+    (_FAMILY_PROBS % "[[1, 0], [0], [0, 1, 0]]", "members[0].probs: row 1 has 1 entries, expected 2"),
+    (_MASKER % "[[[1, 0], [0, 0]], [[0, 0]], [[0, 0], [1, 0], [0, 0]]]", "matrix: row 1 has 1 entries, expected 2"),
+], ids=["family-matrix", "family-probs", "masker"])
+def test_ragged_rows_are_refused_when_the_entries_would_fill_the_shape(text, message, gate_family, tmp_path,
+                                                                       capsys):
+    # rows of 2, 1 and 3 entries hold as many as three rows of 2
     path = tmp_path / "file.json"
     path.write_text(text)
     argv = ["verify", gate_family, str(path)] if '"dims"' in text else ["decide", str(path)]

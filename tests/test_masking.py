@@ -185,6 +185,8 @@ class TestGateMembers:
             decide_gate_family(())
         with pytest.raises(ValueError, match="non-empty"):
             cert.copy_rows(())
+        with pytest.raises(ValueError, match="^family must be non-empty$"):
+            Trivial().copy_rows(())
         with pytest.raises(ValueError, match="one dimension"):
             decide_gate_family(gate_family(I2, np.eye(3)))
         with pytest.raises(ValueError, match="must be Unitary or DepolarizedUnitary"):
@@ -324,7 +326,7 @@ class TestDecideIdentityPair:
         assert_allclose(decision.certificate.direction, [0, 0, 1])
 
     def test_rejects_large_dimension(self):
-        with pytest.raises(ValueError, match="unsupported dimension"):
+        with pytest.raises(ValueError, match="^identity family members must be qubit channels$"):
             decide_identity_family([identity_channel(3)])
 
     def test_refused_channels_fail_class_masker(self):

@@ -14,7 +14,9 @@ pair ``{identity, E}``.
   unitary;
 * every witness of a negative verdict recomputes from the members;
 * near the threshold, at any decision tolerance, a family that decides
-  maskable gets a masker from its certificate.
+  maskable gets a masker from its certificate;
+* gates that are unitary within their 1e-10 bound are never refused as
+  non-unitary, at any decision tolerance.
 """
 
 import numpy as np
@@ -257,3 +259,20 @@ def test_maskable_identity_family_near_threshold_gets_a_masker(size, tol, decade
     decision = decide_family(family, tol, 0)
     if decision.maskable:
         synthesize_family_masker(family, decision, tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 8), size=st.integers(2, 5), share=st.floats(0.0, 0.99),
+       tol=st.sampled_from([1e-12, 1e-11, 1e-10, 1e-8, 1e-5]), seed=st.integers(0, 2**32 - 1))
+def test_gates_unitary_within_their_bound_pass_the_unitarity_check_at_any_tolerance(dim, size, share, tol, seed):
+    # U (1 + eps G) has Gram matrix 1 + eps (G + G^T) + O(eps^2): eps puts it
+    # at share * 1e-10 from the identity
+    rng = np.random.default_rng(seed)
+    members = []
+    for m in random_commuting_family(rng, dim, size):
+        g = rng.standard_normal((dim, dim))
+        members.append(Unitary(m.matrix @ (np.eye(dim) + share * 1e-10 / np.linalg.norm(g + g.T) * g)))
+    try:
+        decide_family(FamilyFile("1", "gate", tuple(members), {}), tol, 0)
+    except ValueError as exc:  # near the threshold no common eigenbasis may be found (ROADMAP item 2)
+        assert "is not unitary" not in str(exc)
