@@ -414,8 +414,7 @@ def _load_single_channel(path) -> ChannelSpec:
 def cmd_bloch(args) -> int:
     spec = _load_single_channel(args.channel)
     aff = bloch_affine(spec)
-    # the decider's rule: unital when the shift b of n -> A n + b is within the tolerance
-    unital = bool(np.linalg.norm(aff.shift) <= DECISION_TOL)
+    unital = masking._unital(aff, DECISION_TOL)
     fixed = pure_fixed_points(spec, DECISION_TOL)
     if args.json:
         payload = {
@@ -473,8 +472,7 @@ def cmd_demo_classical(args) -> int:
     target = np.eye(dim * dim) / dim
     marginal_dev = 0.0
     for spec in perm_channels + random_channels:
-        for side in ("A", "B"):
-            choi_red = verify.reduced_channel_choi(masker, spec, side)
+        for choi_red in verify.reduced_channel_choi(masker, spec):
             marginal_dev = max(marginal_dev, float(np.linalg.norm(choi_red - target)))
 
     if args.json:

@@ -138,8 +138,8 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def cluster_phases(phases, gap: float = PHASE_GAP) -> list[np.ndarray]:
-    """Group angles on the unit circle into clusters separated by more than ``gap``.
+def cluster_phases(phases) -> list[np.ndarray]:
+    """Group angles on the unit circle into clusters separated by more than ``PHASE_GAP``.
 
     Returns index arrays into ``phases``.  The wrap-around at +/- pi is
     honoured, so noisy copies of the same eigenvalue land in one cluster.
@@ -150,10 +150,10 @@ def cluster_phases(phases, gap: float = PHASE_GAP) -> list[np.ndarray]:
         return []
     order = np.argsort(ph, kind="stable")
     s = ph[order]
-    breaks = np.flatnonzero(np.diff(s) > gap)
+    breaks = np.flatnonzero(np.diff(s) > PHASE_GAP)
     bounds = np.concatenate(([0], breaks + 1, [n]))
     clusters = [order[bounds[i]:bounds[i + 1]] for i in range(len(bounds) - 1)]
-    if len(clusters) > 1 and (s[0] + 2 * np.pi - s[-1]) <= gap:
+    if len(clusters) > 1 and (s[0] + 2 * np.pi - s[-1]) <= PHASE_GAP:
         clusters[0] = np.concatenate((clusters[-1], clusters[0]))
         clusters.pop()
     return clusters

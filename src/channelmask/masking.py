@@ -201,17 +201,20 @@ class FixedPointAxis:
         """``U^dag`` for a unitary with ``U|0>`` on ``direction``, once every member fixes it.
 
         A member fixes ``direction`` as in :func:`decide_identity_family`: it
-        fixes every direction, lists it among its pure fixed points, or maps it
-        to itself within ``tol``.
+        is unital within ``tol`` and fixes every direction, lists it among its
+        pure fixed points, or maps it to itself within ``tol``.
         """
         members = qubit_members(members)
         v = np.asarray(self.direction, dtype=float)
         if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > 1e-8:
             raise ValueError("direction must be a unit 3-vector")
         for spec in members:
+            aff = bloch_affine(spec)
+            if not _unital(aff, tol):
+                raise ValueError("channel is not unital")
             fixed = pure_fixed_points(spec, tol)
             listed = isinstance(fixed, list) and any(np.linalg.norm(u - v) <= 1e-8 for u in fixed)
-            if not (listed or _fixes(bloch_affine(spec), fixed, v, tol)):
+            if not (listed or _fixes(aff, fixed, v, tol)):
                 raise ValueError("direction is not a fixed point of the channel")
         return _bloch_frame_unitary(v).conj().T
 
@@ -443,6 +446,11 @@ def _bloch_frame_unitary(direction: np.ndarray) -> np.ndarray:
     return fix_column_phases(np.column_stack([psi, perp]))
 
 
+def _unital(aff, tol: float) -> bool:
+    """The identity kinds' unitality rule: the shift ``b`` of the Bloch map ``n -> A n + b`` is within ``tol``."""
+    return bool(np.linalg.norm(aff.shift) <= tol)
+
+
 def _fixes(aff, fixed, v: np.ndarray, tol: float) -> bool:
     """A member (Bloch map ``aff``, pure fixed points ``fixed``) fixes every direction, or ``v`` within ``tol``."""
     return fixed is ALL_DIRECTIONS or bool(np.linalg.norm(aff.matrix @ v + aff.shift - v) <= tol)
@@ -459,7 +467,7 @@ def decide_identity_family(specs, tol: float = DECISION_TOL) -> MaskingDecision:
     members = qubit_members(specs)
     affines = [bloch_affine(spec) for spec in members]
     for index, aff in enumerate(affines):
-        if np.linalg.norm(aff.shift) > tol:
+        if not _unital(aff, tol):
             return _not_maskable(NonUnital(aff.shift, index=index))
     fixed_sets = [pure_fixed_points(spec, tol) for spec in members]
     if all(f is ALL_DIRECTIONS for f in fixed_sets):

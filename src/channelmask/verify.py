@@ -1,9 +1,10 @@
 """Numerical verification of masking.
 
-The reduced channel seen by one subsystem is computed as an explicit Choi
-matrix; two channels are equal iff their Choi matrices are, so comparing them
-is a complete equality test.  Deviations are aggregated with max (masking is
-a worst-case property over inputs and family members).
+The reduced channels seen by subsystems A and B are computed as explicit Choi
+matrices, both views at once; two channels are equal iff their Choi matrices
+are, so comparing them is a complete equality test.  Deviations are
+aggregated with max (masking is a worst-case property over inputs and family
+members).
 
 Two routes give the reduced Choi matrices.  A copy masker (``d x d``
 factors, every row other than ``k*(d+1)`` exactly zero, as every masker this
@@ -11,16 +12,18 @@ package writes) with inputs above dimension 4 is recognised from its matrix:
 both of its reduced channels are ``rho -> diag(R E(rho) R^dag)`` for its copy
 rows ``R``, whose Choi matrix is ``d`` blocks of size ``din x din`` in closed
 form, and no input dimension is refused.  Everything else pushes each of the
-``din**2`` basis operators through the channel and the masker and traces out
-one factor, and refuses inputs above dimension 16.  Copy maskers with inputs
-of dimension at most 4 keep the loop because reports print round-off digits
-(such as ``1.570e-16``, or an exact ``0.0``) that another summation order
-changes; families with inputs of dimension at most 4, every file in
-``samples/`` among them, keep the digits they always had.
+``din**2`` basis operators through the channel and the masker once, traces
+out each factor in turn for the two views, and refuses inputs above dimension
+16.  Copy maskers with inputs of dimension at most 4 keep the loop because
+reports print round-off digits (such as ``1.570e-16``, or an exact ``0.0``)
+that another summation order changes; families with inputs of dimension at
+most 4, every file in ``samples/`` among them, keep the digits they always
+had.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +39,7 @@ from .channels import (
     to_kraus,
 )
 from .linalg import VERIFY_TOL, as_complex_matrix, cluster_phases, is_isometry, partial_trace, simultaneous_eigenbasis
-from .masking import Masker
+from .masking import Masker, _members
 
 # The basis-operator loop pushes din**2 operators through the masker; keep it
 # at desk scale.  Only copy maskers, in closed form, go beyond.
@@ -57,19 +60,28 @@ class VerificationReport:
     tol: float
 
 
-def reduced_channel_choi(masker: Masker, spec: ChannelSpec, side: str) -> np.ndarray:
-    """Choi matrix of ``rho -> Tr_side[M E(rho) M^dag]``.
+def reduced_channel_choi(masker: Masker, spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Choi matrices ``(seen_by_a, seen_by_b)`` of ``rho -> Tr_B[M E(rho) M^dag]`` and ``Tr_A[...]``.
 
-    ``side`` names the discarded subsystem, so ``side="B"`` gives the channel
-    seen by subsystem A and vice versa.
+    Both views are traced from one ``M E(|i><j|) M^dag`` per basis operator.
     """
     din, dout = channel_dims(spec)
     if din > _MAX_INPUT_DIM:
         raise ValueError(f"input dimension {din} exceeds the brute-force limit {_MAX_INPUT_DIM}")
     _check_masker_input(masker, dout)
-    if side not in ("A", "B"):
-        raise ValueError("side must be 'A' or 'B'")
-    return _reduced_choi_by_basis(masker, spec, side)
+    da, db = masker.dims.dim_a, masker.dims.dim_b
+    m = masker.matrix
+    seen_by_a = np.zeros((din, da, din, da), dtype=complex)
+    seen_by_b = np.zeros((din, db, din, db), dtype=complex)
+    basis_op = np.zeros((din, din), dtype=complex)
+    for i in range(din):
+        for j in range(din):
+            basis_op[i, j] = 1.0
+            masked = m @ apply(spec, basis_op) @ m.conj().T
+            seen_by_a[i, :, j, :] = partial_trace(masked, masker.dims, "B")
+            seen_by_b[i, :, j, :] = partial_trace(masked, masker.dims, "A")
+            basis_op[i, j] = 0.0
+    return seen_by_a.reshape(din * da, din * da), seen_by_b.reshape(din * db, din * db)
 
 
 def _check_masker_input(masker: Masker, dout: int) -> None:
@@ -77,22 +89,6 @@ def _check_masker_input(masker: Masker, dout: int) -> None:
         raise ValueError(
             f"masker input dimension {masker.input_dim} does not match channel output {dout}"
         )
-
-
-def _reduced_choi_by_basis(masker: Masker, spec: ChannelSpec, side: str) -> np.ndarray:
-    din, _ = channel_dims(spec)
-    dred = masker.dims.dim_b if side == "A" else masker.dims.dim_a
-    m = masker.matrix
-    out = np.zeros((din * dred, din * dred), dtype=complex)
-    basis_op = np.zeros((din, din), dtype=complex)
-    for i in range(din):
-        for j in range(din):
-            basis_op[i, j] = 1.0
-            masked = m @ apply(spec, basis_op) @ m.conj().T
-            block = partial_trace(masked, masker.dims, side)
-            out[i * dred:(i + 1) * dred, j * dred:(j + 1) * dred] = block
-            basis_op[i, j] = 0.0
-    return out
 
 
 def _copy_rows(masker: Masker):
@@ -150,7 +146,7 @@ def _max_pairwise(mats: list[np.ndarray]) -> tuple[float, tuple]:
     return worst, pair
 
 
-def _report(view_a: list[np.ndarray], view_b: list[np.ndarray], tol: float) -> VerificationReport:
+def _report(view_a, view_b, tol: float) -> VerificationReport:
     # What subsystems A and B see for each member; the worst pair is taken
     # from the side that deviates more.
     dev_a, pair_a = _max_pairwise(view_a)
@@ -166,20 +162,15 @@ def _report(view_a: list[np.ndarray], view_b: list[np.ndarray], tol: float) -> V
 
 def verify_masking(masker: Masker, family, tol: float = VERIFY_TOL) -> VerificationReport:
     """Check that both reduced channels are identical across the whole family."""
-    members = list(family)
-    if not members:
-        raise ValueError("family must be non-empty")
+    members = _members(family, "family", shared="input and output dimensions")
     dims = channel_dims(members[0])
-    if any(channel_dims(spec) != dims for spec in members):
-        raise ValueError("family members must share input and output dimensions")
     rows = _copy_rows(masker) if dims[0] > _LOOP_MAX_INPUT_DIM else None
     if rows is not None:
         # Both reduced channels of a copy masker are the same map.
         _check_masker_input(masker, dims[1])
         blocks = [_copy_choi_blocks(rows, spec) for spec in members]
         return _report(blocks, blocks, tol)
-    return _report([reduced_channel_choi(masker, spec, "B") for spec in members],
-                   [reduced_channel_choi(masker, spec, "A") for spec in members], tol)
+    return _report(*zip(*(reduced_channel_choi(masker, spec) for spec in members)), tol)
 
 
 def verify_identity_masking(masker: Masker, spec: ChannelSpec, tol: float = VERIFY_TOL) -> VerificationReport:
@@ -208,21 +199,11 @@ def local_orthogonality_check(masker: Masker, u, tol: float = VERIFY_TOL) -> boo
         raise ValueError("u is not unitary within 1e-10")
     z = simultaneous_eigenbasis([mat])
     clusters = cluster_phases(np.angle(np.diag(z.conj().T @ mat @ z)))
-    m = masker.matrix
-    marginals = []
-    for col in range(z.shape[1]):
-        masked = m @ z[:, col]
-        state = np.outer(masked, masked.conj())
-        marginals.append({side: partial_trace(state, masker.dims, side) for side in ("A", "B")})
-    for a in range(len(clusters)):
-        for b in range(a + 1, len(clusters)):
-            for i in clusters[a]:
-                for j in clusters[b]:
-                    for side in ("A", "B"):
-                        overlap = np.linalg.norm(marginals[i][side] @ marginals[j][side])
-                        if overlap > tol:
-                            return False
-    return True
+    marginals = [_marginals(masker, z[:, col]) for col in range(z.shape[1])]
+    return not any(np.linalg.norm(x @ y) > tol
+                   for first, second in itertools.combinations(clusters, 2)
+                   for i, j in itertools.product(first, second)
+                   for x, y in zip(marginals[i], marginals[j]))
 
 
 def state_mask_check(masker: Masker, states, tol: float = VERIFY_TOL) -> VerificationReport:
@@ -233,11 +214,11 @@ def state_mask_check(masker: Masker, states, tol: float = VERIFY_TOL) -> Verific
     for k in kets:
         if k.shape != (masker.input_dim,):
             raise ValueError("state dimension does not match the masker input")
-    m = masker.matrix
-    margins_a, margins_b = [], []
-    for k in kets:
-        masked = m @ k
-        state = np.outer(masked, masked.conj())
-        margins_a.append(partial_trace(state, masker.dims, "B"))
-        margins_b.append(partial_trace(state, masker.dims, "A"))
-    return _report(margins_a, margins_b, tol)
+    return _report(*zip(*(_marginals(masker, k) for k in kets)), tol)
+
+
+def _marginals(masker: Masker, ket: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The states A and B hold once the masker has taken the pure state ``ket``."""
+    masked = masker.matrix @ ket
+    state = np.outer(masked, masked.conj())
+    return partial_trace(state, masker.dims, "B"), partial_trace(state, masker.dims, "A")

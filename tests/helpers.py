@@ -2,7 +2,15 @@
 
 import numpy as np
 
-from channelmask.channels import DepolarizedUnitary, KrausChannel, Unitary, apply, channel_dims, rotation_about
+from channelmask.channels import (
+    DepolarizedUnitary,
+    KrausChannel,
+    Unitary,
+    apply,
+    channel_dims,
+    rotation_about,
+    to_kraus,
+)
 from channelmask.linalg import commutator_norm, random_unitary
 from channelmask.masking import Masker
 
@@ -94,3 +102,19 @@ def brute_force_reduced_choi(masker: Masker, spec, side: str) -> np.ndarray:
     if side == "B":
         return np.einsum("iabjcb->iajc", six).reshape(din * da, din * da)
     return np.einsum("iabjad->ibjd", six).reshape(din * db, din * db)
+
+
+def kraus_reduced_chois(masker: Masker, spec) -> tuple:
+    """Oracle for ``reduced_channel_choi`` from Kraus operators, with no ``apply`` and no ``partial_trace``.
+
+    Stacking ``V_a = M K_a`` as ``v[a, x, y, i]`` (``x`` on A, ``y`` on B),
+    the Choi matrix A sees is ``W W^dag`` for ``W[(i, x), (a, y)] = v[a, x, y, i]``,
+    and the one B sees swaps the roles of ``x`` and ``y``.  Returns
+    ``(seen_by_a, seen_by_b)``.
+    """
+    din, _ = channel_dims(spec)
+    da, db = masker.dims.dim_a, masker.dims.dim_b
+    v = (masker.matrix @ np.stack(to_kraus(spec).kraus_ops)).reshape(-1, da, db, din)
+    w_a = v.transpose(3, 1, 0, 2).reshape(din * da, -1)
+    w_b = v.transpose(3, 2, 0, 1).reshape(din * db, -1)
+    return w_a @ w_a.conj().T, w_b @ w_b.conj().T

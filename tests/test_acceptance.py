@@ -240,8 +240,7 @@ def test_criterion_7_classical_no_go_and_quantum_masker():
             problems.append(f"Fourier masker failed on a batch at d={d}")
         target = np.eye(d * d) / d
         for spec in batch:
-            for side in ("A", "B"):
-                red = reduced_channel_choi(masker, spec, side)
+            for red in reduced_channel_choi(masker, spec):
                 if np.linalg.norm(red - target) > 1e-9:
                     problems.append(f"reduced channel not constant at d={d}")
     elapsed = time.perf_counter() - start

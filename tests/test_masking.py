@@ -373,6 +373,14 @@ class TestSynthesizeIdentityMasker:
         with pytest.raises(ValueError, match="non-empty"):
             FixedPointAxis(np.array([0, 0, 1.0])).copy_rows(())
 
+    def test_rejects_a_member_the_decider_calls_non_unital(self):
+        # amplitude damping fixes |0> but shifts the Bloch ball: a masker on z
+        # would fail verify on {identity, AD} with deviation 0.424
+        spec = amplitude_damping(0.3)
+        assert decide_identity_family([spec]).witness.to_json()["type"] == "non_unital"
+        with pytest.raises(ValueError, match="^channel is not unital$"):
+            FixedPointAxis(np.array([0, 0, 1.0])).copy_rows([spec])
+
     def test_rejects_non_fixed_axis(self):
         with pytest.raises(ValueError, match="not a fixed point"):
             copy_masker(FixedPointAxis(np.array([1.0, 0, 0])).copy_rows([dephasing(0.3)]))
@@ -490,8 +498,7 @@ class TestClassicalMasking:
             dout = int(rng.integers(1, 7))
             spec = random_classical_channel(din, dout, rng)
             masker = copy_masker(Fourier(dout).copy_rows())
-            for side in ("A", "B"):
-                red = reduced_channel_choi(masker, spec, side)
+            for red in reduced_channel_choi(masker, spec):
                 assert np.linalg.norm(red - np.eye(din * dout) / dout) <= 1e-9
 
 

@@ -13,6 +13,7 @@ from channelmask.channels import (
     Unitary,
     amplitude_damping,
     bit_flip,
+    channel_dims,
     dephasing,
     identity_channel,
     random_classical_channel,
@@ -38,6 +39,7 @@ from channelmask.verify import (
 from helpers import (
     brute_force_reduced_choi,
     gate_family,
+    kraus_reduced_chois,
     random_commuting_family,
     random_isometry,
     random_kraus_channel,
@@ -52,15 +54,14 @@ MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2)
 
 class TestReducedChannelChoi:
     def test_copy_masker_dephases(self):
-        red = reduced_channel_choi(COPY2_MASKER, identity_channel(2), "B")
+        red = reduced_channel_choi(COPY2_MASKER, identity_channel(2))[0]
         assert_allclose(red, np.diag([1.0, 0.0, 0.0, 1.0]), atol=1e-15)
 
     def test_fourier_masker_is_constant(self):
         rng = np.random.default_rng(0)
         masker = copy_masker(Fourier(4).copy_rows())
         spec = random_classical_channel(4, 4, rng)
-        for side in ("A", "B"):
-            red = reduced_channel_choi(masker, spec, side)
+        for red in reduced_channel_choi(masker, spec):
             assert_allclose(red, np.eye(16) / 4, atol=1e-12)
 
     def test_x_axis_masker_on_identity(self):
@@ -79,7 +80,7 @@ class TestReducedChannelChoi:
                 basis_op[i, j] = 1.0
                 expected[i * 2:(i + 1) * 2, j * 2:(j + 1) * 2] = expected_map(basis_op)
                 basis_op[i, j] = 0.0
-        red = reduced_channel_choi(masker, PauliFourVector(1, 0, 0, 0), "A")
+        red = reduced_channel_choi(masker, PauliFourVector(1, 0, 0, 0))[1]
         assert_allclose(red, expected, atol=1e-12)
 
     def test_output_is_choi_of_a_channel(self):
@@ -88,7 +89,7 @@ class TestReducedChannelChoi:
         rng = np.random.default_rng(1)
         fam = gate_family(random_unitary(3, rng), random_unitary(3, rng))
         masker = copy_masker(decide_gate_family(fam).certificate.copy_rows(fam))
-        red = reduced_channel_choi(masker, fam[0], "B")
+        red = reduced_channel_choi(masker, fam[0])[0]
         eigs = np.linalg.eigvalsh(red)
         assert eigs.min() >= -1e-10
         marginal = partial_trace(red, BipartiteDims(3, 3), "B")
@@ -98,19 +99,19 @@ class TestReducedChannelChoi:
         masker = COPY2_MASKER
         p, q = dephasing(0.2), bit_flip(0.6)
         mix = PauliFourVector(*(0.3 * p.probabilities + 0.7 * q.probabilities))
-        for side in ("A", "B"):
-            red_mix = reduced_channel_choi(masker, mix, side)
-            combo = 0.3 * reduced_channel_choi(masker, p, side) + 0.7 * reduced_channel_choi(masker, q, side)
+        views = [reduced_channel_choi(masker, spec) for spec in (mix, p, q)]
+        for red_mix, red_p, red_q in zip(*views):
+            combo = 0.3 * red_p + 0.7 * red_q
             assert np.linalg.norm(red_mix - combo) <= 1e-10
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            reduced_channel_choi(COPY2_MASKER, identity_channel(3), "A")
+            reduced_channel_choi(COPY2_MASKER, identity_channel(3))
 
     def test_desk_scale_guard(self):
         masker = copy_masker(np.eye(17))
         with pytest.raises(ValueError):
-            reduced_channel_choi(masker, identity_channel(17), "A")
+            reduced_channel_choi(masker, identity_channel(17))
 
 
 class TestVerifyMasking:
@@ -222,7 +223,7 @@ class TestChoiConventionAgreement:
         fam = gate_family(random_unitary(2, rng), random_unitary(2, rng))
         masker = copy_masker(decide_gate_family(fam).certificate.copy_rows(fam))
         spec = dephasing(0.3)
-        red = reduced_channel_choi(masker, spec, "B")
+        red = reduced_channel_choi(masker, spec)[0]
 
         kraus = to_kraus(spec)
         expected = np.zeros((4, 4), dtype=complex)
@@ -250,7 +251,7 @@ def _member(kind: str, din: int, rng: np.random.Generator, p=None):
 
 
 class TestBasisLoopAgainstOracle:
-    """The basis-operator loop of ``reduced_channel_choi`` against a full Choi matrix and a partial trace."""
+    """Both views from the basis-operator loop of ``reduced_channel_choi`` against a full Choi matrix."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -259,10 +260,9 @@ class TestBasisLoopAgainstOracle:
         dim_a=st.sampled_from([2, 3]),
         extra=st.integers(0, 1),
         swap=st.booleans(),
-        side=st.sampled_from(["A", "B"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_random_isometry_masker(self, din, kind, dim_a, extra, swap, side, seed):
+    def test_random_isometry_masker(self, din, kind, dim_a, extra, swap, seed):
         rng = np.random.default_rng(seed)
         spec = _member(kind, din, rng)
         dout = spec.out_size if kind == "classical" else din
@@ -272,8 +272,8 @@ class TestBasisLoopAgainstOracle:
         if swap:
             dim_a, dim_b = dim_b, dim_a
         masker = Masker(random_isometry(rng, dim_a * dim_b, dout), BipartiteDims(dim_a, dim_b))
-        red = reduced_channel_choi(masker, spec, side)
-        assert np.abs(red - brute_force_reduced_choi(masker, spec, side)).max() <= 1e-12
+        for red, side in zip(reduced_channel_choi(masker, spec), ("B", "A")):
+            assert np.abs(red - brute_force_reduced_choi(masker, spec, side)).max() <= 1e-12
 
     @pytest.mark.parametrize("dim", [8, 16])
     def test_gate_masker_passes_and_random_isometry_fails(self, dim):
@@ -295,6 +295,56 @@ class TestBasisLoopAgainstOracle:
             assert abs(deviation - expected) <= 1e-12
 
 
+class TestKrausOracle:
+    """The Kraus-form oracle against the full Choi matrix and a partial trace, for both views."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        din=st.integers(1, 6),
+        kind=st.sampled_from(["unitary", "kraus", "depolarized", "classical"]),
+        dim_a=st.integers(1, 4),
+        dim_b=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_full_choi_matrix(self, din, kind, dim_a, dim_b, seed):
+        rng = np.random.default_rng(seed)
+        spec = _member(kind, din, rng)
+        dout = spec.out_size if kind == "classical" else din
+        while dim_a * dim_b < dout:
+            dim_b += 1
+        masker = Masker(random_isometry(rng, dim_a * dim_b, dout), BipartiteDims(dim_a, dim_b))
+        for view, side in zip(kraus_reduced_chois(masker, spec), ("B", "A")):
+            assert np.abs(view - brute_force_reduced_choi(masker, spec, side)).max() <= 1e-12
+
+
+class TestOnePassOverTheBasis:
+    def test_each_basis_operator_goes_through_the_channel_once(self, monkeypatch):
+        # A dense masker on 2 x 3 takes the general route, and A and B see
+        # maps of different sizes, so a swap of the two views shows.
+        rng = np.random.default_rng(21)
+        din, dims = 5, BipartiteDims(2, 3)
+        members = [random_kraus_channel(rng, din, din, 3) for _ in range(3)]
+        masker = Masker(random_isometry(rng, dims.total, din), dims)
+        calls = []
+        apply = verify.apply
+
+        def counted(spec, op):
+            calls.append(spec)
+            return apply(spec, op)
+
+        monkeypatch.setattr(verify, "apply", counted)
+        report = verify_masking(masker, members, 1e-9)
+        assert len(calls) == din**2 * len(members)
+        expected_a, expected_b = _oracle_deviations(masker, members, kraus_reduced_chois)
+        assert abs(expected_a - expected_b) > 1e-3
+        assert abs(report.max_deviation_a - expected_a) <= 1e-12
+        assert abs(report.max_deviation_b - expected_b) <= 1e-12
+        seen_by_a, seen_by_b = reduced_channel_choi(masker, members[0])
+        oracle_a, oracle_b = kraus_reduced_chois(masker, members[0])
+        assert np.abs(seen_by_a - oracle_a).max() <= 1e-12
+        assert np.abs(seen_by_b - oracle_b).max() <= 1e-12
+
+
 def _expand(blocks: np.ndarray) -> np.ndarray:
     """The reduced Choi matrix whose only nonzero entries ``[(i,k),(j,k)]`` are ``blocks[k][i, j]``."""
     d, din, _ = blocks.shape
@@ -304,11 +354,22 @@ def _expand(blocks: np.ndarray) -> np.ndarray:
     return full.reshape(din * d, din * d)
 
 
-def _oracle_deviations(masker, members, oracle=brute_force_reduced_choi) -> tuple:
-    """Worst pairwise deviation seen by A and by B, from reduced Choi matrices computed by ``oracle``."""
+def _independent_views(masker, spec) -> tuple:
+    """``(seen_by_a, seen_by_b)`` from neither route of ``verify``.
+
+    Up to input dimension 8 they come from the full Choi matrix and a partial
+    trace; above, that matrix is too large (268 MB at 16), and they come
+    from the Kraus operators instead.
+    """
+    if channel_dims(spec)[0] <= 8:
+        return brute_force_reduced_choi(masker, spec, "B"), brute_force_reduced_choi(masker, spec, "A")
+    return kraus_reduced_chois(masker, spec)
+
+
+def _oracle_deviations(masker, members, oracle=_independent_views) -> tuple:
+    """Worst pairwise deviation seen by A and by B, from the ``(seen_by_a, seen_by_b)`` pairs of ``oracle``."""
     out = []
-    for side in ("B", "A"):
-        chois = [oracle(masker, spec, side) for spec in members]
+    for chois in zip(*(oracle(masker, spec) for spec in members)):
         out.append(max(np.linalg.norm(chois[i] - chois[j])
                        for i in range(len(chois)) for j in range(i + 1, len(chois))))
     return tuple(out)
@@ -319,9 +380,9 @@ def _count_general_route(monkeypatch) -> list:
     calls = []
     general = verify.reduced_channel_choi
 
-    def counted(masker, spec, side):
-        calls.append(side)
-        return general(masker, spec, side)
+    def counted(masker, spec):
+        calls.append(spec)
+        return general(masker, spec)
 
     monkeypatch.setattr(verify, "reduced_channel_choi", counted)
     return calls
@@ -347,17 +408,14 @@ class TestCopyMaskerClosedForm:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_blocks_match_the_reduced_choi_matrices(self, din, kind, p, extra_row, seed):
-        # Above dimension 8 the oracle's full Choi matrix is too large (268 MB
-        # at 16), so the basis-operator loop of reduced_channel_choi stands in for it.
         rng = np.random.default_rng(seed)
         spec = _member(kind, din, rng, p)
         dout = spec.out_size if kind == "classical" else din
         rows = random_isometry(rng, dout + extra_row, dout)
         masker = copy_masker(rows)
         closed = _expand(_copy_choi_blocks(rows, spec))
-        oracle = brute_force_reduced_choi if din <= 8 else reduced_channel_choi
-        for side in ("A", "B"):
-            assert np.abs(closed - oracle(masker, spec, side)).max() <= 1e-12
+        for view in _independent_views(masker, spec):
+            assert np.abs(closed - view).max() <= 1e-12
 
     @pytest.mark.parametrize("dim", [8, 16])
     def test_copy_masker_takes_the_closed_form(self, dim, monkeypatch):
@@ -380,17 +438,14 @@ class TestClosedFormCannotBeFooled:
 
     @pytest.mark.parametrize("dim", [8, 16])
     def test_leaking_row_takes_the_general_route(self, dim, monkeypatch):
-        # At 16 the oracle's full Choi matrix would take 268 MB; the
-        # basis-operator loop computes the same matrices one block at a time.
-        reference = brute_force_reduced_choi if dim <= 8 else verify._reduced_choi_by_basis
         rng = np.random.default_rng(100 + dim)
         members = list(random_commuting_family(rng, dim, 3))
         edited = _leak_off_copy_row(copy_masker(decide_gate_family(members).certificate.copy_rows(members)))
         calls = _count_general_route(monkeypatch)
         report = verify_masking(edited, members, 1e-9)
-        assert len(calls) == 2 * len(members)
+        assert len(calls) == len(members)
         assert not report.passed
-        expected_a, expected_b = _oracle_deviations(edited, members, reference)
+        expected_a, expected_b = _oracle_deviations(edited, members)
         assert abs(report.max_deviation_a - expected_a) <= 1e-12
         assert abs(report.max_deviation_b - expected_b) <= 1e-12
 
@@ -413,7 +468,7 @@ class TestClosedFormCannotBeFooled:
         masker = Masker(matrix, BipartiteDims(dim, dim + 1))
         calls = _count_general_route(monkeypatch)
         report = verify_masking(masker, members, 1e-9)
-        assert len(calls) == 2 * len(members)
+        assert len(calls) == len(members)
         expected_a, expected_b = _oracle_deviations(masker, members)
         assert abs(report.max_deviation_a - expected_a) <= 1e-12
         assert abs(report.max_deviation_b - expected_b) <= 1e-12
