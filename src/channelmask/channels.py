@@ -5,7 +5,7 @@ matrix, a Kraus operator list, a Pauli probability four-vector, a classical
 column-stochastic matrix, or a unitary mixed with depolarizing noise.  The
 module converts between them, evaluates channels on operators, computes Choi
 matrices, and analyzes the affine action of qubit channels on Bloch vectors
-(unitality, pure fixed points).
+(the shift that measures unitality, pure fixed points).
 """
 
 from __future__ import annotations
@@ -315,15 +315,6 @@ def bloch_affine(spec: ChannelSpec) -> BlochAffine:
     if residue > 1e-10:
         raise ValueError(f"Bloch action has imaginary residue {residue}; channel is not Hermiticity preserving")
     return BlochAffine(a.real.copy(), b.real.copy())
-
-
-def is_unital(spec: ChannelSpec, tol: float = DECISION_TOL) -> bool:
-    """True iff the channel maps the identity to the identity within ``tol``."""
-    din, dout = channel_dims(spec)
-    if din != dout:
-        raise ValueError("unitality is defined only for equal input/output dimensions")
-    image = apply(spec, np.eye(din, dtype=complex))
-    return bool(np.linalg.norm(image - np.eye(dout)) <= tol)
 
 
 def _canonical_direction(v: np.ndarray) -> np.ndarray:

@@ -159,14 +159,13 @@ def cluster_phases(phases) -> list[np.ndarray]:
     return clusters
 
 
-def _offdiagonal_mass(w: np.ndarray, basis: np.ndarray) -> float:
-    d = basis.conj().T @ w @ basis
-    return float(np.linalg.norm(d - np.diag(np.diag(d))))
+def _offdiagonal_masses(ws, basis: np.ndarray) -> np.ndarray:
+    d = basis.conj().T @ ws @ basis
+    return np.linalg.norm(d - d * np.eye(basis.shape[1]), axis=(1, 2))
 
 
-def _diagonalizes_all(ws: list[np.ndarray], basis: np.ndarray, tol: float) -> bool:
-    dim = basis.shape[0]
-    return all(_offdiagonal_mass(w, basis) <= tol * dim for w in ws)
+def _diagonalizes_all(ws, basis: np.ndarray, tol: float) -> bool:
+    return bool(np.all(_offdiagonal_masses(ws, basis) <= tol * basis.shape[0]))
 
 
 def _phase_clusters(block: np.ndarray):
@@ -190,9 +189,9 @@ def _refine_subspaces(ws: list[np.ndarray], cols: np.ndarray) -> np.ndarray:
     return np.hstack([_refine_subspaces(ws[1:], cols @ piece) for piece in _phase_clusters(block)])
 
 
-def _canonical_column_order(ws: list[np.ndarray], basis: np.ndarray) -> np.ndarray:
-    # Sort columns by the tuple of clustered eigenphases across the family so
-    # the basis order does not depend on the random combination drawn.
+def _canonical_basis(ws, basis: np.ndarray) -> np.ndarray:
+    # Sort columns by the tuple of clustered eigenphases across the family, so
+    # the order does not depend on the combination drawn, and fix their phases.
     dim = basis.shape[1]
     keys = np.zeros((len(ws), dim), dtype=np.intp)
     for row, w in enumerate(ws):
@@ -202,7 +201,36 @@ def _canonical_column_order(ws: list[np.ndarray], basis: np.ndarray) -> np.ndarr
         reps = [float(np.angle(np.mean(np.exp(1j * phases[idx])))) for idx in clusters]
         for ordinal, c in enumerate(np.argsort(reps, kind="stable")):
             keys[row, clusters[c]] = ordinal
-    return basis[:, np.lexsort(keys[::-1])]
+    return fix_column_phases(basis[:, np.lexsort(keys[::-1])])
+
+
+class NoCommonBasisError(ValueError):
+    """No basis diagonalizes every member; ``residual`` is the largest off-diagonal mass left by refinement."""
+
+    def __init__(self, residual: float) -> None:
+        super().__init__("no basis diagonalizes every member within tolerance")
+        self.residual = residual
+
+
+def _check_unitary(stack: np.ndarray) -> np.ndarray:
+    # A fixed bound, not tol: gates are unitary within 1e-10, so a relative
+    # gate U_i^dag U_j is within about 2e-10.
+    off = np.linalg.norm(stack.conj().transpose(0, 2, 1) @ stack - np.eye(stack.shape[1]), axis=(1, 2)) > 1e-9
+    if off.any():
+        raise ValueError(f"ws[{off.argmax()}] is not unitary within 1e-9")
+    return stack
+
+
+def _combination_bases(ws: np.ndarray, seed: int):
+    """For each draw, the eigenbasis of a random Hermitian combination of ``ws``, and
+    each member's off-diagonal mass in that basis."""
+    rng = np.random.default_rng(seed)
+    for _ in range(_MAX_COMBINATION_DRAWS):
+        h = np.zeros(ws.shape[1:], dtype=complex)
+        for w, (alpha, beta) in zip(ws, rng.uniform(-1.0, 1.0, size=(len(ws), 2))):
+            h += alpha * (w + w.conj().T) + beta * 1j * (w - w.conj().T)
+        basis = np.linalg.eigh(h)[1]
+        yield basis, _offdiagonal_masses(ws, basis)
 
 
 def simultaneous_eigenbasis(ws, tol: float = DECISION_TOL, seed: int = 0) -> np.ndarray:
@@ -213,7 +241,8 @@ def simultaneous_eigenbasis(ws, tol: float = DECISION_TOL, seed: int = 0) -> np.
     whole family in one shot.  The result is always verified, which is also
     the only commutation test; degenerate draws are retried with fresh
     coefficients, and if every draw fails the basis is built
-    deterministically by recursive eigenspace refinement.
+    deterministically by recursive eigenspace refinement.  If that fails
+    too, :class:`NoCommonBasisError` carries its residual.
 
     Parameters
     ----------
@@ -235,27 +264,14 @@ def simultaneous_eigenbasis(ws, tol: float = DECISION_TOL, seed: int = 0) -> np.
     if not mats:
         raise ValueError("need at least one matrix")
     dim = mats[0].shape[0]
-    for i, w in enumerate(mats):
-        if w.shape != (dim, dim):
-            raise ValueError("all matrices must be square with equal dimension")
-        # A fixed bound, not tol: gates are unitary within 1e-10, so a
-        # relative gate U_i^dag U_j is within about 2e-10.
-        if not is_isometry(w, 1e-9):
-            raise ValueError(f"ws[{i}] is not unitary within 1e-9")
-
-    rng = np.random.default_rng(seed)
-    basis = None
-    for _ in range(_MAX_COMBINATION_DRAWS):
-        h = np.zeros((dim, dim), dtype=complex)
-        for w in mats:
-            alpha, beta = rng.uniform(-1.0, 1.0, size=2)
-            h += alpha * (w + w.conj().T) + beta * 1j * (w - w.conj().T)
-        _, candidate = np.linalg.eigh(h)
-        if _diagonalizes_all(mats, candidate, tol):
-            basis = candidate
-            break
+    if any(w.shape != (dim, dim) for w in mats):
+        raise ValueError("all matrices must be square with equal dimension")
+    stack = _check_unitary(np.array(mats))
+    bound = tol * dim
+    basis = next((b for b, masses in _combination_bases(stack, seed) if masses.max() <= bound), None)
     if basis is None:
         basis = _refine_subspaces(mats, np.eye(dim, dtype=complex))
-        if not _diagonalizes_all(mats, basis, tol):
-            raise ValueError("no basis diagonalizes every member within tolerance")
-    return fix_column_phases(_canonical_column_order(mats, basis))
+        residual = float(_offdiagonal_masses(stack, basis).max())
+        if residual > bound:
+            raise NoCommonBasisError(residual)
+    return _canonical_basis(stack, basis)

@@ -1,4 +1,6 @@
-"""Shared random-instance generators for the test suite."""
+"""Shared random-instance generators and reference oracles for the test suite."""
+
+import itertools
 
 import numpy as np
 
@@ -11,8 +13,8 @@ from channelmask.channels import (
     rotation_about,
     to_kraus,
 )
-from channelmask.linalg import commutator_norm, random_unitary
-from channelmask.masking import Masker
+from channelmask.linalg import commutator_norm, random_unitary, simultaneous_eigenbasis
+from channelmask.masking import CommonEigenbasis, Masker, MaskingDecision, NoncommutingPair, Trivial
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -118,3 +120,21 @@ def kraus_reduced_chois(masker: Masker, spec) -> tuple:
     w_a = v.transpose(3, 1, 0, 2).reshape(din * da, -1)
     w_b = v.transpose(3, 2, 0, 1).reshape(din * db, -1)
     return w_a @ w_a.conj().T, w_b @ w_b.conj().T
+
+
+def pair_loop_gate_decision(us: list, tol: float, seed: int) -> MaskingDecision:
+    """Oracle for ``masking._decide_gates``: every pairwise commutator of the relative gates, one by one.
+
+    The first worst pair (in ``itertools.combinations`` order) refuses when
+    its norm exceeds ``tol * d``; otherwise the certificate is
+    ``simultaneous_eigenbasis`` of the relative gates.
+    """
+    if len(us) == 1:
+        return MaskingDecision(True, certificate=Trivial())
+    ws = [us[0].conj().T @ u for u in us[1:]]  # ws[k - 1] belongs to family position k
+    pairs = itertools.combinations(range(1, len(us)), 2)
+    norm, i, j = max(((commutator_norm(ws[a - 1], ws[b - 1]), a, b) for a, b in pairs),
+                     key=lambda t: t[0], default=(0.0, 0, 0))
+    if norm > tol * us[0].shape[0]:
+        return MaskingDecision(False, witness=NoncommutingPair(i, j, norm))
+    return MaskingDecision(True, certificate=CommonEigenbasis(simultaneous_eigenbasis(ws, tol, seed)))

@@ -1,14 +1,17 @@
 """The public surface stays in step with the code: README's library example
-runs, every name in ``channelmask.__all__`` resolves and appears once, and no
-module imports a name it never uses."""
+runs, every name in ``channelmask.__all__`` resolves and appears once, no
+module imports a name it never uses, and every function the benchmark's
+tracer wraps is where the tracer looks it up."""
 
 import ast
 import re
 from pathlib import Path
 
 import channelmask
+from channelmask import channels, cli, linalg, masking, verify
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PACKAGE = Path(channelmask.__file__).resolve().parent
 
 
@@ -45,3 +48,22 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {path.name: _unused_imports(ast.parse(path.read_text(), str(path)))
               for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_the_benchmark_tracer_finds_every_hook_and_puts_it_back(monkeypatch):
+    # perfbench/pipeline.instrument patches module attributes with getattr, so
+    # a rename in the program would make a traced benchmark run raise
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import pipeline
+    import tracing
+
+    modules = (channels, cli, linalg, masking, verify)
+    before = [dict(vars(m)) for m in modules]
+    gate_hooks = (masking.commutator_norm, masking.simultaneous_eigenbasis)
+    tracer = tracing.Tracer()
+    pipeline.instrument(tracer)
+    try:
+        assert (masking.commutator_norm, masking.simultaneous_eigenbasis) != gate_hooks
+    finally:
+        tracer.uninstall()
+    assert [dict(vars(m)) for m in modules] == before

@@ -23,13 +23,13 @@ from channelmask.channels import (
     dephasing_about,
     depolarizing,
     identity_channel,
-    is_unital,
     pure_fixed_points,
     rotation_about,
     random_classical_channel,
     to_kraus,
 )
-from channelmask.linalg import random_unitary
+from channelmask.linalg import DECISION_TOL, random_unitary
+from channelmask.masking import _unital
 
 from helpers import random_axis, random_density, random_kraus_channel
 
@@ -216,13 +216,13 @@ class TestUnitalityAndFixedPoints:
         rng = np.random.default_rng(7)
         for _ in range(5):
             p = rng.dirichlet(np.ones(4))
-            assert is_unital(PauliFourVector(*p))
+            assert _unital(bloch_affine(PauliFourVector(*p)), DECISION_TOL)
 
     def test_amplitude_damping_not_unital(self):
-        assert not is_unital(amplitude_damping(0.3))
+        assert not _unital(bloch_affine(amplitude_damping(0.3)), DECISION_TOL)
 
     def test_unitary_unital(self):
-        assert is_unital(Unitary(HADAMARD))
+        assert _unital(bloch_affine(Unitary(HADAMARD)), DECISION_TOL)
 
     def test_dephasing_fixed_axis(self):
         fixed = pure_fixed_points(dephasing(0.25))

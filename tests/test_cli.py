@@ -135,6 +135,22 @@ class TestDecide:
                               [{"type": "unitary", "matrix": _matrix_json(u)} for u in us])
         assert main(["decide", "--tol", "1e-11", family]) == EXIT_OK
 
+    def test_commuting_pairs_without_a_common_basis_are_refused(self, tmp_path, capsys):
+        # {I, diag(1, e^{i eta}), exp(i delta X)}, eta = delta = 1e-4: the one
+        # commutator, 1.4e-8, is within tol * d = 2e-8, but no basis
+        # diagonalizes both relative gates within it
+        eta = delta = 1e-4
+        x = np.array([[0, 1], [1, 0]])
+        gates = [np.eye(2), np.diag([1, np.exp(1j * eta)]), np.cos(delta) * np.eye(2) + 1j * np.sin(delta) * x]
+        family = write_family(tmp_path / "near.json", "gate",
+                              [{"type": "unitary", "matrix": _matrix_json(u)} for u in gates])
+        assert main(["decide", "--json", family]) == EXIT_NEGATIVE
+        witness = json.loads(capsys.readouterr().out)["witness"]
+        assert witness["type"] == "no_common_basis" and witness["residual"] > 2 * DECISION_TOL
+        out = tmp_path / "masker.json"
+        assert main(["synthesize", family, "-o", str(out)]) == EXIT_NEGATIVE
+        assert not out.exists()
+
     def test_bad_version_exit_2(self, tmp_path, capsys):
         path = tmp_path / "v2.json"
         path.write_text(json.dumps({"version": "2", "kind": "gate", "members": []}))

@@ -18,7 +18,14 @@ from channelmask.channels import (
     identity_channel,
     random_classical_channel,
 )
-from channelmask.linalg import BipartiteDims, is_isometry, random_unitary
+from channelmask import masking
+from channelmask.linalg import (
+    BipartiteDims,
+    commutator_norm,
+    is_isometry,
+    random_unitary,
+    simultaneous_eigenbasis,
+)
 from channelmask.masking import (
     CommonEigenbasis,
     FixedPointAxis,
@@ -110,6 +117,26 @@ class TestDecideGateFamily:
                 swapped[0], swapped[k] = swapped[k], swapped[0]
                 verdicts.add(decide_gate_family(tuple(swapped)).maskable)
             assert len(verdicts) == 1
+
+    def test_screened_family_computes_no_commutator(self, monkeypatch):
+        # a maskable n = 32 family passes the screen with the first draw; a
+        # Haar family recomputes only the pairs whose batched norm ties the worst
+        calls = {"commutator_norm": 0, "simultaneous_eigenbasis": 0}
+
+        def spy(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        for name, fn in (("commutator_norm", commutator_norm), ("simultaneous_eigenbasis", simultaneous_eigenbasis)):
+            monkeypatch.setattr(masking, name, spy(name, fn))
+        rng = np.random.default_rng(4)
+        assert decide_gate_family(random_commuting_family(rng, 16, 32)).maskable
+        assert calls == {"commutator_norm": 0, "simultaneous_eigenbasis": 0}
+        decision = decide_gate_family(gate_family(*(random_unitary(16, rng) for _ in range(32))))
+        assert isinstance(decision.witness, NoncommutingPair)
+        assert 1 <= calls["commutator_norm"] <= 5
 
     def test_pre_post_invariance(self):
         rng = np.random.default_rng(2)
@@ -213,6 +240,8 @@ class TestGateMembers:
         assert_allclose(cert.copy_rows(depolarized_family(0.3, SIGMA_X, SIGMA_X @ SIGMA_Z)),
                         cert.copy_rows(gate_family(SIGMA_X, SIGMA_X @ SIGMA_Z)), atol=0)
         assert_allclose(Trivial().copy_rows(depolarized_family(0.3, SIGMA_X)), SIGMA_X.conj().T, atol=0)
+        # one member leaves no relative gate to diagonalize
+        assert_allclose(CommonEigenbasis(I2).copy_rows(gate_family(SIGMA_X)), SIGMA_X.conj().T, atol=0)
         assert_allclose(Trivial().copy_rows([PauliFourVector(1, 0, 0, 0)]), I2, atol=0)
 
 

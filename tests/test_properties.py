@@ -16,8 +16,14 @@ pair ``{identity, E}``.
 * near the threshold, at any decision tolerance, a family that decides
   maskable gets a masker from its certificate;
 * gates that are unitary within their 1e-10 bound are never refused as
-  non-unitary, at any decision tolerance.
+  non-unitary, at any decision tolerance;
+* the gate decider gives, byte for byte, the decision of the loop over every
+  pair of relative gates, which it screens and batches;
+* the screen's bound ``||[W_a, W_b]|| <= 2 (eps_a + eps_b) + 2 eps_a eps_b``
+  holds, ``eps`` being the off-diagonal masses in any orthonormal basis.
 """
+
+import json
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -36,9 +42,18 @@ from channelmask.channels import (
     pure_fixed_points,
     random_classical_channel,
 )
-from channelmask.cli import DECISION_TOL, FamilyFile, decide_family, family_channels, synthesize_family_masker
-from channelmask.linalg import random_unitary
+from channelmask.cli import (
+    DECISION_TOL,
+    FamilyFile,
+    decide_family,
+    decision_to_dict,
+    family_channels,
+    synthesize_family_masker,
+)
+from channelmask.linalg import NoCommonBasisError, commutator_norm, random_unitary
 from channelmask.masking import (
+    MaskingDecision,
+    NoCommonBasis,
     NoCommonFixedPoint,
     NoConstantAxis,
     NoncommutingPair,
@@ -48,7 +63,13 @@ from channelmask.masking import (
 )
 from channelmask.verify import verify_masking
 
-from helpers import random_axis, random_commuting_family, random_noncommuting_triple, rotation_mixture_channel
+from helpers import (
+    pair_loop_gate_decision,
+    random_axis,
+    random_commuting_family,
+    random_noncommuting_triple,
+    rotation_mixture_channel,
+)
 
 VERIFY_TOL = 1e-9
 
@@ -272,7 +293,65 @@ def test_gates_unitary_within_their_bound_pass_the_unitarity_check_at_any_tolera
     for m in random_commuting_family(rng, dim, size):
         g = rng.standard_normal((dim, dim))
         members.append(Unitary(m.matrix @ (np.eye(dim) + share * 1e-10 / np.linalg.norm(g + g.T) * g)))
+    decide_family(FamilyFile("1", "gate", tuple(members), {}), tol, 0)
+
+
+def _turn(rng, dim: int, angle: float) -> np.ndarray:
+    """``exp(i H)`` for a random Hermitian ``H`` whose eigenvalues reach ``angle`` in modulus."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    values, vectors = np.linalg.eigh(g + g.conj().T)
+    return vectors @ np.diag(np.exp(1j * angle * values / np.abs(values).max())) @ vectors.conj().T
+
+
+def _gate_matrices(rng, kind: str, dim: int, size: int, copies: int) -> list:
+    """``size`` commuting, degenerate (joint eigenspaces of dimension 2), nudged (commuting, each
+    turned off the common eigenbasis by one angle from 1e-11 to 1e-6) or Haar gates, then
+    ``copies`` repeats of members at random places, whose commutator norms tie exactly."""
+    if kind == "haar":
+        us = [random_unitary(dim, rng) for _ in range(size)]
+    else:
+        basis, left = random_unitary(dim, rng), random_unitary(dim, rng)
+        angle = 10.0 ** rng.uniform(-11.0, -6.0)
+        us = []
+        for _ in range(size):
+            phases = rng.uniform(0.0, 2 * np.pi, size=dim)
+            if kind == "degenerate":
+                phases = np.repeat(phases[: (dim + 1) // 2], 2)[:dim]
+            us.append(left @ (basis * np.exp(1j * phases)) @ basis.conj().T)
+            if kind == "nudged":
+                us[-1] = us[-1] @ _turn(rng, dim, angle)
+    for _ in range(copies):
+        us.insert(int(rng.integers(len(us) + 1)), us[int(rng.integers(len(us)))])
+    return us
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["commuting", "degenerate", "nudged", "haar"]), dim=st.integers(2, 16),
+       size=st.integers(2, 37), copies=st.integers(0, 3),
+       tol=st.sampled_from([DECISION_TOL, 1e-12, 1e-14, 1e-15, 1e-16]), seed=st.integers(0, 2**32 - 1))
+def test_gate_decision_is_the_pair_loops_byte_for_byte(kind, dim, size, copies, tol, seed):
+    family = FamilyFile("1", "gate", tuple(Unitary(u) for u in _gate_matrices(
+        np.random.default_rng(seed), kind, dim, size, copies)), {})
     try:
-        decide_family(FamilyFile("1", "gate", tuple(members), {}), tol, 0)
-    except ValueError as exc:  # near the threshold no common eigenbasis may be found (ROADMAP item 2)
-        assert "is not unitary" not in str(exc)
+        expected = pair_loop_gate_decision([m.matrix for m in family.members], tol, 0)
+    except NoCommonBasisError as exc:  # the loop raised where the decider refuses
+        expected = MaskingDecision(False, witness=NoCommonBasis(exc.residual))
+    assert json.dumps(decision_to_dict(decide_family(family, tol, 0))) == json.dumps(decision_to_dict(expected))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(2, 16), size=st.integers(2, 6), decades=st.floats(-14.0, -1.0), seed=st.integers(0, 2**32 - 1))
+def test_commutators_are_bounded_by_the_off_diagonal_masses(dim, size, decades, seed):
+    # commuting unitaries nudged off their common eigenbasis by up to 10**decades
+    rng = np.random.default_rng(seed)
+    basis = random_unitary(dim, rng)
+    ws = [basis @ np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, dim))) @ basis.conj().T
+          @ _turn(rng, dim, 10.0**decades) for _ in range(size)]
+    masses = []
+    for w in ws:
+        d = basis.conj().T @ w @ basis
+        masses.append(np.linalg.norm(d - np.diag(np.diag(d))))
+    for a in range(size):
+        for b in range(a + 1, size):
+            bound = 2 * (masses[a] + masses[b]) + 2 * masses[a] * masses[b]
+            assert commutator_norm(ws[a], ws[b]) <= bound + 1e-12
