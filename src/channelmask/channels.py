@@ -15,11 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .linalg import (
-    DECISION_TOL,
-    as_complex_matrix,
-    is_isometry,
-)
+from .linalg import DECISION_TOL, as_complex_matrix
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -37,7 +33,8 @@ def _check_unitary(m, name: str) -> np.ndarray:
     arr = as_complex_matrix(m, name)
     if arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be square")
-    if not is_isometry(arr, 1e-10):
+    # is_isometry's test, without coercing the array a second time
+    if not np.linalg.norm(arr.conj().T @ arr - np.eye(arr.shape[0])) <= 1e-10:
         raise ValueError(f"{name} is not unitary within 1e-10")
     return arr
 

@@ -58,7 +58,7 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(m, dtype=complex)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be two-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -93,12 +93,12 @@ def partial_trace(m, dims: BipartiteDims, side: str) -> np.ndarray:
 def fix_column_phases(m) -> np.ndarray:
     """Rotate each column so its first non-negligible entry is real positive."""
     out = np.array(m, dtype=complex, copy=True)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.flatnonzero(np.abs(col) > _PHASE_FLOOR)
-        if nz.size:
-            pivot = col[nz[0]]
-            out[:, j] = col * (abs(pivot) / pivot)
+    big = np.abs(out) > _PHASE_FLOOR
+    cols = np.flatnonzero(big.any(axis=0))
+    pivots = out[big.argmax(axis=0)[cols], cols]
+    # Bit for bit the scalar abs(pivot) / pivot times each column: hypot is
+    # abs to the bit (np.abs is not), and each column meets its scale as a scalar.
+    out[:, cols] = (out[:, cols].T * (np.hypot(pivots.real, pivots.imag) / pivots)[:, None]).T
     return out
 
 
@@ -192,15 +192,34 @@ def _refine_subspaces(ws: list[np.ndarray], cols: np.ndarray) -> np.ndarray:
 def _canonical_basis(ws, basis: np.ndarray) -> np.ndarray:
     # Sort columns by the tuple of clustered eigenphases across the family, so
     # the order does not depend on the combination drawn, and fix their phases.
-    dim = basis.shape[1]
-    keys = np.zeros((len(ws), dim), dtype=np.intp)
-    for row, w in enumerate(ws):
-        diag = np.einsum("ji,jk,ki->i", basis.conj(), w, basis)
-        phases = np.angle(diag)
-        clusters = cluster_phases(phases)
-        reps = [float(np.angle(np.mean(np.exp(1j * phases[idx])))) for idx in clusters]
-        for ordinal, c in enumerate(np.argsort(reps, kind="stable")):
-            keys[row, clusters[c]] = ordinal
+    # cluster_phases of every gate's eigenphases at once.  The diagonals come
+    # from einsum, not a matmul, whose round-off can move a lone eigenphase
+    # at +-pi from the last column to the first.
+    n, dim = len(ws), basis.shape[1]
+    phases = np.angle(np.einsum("ji,njk,ki->ni", basis.conj(), ws, basis))
+    order = np.argsort(phases, axis=1, kind="stable")
+    s = np.take_along_axis(phases, order, axis=1)
+    seg = np.hstack((np.zeros((n, 1), dtype=np.intp), np.cumsum(np.diff(s, axis=1) > PHASE_GAP, axis=1)))
+    last = seg[:, -1:]
+    wrap = (last > 0) & (s[:, :1] + 2 * np.pi - s[:, -1:] <= PHASE_GAP)
+    # A wrap-around row starts with its last cluster, which joins its first.
+    roll = (np.arange(dim) - np.where(wrap, (seg == last).sum(axis=1, keepdims=True), 0)) % dim
+    order, seg = np.take_along_axis(order, roll, axis=1), np.take_along_axis(seg, roll, axis=1)
+    seg = np.where(wrap & (seg == last), 0, seg)
+    # Each cluster's mean in cluster_phases' member order, one size at a time,
+    # then its rank in its row by the angle of the mean, ties by position.
+    starts = np.hstack((np.ones((n, 1), dtype=bool), seg[:, 1:] != seg[:, :-1])).ravel()
+    first = np.flatnonzero(starts)
+    sizes = np.diff(first, append=n * dim)
+    z = np.exp(1j * np.take_along_axis(phases, order, axis=1)).ravel()
+    means = np.empty(first.size, dtype=complex)
+    for size in set(sizes.tolist()):
+        pick = sizes == size
+        means[pick] = z[first[pick, None] + np.arange(size)].mean(axis=1)
+    rank = np.empty(first.size, dtype=np.intp)
+    rank[np.lexsort((np.angle(means), first // dim))] = np.arange(first.size)
+    keys = np.empty((n, dim), dtype=np.intp)
+    np.put_along_axis(keys, order, rank[np.cumsum(starts) - 1].reshape(n, dim), axis=1)
     return fix_column_phases(basis[:, np.lexsort(keys[::-1])])
 
 

@@ -399,10 +399,12 @@ def _decide_gates(us: list[np.ndarray], tol: float, seed: int) -> MaskingDecisio
         return _maskable(Trivial())
     ws = _check_unitary(_relative_gates(us, 0))  # ws[k - 1] belongs to family position k
     bound = tol * us[0].shape[0]
-    first, masses = next(_combination_bases(ws, seed))
-    eps = masses.max()
-    if 4 * eps + 2 * eps * eps <= bound:  # ||[W_a, W_b]|| <= 2 (eps_a + eps_b) + 2 eps_a eps_b <= bound
-        return _maskable(CommonEigenbasis(_canonical_basis(ws, first), reference_index=0))
+    # A pair over the bound fails the screen too, so its draw is not spent.
+    if len(ws) == 1 or np.linalg.norm(ws[0] @ ws[1] - ws[1] @ ws[0]) <= bound:
+        first, masses = next(_combination_bases(ws, seed))
+        eps = masses.max()
+        if 4 * eps + 2 * eps * eps <= bound:  # ||[W_a, W_b]|| <= 2 (eps_a + eps_b) + 2 eps_a eps_b <= bound
+            return _maskable(CommonEigenbasis(_canonical_basis(ws, first), reference_index=0))
     # Commutator norms one row of pairs at a time, never an (n, n, d, d) array;
     # the pairs within 1e-9 of the worst are recomputed by commutator_norm, so
     # the first worst pair and its norm are the pair loop's to the bit.
@@ -425,8 +427,9 @@ def decide_gate_family(members, tol: float = DECISION_TOL, seed: int = 0) -> Mas
     The gates relative to the first member, ``W_n = U_1^dag U_n``, are
     screened with the first draw of :func:`simultaneous_eigenbasis`: if it
     leaves off-diagonal masses ``eps`` with ``4 eps + 2 eps^2 <= tol * d``,
-    every commutator passes and that draw is the certificate.  Otherwise the
-    first worst commutator norm decides; a family whose pairs pass with no
+    every commutator passes and that draw is the certificate (a family whose
+    first two relative gates fail skips the draw).  Otherwise the first worst
+    commutator norm decides; a family whose pairs pass with no
     common eigenbasis within tolerance is refused with the residual.
     """
     return _decide_gates([m.matrix for m in gate_members(members)], tol, seed)

@@ -13,7 +13,7 @@ from channelmask.channels import (
     rotation_about,
     to_kraus,
 )
-from channelmask.linalg import commutator_norm, random_unitary, simultaneous_eigenbasis
+from channelmask.linalg import _PHASE_FLOOR, cluster_phases, commutator_norm, random_unitary, simultaneous_eigenbasis
 from channelmask.masking import CommonEigenbasis, Masker, MaskingDecision, NoncommutingPair, Trivial
 
 
@@ -138,3 +138,30 @@ def pair_loop_gate_decision(us: list, tol: float, seed: int) -> MaskingDecision:
     if norm > tol * us[0].shape[0]:
         return MaskingDecision(False, witness=NoncommutingPair(i, j, norm))
     return MaskingDecision(True, certificate=CommonEigenbasis(simultaneous_eigenbasis(ws, tol, seed)))
+
+
+def loop_fix_column_phases(m) -> np.ndarray:
+    """Oracle for ``linalg.fix_column_phases``: one column at a time, the pivot's modulus by ``abs``."""
+    out = np.array(m, dtype=complex, copy=True)
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        nz = np.flatnonzero(np.abs(col) > _PHASE_FLOOR)
+        if nz.size:
+            pivot = col[nz[0]]
+            out[:, j] = col * (abs(pivot) / pivot)
+    return out
+
+
+def loop_canonical_basis(ws, basis: np.ndarray) -> np.ndarray:
+    """Oracle for ``linalg._canonical_basis``: one relative gate, one ``cluster_phases``
+    and one ``np.mean`` per eigenphase cluster at a time."""
+    dim = basis.shape[1]
+    keys = np.zeros((len(ws), dim), dtype=np.intp)
+    for row, w in enumerate(ws):
+        diag = np.einsum("ji,jk,ki->i", basis.conj(), w, basis)
+        phases = np.angle(diag)
+        clusters = cluster_phases(phases)
+        reps = [float(np.angle(np.mean(np.exp(1j * phases[idx])))) for idx in clusters]
+        for ordinal, c in enumerate(np.argsort(reps, kind="stable")):
+            keys[row, clusters[c]] = ordinal
+    return loop_fix_column_phases(basis[:, np.lexsort(keys[::-1])])

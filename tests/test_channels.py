@@ -293,6 +293,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             Unitary(np.diag([1.0, 0.5]))
 
+    @pytest.mark.parametrize("matrix, message", [
+        (np.array([[np.nan, 0], [0, 1]]), "unitary matrix contains non-finite entries"),
+        (np.array([[1, 0], [0, complex(0, np.inf)]]), "unitary matrix contains non-finite entries"),
+        (np.ones((2, 3)), "unitary matrix must be square"),
+        (np.array([[1e200, 1e200], [1e200, -1e200]]), r"unitary matrix is not unitary within 1e-10"),  # NaN Gram
+        (np.diag([1.0, 1.0 + 2e-10]), r"unitary matrix is not unitary within 1e-10"),
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_unitary_check_messages(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            Unitary(matrix)
+
     def test_depolarized_rejects_bad_probability(self):
         with pytest.raises(ValueError):
             DepolarizedUnitary(1.5, SIGMA_X)

@@ -5,10 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import channelmask
 from channelmask.linalg import (
+    PHASE_GAP,
     BipartiteDims,
     cluster_phases,
     commutator_norm,
@@ -20,9 +23,9 @@ from channelmask.linalg import (
     simultaneous_eigenbasis,
     tensor,
 )
-from channelmask.linalg import _refine_subspaces, _diagonalizes_all
+from channelmask.linalg import _PHASE_FLOOR, _canonical_basis, _combination_bases, _diagonalizes_all, _refine_subspaces
 
-from helpers import random_noncommuting_triple
+from helpers import loop_canonical_basis, loop_fix_column_phases, random_noncommuting_triple
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -255,6 +258,60 @@ class TestPhaseHelpers:
     def test_cluster_separated(self):
         clusters = cluster_phases(np.array([0.0, 1.0, 1.0 + 1e-12]))
         assert len(clusters) == 2
+
+
+# Eigenphases that stress the clustering: exactly +-pi, pi -+ 1e-12 (a cluster
+# across the wrap-around), and within 1e-9 of a PHASE_GAP break from 0.3.
+SPECIAL_PHASES = [np.pi, -np.pi, np.pi - 1e-12, -np.pi + 1e-12, np.pi - 0.4 * PHASE_GAP, -np.pi + 0.4 * PHASE_GAP,
+                  0.3, 0.3 + PHASE_GAP - 1e-9, 0.3 + PHASE_GAP + 1e-9, 0.3 - PHASE_GAP + 1e-9, 0.3 + 1e-12]
+PHASE = st.one_of(st.floats(-np.pi, np.pi), st.sampled_from(SPECIAL_PHASES))
+# Moduli around the phase floor, zeros of either sign, and ordinary entries.
+MODULUS = st.one_of(st.sampled_from([0.0, -0.0, 1e-12, _PHASE_FLOOR, np.nextafter(_PHASE_FLOOR, 1),
+                                     np.nextafter(_PHASE_FLOOR, 0), 2e-8]), st.floats(1e-6, 2.0))
+
+
+class TestBatchedAgainstLoop:
+    """``_canonical_basis`` and ``fix_column_phases`` give the loop oracles' bytes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(dim=st.integers(1, 12), size=st.integers(1, 6), data=st.data(),
+           basis_kind=st.sampled_from(["identity", "exact", "draw"]), seed=st.integers(0, 2**32 - 1))
+    def test_canonical_basis(self, dim, size, data, basis_kind, seed):
+        # commuting stacks V diag(e^{i phi}) V^dag; a few distinct phases make them degenerate
+        rng = np.random.default_rng(seed)
+        palette = data.draw(st.lists(PHASE, min_size=1, max_size=dim + 1))
+        phases = np.array(data.draw(st.lists(st.lists(st.sampled_from(palette), min_size=dim, max_size=dim),
+                                             min_size=size, max_size=size)))
+        v = np.eye(dim, dtype=complex) if basis_kind == "identity" else random_unitary(dim, rng)
+        ws = np.array([(v * np.exp(1j * row)) @ v.conj().T for row in phases])
+        if basis_kind == "draw":
+            basis = next(_combination_bases(ws, seed))[0]
+        else:
+            basis = v[:, rng.permutation(dim)] * np.exp(1j * rng.uniform(-np.pi, np.pi, dim))
+        assert _canonical_basis(ws, basis).tobytes() == loop_canonical_basis(ws, basis).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(dim=st.integers(2, 16), size=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_singleton_at_pi(self, dim, size, seed):
+        # A lone eigenphase at +-pi goes last or first by the sign of round-off
+        # in the diagonal, so the diagonal must be the oracle's to the bit.
+        rng = np.random.default_rng(seed)
+        v = random_unitary(dim, rng)
+        phases = rng.uniform(-3.0, 3.0, (size, dim))
+        phases[:, 0] = rng.choice([np.pi, -np.pi], size)
+        ws = np.array([(v * np.exp(1j * row)) @ v.conj().T for row in phases])
+        basis = next(_combination_bases(ws, seed))[0]
+        assert _canonical_basis(ws, basis).tobytes() == loop_canonical_basis(ws, basis).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.integers(1, 6), cols=st.integers(1, 6), data=st.data())
+    def test_fix_column_phases(self, rows, cols, data):
+        moduli = data.draw(st.lists(MODULUS, min_size=rows * cols, max_size=rows * cols))
+        angles = data.draw(st.lists(PHASE, min_size=rows * cols, max_size=rows * cols))
+        m = (np.array(moduli) * np.exp(1j * np.array(angles))).reshape(rows, cols)
+        if data.draw(st.booleans()):  # one column entirely below the floor, signed zeros kept
+            m[:, 0] = np.array(moduli[:rows]).clip(None, _PHASE_FLOOR) * (-1) ** np.arange(rows)
+        assert fix_column_phases(m).tobytes() == loop_fix_column_phases(m).tobytes()
 
 
 def test_import_loads_no_scipy():

@@ -138,6 +138,21 @@ class TestDecideGateFamily:
         assert isinstance(decision.witness, NoncommutingPair)
         assert 1 <= calls["commutator_norm"] <= 5
 
+    def test_noncommuting_first_pair_spends_no_draw(self, monkeypatch):
+        # the screen would fail on a first pair over the bound, so no draw is taken;
+        # a family whose first pair commutes still draws once
+        draws, draw = [], masking._combination_bases
+
+        def counted(ws, seed):
+            draws.append(len(ws))
+            return draw(ws, seed)
+
+        monkeypatch.setattr(masking, "_combination_bases", counted)
+        rng = np.random.default_rng(8)
+        decision = decide_gate_family(random_noncommuting_triple(rng, 4))
+        assert isinstance(decision.witness, NoncommutingPair) and draws == []
+        assert decide_gate_family(random_commuting_family(rng, 4, 3)).maskable and draws == [2]
+
     def test_pre_post_invariance(self):
         rng = np.random.default_rng(2)
         for trial in range(10):
