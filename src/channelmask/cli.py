@@ -10,9 +10,11 @@ Commands
 
 Family and masker files are JSON with complex scalars as ``[re, im]`` pairs
 and matrices in row-major order.  Masker files are always written in the
-layout of ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline;
-readers accept any JSON whitespace.  Exit codes: 0 for a positive verdict or
-a passing verification, 1 for a definitive negative, 2 for input errors.
+layout of ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline.  A
+masker file in exactly those bytes is read row by row, parsing only its
+nonzero rows; any other JSON goes through ``json``, with the same results and
+messages.  Exit codes: 0 for a positive verdict or a passing verification, 1
+for a definitive negative, 2 for input errors.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -75,9 +78,9 @@ def _expect(condition: bool, rule: str) -> None:
         raise SchemaError(rule)
 
 
-def _read_json_object(path, what: str) -> dict:
+def _read_json_object(path, what: str, text: str | None = None) -> dict:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text() if text is None else text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     _expect(isinstance(raw, dict), f"{what}: top level must be an object")
@@ -248,8 +251,60 @@ def load_family_file(path) -> FamilyFile:
     return _family_from_json(_read_json_object(path, "family file"))
 
 
+_MASKER_HEAD = '{\n  "dims": {\n    "dimA": %s,\n    "dimB": %s\n  },\n  "matrix": [\n'
+_MASKER_TAIL = '\n  ],\n  "version": "1"\n}\n'
+_ROW_SEP = "\n    ],\n    [\n"
+# the writer's bytes around rows of one column or more, dims as json writes 1 to 999999999
+_LAYOUT_HEAD = re.compile(re.escape(_MASKER_HEAD + "    [\n").replace("%s", "([1-9][0-9]{0,8})"))
+_LAYOUT_TAIL = "\n    ]" + _MASKER_TAIL
+
+
+def _masker_rows(m: np.ndarray) -> list[str]:
+    """Each row of ``m`` as the masker layout writes it: each number on its own line, each float as
+    ``float.__repr__`` writes it, as ``json`` does; a row whose entries all have the bits of ``+0.0``
+    (so not ``-0.0``) is one constant string, and only the other rows are formatted."""
+    template = ",\n".join(["      [\n        %r,\n        %r\n      ]"] * m.shape[1])
+    rows = [template % ((0.0,) * 2 * m.shape[1])] * m.shape[0]
+    nonzero = np.flatnonzero(np.ascontiguousarray(m).view(np.uint64).any(axis=1))
+    for k, values in zip(nonzero.tolist(), m[nonzero].view(float).tolist()):
+        rows[k] = template % tuple(values)
+    return rows
+
+
+def _masker_from_layout(text: str) -> tuple[np.ndarray, BipartiteDims] | None:
+    """``(matrix, dims)`` if ``text`` is byte for byte what :func:`save_masker_file` writes for them, else ``None``.
+
+    A row equal to the all-``+0.0`` row stays zero; every other row is parsed and must render back to
+    itself.  Other whitespace or number spellings, non-finite numbers or no columns are left to the
+    ``json`` reader and its schema messages; :class:`Masker` checks the row count on either path.
+    """
+    head = _LAYOUT_HEAD.match(text)
+    if head is None or not text.endswith(_LAYOUT_TAIL):
+        return None
+    rows = text[head.end():len(text) - len(_LAYOUT_TAIL)].split(_ROW_SEP)
+    dims = BipartiteDims(int(head[1]), int(head[2]))
+    cols = rows[0].count("[")
+    if not cols:
+        return None
+    zero = _masker_rows(np.zeros((1, cols), dtype=complex))[0]
+    nonzero = [k for k, row in enumerate(rows) if row != zero]
+    try:
+        values = [[*map(float, rows[k].replace("[", "").replace("]", "").split(","))] for k in nonzero]
+        values = np.array(values, dtype=float).reshape(len(nonzero), 2 * cols)
+    except ValueError:  # a number float does not read, or a row of another length
+        return None
+    matrix = np.zeros((len(rows), cols), dtype=complex)
+    matrix[nonzero] = values.view(complex)
+    same = np.isfinite(values).all() and _masker_rows(matrix[nonzero]) == [rows[k] for k in nonzero]
+    return (matrix, dims) if same else None
+
+
 def load_masker_file(path) -> Masker:
-    raw = _read_json_object(path, "masker file")
+    """Read a masker file; text in the writer's exact bytes is read row by row, any other through ``json``."""
+    text = Path(path).read_text()
+    if (layout := _masker_from_layout(text)) is not None:
+        return Masker(*layout)
+    raw = _read_json_object(path, "masker file", text)
     _expect(raw.get("version") == "1", 'version: must be the string "1"')
     dims = raw.get("dims")
     _expect(isinstance(dims, dict), "dims: must be an object with integer dimA and dimB")
@@ -259,25 +314,15 @@ def load_masker_file(path) -> Masker:
 
 
 def save_masker_file(path, masker: Masker) -> None:
-    """Write the bytes of ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline, at array speed.
-
-    The layout is fixed, so it is written directly: each number on its own
-    line, each float as ``float.__repr__`` writes it, as ``json`` does.
-    """
+    """Write the bytes of ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline, at array speed."""
     m = masker.matrix
     # Masker refuses non-finite entries, so this holds unless the array was
     # changed in place; json would write NaN or Infinity, which is not JSON.
     if not np.isfinite(m).all():
         raise ValueError("masker matrix has non-finite entries")
-    pair = "      [\n        %r,\n        %r\n      ]"
-    row = "    [\n" + ",\n".join([pair] * m.shape[1]) + "\n    ]" if m.shape[1] else "    []"
-    entries = tuple(np.stack((m.real, m.imag), axis=-1).ravel().tolist())
-    Path(path).write_text(
-        '{\n  "dims": {\n    "dimA": %s,\n    "dimB": %s\n  },\n  "matrix": [\n'
-        % (json.dumps(masker.dims.dim_a), json.dumps(masker.dims.dim_b))
-        + ",\n".join([row] * m.shape[0]) % entries
-        + '\n  ],\n  "version": "1"\n}\n'
-    )
+    body = "    [\n" + _ROW_SEP.join(_masker_rows(m)) + "\n    ]" if m.shape[1] else ",\n".join(["    []"] * len(m))
+    dims = (json.dumps(masker.dims.dim_a), json.dumps(masker.dims.dim_b))
+    Path(path).write_text(_MASKER_HEAD % dims + body + _MASKER_TAIL)
 
 
 # -- decision / synthesis ------------------------------------------------------------

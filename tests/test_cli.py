@@ -1,18 +1,21 @@
 import json
+import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from channelmask import masking
+from channelmask import cli, masking
 from channelmask.channels import amplitude_damping, dephasing_about
 from channelmask.cli import (
     DECISION_TOL,
     EXIT_ERROR,
     EXIT_NEGATIVE,
     EXIT_OK,
+    SchemaError,
     channel_from_json,
     decide_family,
     load_family_file,
@@ -382,6 +385,144 @@ class TestMaskerFileBytes:
         with pytest.raises(ValueError, match="masker matrix has non-finite entries"):
             save_masker_file(path, masker)
         assert not path.exists()
+
+
+def _loaded(path):
+    """What ``load_masker_file`` gives: the matrix bits, its shape and the dims, or the exception's type and message."""
+    try:
+        masker = load_masker_file(path)
+    except Exception as exc:  # every failure is compared, not only schema errors
+        return type(exc), str(exc)
+    return masker.matrix.view(np.uint64).tobytes(), masker.matrix.shape, masker.dims
+
+
+def _loaded_by_json(path):
+    """:func:`_loaded` with the layout scan turned off, so every file goes through ``json``."""
+    with mock.patch.object(cli, "_masker_from_layout", lambda text: None):
+        return _loaded(path)
+
+
+@st.composite
+def _maskers(draw):
+    """Copy maskers of random bases and dense isometries (``dimA != dimB`` too), some with one zero
+    row set to subnormals, ``1e-07`` or only ``-0.0`` bits: every such masker is an isometry within 1e-9."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        masker = copy_masker(random_unitary(d, rng))
+    else:
+        dim_a = draw(st.integers(1, 3))
+        dim_b = -(-d // dim_a) + draw(st.integers(0, 2))
+        masker = Masker(random_isometry(rng, dim_a * dim_b, d), BipartiteDims(dim_a, dim_b))
+    zero_rows = np.flatnonzero(~masker.matrix.any(axis=1)).tolist()
+    if zero_rows:
+        entry = draw(st.sampled_from([None, complex(-0.0, -0.0), complex(0.0, -0.0), complex(5e-324, 0.0),
+                                      complex(2.2e-308, -1e-7), complex(1e-07, 0.0)]))
+        if entry is not None:
+            masker.matrix[draw(st.sampled_from(zero_rows))] = entry
+    return masker
+
+
+def _rewritten(text, edit):
+    """``text`` decoded, changed in place by ``edit`` and written in the writer's layout again."""
+    payload = json.loads(text)
+    edit(payload)
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+_NUMBER_LINE = r"(\n        )(-?[0-9][^,\n]*)"
+_MUTATIONS = {
+    "indent-4": lambda t: json.dumps(json.loads(t), indent=4, sort_keys=True) + "\n",
+    "compact": lambda t: json.dumps(json.loads(t), sort_keys=True),
+    "no-final-newline": lambda t: t[:-1],
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "int-zero": lambda t: re.sub(r"(\n        )0\.0(,?\n)", r"\g<1>0\2", t, count=1),
+    "exponent-with-point": lambda t: re.sub(r"(\n        -?[0-9])e", r"\1.0e", t, count=1),
+    "trailing-digit": lambda t: re.sub(r"(\n        -?[0-9]+\.[0-9]+)(,?\n)", r"\g<1>0\2", t, count=1),
+    "short-exponent": lambda t: re.sub(r"(\n        [^,\n]*e-)0", r"\1", t, count=1),
+    "leading-point": lambda t: re.sub(r"(\n        -?)0\.", r"\1.", t, count=1),
+    "plus-sign": lambda t: re.sub(_NUMBER_LINE, r"\1+\2", t, count=1),
+    "underscore": lambda t: re.sub(r"(\n        -?[0-9]+\.[0-9])([0-9])", r"\1_\2", t, count=1),
+    "int-negative-zero": lambda t: re.sub(r"(\n        )-0\.0(,?\n)", r"\g<1>-0\2", t, count=1),
+    "NaN": lambda t: re.sub(_NUMBER_LINE, r"\1NaN", t, count=1),
+    "nan": lambda t: re.sub(_NUMBER_LINE, r"\1nan", t, count=1),
+    "Infinity": lambda t: re.sub(_NUMBER_LINE, r"\1Infinity", t, count=1),
+    "huge": lambda t: re.sub(_NUMBER_LINE, r"\g<1>1e999", t, count=1),
+    "ragged-row": lambda t: _rewritten(t, lambda p: p["matrix"][-1].pop()),
+    "short-pair": lambda t: _rewritten(t, lambda p: p["matrix"][0][0].pop()),
+    "blank-rows": lambda t: _rewritten(t, lambda p: [row.clear() for row in p["matrix"]]).replace(
+        "    []", "    [\n\n    ]"),
+    "extra-key": lambda t: _rewritten(t, lambda p: p.update(note="x")),
+    "reordered-keys": lambda t: json.dumps(dict(reversed(json.loads(t).items())), indent=2) + "\n",
+    "dimA-float": lambda t: re.sub(r'"dimA": ([0-9]+)', r'"dimA": \1.0', t),
+    "dimA-true": lambda t: re.sub(r'"dimA": [0-9]+', '"dimA": true', t),
+    "dimA-leading-zero": lambda t: re.sub(r'"dimA": ([0-9]+)', r'"dimA": 0\1', t),
+    "dimB-plus-one": lambda t: re.sub(r'"dimB": ([0-9]+)', lambda m: f'"dimB": {int(m[1]) + 1}', t),
+    "version-2": lambda t: t.replace('"version": "1"', '"version": "2"'),
+}
+
+
+class TestMaskerFileReader:
+    """A masker file in the writer's bytes is read row by row; any other text goes through ``json``,
+    with the same masker, or the same exception type and message."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(masker=_maskers())
+    @example(masker=copy_masker(np.eye(3)))
+    @example(masker=Masker(np.array([[1, 0], [-0.0, 0], [0, 1], [0, -0.0]]), BipartiteDims(2, 2)))
+    def test_layout_scan_and_json_agree_on_written_and_mutated_files(self, masker_path, masker):
+        save_masker_file(masker_path, masker)
+        text = masker_path.read_text()
+        assert cli._masker_from_layout(text) is not None
+        written = _loaded(masker_path)
+        assert written == (masker.matrix.view(np.uint64).tobytes(), masker.matrix.shape, masker.dims)
+        assert _loaded_by_json(masker_path) == written
+        for name, mutate in _MUTATIONS.items():
+            masker_path.write_bytes(mutate(text).encode())
+            assert _loaded(masker_path) == _loaded_by_json(masker_path), name
+
+    def test_masker_without_columns_is_written_and_refused(self, masker_path):
+        save_masker_file(masker_path, Masker(np.zeros((4, 0)), BipartiteDims(2, 2)))
+        assert masker_path.read_text().count("\n    []") == 4
+        with pytest.raises(SchemaError, match=r"^matrix: row 0 must be a non-empty list$"):
+            load_masker_file(masker_path)
+
+    def test_row_of_negative_zeros_survives_save_load_save(self, masker_path):
+        masker = copy_masker(np.eye(2))
+        masker.matrix[1] = complex(-0.0, -0.0)
+        save_masker_file(masker_path, masker)
+        written = masker_path.read_bytes()
+        assert written.count(b"-0.0") == 4
+        loaded = load_masker_file(masker_path)
+        assert np.array_equal(loaded.matrix.view(np.uint64), masker.matrix.view(np.uint64))
+        save_masker_file(masker_path, loaded)
+        assert masker_path.read_bytes() == written
+
+    @pytest.mark.parametrize("entry", [complex(np.inf, 0.0), complex(0.0, -np.inf), complex(0.0, np.nan)])
+    def test_non_finite_entries_in_zero_rows_are_refused(self, tmp_path, entry):
+        masker = copy_masker(np.eye(2))
+        masker.matrix[1, 0] = entry
+        path = tmp_path / "masker.json"
+        with pytest.raises(ValueError, match="^masker matrix has non-finite entries$"):
+            save_masker_file(path, masker)
+        assert not path.exists()
+
+    def test_written_maskers_are_read_without_json(self, tmp_path, monkeypatch, capsys):
+        paths = []
+        for sample in sorted(SAMPLES.glob("*.json")):
+            out = tmp_path / f"{sample.stem}.masker.json"
+            if main(["synthesize", str(sample), "-o", str(out)]) == EXIT_OK:
+                paths.append(out)
+        paths.append(tmp_path / "copy16.masker.json")
+        save_masker_file(paths[-1], copy_masker(random_unitary(16, np.random.default_rng(16))))
+        assert len(paths) == 7
+        expected = [_loaded_by_json(path) for path in paths]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.loads was called")
+
+        monkeypatch.setattr(cli.json, "loads", refuse)
+        assert [_loaded(path) for path in paths] == expected
 
 
 class TestIdentityKinds:
