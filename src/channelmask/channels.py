@@ -377,19 +377,6 @@ def pure_fixed_points(spec: ChannelSpec, tol: float = DECISION_TOL):
     return fixed if fixed else None
 
 
-def conjugate(spec: ChannelSpec, pre, post) -> KrausChannel:
-    """The channel ``rho -> post E(pre rho pre^dag) post^dag`` in Kraus form."""
-    din, dout = channel_dims(spec)
-    pre_m = _check_unitary(pre, "pre")
-    post_m = _check_unitary(post, "post")
-    if pre_m.shape[0] != din:
-        raise ValueError(f"pre-unitary dimension {pre_m.shape[0]} does not match channel input {din}")
-    if post_m.shape[0] != dout:
-        raise ValueError(f"post-unitary dimension {post_m.shape[0]} does not match channel output {dout}")
-    kc = to_kraus(spec)
-    return KrausChannel(tuple(post_m @ k @ pre_m for k in kc.kraus_ops))
-
-
 # -- named channel constructors ----------------------------------------------
 
 
@@ -415,26 +402,6 @@ def amplitude_damping(gamma: float) -> KrausChannel:
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=complex)
     k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
     return KrausChannel((k0, k1))
-
-
-def axis_operator(axis) -> np.ndarray:
-    """The Hermitian unitary ``n . sigma`` for a unit 3-vector ``n``."""
-    n = np.asarray(axis, dtype=float)
-    if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > 1e-10:
-        raise ValueError("axis must be a unit 3-vector")
-    return n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
-
-
-def rotation_about(axis, angle: float) -> np.ndarray:
-    """Qubit rotation ``exp(-i angle (n . sigma) / 2)`` about a unit axis."""
-    return np.cos(angle / 2) * SIGMA_0 - 1j * np.sin(angle / 2) * axis_operator(axis)
-
-
-def dephasing_about(axis, p: float) -> KrausChannel:
-    """Dephasing of strength ``p`` along an arbitrary Bloch axis."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    return KrausChannel((np.sqrt(1.0 - p) * SIGMA_0, np.sqrt(p) * axis_operator(axis)))
 
 
 def random_classical_channel(in_size: int, out_size: int, rng: np.random.Generator) -> ClassicalChannel:

@@ -1,9 +1,9 @@
 """Dense complex linear algebra for small operator problems.
 
 Everything here works on plain numpy arrays at desk scale (dimensions up to
-a few dozen): Kronecker products, partial traces over a bipartite split,
-Hermitian eigendecompositions with a deterministic phase convention,
-commutator norms, and simultaneous diagonalization of commuting unitaries.
+a few dozen): partial traces over a bipartite split, a deterministic phase
+convention for eigenvector columns, commutator norms, and simultaneous
+diagonalization of commuting unitaries.
 All functions are pure; the only randomness (the coefficient draws inside
 :func:`simultaneous_eigenbasis`) is driven by an explicit seed.
 """
@@ -21,8 +21,6 @@ VERIFY_TOL = 1e-9
 #: Eigenphases closer than this (radians) count as one eigenspace.
 PHASE_GAP = 1e-8
 
-# Hermiticity / unitarity are machine-precision facts; scaled by dimension.
-_HERMITICITY_TOL = 1e-10
 # Entries below this modulus are ignored when fixing eigenvector phases.
 _PHASE_FLOOR = 1e-8
 
@@ -45,14 +43,6 @@ class BipartiteDims:
         return self.dim_a * self.dim_b
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Hermitian eigensystem: ascending real eigenvalues, orthonormal columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     """Coerce ``m`` to a 2-d complex array, rejecting non-finite entries."""
     arr = np.asarray(m, dtype=complex)
@@ -61,11 +51,6 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product ``a (x) b``."""
-    return np.kron(as_complex_matrix(a, "a"), as_complex_matrix(b, "b"))
 
 
 def partial_trace(m, dims: BipartiteDims, side: str) -> np.ndarray:
@@ -102,18 +87,6 @@ def fix_column_phases(m) -> np.ndarray:
     return out
 
 
-def eig_hermitian(h) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix with deterministic phases."""
-    arr = as_complex_matrix(h, "h")
-    if arr.shape[0] != arr.shape[1]:
-        raise ValueError("eigendecomposition needs a square matrix")
-    dim = arr.shape[0]
-    if np.linalg.norm(arr - arr.conj().T) > _HERMITICITY_TOL * dim:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    values, vectors = np.linalg.eigh((arr + arr.conj().T) / 2)
-    return EigenDecomposition(values, fix_column_phases(vectors))
-
-
 def commutator_norm(a, b) -> float:
     """Frobenius norm of the commutator ``ab - ba``."""
     ma = as_complex_matrix(a, "a")
@@ -128,14 +101,6 @@ def is_isometry(m, tol: float) -> bool:
     arr = as_complex_matrix(m, "m")
     gram = arr.conj().T @ arr
     return bool(np.linalg.norm(gram - np.eye(arr.shape[1])) <= tol)
-
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary from the QR decomposition of a complex Gaussian."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
 
 
 def cluster_phases(phases) -> list[np.ndarray]:

@@ -53,7 +53,6 @@ from .linalg import (
     _diagonalizes_all,
     as_complex_matrix,
     commutator_norm,
-    eig_hermitian,
     fix_column_phases,
     is_isometry,
     simultaneous_eigenbasis,
@@ -188,7 +187,7 @@ class PauliAxis:
         """Rows ``<u+|`` and ``<u-|`` from the eigenvectors of ``sigma_axis``."""
         if self.axis not in _AXIS_SIGMA:
             raise ValueError(f"axis must be one of {AXES}")
-        vectors = eig_hermitian(_AXIS_SIGMA[self.axis]).vectors  # eigenvalues ascend
+        vectors = fix_column_phases(np.linalg.eigh(_AXIS_SIGMA[self.axis])[1])  # eigenvalues ascend
         return vectors[:, ::-1].conj().T
 
     def to_json(self) -> dict:

@@ -33,12 +33,12 @@ from .channels import (
     ClassicalChannel,
     DepolarizedUnitary,
     Unitary,
+    _check_unitary,
     apply,
     channel_dims,
-    identity_channel,
     to_kraus,
 )
-from .linalg import VERIFY_TOL, as_complex_matrix, cluster_phases, is_isometry, partial_trace, simultaneous_eigenbasis
+from .linalg import VERIFY_TOL, cluster_phases, partial_trace, simultaneous_eigenbasis
 from .masking import Masker, _members
 
 # The basis-operator loop pushes din**2 operators through the masker; keep it
@@ -146,11 +146,10 @@ def _max_pairwise(mats: list[np.ndarray]) -> tuple[float, tuple]:
     return worst, pair
 
 
-def _report(view_a, view_b, tol: float) -> VerificationReport:
-    # What subsystems A and B see for each member; the worst pair is taken
-    # from the side that deviates more.
-    dev_a, pair_a = _max_pairwise(view_a)
-    dev_b, pair_b = _max_pairwise(view_b)
+def _report(worst_a: tuple, worst_b: tuple, tol: float) -> VerificationReport:
+    # The worst (deviation, pair) from _max_pairwise over what subsystems A
+    # and B see; the worst pair is taken from the side that deviates more.
+    (dev_a, pair_a), (dev_b, pair_b) = worst_a, worst_b
     return VerificationReport(
         passed=bool(dev_a <= tol and dev_b <= tol),
         max_deviation_a=dev_a,
@@ -168,17 +167,10 @@ def verify_masking(masker: Masker, family, tol: float = VERIFY_TOL) -> Verificat
     if rows is not None:
         # Both reduced channels of a copy masker are the same map.
         _check_masker_input(masker, dims[1])
-        blocks = [_copy_choi_blocks(rows, spec) for spec in members]
-        return _report(blocks, blocks, tol)
-    return _report(*zip(*(reduced_channel_choi(masker, spec) for spec in members)), tol)
-
-
-def verify_identity_masking(masker: Masker, spec: ChannelSpec, tol: float = VERIFY_TOL) -> VerificationReport:
-    """Check that the masker hides the channel's effect next to the identity."""
-    din, dout = channel_dims(spec)
-    if din != dout:
-        raise ValueError("identity masking requires equal input and output dimensions")
-    return verify_masking(masker, [identity_channel(din), spec], tol)
+        worst = _max_pairwise([_copy_choi_blocks(rows, spec) for spec in members])
+        return _report(worst, worst, tol)
+    views = zip(*(reduced_channel_choi(masker, spec) for spec in members))
+    return _report(*map(_max_pairwise, views), tol)
 
 
 def local_orthogonality_check(masker: Masker, u, tol: float = VERIFY_TOL) -> bool:
@@ -190,13 +182,9 @@ def local_orthogonality_check(masker: Masker, u, tol: float = VERIFY_TOL) -> boo
     Callers are expected to have verified that the masker actually masks
     ``{identity, u}``.
     """
-    mat = as_complex_matrix(u, "u")
-    if mat.shape[0] != mat.shape[1]:
-        raise ValueError("u must be square")
+    mat = _check_unitary(u, "u")
     if mat.shape[0] != masker.input_dim:
         raise ValueError("unitary dimension does not match the masker input")
-    if not is_isometry(mat, 1e-10):
-        raise ValueError("u is not unitary within 1e-10")
     z = simultaneous_eigenbasis([mat])
     clusters = cluster_phases(np.angle(np.diag(z.conj().T @ mat @ z)))
     marginals = [_marginals(masker, z[:, col]) for col in range(z.shape[1])]
@@ -214,7 +202,8 @@ def state_mask_check(masker: Masker, states, tol: float = VERIFY_TOL) -> Verific
     for k in kets:
         if k.shape != (masker.input_dim,):
             raise ValueError("state dimension does not match the masker input")
-    return _report(*zip(*(_marginals(masker, k) for k in kets)), tol)
+    views = zip(*(_marginals(masker, k) for k in kets))
+    return _report(*map(_max_pairwise, views), tol)
 
 
 def _marginals(masker: Masker, ket: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,20 +1,33 @@
-"""Shared random-instance generators and reference oracles for the test suite."""
+"""Shared random-instance generators, channel constructors and reference oracles for the test suite."""
 
 import itertools
 
 import numpy as np
 
 from channelmask.channels import (
+    SIGMA_0,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    ChannelSpec,
     DepolarizedUnitary,
     KrausChannel,
     Unitary,
+    _check_unitary,
     apply,
     channel_dims,
-    rotation_about,
     to_kraus,
 )
-from channelmask.linalg import _PHASE_FLOOR, cluster_phases, commutator_norm, random_unitary, simultaneous_eigenbasis
+from channelmask.linalg import _PHASE_FLOOR, cluster_phases, commutator_norm, simultaneous_eigenbasis
 from channelmask.masking import CommonEigenbasis, Masker, MaskingDecision, NoncommutingPair, Trivial
+
+
+def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random unitary from the QR decomposition of a complex Gaussian."""
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -26,6 +39,39 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_axis(rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(3)
     return v / np.linalg.norm(v)
+
+
+def conjugate(spec: ChannelSpec, pre, post) -> KrausChannel:
+    """The channel ``rho -> post E(pre rho pre^dag) post^dag`` in Kraus form."""
+    din, dout = channel_dims(spec)
+    pre_m = _check_unitary(pre, "pre")
+    post_m = _check_unitary(post, "post")
+    if pre_m.shape[0] != din:
+        raise ValueError(f"pre-unitary dimension {pre_m.shape[0]} does not match channel input {din}")
+    if post_m.shape[0] != dout:
+        raise ValueError(f"post-unitary dimension {post_m.shape[0]} does not match channel output {dout}")
+    kc = to_kraus(spec)
+    return KrausChannel(tuple(post_m @ k @ pre_m for k in kc.kraus_ops))
+
+
+def axis_operator(axis) -> np.ndarray:
+    """The Hermitian unitary ``n . sigma`` for a unit 3-vector ``n``."""
+    n = np.asarray(axis, dtype=float)
+    if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > 1e-10:
+        raise ValueError("axis must be a unit 3-vector")
+    return n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
+
+
+def rotation_about(axis, angle: float) -> np.ndarray:
+    """Qubit rotation ``exp(-i angle (n . sigma) / 2)`` about a unit axis."""
+    return np.cos(angle / 2) * SIGMA_0 - 1j * np.sin(angle / 2) * axis_operator(axis)
+
+
+def dephasing_about(axis, p: float) -> KrausChannel:
+    """Dephasing of strength ``p`` along an arbitrary Bloch axis."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    return KrausChannel((np.sqrt(1.0 - p) * SIGMA_0, np.sqrt(p) * axis_operator(axis)))
 
 
 def gate_family(*us) -> tuple:

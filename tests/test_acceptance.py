@@ -17,13 +17,12 @@ from channelmask.channels import (
     choi,
     channel_dims,
     dephasing,
-    dephasing_about,
     depolarizing,
     identity_channel,
     random_classical_channel,
 )
 from channelmask.cli import load_masker_file, save_masker_file
-from channelmask.linalg import BipartiteDims, commutator_norm, is_isometry, partial_trace, random_unitary
+from channelmask.linalg import BipartiteDims, commutator_norm, is_isometry, partial_trace
 from channelmask.masking import (
     Fourier,
     Masker,
@@ -41,16 +40,17 @@ from channelmask.masking import (
 from channelmask.verify import (
     local_orthogonality_check,
     reduced_channel_choi,
-    verify_identity_masking,
     verify_masking,
 )
 
 from helpers import (
+    dephasing_about,
     depolarized_family,
     gate_family,
     random_axis,
     random_commuting_family,
     random_noncommuting_triple,
+    random_unitary,
     rotation_mixture_channel,
 )
 
@@ -168,7 +168,7 @@ def test_criterion_5_identity_masking_of_qubit_channels():
             problems.append(f"dephasing({p:.1f}) refused")
             continue
         masker = copy_masker(decision.certificate.copy_rows([spec]))
-        report = verify_identity_masking(masker, spec, 1e-12)
+        report = verify_masking(masker, [identity_channel(2), spec], 1e-12)
         if not report.passed:
             problems.append(f"dephasing({p:.1f}) deviation above 1e-12")
     ad_decision = decide_identity_family([amplitude_damping(0.3)], 1e-8)
@@ -185,7 +185,7 @@ def test_criterion_5_identity_masking_of_qubit_channels():
             problems.append(f"trial {trial}: unital fixed-axis mixture refused")
             continue
         masker = copy_masker(decision.certificate.copy_rows([spec]))
-        if not verify_identity_masking(masker, spec, 1e-9).passed:
+        if not verify_masking(masker, [identity_channel(2), spec], 1e-9).passed:
             problems.append(f"trial {trial}: fixed-axis masker failed at 1e-9")
     _report(5, "identity masking: dephasing ladder at 1e-12, witnesses, 100 random unital channels", problems)
 

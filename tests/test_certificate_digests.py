@@ -19,7 +19,9 @@ import pytest
 
 from channelmask.channels import DepolarizedUnitary, Unitary
 from channelmask.cli import DECISION_TOL, FamilyFile, decide_family, decision_to_dict
-from channelmask.linalg import PHASE_GAP, random_unitary
+from channelmask.linalg import PHASE_GAP
+
+from helpers import random_unitary
 
 
 def _family(seed: int, dim: int, size: int, fixed=(), kind: str = "gate", p: float = 0.3) -> FamilyFile:

@@ -18,20 +18,25 @@ from channelmask.channels import (
     bloch_affine,
     channel_dims,
     choi,
-    conjugate,
     dephasing,
-    dephasing_about,
     depolarizing,
     identity_channel,
     pure_fixed_points,
-    rotation_about,
     random_classical_channel,
     to_kraus,
 )
-from channelmask.linalg import DECISION_TOL, random_unitary
+from channelmask.linalg import DECISION_TOL
 from channelmask.masking import _unital
 
-from helpers import random_axis, random_density, random_kraus_channel
+from helpers import (
+    conjugate,
+    dephasing_about,
+    random_axis,
+    random_density,
+    random_kraus_channel,
+    random_unitary,
+    rotation_about,
+)
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 PLUS_STATE = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)

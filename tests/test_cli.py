@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from channelmask import cli, masking
-from channelmask.channels import amplitude_damping, dephasing_about
+from channelmask.channels import amplitude_damping
 from channelmask.cli import (
     DECISION_TOL,
     EXIT_ERROR,
@@ -24,10 +24,16 @@ from channelmask.cli import (
     save_masker_file,
     synthesize_family_masker,
 )
-from channelmask.linalg import BipartiteDims, random_unitary
+from channelmask.linalg import BipartiteDims
 from channelmask.masking import Fourier, Masker, copy_masker, matrix_to_json
 
-from helpers import random_commuting_family, random_density, random_isometry
+from helpers import (
+    dephasing_about,
+    random_commuting_family,
+    random_density,
+    random_isometry,
+    random_unitary,
+)
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 

@@ -15,21 +15,22 @@ from channelmask.linalg import (
     BipartiteDims,
     cluster_phases,
     commutator_norm,
-    eig_hermitian,
     fix_column_phases,
     is_isometry,
     partial_trace,
-    random_unitary,
     simultaneous_eigenbasis,
-    tensor,
 )
 from channelmask.linalg import _PHASE_FLOOR, _canonical_basis, _combination_bases, _diagonalizes_all, _refine_subspaces
 
-from helpers import loop_canonical_basis, loop_fix_column_phases, random_noncommuting_triple
+from helpers import (
+    loop_canonical_basis,
+    loop_fix_column_phases,
+    random_noncommuting_triple,
+    random_unitary,
+)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 SQRT_Z = np.diag([1.0, 1j])
 
@@ -39,30 +40,9 @@ PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
 MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2)
 
 
-class TestTensor:
-    def test_identity(self):
-        assert_allclose(tensor(I2, I2), np.eye(4))
-
-    def test_diagonal_structure(self):
-        assert_allclose(tensor(Z, I2), np.diag([1, 1, -1, -1]).astype(complex))
-
-    def test_index_arithmetic_oracle(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        t = tensor(a, b)
-        assert t[2, 1] == pytest.approx(a[1, 0] * b[0, 1])
-        # every entry against the index formula
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    for l in range(2):
-                        assert t[2 * i + k, 2 * j + l] == pytest.approx(a[i, j] * b[k, l])
-
-
 class TestPartialTrace:
     def test_product_state(self):
-        rho = tensor(np.outer(KET0, KET0.conj()), np.outer(KET1, KET1.conj()))
+        rho = np.kron(np.outer(KET0, KET0.conj()), np.outer(KET1, KET1.conj()))
         assert_allclose(partial_trace(rho, BipartiteDims(2, 2), "B"), np.outer(KET0, KET0.conj()))
 
     def test_maximally_entangled(self):
@@ -91,40 +71,12 @@ class TestPartialTrace:
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         dims = BipartiteDims(3, 2)
-        assert_allclose(partial_trace(tensor(a, b), dims, "B"), a * np.trace(b), atol=1e-12)
-        assert_allclose(partial_trace(tensor(a, b), dims, "A"), b * np.trace(a), atol=1e-12)
+        assert_allclose(partial_trace(np.kron(a, b), dims, "B"), a * np.trace(b), atol=1e-12)
+        assert_allclose(partial_trace(np.kron(a, b), dims, "A"), b * np.trace(a), atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             partial_trace(np.eye(5), BipartiteDims(2, 2), "A")
-
-
-class TestEigHermitian:
-    def test_sigma_z(self):
-        dec = eig_hermitian(Z)
-        assert_allclose(dec.values, [-1.0, 1.0])
-        assert_allclose(dec.vectors[:, 0], KET1)
-        assert_allclose(dec.vectors[:, 1], KET0)
-
-    def test_sigma_x(self):
-        dec = eig_hermitian(X)
-        assert_allclose(dec.values, [-1.0, 1.0])
-        assert_allclose(dec.vectors[:, 0], MINUS, atol=1e-15)
-        assert_allclose(dec.vectors[:, 1], PLUS, atol=1e-15)
-
-    @pytest.mark.parametrize("dim", [2, 5, 9, 16])
-    def test_reconstruction(self, dim):
-        rng = np.random.default_rng(dim)
-        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        h = z + z.conj().T
-        dec = eig_hermitian(h)
-        assert np.linalg.norm(dec.vectors.conj().T @ dec.vectors - np.eye(dim)) <= 1e-12 * dim
-        rebuilt = dec.vectors @ np.diag(dec.values) @ dec.vectors.conj().T
-        assert np.linalg.norm(rebuilt - h) <= 1e-10 * dim
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestCommutatorNorm:

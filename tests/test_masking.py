@@ -11,9 +11,7 @@ from channelmask.channels import (
     Unitary,
     amplitude_damping,
     bit_flip,
-    conjugate,
     dephasing,
-    dephasing_about,
     depolarizing,
     identity_channel,
     random_classical_channel,
@@ -23,7 +21,6 @@ from channelmask.linalg import (
     BipartiteDims,
     commutator_norm,
     is_isometry,
-    random_unitary,
     simultaneous_eigenbasis,
 )
 from channelmask.masking import (
@@ -49,16 +46,18 @@ from channelmask.masking import (
 from channelmask.verify import (
     local_orthogonality_check,
     reduced_channel_choi,
-    verify_identity_masking,
     verify_masking,
 )
 
 from helpers import (
+    conjugate,
+    dephasing_about,
     depolarized_family,
     gate_family,
     random_axis,
     random_commuting_family,
     random_noncommuting_triple,
+    random_unitary,
     rotation_mixture_channel,
 )
 
@@ -332,6 +331,20 @@ class TestSynthesizePauliMasker:
         family = [PauliFourVector(0.5, 0.0, 0.3, 0.2), PauliFourVector(0.2, 0.0, 0.6, 0.2)]
         assert verify_masking(masker, family, 1e-9).passed
 
+    # Bit patterns of (re, im) of each row entry, signed zeros included:
+    # np.array_equal ignores the sign of a zero, but masker files print -0.0.
+    S, M, P0, N0 = 0x3FE6A09E667F3BCC, 0xBFE6A09E667F3BCC, 0x0, 0x8000000000000000
+    ROW_BITS = {
+        "x": [[S, N0, S, N0], [S, N0, M, P0]],
+        "y": [[S, N0, N0, M], [S, N0, P0, S]],
+        "z": [[0x3FF0000000000000, N0, P0, N0], [P0, N0, 0x3FF0000000000000, N0]],
+    }
+
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_rows_keep_their_bits(self, axis):
+        rows = np.ascontiguousarray(PauliAxis(axis, 0.0).copy_rows())
+        assert rows.view(np.uint64).tolist() == self.ROW_BITS[axis]
+
     def test_bad_axis(self):
         with pytest.raises(ValueError):
             copy_masker(PauliAxis("w", 0.0).copy_rows())
@@ -376,7 +389,7 @@ class TestDecideIdentityPair:
     def test_refused_channels_fail_class_masker(self):
         masker = copy_masker(PauliAxis("z", 0.0).copy_rows())  # the fixed-axis masker for z
         for spec in (amplitude_damping(0.3), depolarizing(0.5)):
-            report = verify_identity_masking(masker, spec, 1e-6)
+            report = verify_masking(masker, [identity_channel(2), spec], 1e-6)
             assert not report.passed
             assert max(report.max_deviation_a, report.max_deviation_b) > 1e-6
 
@@ -385,19 +398,19 @@ class TestSynthesizeIdentityMasker:
     def test_dephasing_z(self):
         masker = copy_masker(FixedPointAxis(np.array([0, 0, 1.0])).copy_rows([dephasing(0.3)]))
         assert_allclose(masker.matrix, COPY2, atol=1e-12)
-        assert verify_identity_masking(masker, dephasing(0.3), 1e-12).passed
+        assert verify_masking(masker, [identity_channel(2), dephasing(0.3)], 1e-12).passed
 
     def test_dephasing_x_through_hadamard(self):
         spec = conjugate(dephasing(0.3), HADAMARD, HADAMARD)
         masker = copy_masker(FixedPointAxis(np.array([1.0, 0, 0])).copy_rows([spec]))
         assert_allclose(masker.matrix, COPY2 @ HADAMARD, atol=1e-12)
-        assert verify_identity_masking(masker, spec, 1e-12).passed
+        assert verify_masking(masker, [identity_channel(2), spec], 1e-12).passed
 
     def test_identity_any_axis(self):
         rng = np.random.default_rng(8)
         axis = random_axis(rng)
         masker = copy_masker(FixedPointAxis(axis).copy_rows([identity_channel(2)]))
-        assert verify_identity_masking(masker, identity_channel(2), 1e-12).passed
+        assert verify_masking(masker, [identity_channel(2), identity_channel(2)], 1e-12).passed
 
     def test_listed_direction_is_accepted_beyond_tol(self):
         # weak damping toward |1> (gamma 0.9e-8) after z-dephasing: |b| and the
@@ -437,7 +450,7 @@ class TestSynthesizeIdentityMasker:
             decision = decide_identity_family([spec])
             assert decision.maskable
             masker = copy_masker(decision.certificate.copy_rows([spec]))
-            assert verify_identity_masking(masker, spec, 1e-9).passed
+            assert verify_masking(masker, [identity_channel(2), spec], 1e-9).passed
 
 
 class TestDecideIdentityFamily:

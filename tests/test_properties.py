@@ -36,8 +36,6 @@ from channelmask.channels import (
     Unitary,
     amplitude_damping,
     bloch_affine,
-    conjugate,
-    dephasing_about,
     identity_channel,
     pure_fixed_points,
     random_classical_channel,
@@ -50,7 +48,7 @@ from channelmask.cli import (
     family_channels,
     synthesize_family_masker,
 )
-from channelmask.linalg import NoCommonBasisError, commutator_norm, random_unitary
+from channelmask.linalg import NoCommonBasisError, commutator_norm
 from channelmask.masking import (
     MaskingDecision,
     NoCommonBasis,
@@ -64,10 +62,13 @@ from channelmask.masking import (
 from channelmask.verify import verify_masking
 
 from helpers import (
+    conjugate,
+    dephasing_about,
     pair_loop_gate_decision,
     random_axis,
     random_commuting_family,
     random_noncommuting_triple,
+    random_unitary,
     rotation_mixture_channel,
 )
 

@@ -19,7 +19,7 @@ from channelmask.channels import (
     random_classical_channel,
     to_kraus,
 )
-from channelmask.linalg import BipartiteDims, random_unitary
+from channelmask.linalg import BipartiteDims
 from channelmask.masking import (
     Fourier,
     Masker,
@@ -32,7 +32,6 @@ from channelmask.verify import (
     local_orthogonality_check,
     reduced_channel_choi,
     state_mask_check,
-    verify_identity_masking,
     verify_masking,
 )
 
@@ -43,6 +42,7 @@ from helpers import (
     random_commuting_family,
     random_isometry,
     random_kraus_channel,
+    random_unitary,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -153,10 +153,10 @@ class TestVerifyMasking:
 
 class TestVerifyIdentityMasking:
     def test_dephasing_passes(self):
-        assert verify_identity_masking(COPY2_MASKER, dephasing(0.3), 1e-12).passed
+        assert verify_masking(COPY2_MASKER, [identity_channel(2), dephasing(0.3)], 1e-12).passed
 
     def test_amplitude_damping_fails(self):
-        report = verify_identity_masking(COPY2_MASKER, amplitude_damping(0.3), 1e-9)
+        report = verify_masking(COPY2_MASKER, [identity_channel(2), amplitude_damping(0.3)], 1e-9)
         assert not report.passed
         assert max(report.max_deviation_a, report.max_deviation_b) > 0.1
 
@@ -164,7 +164,12 @@ class TestVerifyIdentityMasking:
         rng = np.random.default_rng(3)
         iso = random_unitary(6, rng)[:, :3]
         masker = Masker(iso, BipartiteDims(2, 3))
-        assert verify_identity_masking(masker, identity_channel(3), 1e-9).passed
+        assert verify_masking(masker, [identity_channel(3), identity_channel(3)], 1e-9).passed
+
+    def test_non_square_channel_is_refused(self):
+        spec = random_classical_channel(2, 3, np.random.default_rng(4))
+        with pytest.raises(ValueError, match="^family members must share input and output dimensions$"):
+            verify_masking(COPY2_MASKER, [identity_channel(2), spec], 1e-9)
 
 
 class TestLocalOrthogonality:
