@@ -217,7 +217,7 @@ def _combination_bases(ws: np.ndarray, seed: int):
         yield basis, _offdiagonal_masses(ws, basis)
 
 
-def simultaneous_eigenbasis(ws, tol: float = DECISION_TOL, seed: int = 0) -> np.ndarray:
+def simultaneous_eigenbasis(ws, tol: float = DECISION_TOL, seed: int = 0, *, draws=None) -> np.ndarray:
     """Orthonormal basis diagonalizing every member of a commuting unitary family.
 
     A random Hermitian combination of the family members (and their adjoints)
@@ -237,6 +237,9 @@ def simultaneous_eigenbasis(ws, tol: float = DECISION_TOL, seed: int = 0) -> np.
         Diagonality tolerance, scaled by the dimension.
     seed : int
         Seed for the random combination coefficients.
+    draws : iterator, optional
+        Draws of ``_combination_bases`` to continue: ``ws`` is then the stack
+        they come from, already through ``_check_unitary``, and ``seed`` unused.
 
     Returns
     -------
@@ -244,18 +247,19 @@ def simultaneous_eigenbasis(ws, tol: float = DECISION_TOL, seed: int = 0) -> np.
         Unitary matrix whose columns are the common eigenvectors, ordered by
         the clustered eigenphase tuples of the family and phase-fixed.
     """
-    mats = [as_complex_matrix(w, f"ws[{i}]") for i, w in enumerate(ws)]
-    if not mats:
-        raise ValueError("need at least one matrix")
-    dim = mats[0].shape[0]
-    if any(w.shape != (dim, dim) for w in mats):
-        raise ValueError("all matrices must be square with equal dimension")
-    stack = _check_unitary(np.array(mats))
-    bound = tol * dim
-    basis = next((b for b, masses in _combination_bases(stack, seed) if masses.max() <= bound), None)
+    if draws is None:
+        mats = [as_complex_matrix(w, f"ws[{i}]") for i, w in enumerate(ws)]
+        if not mats:
+            raise ValueError("need at least one matrix")
+        if any(w.shape != mats[0].shape or w.shape[0] != w.shape[1] for w in mats):
+            raise ValueError("all matrices must be square with equal dimension")
+        ws = _check_unitary(np.array(mats))
+        draws = _combination_bases(ws, seed)
+    bound = tol * ws.shape[1]
+    basis = next((b for b, masses in draws if masses.max() <= bound), None)
     if basis is None:
-        basis = _refine_subspaces(mats, np.eye(dim, dtype=complex))
-        residual = float(_offdiagonal_masses(stack, basis).max())
+        basis = _refine_subspaces(list(ws), np.eye(ws.shape[1], dtype=complex))
+        residual = float(_offdiagonal_masses(ws, basis).max())
         if residual > bound:
             raise NoCommonBasisError(residual)
-    return _canonical_basis(stack, basis)
+    return _canonical_basis(ws, basis)

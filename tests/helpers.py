@@ -16,6 +16,7 @@ from channelmask.channels import (
     _check_unitary,
     apply,
     channel_dims,
+    choi,
     to_kraus,
 )
 from channelmask.linalg import _PHASE_FLOOR, cluster_phases, commutator_norm, simultaneous_eigenbasis
@@ -152,20 +153,25 @@ def brute_force_reduced_choi(masker: Masker, spec, side: str) -> np.ndarray:
     return np.einsum("iabjad->ibjd", six).reshape(din * db, din * db)
 
 
-def kraus_reduced_chois(masker: Masker, spec) -> tuple:
-    """Oracle for ``reduced_channel_choi`` from Kraus operators, with no ``apply`` and no ``partial_trace``.
+def choi_reduced_chois(masker: Masker, spec) -> tuple:
+    """Oracle for ``reduced_channel_choi``: ``choi(spec)`` contracted with the masker, with no ``W W^dag``,
+    ``apply`` or ``partial_trace``.
 
-    Stacking ``V_a = M K_a`` as ``v[a, x, y, i]`` (``x`` on A, ``y`` on B),
-    the Choi matrix A sees is ``W W^dag`` for ``W[(i, x), (a, y)] = v[a, x, y, i]``,
-    and the one B sees swaps the roles of ``x`` and ``y``.  Returns
-    ``(seen_by_a, seen_by_b)``.
+    With ``C[i, z, j, w] = E(|i><j|)[z, w]`` and the masker's rows as
+    ``m[x, y, z]`` (``x`` on A, ``y`` on B), A sees
+    ``sum_{y, z, w} m[x, y, z] conj(m[x', y, w]) C[i, z, j, w]`` and B the
+    same with the roles of ``x`` and ``y`` swapped.  The masker is contracted
+    with itself first, so no array is larger than the views or
+    ``(max(dA, dB) * dout)**2`` entries.  Returns ``(seen_by_a, seen_by_b)``.
     """
-    din, _ = channel_dims(spec)
+    din, dout = channel_dims(spec)
     da, db = masker.dims.dim_a, masker.dims.dim_b
-    v = (masker.matrix @ np.stack(to_kraus(spec).kraus_ops)).reshape(-1, da, db, din)
-    w_a = v.transpose(3, 1, 0, 2).reshape(din * da, -1)
-    w_b = v.transpose(3, 2, 0, 1).reshape(din * db, -1)
-    return w_a @ w_a.conj().T, w_b @ w_b.conj().T
+    c = choi(spec).reshape(din, dout, din, dout)
+    m = masker.matrix.reshape(da, db, dout)
+    path = ["einsum_path", (0, 1), (0, 1)]
+    seen_by_a = np.einsum("xyz,uyw,izjw->ixju", m, m.conj(), c, optimize=path)
+    seen_by_b = np.einsum("xyz,xuw,izjw->iyju", m, m.conj(), c, optimize=path)
+    return seen_by_a.reshape(din * da, din * da), seen_by_b.reshape(din * db, din * db)
 
 
 def pair_loop_gate_decision(us: list, tol: float, seed: int) -> MaskingDecision:

@@ -28,6 +28,7 @@ from channelmask.linalg import BipartiteDims
 from channelmask.masking import Fourier, Masker, copy_masker, matrix_to_json
 
 from helpers import (
+    choi_reduced_chois,
     dephasing_about,
     random_commuting_family,
     random_density,
@@ -250,6 +251,21 @@ class TestSynthesizeAndVerify:
         capsys.readouterr()
         assert main(["verify", "--json", family, str(out)]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["passed"] is True
+
+    def test_dense_masker_above_dimension_sixteen_is_reported(self, tmp_path, capsys):
+        # a non-copy masker at d = 32 gets a report (exit 1), not a refusal (exit 2)
+        rng = np.random.default_rng(32)
+        fam = random_commuting_family(rng, 32, 2)
+        family = write_family(tmp_path / "gate32.json", "gate",
+                              [{"type": "unitary", "matrix": _matrix_json(m.matrix)} for m in fam])
+        masker = Masker(random_isometry(rng, 32 * 33, 32), BipartiteDims(32, 33))
+        save_masker_file(tmp_path / "dense.json", masker)
+        assert main(["verify", "--json", family, str(tmp_path / "dense.json")]) == EXIT_NEGATIVE
+        report = json.loads(capsys.readouterr().out)
+        (a0, b0), (a1, b1) = (choi_reduced_chois(load_masker_file(tmp_path / "dense.json"), m) for m in fam)
+        assert abs(report["max_deviation_a"] - np.linalg.norm(a0 - a1)) <= 1e-12
+        assert abs(report["max_deviation_b"] - np.linalg.norm(b0 - b1)) <= 1e-12
+        assert report["passed"] is False
 
     def test_pauli_family_round_trip(self, tmp_path, capsys):
         members = [{"type": "pauli", "p": [1 - p, p, 0.0, 0.0]} for p in (0.1, 0.3, 0.7)]

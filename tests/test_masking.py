@@ -16,7 +16,7 @@ from channelmask.channels import (
     identity_channel,
     random_classical_channel,
 )
-from channelmask import masking
+from channelmask import linalg, masking
 from channelmask.linalg import (
     BipartiteDims,
     commutator_norm,
@@ -54,8 +54,10 @@ from helpers import (
     dephasing_about,
     depolarized_family,
     gate_family,
+    pair_loop_gate_decision,
     random_axis,
     random_commuting_family,
+    random_density,
     random_noncommuting_triple,
     random_unitary,
     rotation_mixture_channel,
@@ -151,6 +153,32 @@ class TestDecideGateFamily:
         decision = decide_gate_family(random_noncommuting_triple(rng, 4))
         assert isinstance(decision.witness, NoncommutingPair) and draws == []
         assert decide_gate_family(random_commuting_family(rng, 4, 3)).maskable and draws == [2]
+
+    def test_fallback_continues_the_screens_draws(self, monkeypatch):
+        # member 3 nudged by exp(i 1e-5 H): the screen's draw fails its bound
+        # but every commutator passes, so simultaneous_eigenbasis continues the
+        # screen's generator instead of starting another with the same seed
+        starts, fallbacks, draw, fallback = [], [], masking._combination_bases, masking.simultaneous_eigenbasis
+
+        def counted(ws, seed):
+            starts.append(seed)
+            return draw(ws, seed)
+
+        def spied(*args, **kwargs):
+            fallbacks.append(args)
+            return fallback(*args, **kwargs)
+
+        for module in (masking, linalg):
+            monkeypatch.setattr(module, "_combination_bases", counted)
+        monkeypatch.setattr(masking, "simultaneous_eigenbasis", spied)
+        rng = np.random.default_rng(1)
+        us = [m.matrix for m in random_commuting_family(rng, 4, 4)]
+        values, vectors = np.linalg.eigh(random_density(rng, 4))
+        us[3] = us[3] @ (vectors * np.exp(1e-5j * values)) @ vectors.conj().T
+        decision = decide_gate_family(gate_family(*us), 1e-5)
+        assert len(fallbacks) == 1 and starts == [0]
+        expected = pair_loop_gate_decision(us, 1e-5, 0).certificate.basis
+        assert decision.certificate.basis.tobytes() == expected.tobytes()
 
     def test_pre_post_invariance(self):
         rng = np.random.default_rng(2)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,7 @@ from channelmask.masking import (
     decide_gate_family,
 )
 from channelmask.verify import (
-    _copy_choi_blocks,
+    _kraus_choi,
     local_orthogonality_check,
     reduced_channel_choi,
     state_mask_check,
@@ -37,8 +39,8 @@ from channelmask.verify import (
 
 from helpers import (
     brute_force_reduced_choi,
+    choi_reduced_chois,
     gate_family,
-    kraus_reduced_chois,
     random_commuting_family,
     random_isometry,
     random_kraus_channel,
@@ -108,10 +110,20 @@ class TestReducedChannelChoi:
         with pytest.raises(ValueError):
             reduced_channel_choi(COPY2_MASKER, identity_channel(3))
 
-    def test_desk_scale_guard(self):
-        masker = copy_masker(np.eye(17))
-        with pytest.raises(ValueError):
-            reduced_channel_choi(masker, identity_channel(17))
+    def test_view_over_the_entry_bound_is_refused(self):
+        # A's view of a 1000 x 1 masker at din = 5 has (5 * 1000)**2 = 25M
+        # entries, over the bound of 2**24; it is refused before it is built.
+        masker = Masker(random_isometry(np.random.default_rng(6), 1000, 5), BipartiteDims(1000, 1))
+        tracemalloc.start()
+        try:
+            for call in (lambda: reduced_channel_choi(masker, identity_channel(5)),
+                         lambda: verify_masking(masker, [identity_channel(5)] * 2, 1e-9)):
+                with pytest.raises(ValueError, match=r"^a reduced Choi matrix of 25000000 entries exceeds "
+                                                     r"the bound of 2\*\*24 entries$"):
+                    call()
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
 
 
 class TestVerifyMasking:
@@ -256,7 +268,8 @@ def _member(kind: str, din: int, rng: np.random.Generator, p=None):
 
 
 class TestBasisLoopAgainstOracle:
-    """Both views from the basis-operator loop of ``reduced_channel_choi`` against a full Choi matrix."""
+    """Both views of ``reduced_channel_choi`` (the basis-operator loop at ``din`` 4, the Kraus form above)
+    against a full Choi matrix."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -301,7 +314,8 @@ class TestBasisLoopAgainstOracle:
 
 
 class TestKrausOracle:
-    """The Kraus-form oracle against the full Choi matrix and a partial trace, for both views."""
+    """The Kraus form of ``verify`` and the oracle of ``_independent_views`` above ``din`` 8 (``choi(spec)``
+    contracted with the masker) against the full Choi matrix and a partial trace, for both views."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -318,18 +332,20 @@ class TestKrausOracle:
         while dim_a * dim_b < dout:
             dim_b += 1
         masker = Masker(random_isometry(rng, dim_a * dim_b, dout), BipartiteDims(dim_a, dim_b))
-        for view, side in zip(kraus_reduced_chois(masker, spec), ("B", "A")):
-            assert np.abs(view - brute_force_reduced_choi(masker, spec, side)).max() <= 1e-12
+        rows = masker.matrix.reshape(dim_a, dim_b, dout)
+        kraus_views = (_kraus_choi(rows.transpose(1, 0, 2)[None], spec)[0], _kraus_choi(rows[None], spec)[0])
+        for views in (choi_reduced_chois(masker, spec), kraus_views):
+            for view, side in zip(views, ("B", "A")):
+                assert np.abs(view - brute_force_reduced_choi(masker, spec, side)).max() <= 1e-12
 
 
 class TestOnePassOverTheBasis:
     def test_each_basis_operator_goes_through_the_channel_once(self, monkeypatch):
         # A dense masker on 2 x 3 takes the general route, and A and B see
-        # maps of different sizes, so a swap of the two views shows.
+        # maps of different sizes, so a swap of the two views shows.  Above
+        # input dimension 4 the Kraus form applies no channel at all.
         rng = np.random.default_rng(21)
-        din, dims = 5, BipartiteDims(2, 3)
-        members = [random_kraus_channel(rng, din, din, 3) for _ in range(3)]
-        masker = Masker(random_isometry(rng, dims.total, din), dims)
+        dims = BipartiteDims(2, 3)
         calls = []
         apply = verify.apply
 
@@ -338,16 +354,20 @@ class TestOnePassOverTheBasis:
             return apply(spec, op)
 
         monkeypatch.setattr(verify, "apply", counted)
-        report = verify_masking(masker, members, 1e-9)
-        assert len(calls) == din**2 * len(members)
-        expected_a, expected_b = _oracle_deviations(masker, members, kraus_reduced_chois)
-        assert abs(expected_a - expected_b) > 1e-3
-        assert abs(report.max_deviation_a - expected_a) <= 1e-12
-        assert abs(report.max_deviation_b - expected_b) <= 1e-12
-        seen_by_a, seen_by_b = reduced_channel_choi(masker, members[0])
-        oracle_a, oracle_b = kraus_reduced_chois(masker, members[0])
-        assert np.abs(seen_by_a - oracle_a).max() <= 1e-12
-        assert np.abs(seen_by_b - oracle_b).max() <= 1e-12
+        for din, expected_calls in ((4, 4**2 * 3), (5, 0)):
+            calls.clear()
+            members = [random_kraus_channel(rng, din, din, 3) for _ in range(3)]
+            masker = Masker(random_isometry(rng, dims.total, din), dims)
+            report = verify_masking(masker, members, 1e-9)
+            assert len(calls) == expected_calls
+            expected_a, expected_b = _oracle_deviations(masker, members)
+            assert abs(expected_a - expected_b) > 1e-3
+            assert abs(report.max_deviation_a - expected_a) <= 1e-12
+            assert abs(report.max_deviation_b - expected_b) <= 1e-12
+            seen_by_a, seen_by_b = reduced_channel_choi(masker, members[0])
+            oracle_a, oracle_b = _independent_views(masker, members[0])
+            assert np.abs(seen_by_a - oracle_a).max() <= 1e-12
+            assert np.abs(seen_by_b - oracle_b).max() <= 1e-12
 
 
 def _expand(blocks: np.ndarray) -> np.ndarray:
@@ -364,17 +384,17 @@ def _independent_views(masker, spec) -> tuple:
 
     Up to input dimension 8 they come from the full Choi matrix and a partial
     trace; above, that matrix is too large (268 MB at 16), and they come
-    from the Kraus operators instead.
+    from ``choi(spec)`` contracted with the masker instead.
     """
     if channel_dims(spec)[0] <= 8:
         return brute_force_reduced_choi(masker, spec, "B"), brute_force_reduced_choi(masker, spec, "A")
-    return kraus_reduced_chois(masker, spec)
+    return choi_reduced_chois(masker, spec)
 
 
-def _oracle_deviations(masker, members, oracle=_independent_views) -> tuple:
-    """Worst pairwise deviation seen by A and by B, from the ``(seen_by_a, seen_by_b)`` pairs of ``oracle``."""
+def _oracle_deviations(masker, members) -> tuple:
+    """Worst pairwise deviation seen by A and by B, from the views of ``_independent_views``."""
     out = []
-    for chois in zip(*(oracle(masker, spec) for spec in members)):
+    for chois in zip(*(_independent_views(masker, spec) for spec in members)):
         out.append(max(np.linalg.norm(chois[i] - chois[j])
                        for i in range(len(chois)) for j in range(i + 1, len(chois))))
     return tuple(out)
@@ -402,7 +422,8 @@ def _leak_off_copy_row(masker: Masker) -> Masker:
 
 
 class TestCopyMaskerClosedForm:
-    """The closed-form blocks of a copy masker against the full reduced Choi matrices of both sides."""
+    """The blocks of a copy masker, the Kraus form with one copy row per block, against the full reduced
+    Choi matrices of both sides."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -418,7 +439,7 @@ class TestCopyMaskerClosedForm:
         dout = spec.out_size if kind == "classical" else din
         rows = random_isometry(rng, dout + extra_row, dout)
         masker = copy_masker(rows)
-        closed = _expand(_copy_choi_blocks(rows, spec))
+        closed = _expand(_kraus_choi(rows[:, None, None], spec))
         for view in _independent_views(masker, spec):
             assert np.abs(closed - view).max() <= 1e-12
 
@@ -454,13 +475,20 @@ class TestClosedFormCannotBeFooled:
         assert abs(report.max_deviation_a - expected_a) <= 1e-12
         assert abs(report.max_deviation_b - expected_b) <= 1e-12
 
-    def test_cap_applies_above_sixteen_except_to_copy_maskers(self):
-        rng = np.random.default_rng(17)
-        members = list(random_commuting_family(rng, 17, 3))
+    def test_non_copy_maskers_above_sixteen_are_reported(self):
+        # No input dimension is refused: at d = 32 a copy masker with a
+        # leaking row and a dense 32 x 33 masker get reports, as the oracle's.
+        rng = np.random.default_rng(32)
+        members = list(random_commuting_family(rng, 32, 2))
         masker = copy_masker(decide_gate_family(members).certificate.copy_rows(members))
         assert verify_masking(masker, members, 1e-9).passed
-        with pytest.raises(ValueError, match="exceeds the brute-force limit 16"):
-            verify_masking(_leak_off_copy_row(masker), members, 1e-9)
+        dense = Masker(random_isometry(rng, 32 * 33, 32), BipartiteDims(32, 33))
+        for other in (_leak_off_copy_row(masker), dense):
+            report = verify_masking(other, members, 1e-9)
+            assert not report.passed
+            expected_a, expected_b = _oracle_deviations(other, members)
+            assert abs(report.max_deviation_a - expected_a) <= 1e-12
+            assert abs(report.max_deviation_b - expected_b) <= 1e-12
 
     def test_unequal_factors_take_the_general_route(self, monkeypatch):
         # rows k*(dimA + 1) hold the basis, as in a copy masker on dimA x dimA,
