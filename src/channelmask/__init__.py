@@ -25,7 +25,6 @@ from .channels import (
     bit_flip,
     bloch_affine,
     channel_dims,
-    choi,
     dephasing,
     depolarizing,
     identity_channel,
@@ -66,9 +65,7 @@ from .masking import (
 )
 from .verify import (
     VerificationReport,
-    local_orthogonality_check,
     reduced_channel_choi,
-    state_mask_check,
     verify_masking,
 )
 
@@ -104,7 +101,6 @@ __all__ = [
     "bit_flip",
     "bloch_affine",
     "channel_dims",
-    "choi",
     "classical_no_go_search",
     "commutator_norm",
     "copy_masker",
@@ -117,12 +113,10 @@ __all__ = [
     "depolarizing",
     "identity_channel",
     "is_isometry",
-    "local_orthogonality_check",
     "partial_trace",
     "pure_fixed_points",
     "reduced_channel_choi",
     "simultaneous_eigenbasis",
-    "state_mask_check",
     "to_kraus",
     "verify_masking",
 ]

@@ -3,19 +3,18 @@
 A channel is described by one of five interchangeable forms: a unitary
 matrix, a Kraus operator list, a Pauli probability four-vector, a classical
 column-stochastic matrix, or a unitary mixed with depolarizing noise.  The
-module converts between them, evaluates channels on operators, computes Choi
-matrices, and analyzes the affine action of qubit channels on Bloch vectors
-(the shift that measures unitality, pure fixed points).
+module converts between them, evaluates channels on operators, and analyzes
+the affine action of qubit channels on Bloch vectors (the shift that measures
+unitality, pure fixed points).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .linalg import DECISION_TOL, as_complex_matrix
+from .linalg import DECISION_TOL, as_complex_matrix, record
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -39,7 +38,7 @@ def _check_unitary(m, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@record
 class Unitary:
     """Channel ``rho -> U rho U^dag`` for a unitary matrix ``U``."""
 
@@ -53,7 +52,7 @@ class Unitary:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
+@record
 class KrausChannel:
     """Channel ``rho -> sum_k K_k rho K_k^dag`` with trace-preserving Kraus operators."""
 
@@ -80,7 +79,7 @@ class KrausChannel:
         return self.kraus_ops[0].shape[0]
 
 
-@dataclass(frozen=True)
+@record
 class PauliFourVector:
     """Qubit Pauli channel ``rho -> sum_i p_i sigma_i rho sigma_i``."""
 
@@ -106,7 +105,7 @@ class PauliFourVector:
         return np.array([self.p0, self.px, self.py, self.pz])
 
 
-@dataclass(frozen=True)
+@record
 class ClassicalChannel:
     """Classical channel given by conditional probabilities ``p(y|x)``.
 
@@ -139,7 +138,7 @@ class ClassicalChannel:
         return self.probs.shape[0]
 
 
-@dataclass(frozen=True)
+@record
 class DepolarizedUnitary:
     """Channel ``rho -> p U rho U^dag + (1-p) Tr(rho) 1/d``."""
 
@@ -161,7 +160,7 @@ class DepolarizedUnitary:
 ChannelSpec = Union[Unitary, KrausChannel, PauliFourVector, ClassicalChannel, DepolarizedUnitary]
 
 
-@dataclass(frozen=True)
+@record
 class BlochAffine:
     """Affine action ``n -> matrix @ n + shift`` of a qubit channel on Bloch vectors."""
 
@@ -272,26 +271,6 @@ def to_kraus(spec: ChannelSpec) -> KrausChannel:
                     ops.append(k)
         return KrausChannel(tuple(ops))
     raise TypeError(f"not a channel spec: {spec!r}")
-
-
-def choi(spec: ChannelSpec) -> np.ndarray:
-    """Choi matrix ``sum_ij |i><j| (x) E(|i><j|)`` (channel on the second factor).
-
-    The defining entangled operator is unnormalized, so the partial trace of
-    the result over the output factor equals the identity on the input space.
-    Entry ``[(i, x), (j, y)]`` is ``E(|i><j|)[x, y]``; for Kraus operators
-    ``K_k`` that is ``sum_k K_k[x, i] conj(K_k[y, j])``, one matrix product
-    over the stacked operators.
-    """
-    din, dout = channel_dims(spec)
-    if isinstance(spec, ClassicalChannel):
-        # E(|i><j|) = delta_ij diag(p(.|i)): the Choi matrix is diagonal.
-        return np.diag(spec.probs.T.reshape(-1).astype(complex))
-    if isinstance(spec, DepolarizedUnitary):
-        vec = spec.matrix.T.reshape(-1)
-        return spec.p * np.outer(vec, vec.conj()) + (1.0 - spec.p) / dout * np.eye(din * dout)
-    vecs = np.stack([k.T.reshape(-1) for k in to_kraus(spec).kraus_ops])
-    return vecs.T @ vecs.conj()
 
 
 def bloch_affine(spec: ChannelSpec) -> BlochAffine:

@@ -24,7 +24,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -44,7 +43,7 @@ from .channels import (
     pure_fixed_points,
     random_classical_channel,
 )
-from .linalg import DECISION_TOL, VERIFY_TOL, BipartiteDims
+from .linalg import DECISION_TOL, VERIFY_TOL, BipartiteDims, record
 from .masking import (
     Fourier,
     Masker,
@@ -65,7 +64,7 @@ class SchemaError(ValueError):
     """A file violates the schema; the message names the failed rule."""
 
 
-@dataclass(frozen=True)
+@record
 class FamilyFile:
     version: str
     kind: str
@@ -184,7 +183,7 @@ def channel_from_json(obj, where: str) -> ChannelSpec:
 # -- family kinds ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class FamilyKind:
     """How one family kind's members are checked, decided and verified.
 
@@ -257,14 +256,21 @@ _ROW_SEP = "\n    ],\n    [\n"
 # the writer's bytes around rows of one column or more, dims as json writes 1 to 999999999
 _LAYOUT_HEAD = re.compile(re.escape(_MASKER_HEAD + "    [\n").replace("%s", "([1-9][0-9]{0,8})"))
 _LAYOUT_TAIL = "\n    ]" + _MASKER_TAIL
+# one matrix entry, [re, im], as the masker layout writes it
+_PAIR = "      [\n        %r,\n        %r\n      ]"
+
+
+def _zero_row(cols: int) -> str:
+    """The row of ``cols`` entries whose every number has the bits of ``+0.0``."""
+    return ",\n".join([_PAIR % (0.0, 0.0)] * cols)
 
 
 def _masker_rows(m: np.ndarray) -> list[str]:
     """Each row of ``m`` as the masker layout writes it: each number on its own line, each float as
     ``float.__repr__`` writes it, as ``json`` does; a row whose entries all have the bits of ``+0.0``
     (so not ``-0.0``) is one constant string, and only the other rows are formatted."""
-    template = ",\n".join(["      [\n        %r,\n        %r\n      ]"] * m.shape[1])
-    rows = [template % ((0.0,) * 2 * m.shape[1])] * m.shape[0]
+    template = ",\n".join([_PAIR] * m.shape[1])
+    rows = [_zero_row(m.shape[1])] * m.shape[0]
     nonzero = np.flatnonzero(np.ascontiguousarray(m).view(np.uint64).any(axis=1))
     for k, values in zip(nonzero.tolist(), m[nonzero].view(float).tolist()):
         rows[k] = template % tuple(values)
@@ -274,29 +280,45 @@ def _masker_rows(m: np.ndarray) -> list[str]:
 def _masker_from_layout(text: str) -> tuple[np.ndarray, BipartiteDims] | None:
     """``(matrix, dims)`` if ``text`` is byte for byte what :func:`save_masker_file` writes for them, else ``None``.
 
-    A row equal to the all-``+0.0`` row stays zero; every other row is parsed and must render back to
-    itself.  Other whitespace or number spellings, non-finite numbers or no columns are left to the
-    ``json`` reader and its schema messages; :class:`Masker` checks the row count on either path.
+    The rows, separated by ``_ROW_SEP``, are read in place: a row equal to the all-``+0.0`` row stays
+    zero; every other row is parsed and must render back to itself.  Other whitespace or number
+    spellings, non-finite numbers or no columns are left to the ``json`` reader and its schema
+    messages; :class:`Masker` checks the row count on either path.
     """
     head = _LAYOUT_HEAD.match(text)
     if head is None or not text.endswith(_LAYOUT_TAIL):
         return None
-    rows = text[head.end():len(text) - len(_LAYOUT_TAIL)].split(_ROW_SEP)
-    dims = BipartiteDims(int(head[1]), int(head[2]))
-    cols = rows[0].count("[")
+    pos, end = head.end(), len(text) - len(_LAYOUT_TAIL)
+    first = text.find(_ROW_SEP, pos, end)
+    cols = text.count("[", pos, end if first < 0 else first)
     if not cols:
         return None
-    zero = _masker_rows(np.zeros((1, cols), dtype=complex))[0]
-    nonzero = [k for k, row in enumerate(rows) if row != zero]
+    zero = _zero_row(cols)
+    unit = zero + _ROW_SEP  # no separator starts inside the zero row, so this is a zero row, not the last
+    count, nonzero, texts = 0, [], []  # rows seen; index and text of each nonzero row
+    while True:
+        if text.startswith(unit, pos, end):
+            pos += len(unit)
+            count += 1
+            continue
+        stop = text.find(_ROW_SEP, pos, end)
+        row = text[pos:end if stop < 0 else stop]
+        if row != zero:
+            nonzero.append(count)
+            texts.append(row)
+        count += 1
+        if stop < 0:
+            break
+        pos = stop + len(_ROW_SEP)
     try:
-        values = [[*map(float, rows[k].replace("[", "").replace("]", "").split(","))] for k in nonzero]
+        values = [[*map(float, row.replace("[", "").replace("]", "").split(","))] for row in texts]
         values = np.array(values, dtype=float).reshape(len(nonzero), 2 * cols)
     except ValueError:  # a number float does not read, or a row of another length
         return None
-    matrix = np.zeros((len(rows), cols), dtype=complex)
+    matrix = np.zeros((count, cols), dtype=complex)
     matrix[nonzero] = values.view(complex)
-    same = np.isfinite(values).all() and _masker_rows(matrix[nonzero]) == [rows[k] for k in nonzero]
-    return (matrix, dims) if same else None
+    same = np.isfinite(values).all() and _masker_rows(matrix[nonzero]) == texts
+    return (matrix, BipartiteDims(int(head[1]), int(head[2]))) if same else None
 
 
 def load_masker_file(path) -> Masker:
@@ -441,7 +463,7 @@ def cmd_verify(args) -> int:
     tol = _resolve(args.verify_tol, family.options, "verify_tol", VERIFY_TOL)
     report = verify.verify_masking(masker, family_channels(family), tol)
     if args.json:
-        _print_json(asdict(report))
+        _print_json({name: getattr(report, name) for name in report.__match_args__})
     else:
         _print_report_text(report, "masking verification")
     return EXIT_OK if report.passed else EXIT_NEGATIVE

@@ -6,11 +6,10 @@ convention for eigenvector columns, commutator norms, and simultaneous
 diagonalization of commuting unitaries.
 All functions are pure; the only randomness (the coefficient draws inside
 :func:`simultaneous_eigenbasis`) is driven by an explicit seed.
+:func:`record` makes the package's frozen value classes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +26,90 @@ _PHASE_FLOOR = 1e-8
 _MAX_COMBINATION_DRAWS = 8
 
 
-@dataclass(frozen=True)
+# -- frozen value classes ----------------------------------------------------------
+#
+# What ``@dataclass(frozen=True)`` gives, from methods written once: the
+# dataclass decorator compiles generated source for every class, about 1 ms
+# each, and every command is a fresh process that defines them all.
+
+_set = object.__setattr__
+
+
+def _values(self) -> tuple:
+    return tuple(getattr(self, name) for name in self.__match_args__)
+
+
+def _eq(self, other):
+    return _values(self) == _values(other) if other.__class__ is self.__class__ else NotImplemented
+
+
+def _hash(self) -> int:
+    return hash(_values(self))
+
+
+def _repr(self) -> str:
+    return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self.__match_args__)})"
+
+
+def _frozen(self, name: str, *value) -> None:
+    raise AttributeError(f"cannot assign to or delete field {name!r} of a frozen {type(self).__qualname__}")
+
+
+def _bind(cls, names: tuple, defaults: dict, args: tuple, kwargs: dict) -> list:
+    # The general case of a record's __init__: the fields after the positional
+    # arguments come from the keywords, else the defaults.
+    values, missing = list(args), []
+    for name in names[len(args):]:
+        if name in kwargs:
+            values.append(kwargs.pop(name))
+        elif name in defaults:
+            values.append(defaults[name])
+        else:
+            missing.append(name)
+    if kwargs:
+        name = next(iter(kwargs))
+        raise TypeError(f"{cls.__qualname__}() got "
+                        + (f"multiple values for argument {name!r}" if name in names else
+                           f"an unexpected keyword argument {name!r}"))
+    if missing:
+        raise TypeError(f"{cls.__qualname__}() missing required arguments: {', '.join(map(repr, missing))}")
+    if len(args) > len(names):
+        raise TypeError(f"{cls.__qualname__}() takes {len(names)} positional arguments but {len(args)} were given")
+    return values
+
+
+def record(cls):
+    """Make ``cls`` a frozen value class of the fields it annotates, in order, as ``@dataclass(frozen=True)`` would.
+
+    Its ``__init__`` takes the fields by position or keyword, with the class
+    attribute of a field's name as its default, sets them and then calls
+    ``__post_init__`` when the class has one.  Instances compare and hash as
+    the tuple of their fields (never equal to an instance of another class),
+    print as ``Name(field=value, ...)``, and refuse assignment and deletion
+    with ``AttributeError``.  ``__match_args__`` is the tuple of field names.
+    A method the class defines itself is kept.
+    """
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    post_init = cls.__dict__.get("__post_init__")
+
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs or len(args) != len(names):
+            args = _bind(cls, names, defaults, args, kwargs)
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        if post_init is not None:
+            post_init(self)
+
+    methods = {"__init__": __init__, "__eq__": _eq, "__hash__": _hash, "__repr__": _repr,
+               "__setattr__": _frozen, "__delattr__": _frozen, "__match_args__": names}
+    for attr, method in methods.items():
+        if attr not in cls.__dict__:
+            setattr(cls, attr, method)
+    return cls
+
+
+@record
 class BipartiteDims:
     """Factor dimensions of a bipartite space ``A (x) B``."""
 
@@ -205,15 +287,26 @@ def _check_unitary(stack: np.ndarray) -> np.ndarray:
     return stack
 
 
+def _hermitian_combination(ws: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """``sum_n alpha_n (W_n + W_n^dag) + (beta_n i) (W_n - W_n^dag)`` over the rows ``(alpha_n, beta_n)``
+    of ``coefficients``, added one member at a time starting from zero.
+
+    The order fixes the bits of ``h``, and so the certificate: ``accumulate``
+    adds in member order at every shape (``sum`` may add pairwise), and
+    ``+ 0.0`` turns a sum of ``-0.0`` terms into the ``+0.0`` that starting
+    from zero gives.
+    """
+    adjoints = ws.conj().swapaxes(1, 2)
+    terms = coefficients[:, :1, None] * (ws + adjoints) + (coefficients[:, 1:, None] * 1j) * (ws - adjoints)
+    return np.add.accumulate(terms)[-1] + 0.0
+
+
 def _combination_bases(ws: np.ndarray, seed: int):
     """For each draw, the eigenbasis of a random Hermitian combination of ``ws``, and
     each member's off-diagonal mass in that basis."""
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_COMBINATION_DRAWS):
-        h = np.zeros(ws.shape[1:], dtype=complex)
-        for w, (alpha, beta) in zip(ws, rng.uniform(-1.0, 1.0, size=(len(ws), 2))):
-            h += alpha * (w + w.conj().T) + beta * 1j * (w - w.conj().T)
-        basis = np.linalg.eigh(h)[1]
+        basis = np.linalg.eigh(_hermitian_combination(ws, rng.uniform(-1.0, 1.0, size=(len(ws), 2))))[1]
         yield basis, _offdiagonal_masses(ws, basis)
 
 

@@ -22,7 +22,6 @@ certificates call it, and the CLI refuses a file whose members break it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -55,6 +54,7 @@ from .linalg import (
     commutator_norm,
     fix_column_phases,
     is_isometry,
+    record,
     simultaneous_eigenbasis,
 )
 
@@ -117,7 +117,7 @@ def classical_members(members) -> list:
     return _members(members, "classical family", (ClassicalChannel,), "input and output alphabets")
 
 
-@dataclass(frozen=True)
+@record
 class Masker:
     """Isometry from the channel output space into a bipartite space."""
 
@@ -149,7 +149,7 @@ class Masker:
 # gates in its members.
 
 
-@dataclass(frozen=True)
+@record
 class CommonEigenbasis:
     """All relative gates are diagonal in ``basis``; mask by copying it."""
 
@@ -176,7 +176,7 @@ class CommonEigenbasis:
                 "basis": matrix_to_json(self.basis)}
 
 
-@dataclass(frozen=True)
+@record
 class PauliAxis:
     """``p0 + p_axis`` is constant (= ``constant``) across the family."""
 
@@ -194,7 +194,7 @@ class PauliAxis:
         return {"type": "pauli_axis", "axis": self.axis, "constant": self.constant}
 
 
-@dataclass(frozen=True)
+@record
 class FixedPointAxis:
     """Every family member fixes the pure state with this Bloch direction."""
 
@@ -225,7 +225,7 @@ class FixedPointAxis:
         return {"type": "fixed_point_axis", "direction": vector_to_json(self.direction)}
 
 
-@dataclass(frozen=True)
+@record
 class Fourier:
     """The discrete-Fourier masker on ``dim`` symbols masks the family."""
 
@@ -243,7 +243,7 @@ class Fourier:
         return {"type": "fourier", "dim": self.dim}
 
 
-@dataclass(frozen=True)
+@record
 class Trivial:
     """Constant or single-member family: any isometry masks it."""
 
@@ -262,7 +262,7 @@ Certificate = Union[CommonEigenbasis, PauliAxis, FixedPointAxis, Fourier, Trivia
 # -- witnesses (which condition fails, with numbers) --------------------------
 
 
-@dataclass(frozen=True)
+@record
 class NoncommutingPair:
     """Relative gates at family positions ``i`` and ``j`` fail to commute."""
 
@@ -274,7 +274,7 @@ class NoncommutingPair:
         return {"type": "noncommuting_pair", "i": self.i, "j": self.j, "commutator_norm": self.comm_norm}
 
 
-@dataclass(frozen=True)
+@record
 class NoConstantAxis:
     """Per-axis spread (max - min) of ``p0 + p_axis`` across the family."""
 
@@ -284,7 +284,7 @@ class NoConstantAxis:
         return {"type": "no_constant_axis", "spreads": dict(self.spreads)}
 
 
-@dataclass(frozen=True)
+@record
 class NonUnital:
     """Family member ``index`` displaces the Bloch-ball origin by ``shift``."""
 
@@ -295,7 +295,7 @@ class NonUnital:
         return {"type": "non_unital", "shift": vector_to_json(self.shift), "member": self.index}
 
 
-@dataclass(frozen=True)
+@record
 class NoPureFixedPoint:
     """The Bloch matrix has no unit eigenvector with eigenvalue 1."""
 
@@ -306,7 +306,7 @@ class NoPureFixedPoint:
                 "eigenvalues": [[float(e.real), float(e.imag)] for e in self.eigenvalues]}
 
 
-@dataclass(frozen=True)
+@record
 class NoCommonFixedPoint:
     """Per-channel fixed directions have empty intersection."""
 
@@ -316,7 +316,7 @@ class NoCommonFixedPoint:
         return {"type": "no_common_fixed_point", "per_channel": [fixed_points_to_json(f) for f in self.per_channel]}
 
 
-@dataclass(frozen=True)
+@record
 class NoCommonBasis:
     """The relative gates pairwise commute within tolerance, yet no basis diagonalizes them all:
     ``residual`` is the largest off-diagonal mass left by eigenspace refinement."""
@@ -330,7 +330,7 @@ class NoCommonBasis:
 Witness = Union[NoncommutingPair, NoConstantAxis, NonUnital, NoPureFixedPoint, NoCommonFixedPoint, NoCommonBasis]
 
 
-@dataclass(frozen=True)
+@record
 class MaskingDecision:
     """Verdict plus either a constructive certificate or a refusal witness."""
 
@@ -541,7 +541,7 @@ def decide_classical_family(channels) -> MaskingDecision:
     return _maskable(Fourier(classical_members(channels)[0].out_size))
 
 
-@dataclass(frozen=True)
+@record
 class SearchReport:
     """Outcome of the exhaustive search for a classical (reversible) masker.
 
@@ -553,7 +553,11 @@ class SearchReport:
 
     injection_count: int
     violating_all: bool
-    first_counterexample_per_injection: tuple = field(repr=False)
+    first_counterexample_per_injection: tuple
+
+    def __repr__(self) -> str:
+        # one entry per injection (43680 at dim 4) is too long to print
+        return f"SearchReport(injection_count={self.injection_count!r}, violating_all={self.violating_all!r})"
 
 
 def classical_no_go_search(dim: int, perms) -> SearchReport:

@@ -20,21 +20,11 @@ every masker this package writes) shows both sides one map,
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    ChannelSpec,
-    ClassicalChannel,
-    DepolarizedUnitary,
-    Unitary,
-    _check_unitary,
-    apply,
-    channel_dims,
-    to_kraus,
-)
-from .linalg import VERIFY_TOL, cluster_phases, partial_trace, simultaneous_eigenbasis
+from .channels import ChannelSpec, ClassicalChannel, DepolarizedUnitary, Unitary, apply, channel_dims, to_kraus
+from .linalg import VERIFY_TOL, partial_trace, record
 from .masking import Masker, _members
 
 # The basis-operator loop serves inputs up to this dimension (see the module
@@ -44,7 +34,7 @@ _LOOP_MAX_INPUT_DIM = 4
 _MAX_VIEW_ENTRIES = 2**24
 
 
-@dataclass(frozen=True)
+@record
 class VerificationReport:
     """Worst-case reduced-output deviations across a family, per subsystem."""
 
@@ -163,43 +153,3 @@ def verify_masking(masker: Masker, family, tol: float = VERIFY_TOL) -> Verificat
         return _report(worst, worst, tol)
     views = zip(*(reduced_channel_choi(masker, spec) for spec in members))
     return _report(*map(_max_pairwise, views), tol)
-
-
-def local_orthogonality_check(masker: Masker, u, tol: float = VERIFY_TOL) -> bool:
-    """Masked eigenstates from distinct eigenspaces must be locally orthogonal.
-
-    The eigenphases of ``u`` are clustered; for every pair of eigenvectors
-    from distinct clusters the two marginals of the masked states must have
-    orthogonal supports, i.e. their product vanishes in Frobenius norm.
-    Callers are expected to have verified that the masker actually masks
-    ``{identity, u}``.
-    """
-    mat = _check_unitary(u, "u")
-    if mat.shape[0] != masker.input_dim:
-        raise ValueError("unitary dimension does not match the masker input")
-    z = simultaneous_eigenbasis([mat])
-    clusters = cluster_phases(np.angle(np.diag(z.conj().T @ mat @ z)))
-    marginals = [_marginals(masker, z[:, col]) for col in range(z.shape[1])]
-    return not any(np.linalg.norm(x @ y) > tol
-                   for first, second in itertools.combinations(clusters, 2)
-                   for i, j in itertools.product(first, second)
-                   for x, y in zip(marginals[i], marginals[j]))
-
-
-def state_mask_check(masker: Masker, states, tol: float = VERIFY_TOL) -> VerificationReport:
-    """Check that a set of pure states acquires identical marginals under the masker."""
-    kets = [np.asarray(s, dtype=complex).reshape(-1) for s in states]
-    if not kets:
-        raise ValueError("state list must be non-empty")
-    for k in kets:
-        if k.shape != (masker.input_dim,):
-            raise ValueError("state dimension does not match the masker input")
-    views = zip(*(_marginals(masker, k) for k in kets))
-    return _report(*map(_max_pairwise, views), tol)
-
-
-def _marginals(masker: Masker, ket: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The states A and B hold once the masker has taken the pure state ``ket``."""
-    masked = masker.matrix @ ket
-    state = np.outer(masked, masked.conj())
-    return partial_trace(state, masker.dims, "B"), partial_trace(state, masker.dims, "A")

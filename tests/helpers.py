@@ -1,4 +1,5 @@
-"""Shared random-instance generators, channel constructors and reference oracles for the test suite."""
+"""Shared random-instance generators, channel constructors, reference oracles and the paper's lemma checks
+(local orthogonality, state masking) for the test suite."""
 
 import itertools
 
@@ -10,17 +11,25 @@ from channelmask.channels import (
     SIGMA_Y,
     SIGMA_Z,
     ChannelSpec,
+    ClassicalChannel,
     DepolarizedUnitary,
     KrausChannel,
     Unitary,
     _check_unitary,
     apply,
     channel_dims,
-    choi,
     to_kraus,
 )
-from channelmask.linalg import _PHASE_FLOOR, cluster_phases, commutator_norm, simultaneous_eigenbasis
+from channelmask.linalg import (
+    _PHASE_FLOOR,
+    VERIFY_TOL,
+    cluster_phases,
+    commutator_norm,
+    partial_trace,
+    simultaneous_eigenbasis,
+)
 from channelmask.masking import CommonEigenbasis, Masker, MaskingDecision, NoncommutingPair, Trivial
+from channelmask.verify import VerificationReport, _max_pairwise, _report
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -73,6 +82,26 @@ def dephasing_about(axis, p: float) -> KrausChannel:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     return KrausChannel((np.sqrt(1.0 - p) * SIGMA_0, np.sqrt(p) * axis_operator(axis)))
+
+
+def choi(spec: ChannelSpec) -> np.ndarray:
+    """Choi matrix ``sum_ij |i><j| (x) E(|i><j|)`` (channel on the second factor).
+
+    The defining entangled operator is unnormalized, so the partial trace of
+    the result over the output factor equals the identity on the input space.
+    Entry ``[(i, x), (j, y)]`` is ``E(|i><j|)[x, y]``; for Kraus operators
+    ``K_k`` that is ``sum_k K_k[x, i] conj(K_k[y, j])``, one matrix product
+    over the stacked operators.
+    """
+    din, dout = channel_dims(spec)
+    if isinstance(spec, ClassicalChannel):
+        # E(|i><j|) = delta_ij diag(p(.|i)): the Choi matrix is diagonal.
+        return np.diag(spec.probs.T.reshape(-1).astype(complex))
+    if isinstance(spec, DepolarizedUnitary):
+        vec = spec.matrix.T.reshape(-1)
+        return spec.p * np.outer(vec, vec.conj()) + (1.0 - spec.p) / dout * np.eye(din * dout)
+    vecs = np.stack([k.T.reshape(-1) for k in to_kraus(spec).kraus_ops])
+    return vecs.T @ vecs.conj()
 
 
 def gate_family(*us) -> tuple:
@@ -153,6 +182,46 @@ def brute_force_reduced_choi(masker: Masker, spec, side: str) -> np.ndarray:
     return np.einsum("iabjad->ibjd", six).reshape(din * db, din * db)
 
 
+def local_orthogonality_check(masker: Masker, u, tol: float = VERIFY_TOL) -> bool:
+    """Masked eigenstates from distinct eigenspaces must be locally orthogonal.
+
+    The eigenphases of ``u`` are clustered; for every pair of eigenvectors
+    from distinct clusters the two marginals of the masked states must have
+    orthogonal supports, i.e. their product vanishes in Frobenius norm.
+    Callers are expected to have verified that the masker actually masks
+    ``{identity, u}``.
+    """
+    mat = _check_unitary(u, "u")
+    if mat.shape[0] != masker.input_dim:
+        raise ValueError("unitary dimension does not match the masker input")
+    z = simultaneous_eigenbasis([mat])
+    clusters = cluster_phases(np.angle(np.diag(z.conj().T @ mat @ z)))
+    marginals = [_marginals(masker, z[:, col]) for col in range(z.shape[1])]
+    return not any(np.linalg.norm(x @ y) > tol
+                   for first, second in itertools.combinations(clusters, 2)
+                   for i, j in itertools.product(first, second)
+                   for x, y in zip(marginals[i], marginals[j]))
+
+
+def state_mask_check(masker: Masker, states, tol: float = VERIFY_TOL) -> VerificationReport:
+    """Check that a set of pure states acquires identical marginals under the masker."""
+    kets = [np.asarray(s, dtype=complex).reshape(-1) for s in states]
+    if not kets:
+        raise ValueError("state list must be non-empty")
+    for k in kets:
+        if k.shape != (masker.input_dim,):
+            raise ValueError("state dimension does not match the masker input")
+    views = zip(*(_marginals(masker, k) for k in kets))
+    return _report(*map(_max_pairwise, views), tol)
+
+
+def _marginals(masker: Masker, ket: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The states A and B hold once the masker has taken the pure state ``ket``."""
+    masked = masker.matrix @ ket
+    state = np.outer(masked, masked.conj())
+    return partial_trace(state, masker.dims, "B"), partial_trace(state, masker.dims, "A")
+
+
 def choi_reduced_chois(masker: Masker, spec) -> tuple:
     """Oracle for ``reduced_channel_choi``: ``choi(spec)`` contracted with the masker, with no ``W W^dag``,
     ``apply`` or ``partial_trace``.
@@ -190,6 +259,14 @@ def pair_loop_gate_decision(us: list, tol: float, seed: int) -> MaskingDecision:
     if norm > tol * us[0].shape[0]:
         return MaskingDecision(False, witness=NoncommutingPair(i, j, norm))
     return MaskingDecision(True, certificate=CommonEigenbasis(simultaneous_eigenbasis(ws, tol, seed)))
+
+
+def loop_hermitian_combination(ws, coefficients) -> np.ndarray:
+    """Oracle for ``linalg._hermitian_combination``: one relative gate at a time, added to zeros."""
+    h = np.zeros(ws.shape[1:], dtype=complex)
+    for w, (alpha, beta) in zip(ws, coefficients):
+        h += alpha * (w + w.conj().T) + beta * 1j * (w - w.conj().T)
+    return h
 
 
 def loop_fix_column_phases(m) -> np.ndarray:

@@ -14,7 +14,6 @@ from channelmask.channels import (
     PauliFourVector,
     Unitary,
     amplitude_damping,
-    choi,
     channel_dims,
     dephasing,
     depolarizing,
@@ -37,16 +36,14 @@ from channelmask.masking import (
     decide_identity_family,
     decide_pauli_family,
 )
-from channelmask.verify import (
-    local_orthogonality_check,
-    reduced_channel_choi,
-    verify_masking,
-)
+from channelmask.verify import reduced_channel_choi, verify_masking
 
 from helpers import (
+    choi,
     dephasing_about,
     depolarized_family,
     gate_family,
+    local_orthogonality_check,
     random_axis,
     random_commuting_family,
     random_noncommuting_triple,

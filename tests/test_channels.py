@@ -17,7 +17,6 @@ from channelmask.channels import (
     bit_flip,
     bloch_affine,
     channel_dims,
-    choi,
     dephasing,
     depolarizing,
     identity_channel,
@@ -29,6 +28,7 @@ from channelmask.linalg import DECISION_TOL
 from channelmask.masking import _unital
 
 from helpers import (
+    choi,
     conjugate,
     dephasing_about,
     random_axis,

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import channelmask
+from channelmask import channels, cli, linalg, masking, verify
+from channelmask.channels import ALL_DIRECTIONS, PAULIS
 from channelmask.linalg import (
     PHASE_GAP,
     BipartiteDims,
@@ -20,11 +23,19 @@ from channelmask.linalg import (
     partial_trace,
     simultaneous_eigenbasis,
 )
-from channelmask.linalg import _PHASE_FLOOR, _canonical_basis, _combination_bases, _diagonalizes_all, _refine_subspaces
+from channelmask.linalg import (
+    _PHASE_FLOOR,
+    _canonical_basis,
+    _combination_bases,
+    _diagonalizes_all,
+    _hermitian_combination,
+    _refine_subspaces,
+)
 
 from helpers import (
     loop_canonical_basis,
     loop_fix_column_phases,
+    loop_hermitian_combination,
     random_noncommuting_triple,
     random_unitary,
 )
@@ -265,6 +276,34 @@ class TestBatchedAgainstLoop:
             m[:, 0] = np.array(moduli[:rows]).clip(None, _PHASE_FLOOR) * (-1) ** np.arange(rows)
         assert fix_column_phases(m).tobytes() == loop_fix_column_phases(m).tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(1, 16), size=st.integers(1, 31),
+           kind=st.sampled_from(["random", "permutation", "diagonal", "pauli"]), seed=st.integers(0, 2**32 - 1))
+    def test_hermitian_combination(self, dim, size, kind, seed):
+        # the structured stacks have exact zeros, whose signs the order of the sum decides
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            ws = np.array([random_unitary(dim, rng) for _ in range(size)])
+        elif kind == "permutation":
+            ws = np.eye(dim, dtype=complex)[np.array([rng.permutation(dim) for _ in range(size)])]
+        elif kind == "diagonal":
+            ws = np.array([np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, dim))) for _ in range(size)])
+        else:
+            ws = np.array(PAULIS)[rng.integers(0, 4, size)]
+        coefficients = rng.uniform(-1.0, 1.0, size=(size, 2))
+        h = _hermitian_combination(ws, coefficients)
+        assert h.tobytes() == loop_hermitian_combination(ws, coefficients).tobytes()
+
+    def test_hermitian_combination_of_one_phased_pauli(self):
+        # A Pauli times an eighth root of unity whose parts have one modulus: under some signs of the
+        # coefficients a part of the one term is -0.0, which the loop's start from zeros makes +0.0.
+        s = np.sqrt(0.5)
+        for sigma, phase in itertools.product(PAULIS, [1, 1j, -1, -1j, s + s * 1j, s - s * 1j, -s + s * 1j, -s - s * 1j]):
+            for coefficients in itertools.product((-0.5, 0.5), repeat=2):
+                ws, coefficients = np.array([phase * sigma]), np.array([coefficients])
+                h = _hermitian_combination(ws, coefficients)
+                assert h.tobytes() == loop_hermitian_combination(ws, coefficients).tobytes()
+
 
 def test_import_loads_no_scipy():
     src = Path(channelmask.__file__).resolve().parent.parent
@@ -272,3 +311,155 @@ def test_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_dataclasses():
+    # every command is a fresh process; the dataclass decorator compiles source for each class
+    src = Path(channelmask.__file__).resolve().parent.parent
+    code = "import channelmask.cli, sys; print('dataclasses' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "False"
+
+
+# One instance of each value class by its fields in order, and a second, unequal one (None for a class
+# with no other instance that compares without an array's ambiguous truth value).  Arrays have one entry,
+# so that == compares them as numbers.
+ONE = np.eye(1, dtype=complex)
+RECORDS = {
+    BipartiteDims: ({"dim_a": 2, "dim_b": 3}, {"dim_a": 3, "dim_b": 2}),
+    channels.Unitary: ({"matrix": ONE}, {"matrix": 1j * ONE}),
+    channels.KrausChannel: ({"kraus_ops": (ONE,)}, {"kraus_ops": (-ONE,)}),
+    channels.PauliFourVector: ({"p0": 0.5, "px": 0.5, "py": 0.0, "pz": 0.0},
+                               {"p0": 0.5, "px": 0.0, "py": 0.5, "pz": 0.0}),
+    channels.ClassicalChannel: ({"probs": np.ones((1, 1))}, None),
+    channels.DepolarizedUnitary: ({"p": 0.5, "matrix": ONE}, {"p": 0.25, "matrix": ONE}),
+    channels.BlochAffine: ({"matrix": np.eye(1), "shift": np.zeros(1)}, {"matrix": np.eye(1), "shift": np.ones(1)}),
+    masking.Masker: ({"matrix": ONE, "dims": BipartiteDims(1, 1)}, {"matrix": 1j * ONE, "dims": BipartiteDims(1, 1)}),
+    masking.CommonEigenbasis: ({"basis": ONE, "reference_index": 1}, {"basis": ONE, "reference_index": 2}),
+    masking.PauliAxis: ({"axis": "x", "constant": 1.0}, {"axis": "z", "constant": 1.0}),
+    masking.FixedPointAxis: ({"direction": (0.0, 0.0, 1.0)}, {"direction": (0.0, 0.0, -1.0)}),
+    masking.Fourier: ({"dim": 2}, {"dim": 3}),
+    masking.Trivial: ({}, None),
+    masking.NoncommutingPair: ({"i": 1, "j": 2, "comm_norm": 0.5}, {"i": 1, "j": 3, "comm_norm": 0.5}),
+    masking.NoConstantAxis: ({"spreads": {"x": 0.1, "y": 0.2, "z": 0.3}}, {"spreads": {"x": 0.1}}),
+    masking.NonUnital: ({"shift": (0.0, 0.0, 0.5), "index": 1}, {"shift": (0.0, 0.0, 0.5), "index": 2}),
+    masking.NoPureFixedPoint: ({"eigenvalues": (0.5j, -0.5j, 1.0)}, {"eigenvalues": (0.5, 0.5, 1.0)}),
+    masking.NoCommonFixedPoint: ({"per_channel": (None, ALL_DIRECTIONS)}, {"per_channel": (None, None)}),
+    masking.NoCommonBasis: ({"residual": 1e-3}, {"residual": 2e-3}),
+    masking.MaskingDecision: ({"maskable": True, "certificate": masking.Trivial(), "witness": None},
+                              {"maskable": False, "certificate": None, "witness": masking.NoCommonBasis(1e-3)}),
+    masking.SearchReport: ({"injection_count": 2, "violating_all": True,
+                            "first_counterexample_per_injection": ((0, 0, 1, "A"), (0, 0, 1, "B"))},
+                           {"injection_count": 2, "violating_all": False,
+                            "first_counterexample_per_injection": (None, (0, 0, 1, "B"))}),
+    verify.VerificationReport: ({"passed": True, "max_deviation_a": 1e-16, "max_deviation_b": 0.0,
+                                 "worst_pair": (0, 1), "tol": 1e-9},
+                                {"passed": False, "max_deviation_a": 1e-3, "max_deviation_b": 0.0,
+                                 "worst_pair": (0, 1), "tol": 1e-9}),
+    cli.FamilyFile: ({"version": "1", "kind": "gate", "members": (), "options": {}},
+                     {"version": "1", "kind": "pauli", "members": (), "options": {}}),
+    cli.FamilyKind: ({"rule": masking.gate_members, "decide": masking.decide_gate_family, "channels": tuple},
+                     {"rule": masking.gate_members, "decide": masking.decide_gate_family, "channels": list}),
+}
+DEFAULTS = {
+    masking.CommonEigenbasis: {"reference_index": 0},
+    masking.NonUnital: {"index": 0},
+    masking.MaskingDecision: {"certificate": None, "witness": None},
+    cli.FamilyKind: {"channels": list},
+}
+# the fields a repr shows, where that is not all of them
+SHOWN = {masking.SearchReport: ("injection_count", "violating_all")}
+
+
+def _values(obj) -> tuple:
+    return tuple(getattr(obj, name) for name in type(obj).__match_args__)
+
+
+class TestRecord:
+    """The package's value classes, made by ``linalg.record``, behave as frozen dataclasses did."""
+
+    def test_every_value_class_is_listed(self):
+        found = {obj for module in (linalg, channels, masking, verify, cli) for obj in vars(module).values()
+                 if isinstance(obj, type) and hasattr(obj, "__match_args__")}
+        assert found == set(RECORDS) and len(found) == 24
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+    def test_fields_in_order_by_position_or_keyword(self, cls):
+        fields = RECORDS[cls][0]
+        assert cls.__match_args__ == tuple(fields)
+        a = cls(*fields.values())
+        assert _values(a) == _values(cls(**fields)) == _values(cls(**dict(reversed(fields.items()))))
+        if fields:
+            first, *rest = fields
+            assert _values(cls(fields[first], **{name: fields[name] for name in rest})) == _values(a)
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+    def test_defaults_and_bad_calls(self, cls):
+        fields, defaults = RECORDS[cls][0], DEFAULTS.get(cls, {})
+        required = [name for name in fields if name not in defaults]
+        a = cls(*[fields[name] for name in required])
+        assert {name: getattr(a, name) for name in defaults} == defaults
+        if required:
+            with pytest.raises(TypeError, match="missing required arguments"):
+                cls(*[fields[name] for name in required[:-1]])
+            with pytest.raises(TypeError, match="multiple values"):
+                cls(fields[required[0]], **{required[0]: fields[required[0]]})
+        with pytest.raises(TypeError, match="positional arguments"):
+            cls(*fields.values(), None)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'extra'"):
+            cls(*fields.values(), extra=None)
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+    def test_frozen(self, cls):
+        a = cls(*RECORDS[cls][0].values())
+        before = _values(a)
+        for name in (*cls.__match_args__, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, None)
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+        assert _values(a) == before and not hasattr(a, "extra")
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+    def test_equality_and_hash_are_the_field_tuple(self, cls):
+        fields, other = RECORDS[cls]
+        a, b = cls(*fields.values()), cls(*fields.values())
+        assert a == b and not a != b
+        assert a != _values(a) and _values(a) != a  # a plain tuple of the same values never equals
+        if other is not None:
+            assert a != cls(**other) and not a == cls(**other)
+        try:
+            expected = hash(_values(a))
+        except TypeError:  # an array, dict or list field
+            with pytest.raises(TypeError):
+                hash(a)
+        else:
+            assert hash(a) == hash(b) == expected
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+    def test_repr(self, cls):
+        a = cls(*RECORDS[cls][0].values())
+        shown = SHOWN.get(cls, cls.__match_args__)
+        assert repr(a) == f"{cls.__name__}(" + ", ".join(f"{name}={getattr(a, name)!r}" for name in shown) + ")"
+
+    def test_search_report_repr_leaves_out_the_counterexamples(self):
+        report = masking.classical_no_go_search(2, [(0, 1), (1, 0)])
+        assert repr(report) == "SearchReport(injection_count=12, violating_all=True)"
+
+    def test_post_init_validates_and_normalizes(self):
+        # by position and by keyword alike
+        for p in (channels.PauliFourVector(1.0, -1e-13, 0.0, 0.0),
+                  channels.PauliFourVector(pz=0.0, py=0.0, px=-1e-13, p0=1.0)):
+            assert (p.p0, p.px, p.py, p.pz) == (1.0, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="px = -0.001 is negative"):
+            channels.PauliFourVector(p0=1.001, px=-0.001, py=0.0, pz=0.0)
+        with pytest.raises(ValueError, match="probabilities sum to"):
+            channels.PauliFourVector(0.5, 0.5, 0.5, 0.0)
+        assert channels.DepolarizedUnitary(p=1.0 + 1e-13, matrix=ONE).p == 1.0
+        kraus = channels.KrausChannel([[[1]]])
+        assert isinstance(kraus.kraus_ops, tuple) and kraus.kraus_ops[0].dtype == complex
+        with pytest.raises(ValueError, match="factor dimensions must be at least 1"):
+            BipartiteDims(dim_a=0, dim_b=1)
+        with pytest.raises(ValueError, match="not an isometry"):
+            masking.Masker(2 * ONE, BipartiteDims(1, 1))

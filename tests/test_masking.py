@@ -43,17 +43,14 @@ from channelmask.masking import (
     decide_identity_family,
     decide_pauli_family,
 )
-from channelmask.verify import (
-    local_orthogonality_check,
-    reduced_channel_choi,
-    verify_masking,
-)
+from channelmask.verify import reduced_channel_choi, verify_masking
 
 from helpers import (
     conjugate,
     dephasing_about,
     depolarized_family,
     gate_family,
+    local_orthogonality_check,
     pair_loop_gate_decision,
     random_axis,
     random_commuting_family,

@@ -29,22 +29,18 @@ from channelmask.masking import (
     copy_masker,
     decide_gate_family,
 )
-from channelmask.verify import (
-    _kraus_choi,
-    local_orthogonality_check,
-    reduced_channel_choi,
-    state_mask_check,
-    verify_masking,
-)
+from channelmask.verify import _kraus_choi, reduced_channel_choi, verify_masking
 
 from helpers import (
     brute_force_reduced_choi,
     choi_reduced_chois,
     gate_family,
+    local_orthogonality_check,
     random_commuting_family,
     random_isometry,
     random_kraus_channel,
     random_unitary,
+    state_mask_check,
 )
 
 I2 = np.eye(2, dtype=complex)
