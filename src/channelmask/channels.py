@@ -206,15 +206,18 @@ def identity_channel(dim: int = 2) -> Unitary:
 
 
 def apply(spec: ChannelSpec, rho) -> np.ndarray:
-    """Evaluate the channel on an operator (not restricted to states)."""
-    arr = as_complex_matrix(rho, "rho")
+    """Evaluate the channel on an operator (not restricted to states), or on each in a stack ``(..., d, d)``.
+
+    Each operator of a stack gives the bits of its own 2-d call.
+    """
+    arr = as_complex_matrix(rho, "rho", stack=True)
     din, _ = channel_dims(spec)
-    if arr.shape != (din, din):
+    if arr.shape[-2:] != (din, din):
         raise ValueError(f"operator shape {arr.shape} does not match channel input dimension {din}")
     if isinstance(spec, Unitary):
         return spec.matrix @ arr @ spec.matrix.conj().T
     if isinstance(spec, KrausChannel):
-        out = np.zeros((spec.dout, spec.dout), dtype=complex)
+        out = np.zeros((*arr.shape[:-2], spec.dout, spec.dout), dtype=complex)
         for k in spec.kraus_ops:
             out += k @ arr @ k.conj().T
         return out
@@ -226,11 +229,17 @@ def apply(spec: ChannelSpec, rho) -> np.ndarray:
             + spec.pz * SIGMA_Z @ arr @ SIGMA_Z
         )
     if isinstance(spec, ClassicalChannel):
-        return np.diag(spec.probs.astype(complex) @ np.diag(arr))
+        # diag(P diag(X)); the trailing axis keeps the 2-d call's matrix-vector product.
+        image = spec.probs.astype(complex) @ np.diagonal(arr, axis1=-2, axis2=-1)[..., None]
+        out = np.zeros((*arr.shape[:-2], spec.out_size, spec.out_size), dtype=complex)
+        diagonal = np.arange(spec.out_size)
+        out[..., diagonal, diagonal] = image[..., 0]
+        return out
     if isinstance(spec, DepolarizedUnitary):
         d = spec.dim
         coherent = spec.matrix @ arr @ spec.matrix.conj().T
-        return spec.p * coherent + (1.0 - spec.p) * np.trace(arr) * np.eye(d) / d
+        mixed = (1.0 - spec.p) * np.trace(arr, axis1=-2, axis2=-1)[..., None, None]
+        return spec.p * coherent + mixed * np.eye(d) / d
     raise TypeError(f"not a channel spec: {spec!r}")
 
 

@@ -6,15 +6,19 @@ are, so comparing them is a complete equality test.  Deviations are
 aggregated with max (masking is a worst-case property over inputs and family
 members).
 
-Up to input dimension 4 each of the ``din**2`` basis operators goes through
-the channel and the masker once, which fixes the round-off digits (such as
-``1.570e-16``, or an exact ``0.0``) the CLI prints for small families, every
-file in ``samples/`` among them.  Above 4 one Kraus-form formula gives each
-view, with no dimension cap; a view may hold up to ``2**24`` entries.  A copy
-masker (``d x d`` factors, every row other than ``k*(d+1)`` exactly zero, as
-every masker this package writes) shows both sides one map,
-``rho -> diag(R E(rho) R^dag)`` for its copy rows ``R``, whose Choi matrix is
-``d`` blocks of size ``din x din`` from the same formula.
+Up to input dimension 4 the ``din**2`` basis operators go through the
+channel, the masker and both partial traces as one stack per member, which
+fixes the round-off digits (such as ``1.570e-16``, or an exact ``0.0``) the
+CLI prints for small families, every file in ``samples/`` among them: numpy
+makes the same product and sum for each matrix of a stack as for a lone one,
+so the digits are those of one operator at a time.  The operators are taken
+in chunks, so that no stacked product ``M E(X) M^dag`` holds more than
+``max(D**2, 2**20)`` entries for ``D = dA * dB``.  Above 4 one Kraus-form
+formula gives each view, with no dimension cap; a view may hold up to
+``2**24`` entries.  A copy masker (``d x d`` factors, every row other than
+``k*(d+1)`` exactly zero, as every masker this package writes) shows both
+sides one map, ``rho -> diag(R E(rho) R^dag)`` for its copy rows ``R``, whose
+Choi matrix is ``d`` blocks of size ``din x din`` from the same formula.
 """
 
 from __future__ import annotations
@@ -27,9 +31,12 @@ from .channels import ChannelSpec, ClassicalChannel, DepolarizedUnitary, Unitary
 from .linalg import VERIFY_TOL, partial_trace, record
 from .masking import Masker, _members
 
-# The basis-operator loop serves inputs up to this dimension (see the module
-# docstring): it fixes the round-off digits of the CLI's small reports.
-_LOOP_MAX_INPUT_DIM = 4
+# The stacked basis-operator pass serves inputs up to this dimension (see the
+# module docstring): it fixes the round-off digits of the CLI's small reports.
+_STACK_MAX_INPUT_DIM = 4
+# Entries of one stacked product M E(X) M^dag (16 MB of complex128), unless
+# one operator's D x D product alone is larger.
+_STACK_ENTRIES = 2**20
 # Entries of one view (268 MB of complex128): a dense view at din = 64.
 _MAX_VIEW_ENTRIES = 2**24
 
@@ -48,27 +55,30 @@ class VerificationReport:
 def reduced_channel_choi(masker: Masker, spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
     """Choi matrices ``(seen_by_a, seen_by_b)`` of ``rho -> Tr_B[M E(rho) M^dag]`` and ``Tr_A[...]``.
 
-    Up to input dimension 4 both views are traced from one ``M E(|i><j|) M^dag``
-    per basis operator; above, each is :func:`_kraus_choi` of the rows of ``M``.
+    Up to input dimension 4 both views are traced from ``M E(|i><j|) M^dag``
+    for the stack of basis operators, taken in chunks of at most
+    ``max(1, 2**20 // D**2)`` operators for ``D = dA * dB``; above, each is
+    :func:`_kraus_choi` of the rows of ``M``.
     """
     din, dout = channel_dims(spec)
     _check_masker_input(masker, dout)
     da, db = masker.dims.dim_a, masker.dims.dim_b
     m = masker.matrix
-    if din > _LOOP_MAX_INPUT_DIM:
+    if din > _STACK_MAX_INPUT_DIM:
         rows = m.reshape(da, db, dout)  # G_b = rows[:, b] for A's view, G_a = rows[a] for B's
         return _kraus_choi(rows.transpose(1, 0, 2)[None], spec)[0], _kraus_choi(rows[None], spec)[0]
-    seen_by_a = np.zeros((din, da, din, da), dtype=complex)
-    seen_by_b = np.zeros((din, db, din, db), dtype=complex)
-    basis_op = np.zeros((din, din), dtype=complex)
-    for i in range(din):
-        for j in range(din):
-            basis_op[i, j] = 1.0
-            masked = m @ apply(spec, basis_op) @ m.conj().T
-            seen_by_a[i, :, j, :] = partial_trace(masked, masker.dims, "B")
-            seen_by_b[i, :, j, :] = partial_trace(masked, masker.dims, "A")
-            basis_op[i, j] = 0.0
-    return seen_by_a.reshape(din * da, din * da), seen_by_b.reshape(din * db, din * db)
+    ops = np.eye(din * din, dtype=complex).reshape(din * din, din, din)  # ops[i * din + j] = |i><j|
+    seen_by_a = np.empty((din * din, da, da), dtype=complex)
+    seen_by_b = np.empty((din * din, db, db), dtype=complex)
+    m_dag = m.conj().T
+    chunk = max(1, _STACK_ENTRIES // masker.dims.total**2)
+    for start in range(0, din * din, chunk):
+        masked = m @ apply(spec, ops[start:start + chunk]) @ m_dag
+        seen_by_a[start:start + chunk] = partial_trace(masked, masker.dims, "B")
+        seen_by_b[start:start + chunk] = partial_trace(masked, masker.dims, "A")
+    # [(i, j), x, x'] -> [(i, x), (j, x')]
+    return (seen_by_a.reshape(din, din, da, da).transpose(0, 2, 1, 3).reshape(din * da, din * da),
+            seen_by_b.reshape(din, din, db, db).transpose(0, 2, 1, 3).reshape(din * db, din * db))
 
 
 def _check_masker_input(masker: Masker, dout: int) -> None:
@@ -145,7 +155,7 @@ def verify_masking(masker: Masker, family, tol: float = VERIFY_TOL) -> Verificat
     """Check that both reduced channels are identical across the whole family."""
     members = _members(family, "family", shared="input and output dimensions")
     dims = channel_dims(members[0])
-    rows = _copy_rows(masker) if dims[0] > _LOOP_MAX_INPUT_DIM else None
+    rows = _copy_rows(masker) if dims[0] > _STACK_MAX_INPUT_DIM else None
     if rows is not None:
         # Both reduced channels of a copy masker are the same map.
         _check_masker_input(masker, dims[1])

@@ -182,6 +182,28 @@ def brute_force_reduced_choi(masker: Masker, spec, side: str) -> np.ndarray:
     return np.einsum("iabjad->ibjd", six).reshape(din * db, din * db)
 
 
+def loop_reduced_channel_choi(masker: Masker, spec) -> tuple:
+    """Oracle for the stacked pass of ``reduced_channel_choi`` (input dimension at most 4): one basis
+    operator at a time through ``apply``, the masker and two 2-d ``partial_trace`` calls.
+
+    Returns ``(seen_by_a, seen_by_b)``.
+    """
+    din, _ = channel_dims(spec)
+    da, db = masker.dims.dim_a, masker.dims.dim_b
+    m = masker.matrix
+    seen_by_a = np.zeros((din, da, din, da), dtype=complex)
+    seen_by_b = np.zeros((din, db, din, db), dtype=complex)
+    basis_op = np.zeros((din, din), dtype=complex)
+    for i in range(din):
+        for j in range(din):
+            basis_op[i, j] = 1.0
+            masked = m @ apply(spec, basis_op) @ m.conj().T
+            seen_by_a[i, :, j, :] = partial_trace(masked, masker.dims, "B")
+            seen_by_b[i, :, j, :] = partial_trace(masked, masker.dims, "A")
+            basis_op[i, j] = 0.0
+    return seen_by_a.reshape(din * da, din * da), seen_by_b.reshape(din * db, din * db)
+
+
 def local_orthogonality_check(masker: Masker, u, tol: float = VERIFY_TOL) -> bool:
     """Masked eigenstates from distinct eigenspaces must be locally orthogonal.
 

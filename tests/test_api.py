@@ -1,11 +1,16 @@
 """The public surface stays in step with the code: README's library example
 runs, every name in ``channelmask.__all__`` resolves and appears once, no
-module of the package or of its tests imports a name it never uses, and
-every function the benchmark's tracer wraps is where the tracer looks it up."""
+module of the package or of its tests imports a name it never uses, every
+function the benchmark's tracer wraps is where the tracer looks it up, and a
+traced verification counts one stacked pass per member."""
 
 import ast
+import importlib.util
 import re
+import sys
 from pathlib import Path
+
+import numpy as np
 
 import channelmask
 from channelmask import channels, cli, linalg, masking, verify
@@ -51,12 +56,20 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
+def _perfbench_module(name: str, monkeypatch):
+    """``perfbench/<name>.py`` loaded by path, under a name of its own while the test runs."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look up their module
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_the_benchmark_tracer_finds_every_hook_and_puts_it_back(monkeypatch):
     # perfbench/pipeline.instrument patches module attributes with getattr, so
     # a rename in the program would make a traced benchmark run raise
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import pipeline
-    import tracing
+    pipeline = _perfbench_module("pipeline", monkeypatch)
+    tracing = _perfbench_module("tracing", monkeypatch)
 
     modules = (channels, cli, linalg, masking, verify)
     before = [dict(vars(m)) for m in modules]
@@ -68,3 +81,21 @@ def test_the_benchmark_tracer_finds_every_hook_and_puts_it_back(monkeypatch):
     finally:
         tracer.uninstall()
     assert [dict(vars(m)) for m in modules] == before
+
+
+def test_the_benchmark_tracer_counts_one_stacked_pass_per_member(monkeypatch):
+    # Up to input dimension 4 each member's basis operators go through
+    # verify.apply as one stack and each view through one verify.partial_trace.
+    pipeline = _perfbench_module("pipeline", monkeypatch)
+    tracer = _perfbench_module("tracing", monkeypatch).Tracer()
+    pipeline.instrument(tracer)
+    tracer.active = True
+    try:
+        family = [channels.identity_channel(2), channels.dephasing(0.3), channels.bit_flip(0.2)]
+        report = verify.verify_masking(masking.copy_masker(np.eye(2)), family, 1e-9)
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert not report.passed
+    assert tracer.layers()["verify.reduced_channel_choi"]["calls"] == 3
+    assert tracer.calls == {"channels.apply": 3, "linalg.partial_trace": 6}

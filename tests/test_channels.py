@@ -99,6 +99,46 @@ class TestApply:
                     basis_op[i, j] = 0.0
 
 
+class TestApplyToAStack:
+    """A stack ``(..., d, d)`` gives, operator by operator, the bits of the 2-d call."""
+
+    @pytest.mark.parametrize("shape", [(1,), (5,), (2, 3)])
+    def test_each_operator_keeps_the_bits_of_its_own_call(self, shape):
+        rng = np.random.default_rng(len(shape) * 10 + shape[-1])
+        specs = _spec_zoo(rng) + [
+            random_kraus_channel(rng, 3, 2, 3),
+            DepolarizedUnitary(1.0, random_unitary(4, rng)),
+            DepolarizedUnitary(0.3, random_unitary(4, rng)),
+            random_classical_channel(4, 1, rng),
+        ]
+        for spec in specs:
+            din, dout = channel_dims(spec)
+            ops = rng.standard_normal((*shape, din, din)) + 1j * rng.standard_normal((*shape, din, din))
+            stacked = apply(spec, ops)
+            assert stacked.shape == (*shape, dout, dout)
+            for index in np.ndindex(*shape):
+                assert stacked[index].tobytes() == apply(spec, ops[index]).tobytes()
+
+    def test_a_real_stack_is_taken_as_complex(self):
+        ops = np.eye(4).reshape(4, 2, 2)
+        stacked = apply(depolarizing(0.7), ops)
+        assert stacked.dtype == complex
+        for op, out in zip(ops, stacked):
+            assert out.tobytes() == apply(depolarizing(0.7), op).tobytes()
+
+    def test_messages_are_the_two_dimensional_ones(self):
+        with pytest.raises(ValueError, match=r"^operator shape \(3, 3\) does not match channel input dimension 2$"):
+            apply(dephasing(0.5), np.eye(3))
+        with pytest.raises(ValueError, match=r"^operator shape \(4, 3, 3\) does not match channel input dimension 2$"):
+            apply(dephasing(0.5), np.zeros((4, 3, 3)))
+        with pytest.raises(ValueError, match=r"^operator shape \(4, 2, 3\) does not match channel input dimension 2$"):
+            apply(dephasing(0.5), np.zeros((4, 2, 3)))
+        with pytest.raises(ValueError, match=r"^rho must be two-dimensional, got shape \(2,\)$"):
+            apply(dephasing(0.5), np.zeros(2))
+        with pytest.raises(ValueError, match=r"^rho contains non-finite entries$"):
+            apply(dephasing(0.5), np.full((3, 2, 2), np.nan))
+
+
 class TestToKraus:
     def test_trivial_pauli(self):
         kc = to_kraus(PauliFourVector(1, 0, 0, 0))

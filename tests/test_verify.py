@@ -36,6 +36,7 @@ from helpers import (
     choi_reduced_chois,
     gate_family,
     local_orthogonality_check,
+    loop_reduced_channel_choi,
     random_commuting_family,
     random_isometry,
     random_kraus_channel,
@@ -264,8 +265,8 @@ def _member(kind: str, din: int, rng: np.random.Generator, p=None):
 
 
 class TestBasisLoopAgainstOracle:
-    """Both views of ``reduced_channel_choi`` (the basis-operator loop at ``din`` 4, the Kraus form above)
-    against a full Choi matrix."""
+    """Both views of ``reduced_channel_choi`` (the stacked basis-operator pass at ``din`` 4, the Kraus form
+    above) against a full Choi matrix."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -342,20 +343,21 @@ class TestOnePassOverTheBasis:
         # input dimension 4 the Kraus form applies no channel at all.
         rng = np.random.default_rng(21)
         dims = BipartiteDims(2, 3)
-        calls = []
+        operators = []
         apply = verify.apply
 
         def counted(spec, op):
-            calls.append(spec)
+            op = np.asarray(op)
+            operators.append(op.size // (op.shape[-2] * op.shape[-1]))  # a stack counts its length
             return apply(spec, op)
 
         monkeypatch.setattr(verify, "apply", counted)
-        for din, expected_calls in ((4, 4**2 * 3), (5, 0)):
-            calls.clear()
+        for din, expected_operators in ((4, 4**2 * 3), (5, 0)):
+            operators.clear()
             members = [random_kraus_channel(rng, din, din, 3) for _ in range(3)]
             masker = Masker(random_isometry(rng, dims.total, din), dims)
             report = verify_masking(masker, members, 1e-9)
-            assert len(calls) == expected_calls
+            assert sum(operators) == expected_operators
             expected_a, expected_b = _oracle_deviations(masker, members)
             assert abs(expected_a - expected_b) > 1e-3
             assert abs(report.max_deviation_a - expected_a) <= 1e-12
@@ -364,6 +366,94 @@ class TestOnePassOverTheBasis:
             oracle_a, oracle_b = _independent_views(masker, members[0])
             assert np.abs(seen_by_a - oracle_a).max() <= 1e-12
             assert np.abs(seen_by_b - oracle_b).max() <= 1e-12
+
+
+def _small_member(kind: str, din: int, p: float, rng: np.random.Generator):
+    """A member of input dimension ``din`` (2 for Pauli); Kraus and classical members change dimension."""
+    if kind == "unitary":
+        return Unitary(random_unitary(din, rng))
+    if kind == "kraus":
+        dout = int(rng.integers(1, 5))
+        return random_kraus_channel(rng, din, dout, max(2, -(-din // dout)) + int(rng.integers(2)))
+    if kind == "pauli":
+        return PauliFourVector(*rng.dirichlet(np.ones(4)))
+    if kind == "classical":
+        return random_classical_channel(din, int(rng.choice([d for d in range(1, 6) if d != din])), rng)
+    return DepolarizedUnitary(p, random_unitary(din, rng))
+
+
+def _small_masker(shape: str, dout: int, rng: np.random.Generator) -> Masker:
+    """A copy masker, or a random isometry on ``dA x dB`` with ``dA < dB`` or ``dA > dB``."""
+    if shape == "copy":
+        return copy_masker(random_unitary(dout, rng))
+    dim_a = int(rng.integers(1, 4))
+    dim_b = max(dim_a + 1, -(-dout // dim_a))
+    if shape == "a>b":
+        dim_a, dim_b = dim_b, dim_a
+    return Masker(random_isometry(rng, dim_a * dim_b, dout), BipartiteDims(dim_a, dim_b))
+
+
+class TestStackedPassAgainstTheLoop:
+    """Up to input dimension 4 ``reduced_channel_choi`` gives, bit for bit, the views of the loop that
+    sends one basis operator at a time through ``apply`` and ``partial_trace``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(["unitary", "kraus", "pauli", "classical", "depolarized"]),
+        din=st.integers(1, 4),
+        p=st.sampled_from([0.0, 1.0, 0.37]),
+        shape=st.sampled_from(["copy", "a<b", "a>b"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_views_are_the_bits_of_the_loop(self, kind, din, p, shape, seed):
+        rng = np.random.default_rng(seed)
+        spec = _small_member(kind, 2 if kind == "pauli" else din, p, rng)
+        masker = _small_masker(shape, channel_dims(spec)[1], rng)
+        for stacked, loop in zip(reduced_channel_choi(masker, spec), loop_reduced_channel_choi(masker, spec)):
+            assert stacked.shape == loop.shape
+            assert stacked.tobytes() == loop.tobytes()
+
+    @pytest.mark.parametrize("kind", ["unitary", "kraus", "pauli", "classical", "depolarized"])
+    def test_one_operator_per_chunk_keeps_the_bits(self, kind, monkeypatch):
+        monkeypatch.setattr(verify, "_STACK_ENTRIES", 1)
+        rng = np.random.default_rng(len(kind))
+        spec = _small_member(kind, 2 if kind == "pauli" else 3, 0.37, rng)
+        masker = _small_masker("a>b", channel_dims(spec)[1], rng)
+        operators = []
+        apply = verify.apply
+
+        def counted(spec, op):
+            operators.append(len(op))
+            return apply(spec, op)
+
+        monkeypatch.setattr(verify, "apply", counted)
+        for stacked, loop in zip(reduced_channel_choi(masker, spec), loop_reduced_channel_choi(masker, spec)):
+            assert stacked.tobytes() == loop.tobytes()
+        assert operators == [1] * channel_dims(spec)[0] ** 2
+
+
+class TestStackedPassMemory:
+    # A chunk holds max(1, 2**20 // D**2) operators, so no stacked product
+    # M E(X) M^dag holds more than max(D**2, 2**20) entries.
+    @pytest.mark.parametrize("dim_a,dim_b,chunks", [(2, 3, 1), (16, 32, 4), (33, 32, 16)])
+    def test_no_stacked_product_exceeds_the_bound(self, dim_a, dim_b, chunks, monkeypatch):
+        entries = []
+        partial_trace = verify.partial_trace
+
+        def recorded(m, dims, side):
+            entries.append(np.size(m))
+            return partial_trace(m, dims, side)
+
+        monkeypatch.setattr(verify, "partial_trace", recorded)
+        rng = np.random.default_rng(dim_a * dim_b)
+        total = dim_a * dim_b
+        masker = Masker(random_isometry(rng, total, 4), BipartiteDims(dim_a, dim_b))
+        spec = Unitary(random_unitary(4, rng))
+        seen_by_a, seen_by_b = reduced_channel_choi(masker, spec)
+        assert len(entries) == 2 * chunks
+        assert max(entries) <= max(total**2, 2**20)
+        assert sum(entries) == 2 * 4**2 * total**2  # every basis operator, traced on both sides
+        assert seen_by_a.shape == (4 * dim_a, 4 * dim_a) and seen_by_b.shape == (4 * dim_b, 4 * dim_b)
 
 
 def _expand(blocks: np.ndarray) -> np.ndarray:
