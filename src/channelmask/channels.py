@@ -26,6 +26,8 @@ PAULIS = (SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z)
 _TRACE_TOL = 1e-10
 # Probabilities this far below zero are treated as round-off and clamped.
 _PROB_CLAMP = 1e-12
+# |U^dag U - 1| (Frobenius) bound of a unitary member
+_UNITARY_TOL = 1e-10
 
 
 def _check_unitary(m, name: str) -> np.ndarray:
@@ -33,7 +35,7 @@ def _check_unitary(m, name: str) -> np.ndarray:
     if arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be square")
     # is_isometry's test, without coercing the array a second time
-    if not np.linalg.norm(arr.conj().T @ arr - np.eye(arr.shape[0])) <= 1e-10:
+    if not np.linalg.norm(arr.conj().T @ arr - np.eye(arr.shape[0])) <= _UNITARY_TOL:
         raise ValueError(f"{name} is not unitary within 1e-10")
     return arr
 
@@ -155,6 +157,33 @@ class DepolarizedUnitary:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _gates(stack: np.ndarray, ps=None) -> tuple | None:
+    """``Unitary(u)`` for each ``u`` of the finite complex stack ``(n, d, d)``, or
+    ``DepolarizedUnitary(ps[k], u)``, as the constructors build them; ``None`` if a constructor would refuse
+    one or a ``p`` is NaN.  The stacked Gram norm adds in another order than :func:`_check_unitary`, which
+    decides each member within a relative 1e-6 of the bound.
+    """
+    if ps is not None and not all(-_PROB_CLAMP <= p <= 1.0 + _PROB_CLAMP for p in ps):
+        return None
+    norms = np.linalg.norm(stack.conj().transpose(0, 2, 1) @ stack - np.eye(stack.shape[-1]), axis=(1, 2))
+    near = np.abs(norms - _UNITARY_TOL) <= 1e-6 * _UNITARY_TOL
+    if not (near | (norms <= _UNITARY_TOL)).all():
+        return None
+    try:
+        for k in np.flatnonzero(near).tolist():
+            _check_unitary(stack[k], "unitary matrix")
+    except ValueError:
+        return None
+    members = []
+    for k, u in enumerate(stack):
+        member = object.__new__(Unitary if ps is None else DepolarizedUnitary)
+        if ps is not None:
+            object.__setattr__(member, "p", min(max(ps[k], 0.0), 1.0))
+        object.__setattr__(member, "matrix", u)
+        members.append(member)
+    return tuple(members)
 
 
 ChannelSpec = Union[Unitary, KrausChannel, PauliFourVector, ClassicalChannel, DepolarizedUnitary]

@@ -11,9 +11,11 @@ Commands
 Family and masker files are JSON with complex scalars as ``[re, im]`` pairs
 and matrices in row-major order.  Masker files are always written in the
 layout of ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline.  A
-masker file in exactly those bytes is read row by row, parsing only its
-nonzero rows; any other JSON goes through ``json``, with the same results and
-messages.  Exit codes: 0 for a positive verdict or a passing verification, 1
+masker file in that layout with JSON floats (a fraction or an exponent, in
+any spelling) is read row by row, parsing only its nonzero rows; integers and
+any other text go through ``json``, with the same results and messages.
+Families of only unitary or only depolarized_unitary members are read as one
+stack.  Exit codes: 0 for a positive verdict or a passing verification, 1
 for a definitive negative, 2 for input errors.
 """
 
@@ -38,6 +40,7 @@ from .channels import (
     KrausChannel,
     PauliFourVector,
     Unitary,
+    _gates,
     bloch_affine,
     identity_channel,
     pure_fixed_points,
@@ -80,7 +83,7 @@ def _expect(condition: bool, rule: str) -> None:
 def _read_json_object(path, what: str, text: str | None = None) -> dict:
     try:
         raw = json.loads(Path(path).read_text() if text is None else text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: arrays or objects nested too deep
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     _expect(isinstance(raw, dict), f"{what}: top level must be an object")
     return raw
@@ -112,26 +115,33 @@ def _complex_from_json(entry, where: str) -> complex:
 def _matrix_from_json(obj, where: str, real: bool = False) -> np.ndarray:
     """Complex matrix of ``[re, im]`` pairs, or a real one of plain numbers when ``real``.
 
-    One walk flattens the rows, unpacking each pair; a type scan of the flat
-    entries (``int`` or ``float``, never ``bool``), a check of the row lengths
-    and one ``np.array`` of the flat list read a well-formed matrix.  Anything
-    else (a wrong type, a number beyond float range, ``NaN``, a ragged row, a
-    malformed pair) is read again entry by entry, which raises the schema
-    message that names the field.
+    A well-formed matrix is read by :func:`_stack_from_json`; anything else (a wrong type, a number beyond
+    float range, ``NaN``, a ragged row, a malformed pair) is read again entry by entry, which raises the
+    schema message that names the field.
     """
+    stack = _stack_from_json([obj], real)
+    return _matrix_entry_by_entry(obj, where, real) if stack is None else stack[0]
+
+
+def _stack_from_json(objs: list, real: bool = False) -> np.ndarray | None:
+    """Matrices of one shape as one ``(n, rows, cols)`` array, or ``None`` if any is not well formed: one
+    walk flattens the rows, unpacking each pair, then one type scan of the flat entries (``int`` or
+    ``float``, never ``bool``), a check of the row lengths and one ``np.array`` read them all."""
     try:
+        rows = [row for obj in objs for row in obj]
         if real:
-            flat = [v for row in obj for v in row]
+            flat = [v for row in rows for v in row]
         else:
-            flat = [v for row in obj for re, im in row for v in (re, im)]
-        cols = len(obj[0])
-        if {*map(type, flat)} <= {int, float} and cols and all(len(row) == cols for row in obj):
+            flat = [v for row in rows for re, im in row for v in (re, im)]
+        shape = (len(objs), len(objs[0]), len(objs[0][0]))
+        if ({*map(type, flat)} <= {int, float} and shape[2] and all(len(obj) == shape[1] for obj in objs)
+                and all(len(row) == shape[2] for row in rows)):
             arr = np.array(flat, dtype=float)
             if np.isfinite(arr).all():
-                return (arr if real else arr.view(complex)).reshape(len(obj), cols)
+                return (arr if real else arr.view(complex)).reshape(shape)
     except (TypeError, ValueError, OverflowError, IndexError, KeyError):
         pass
-    return _matrix_entry_by_entry(obj, where, real)
+    return None
 
 
 def _matrix_entry_by_entry(obj, where: str, real: bool) -> np.ndarray:
@@ -178,6 +188,24 @@ def channel_from_json(obj, where: str) -> ChannelSpec:
     raise SchemaError(
         f"{where}.type: must be one of unitary, kraus, pauli, classical, depolarized_unitary"
     )
+
+
+def _gates_from_json(members_raw: list) -> tuple | None:
+    """The members of a family of only ``unitary`` or only ``depolarized_unitary`` payloads with square
+    matrices of one shape, read as one stack; ``None`` for any other family, or for one that the read
+    member by member refuses, which then raises its message for the first bad member."""
+    try:
+        payload_type = members_raw[0]["type"]
+        if payload_type not in ("unitary", "depolarized_unitary") or any(m["type"] != payload_type
+                                                                         for m in members_raw):
+            return None
+        stack = _stack_from_json([m["matrix"] for m in members_raw])
+        ps = [m["p"] for m in members_raw] if payload_type == "depolarized_unitary" else []
+        if stack is None or stack.shape[1] != stack.shape[2] or not {*map(type, ps)} <= {int, float}:
+            return None
+        return _gates(stack, [*map(float, ps)] if ps else None)
+    except (TypeError, OverflowError, IndexError, KeyError):
+        return None
 
 
 # -- family kinds ------------------------------------------------------------------
@@ -233,7 +261,8 @@ def _family_from_json(raw: dict) -> FamilyFile:
     _expect(kind in KINDS, f"kind: must be one of {', '.join(KINDS)}")
     members_raw = raw.get("members")
     _expect(isinstance(members_raw, list) and members_raw, "members: must be a non-empty list")
-    members = tuple(channel_from_json(m, f"members[{i}]") for i, m in enumerate(members_raw))
+    members = _gates_from_json(members_raw) or tuple(
+        channel_from_json(m, f"members[{i}]") for i, m in enumerate(members_raw))
     options = raw.get("options", {})
     _expect(isinstance(options, dict), "options: must be an object")
     for key, value in options.items():
@@ -258,6 +287,12 @@ _LAYOUT_HEAD = re.compile(re.escape(_MASKER_HEAD + "    [\n").replace("%s", "([1
 _LAYOUT_TAIL = "\n    ]" + _MASKER_TAIL
 # one matrix entry, [re, im], as the masker layout writes it
 _PAIR = "      [\n        %r,\n        %r\n      ]"
+# a row of the layout with a JSON float, a number with a fraction or an exponent, in each number slot;
+# json reads such a number with float, and an integer with int (so -0 as +0.0, where float gives -0.0)
+# (the pair appears once in the pattern, which halves the time to compile it)
+_FLOAT = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+)"
+_ROW_PATTERN = "(?:%s(?:,\n(?=      \\[)|\\Z))+" % _FLOAT.join(map(re.escape, _PAIR.split("%r")))
+_BRACKETS_AND_COMMAS = str.maketrans("", "", "[],")
 
 
 def _zero_row(cols: int) -> str:
@@ -278,12 +313,13 @@ def _masker_rows(m: np.ndarray) -> list[str]:
 
 
 def _masker_from_layout(text: str) -> tuple[np.ndarray, BipartiteDims] | None:
-    """``(matrix, dims)`` if ``text`` is byte for byte what :func:`save_masker_file` writes for them, else ``None``.
+    """``(matrix, dims)`` if ``text`` is the writer's layout with JSON floats, else ``None``.
 
     The rows, separated by ``_ROW_SEP``, are read in place: a row equal to the all-``+0.0`` row stays
-    zero; every other row is parsed and must render back to itself.  Other whitespace or number
-    spellings, non-finite numbers or no columns are left to the ``json`` reader and its schema
-    messages; :class:`Masker` checks the row count on either path.
+    zero; every other row must match ``_ROW_PATTERN`` with ``cols`` entries, and its numbers are read
+    with ``float``, as ``json`` reads a float.  Other whitespace, integers and other number spellings,
+    non-finite numbers or no columns are left to the ``json`` reader and its schema messages;
+    :class:`Masker` checks the row count on either path.
     """
     head = _LAYOUT_HEAD.match(text)
     if head is None or not text.endswith(_LAYOUT_TAIL):
@@ -293,9 +329,9 @@ def _masker_from_layout(text: str) -> tuple[np.ndarray, BipartiteDims] | None:
     cols = text.count("[", pos, end if first < 0 else first)
     if not cols:
         return None
-    zero = _zero_row(cols)
+    zero, pattern = _zero_row(cols), re.compile(_ROW_PATTERN)  # compiled on first use, then cached by re
     unit = zero + _ROW_SEP  # no separator starts inside the zero row, so this is a zero row, not the last
-    count, nonzero, texts = 0, [], []  # rows seen; index and text of each nonzero row
+    count, nonzero, values = 0, [], []  # rows seen; index and numbers of each nonzero row
     while True:
         if text.startswith(unit, pos, end):
             pos += len(unit)
@@ -304,25 +340,25 @@ def _masker_from_layout(text: str) -> tuple[np.ndarray, BipartiteDims] | None:
         stop = text.find(_ROW_SEP, pos, end)
         row = text[pos:end if stop < 0 else stop]
         if row != zero:
+            numbers = row.translate(_BRACKETS_AND_COMMAS).split()  # the number slots, once the row matches
+            if len(numbers) != 2 * cols or pattern.fullmatch(row) is None:
+                return None
             nonzero.append(count)
-            texts.append(row)
+            values += map(float, numbers)
         count += 1
         if stop < 0:
             break
         pos = stop + len(_ROW_SEP)
-    try:
-        values = [[*map(float, row.replace("[", "").replace("]", "").split(","))] for row in texts]
-        values = np.array(values, dtype=float).reshape(len(nonzero), 2 * cols)
-    except ValueError:  # a number float does not read, or a row of another length
+    values = np.array(values, dtype=float)
+    if not np.isfinite(values).all():
         return None
     matrix = np.zeros((count, cols), dtype=complex)
-    matrix[nonzero] = values.view(complex)
-    same = np.isfinite(values).all() and _masker_rows(matrix[nonzero]) == texts
-    return (matrix, BipartiteDims(int(head[1]), int(head[2]))) if same else None
+    matrix[nonzero] = values.view(complex).reshape(len(nonzero), cols)
+    return matrix, BipartiteDims(int(head[1]), int(head[2]))
 
 
 def load_masker_file(path) -> Masker:
-    """Read a masker file; text in the writer's exact bytes is read row by row, any other through ``json``."""
+    """Read a masker file; the writer's layout is read row by row, any other text through ``json``."""
     text = Path(path).read_text()
     if (layout := _masker_from_layout(text)) is not None:
         return Masker(*layout)
@@ -342,9 +378,14 @@ def save_masker_file(path, masker: Masker) -> None:
     # changed in place; json would write NaN or Infinity, which is not JSON.
     if not np.isfinite(m).all():
         raise ValueError("masker matrix has non-finite entries")
-    body = "    [\n" + _ROW_SEP.join(_masker_rows(m)) + "\n    ]" if m.shape[1] else ",\n".join(["    []"] * len(m))
-    dims = (json.dumps(masker.dims.dim_a), json.dumps(masker.dims.dim_b))
-    Path(path).write_text(_MASKER_HEAD % dims + body + _MASKER_TAIL)
+    if m.shape[1]:
+        rows, sep, tail = _masker_rows(m), _ROW_SEP, _LAYOUT_TAIL
+        rows[0] = "    [\n" + rows[0]
+    else:
+        rows, sep, tail = ["    []"] * len(m), ",\n", _MASKER_TAIL
+    rows[0] = _MASKER_HEAD % (json.dumps(masker.dims.dim_a), json.dumps(masker.dims.dim_b)) + rows[0]
+    rows[-1] += tail
+    Path(path).write_text(sep.join(rows))  # one join copies the text once
 
 
 # -- decision / synthesis ------------------------------------------------------------

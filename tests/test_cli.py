@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from channelmask import cli, masking
+from channelmask import channels, cli, masking
 from channelmask.channels import amplitude_damping
 from channelmask.cli import (
     DECISION_TOL,
@@ -481,7 +482,17 @@ _MUTATIONS = {
     "dimA-leading-zero": lambda t: re.sub(r'"dimA": ([0-9]+)', r'"dimA": 0\1', t),
     "dimB-plus-one": lambda t: re.sub(r'"dimB": ([0-9]+)', lambda m: f'"dimB": {int(m[1]) + 1}', t),
     "version-2": lambda t: t.replace('"version": "1"', '"version": "2"'),
+    "uppercase-E": lambda t: re.sub(r"(\n        -?[0-9][^,\n]*)e", r"\1E", t, count=1),
+    "exponent-leading-zeros": lambda t: re.sub(r"(\n        [^,\n]*e-)", r"\g<1>00", t, count=1),
+    "trailing-zero-after-nonzero": lambda t: re.sub(r"(\n        -?[0-9]+\.[0-9]*[1-9])(,?\n)", r"\g<1>0\2", t,
+                                                    count=1),
+    "1E+16": lambda t: re.sub(_NUMBER_LINE, r"\g<1>1E+16", t, count=1),
+    "trailing-comma-in-row": lambda t: t.replace("\n      ]\n    ],", "\n      ],\n\n    ],", 1),
+    "leading-zero": lambda t: re.sub(r"(\n        -?)([0-9])", r"\g<1>0\2", t, count=1),
 }
+# JSON float spellings other than repr's, which the row pattern reads as json does
+_SPELLINGS = ("uppercase-E", "exponent-leading-zeros", "trailing-zero-after-nonzero", "1E+16",
+              "exponent-with-point", "short-exponent")
 
 
 class TestMaskerFileReader:
@@ -545,6 +556,206 @@ class TestMaskerFileReader:
 
         monkeypatch.setattr(cli.json, "loads", refuse)
         assert [_loaded(path) for path in paths] == expected
+
+
+class TestMaskerRowPattern:
+    """Nonzero masker rows are read by one pattern of the writer's layout with a JSON float in each number
+    slot; integer tokens and every other text go through ``json``."""
+
+    @staticmethod
+    def _written(path):
+        """The text of a masker with negative exponents, subnormals and long mantissas in its rows."""
+        masker = copy_masker(random_unitary(2, np.random.default_rng(7)))
+        masker.matrix[1] = complex(1e-07, 5e-324)
+        masker.matrix[2, 1] = complex(-2.2e-308, -0.0)
+        save_masker_file(path, masker)
+        return path.read_text()
+
+    @pytest.mark.parametrize("name", _SPELLINGS)
+    def test_json_float_spellings_are_read_by_the_row_pattern_as_json_reads_them(self, masker_path, name):
+        text = self._written(masker_path)
+        mutated = _MUTATIONS[name](text)
+        assert mutated != text
+        layout = cli._masker_from_layout(mutated)
+        assert layout is not None
+        by_json = cli._matrix_from_json(json.loads(mutated)["matrix"], "matrix")
+        assert layout[0].view(np.uint64).tobytes() == by_json.view(np.uint64).tobytes()
+        masker_path.write_text(mutated)
+        assert _loaded(masker_path) == _loaded_by_json(masker_path)
+
+    @pytest.mark.parametrize("name", ["trailing-comma-in-row", "leading-zero", "ragged-row", "short-pair",
+                                      "plus-sign"])
+    def test_rows_out_of_the_layout_go_to_json(self, masker_path, name):
+        text = self._written(masker_path)
+        mutated = _MUTATIONS[name](text)
+        assert mutated != text
+        assert cli._masker_from_layout(mutated) is None
+        masker_path.write_text(mutated)
+        assert _loaded(masker_path) == _loaded_by_json(masker_path)
+
+    @pytest.mark.parametrize("token", ["0", "-0", "1"])
+    @pytest.mark.parametrize("row", [0, 1], ids=["nonzero-row", "zero-row"])
+    def test_integer_tokens_go_to_json(self, masker_path, token, row):
+        save_masker_file(masker_path, copy_masker(np.eye(2)))
+        lines = masker_path.read_text().split("\n")
+        number = [i for i, line in enumerate(lines) if re.fullmatch(r" {8}-?[0-9.]+,?", line)][row * 4]
+        lines[number] = lines[number].replace(lines[number].strip(" ,"), token)
+        mutated = "\n".join(lines)
+        assert cli._masker_from_layout(mutated) is None
+        masker_path.write_text(mutated)
+        assert _loaded(masker_path) == _loaded_by_json(masker_path)
+
+    def test_written_masker_is_read_without_rendering_rows_or_json(self, tmp_path, monkeypatch):
+        path = tmp_path / "copy16.masker.json"
+        masker = copy_masker(random_unitary(16, np.random.default_rng(16)))
+        save_masker_file(path, masker)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the reader rendered rows or called json.loads")
+
+        monkeypatch.setattr(cli, "_masker_rows", refuse)
+        monkeypatch.setattr(cli.json, "loads", refuse)
+        loaded = load_masker_file(path)
+        assert loaded.matrix.view(np.uint64).tobytes() == masker.matrix.view(np.uint64).tobytes()
+
+
+@pytest.mark.parametrize("role", ["decide", "verify-family", "verify-masker", "bloch"])
+def test_deeply_nested_json_is_an_input_error(role, gate_family, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    masker = tmp_path / "masker.json"
+    save_masker_file(masker, copy_masker(np.eye(2)))
+    argv = {"decide": ["decide", str(deep)], "verify-family": ["verify", str(deep), str(masker)],
+            "verify-masker": ["verify", gate_family, str(deep)], "bloch": ["bloch", str(deep)]}[role]
+    assert main(argv) == EXIT_ERROR
+    assert f"error: {deep}: not valid JSON (maximum recursion depth exceeded" in capsys.readouterr().err
+
+
+def _read_family(raw):
+    """What ``_family_from_json`` gives: the kind and each member's type, matrix bits and ``p`` bits, or the
+    exception's type and message."""
+    try:
+        family = cli._family_from_json(raw)
+    except Exception as exc:  # every failure is compared, not only schema errors
+        return type(exc), str(exc)
+    return family.kind, [(type(m).__name__, m.matrix.shape, m.matrix.tobytes(), np.float64(getattr(m, "p", 0)).tobytes())
+                         for m in family.members]
+
+
+def _read_member_by_member(raw):
+    """:func:`_read_family` with the stacked read turned off."""
+    with mock.patch.object(cli, "_gates_from_json", lambda members: None):
+        return _read_family(raw)
+
+
+@st.composite
+def _gate_documents(draw):
+    """Gate and depolarized family documents, ``d`` 1-8 and ``n`` 1-6: Haar unitaries as floats and signed
+    permutations as integers or with ``-0.0`` parts."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 8))
+    members = []
+    for _ in range(draw(st.integers(1, 6))):
+        form = draw(st.sampled_from(["haar", "integers", "negative-zeros"]))
+        if form == "haar":
+            matrix = matrix_to_json(random_unitary(d, rng))
+        else:
+            zero = [0, 0] if form == "integers" else [-0.0, -0.0]
+            matrix = [[list(zero) for _ in range(d)] for _ in range(d)]
+            for column, (row, sign) in enumerate(zip(rng.permutation(d), rng.choice([-1, 1], d))):
+                matrix[row][column] = [int(sign), 0] if form == "integers" else [float(sign), -0.0]
+        members.append({"type": "unitary", "matrix": matrix})
+    if draw(st.booleans()):
+        p = draw(st.sampled_from([0, 1, 0.25, -0.0, -1e-13, 1 + 1e-13]))
+        for member in members:
+            member.update(type="depolarized_unitary", p=p)
+        return {"version": "1", "kind": "depolarized", "members": members}
+    return {"version": "1", "kind": "gate", "members": members}
+
+
+def _at_gram_norm(member, norm):
+    """``member``'s matrix scaled by ``1 + eps``, so that ``|U^dag U - 1|`` is about ``norm``."""
+    u = np.array(member["matrix"], dtype=float).view(complex)[..., 0]
+    member["matrix"] = matrix_to_json(u * (1 + norm / (2 * np.sqrt(len(u)))))
+
+
+def _set_entry(value):
+    return lambda member: member["matrix"][0][0].__setitem__(0, value)
+
+
+_FAMILY_MUTATIONS = {
+    "bool": _set_entry(True),
+    "string": _set_entry("1.0"),
+    "NaN": _set_entry(float("nan")),
+    "1e999": _set_entry(json.loads("1e999")),
+    "ragged-row": lambda member: member["matrix"][-1].pop(),
+    "short-pair": lambda member: member["matrix"][0][0].pop(),
+    "kraus-member": lambda member: member.update(type="kraus", ops=[member.pop("matrix")]),
+    "p-1.5": lambda member: member.update(p=1.5),
+    "p-bool": lambda member: member.update(p=True),
+    "p-NaN": lambda member: member.update(p=float("nan")),
+    "gram-0.9e-10": lambda member: _at_gram_norm(member, 0.9e-10),
+    "gram-1.1e-10": lambda member: _at_gram_norm(member, 1.1e-10),
+}
+
+
+@pytest.mark.filterwarnings("error")  # non-finite entries are refused before any arithmetic warns
+class TestStackedGateRead:
+    """Families of only unitary or only depolarized_unitary members are read as one stack, with the same
+    members, or the same exception type and message, as the member-by-member read."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(document=_gate_documents(), k=st.integers(0, 5))
+    @example(document={"version": "1", "kind": "depolarized", "members": [
+        {"type": "depolarized_unitary", "p": -1e-13, "matrix": [[[1, 0]]]}]}, k=0)
+    @example(document={"version": "1", "kind": "depolarized", "members": [
+        {"type": "depolarized_unitary", "p": 1 + 1e-13, "matrix": [[[0, -0.0], [1.0, 0]], [[1, 0], [0, 0]]]}]}, k=0)
+    def test_stacked_and_member_by_member_reads_agree(self, document, k):
+        assert cli._gates_from_json(document["members"]) is not None
+        assert _read_family(document) == _read_member_by_member(document)
+        for name, mutate in _FAMILY_MUTATIONS.items():
+            mutated = copy.deepcopy(document)
+            mutate(mutated["members"][k % len(mutated["members"])])
+            assert _read_family(mutated) == _read_member_by_member(mutated), name
+
+    @pytest.mark.parametrize(
+        "matrices, message",
+        [
+            # rows that would fill a stack of 2 x 2 matrices, but in matrices of 2, 1 and 3 rows
+            ([[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0], [0, 0]]], [[[0, 0], [1, 0]], [[1, 0], [0, 0]],
+                                                                        [[0, 0], [1, 0]]]],
+             "members[1]: unitary matrix must be square"),
+            ([[[[1, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0]]]], "members[0]: unitary matrix must be square"),
+        ],
+        ids=["rows-shared-across-members", "isometry-not-square"],
+    )
+    def test_matrices_that_are_not_square_are_refused_by_name(self, matrices, message):
+        document = {"version": "1", "kind": "gate", "members": [{"type": "unitary", "matrix": m} for m in matrices]}
+        assert _read_family(document) == _read_member_by_member(document) == (SchemaError, message)
+
+    @pytest.mark.parametrize("norm, accepted", [(0.9e-10, True), (1.1e-10, False)])
+    def test_members_near_the_unitarity_bound(self, norm, accepted):
+        document = {"version": "1", "kind": "gate",
+                    "members": [{"type": "unitary", "matrix": matrix_to_json(random_unitary(4, np.random.default_rng(s)))}
+                                for s in range(3)]}
+        _at_gram_norm(document["members"][1], norm)
+        read = _read_family(document)
+        assert read == _read_member_by_member(document)
+        assert (read[0] == "gate") == accepted
+        if not accepted:
+            assert read == (SchemaError, "members[1]: unitary matrix is not unitary within 1e-10")
+
+    def test_a_member_at_the_bound_is_decided_by_its_own_check(self, monkeypatch):
+        # the stacked norm adds in another order and differs from the member's own in the last bit for
+        # some members, so with the bound at the member's own norm only the re-check decides them all
+        rng = np.random.default_rng(3)
+        for d in range(1, 9):
+            stack = np.stack([random_unitary(d, rng) * (1 + 1e-11) for _ in range(30)])
+            for k in range(len(stack)):
+                own = np.linalg.norm(stack[k].conj().T @ stack[k] - np.eye(d))
+                for bound, accepted in ((own, True), (np.nextafter(own, 0), False)):
+                    monkeypatch.setattr(channels, "_UNITARY_TOL", bound)
+                    assert (channels._gates(np.stack([np.eye(d), stack[k]])) is not None) == accepted
 
 
 class TestIdentityKinds:
