@@ -5,7 +5,9 @@ matrix, a Kraus operator list, a Pauli probability four-vector, a classical
 column-stochastic matrix, or a unitary mixed with depolarizing noise.  The
 module converts between them, evaluates channels on operators, and analyzes
 the affine action of qubit channels on Bloch vectors (the shift that measures
-unitality, pure fixed points).
+unitality, pure fixed points).  The Bloch map takes one :func:`apply` of the
+stack ``PAULIS`` and the pure fixed points one more of their candidate
+states; each matrix of a stack gets the bits of its own 2-d call.
 """
 
 from __future__ import annotations
@@ -16,11 +18,9 @@ import numpy as np
 
 from .linalg import DECISION_TOL, as_complex_matrix, record
 
-SIGMA_0 = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z)
+# the stack (sigma_0, sigma_x, sigma_y, sigma_z), and its four matrices by name
+PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z = PAULIS
 
 # Trace preservation and probability normalization are structural facts.
 _TRACE_TOL = 1e-10
@@ -279,34 +279,19 @@ def to_kraus(spec: ChannelSpec) -> KrausChannel:
     if isinstance(spec, Unitary):
         return KrausChannel((spec.matrix,))
     if isinstance(spec, PauliFourVector):
-        ops = tuple(
-            np.sqrt(p) * sigma
-            for p, sigma in zip(spec.probabilities, PAULIS)
-            if p > 0.0
-        )
-        return KrausChannel(ops)
+        probs = spec.probabilities
+        return KrausChannel(tuple((np.sqrt(probs)[:, None, None] * PAULIS)[probs > 0.0]))
     if isinstance(spec, ClassicalChannel):
-        ops = []
-        for y in range(spec.out_size):
-            for x in range(spec.in_size):
-                p = spec.probs[y, x]
-                if p > 0.0:
-                    k = np.zeros((spec.out_size, spec.in_size), dtype=complex)
-                    k[y, x] = np.sqrt(p)
-                    ops.append(k)
+        ys, xs = np.nonzero(spec.probs > 0.0)  # row-major: y, then x
+        ops = np.zeros((ys.size, spec.out_size, spec.in_size), dtype=complex)
+        ops[np.arange(ys.size), ys, xs] = np.sqrt(spec.probs[ys, xs])
         return KrausChannel(tuple(ops))
     if isinstance(spec, DepolarizedUnitary):
         d = spec.dim
-        ops = []
-        if spec.p > 0.0:
-            ops.append(np.sqrt(spec.p) * spec.matrix)
+        ops = [np.sqrt(spec.p) * spec.matrix] if spec.p > 0.0 else []
         if spec.p < 1.0:
-            scale = np.sqrt((1.0 - spec.p) / d)
-            for i in range(d):
-                for j in range(d):
-                    k = np.zeros((d, d), dtype=complex)
-                    k[i, j] = scale
-                    ops.append(k)
+            # the unit operators |i><j|, i then j
+            ops.extend(np.sqrt((1.0 - spec.p) / d) * np.eye(d * d, dtype=complex).reshape(d * d, d, d))
         return KrausChannel(tuple(ops))
     raise TypeError(f"not a channel spec: {spec!r}")
 
@@ -315,20 +300,12 @@ def bloch_affine(spec: ChannelSpec) -> BlochAffine:
     """Affine Bloch-sphere action ``n -> A n + b`` of a qubit channel."""
     if not is_qubit(spec):
         raise ValueError("Bloch representation requires a qubit channel")
-    sigmas = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-    a = np.empty((3, 3), dtype=complex)
-    b = np.empty(3, dtype=complex)
-    image_id = apply(spec, SIGMA_0)
-    for i, si in enumerate(sigmas):
-        b[i] = 0.5 * np.trace(si @ image_id)
-    for j, sj in enumerate(sigmas):
-        image = apply(spec, sj)
-        for i, si in enumerate(sigmas):
-            a[i, j] = 0.5 * np.trace(si @ image)
-    residue = max(np.abs(a.imag).max(), np.abs(b.imag).max())
+    # m[i, j] = tr(sigma_i E(sigma_j)) / 2 for i in x, y, z and j in 0, x, y, z: b, then the columns of A
+    m = 0.5 * np.trace(PAULIS[1:, None] @ apply(spec, PAULIS), axis1=-2, axis2=-1)
+    residue = np.abs(m.imag).max()
     if residue > 1e-10:
         raise ValueError(f"Bloch action has imaginary residue {residue}; channel is not Hermiticity preserving")
-    return BlochAffine(a.real.copy(), b.real.copy())
+    return BlochAffine(m.real[:, 1:].copy(), m.real[:, 0].copy())
 
 
 def _canonical_direction(v: np.ndarray) -> np.ndarray:
@@ -384,13 +361,12 @@ def pure_fixed_points(spec: ChannelSpec, tol: float = DECISION_TOL):
                 for v in kernel:
                     candidates.extend([x + t * v, x - t * v])
 
-    fixed: list[np.ndarray] = []
-    for v in candidates:
-        v = v / np.linalg.norm(v)
-        rho = 0.5 * (SIGMA_0 + v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z)
-        if np.linalg.norm(apply(spec, rho) - rho) <= 10 * tol:
-            fixed.append(v)
-    fixed = _dedupe_directions(fixed)
+    # every candidate's pure state through the channel at once (an empty stack when there is none)
+    units = np.reshape([v / np.linalg.norm(v) for v in candidates], (-1, 3))
+    nx, ny, nz = units.T[..., None, None]
+    states = 0.5 * (SIGMA_0 + nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z)
+    fixed = _dedupe_directions([v for v, rho, image in zip(units, states, apply(spec, states))
+                                if np.linalg.norm(image - rho) <= 10 * tol])
     return fixed if fixed else None
 
 

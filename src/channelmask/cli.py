@@ -16,7 +16,8 @@ any spelling) is read row by row, parsing only its nonzero rows; integers and
 any other text go through ``json``, with the same results and messages.
 Families of only unitary or only depolarized_unitary members are read as one
 stack.  Exit codes: 0 for a positive verdict or a passing verification, 1
-for a definitive negative, 2 for input errors.
+for a definitive negative, 2 for input errors, 141 when the reader closes
+stdout before the output is written.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -61,6 +63,7 @@ _OPTION_KEYS = ("tol", "verify_tol", "seed")
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
+EXIT_BROKEN_PIPE = 128 + 13  # SIGPIPE
 
 
 class SchemaError(ValueError):
@@ -666,7 +669,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone (``| head``): say nothing and end as a shell reports SIGPIPE.
+        # Unwritten output stays buffered, so fd 1 goes to devnull for the interpreter's last flush.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -6,22 +6,30 @@ import itertools
 import numpy as np
 
 from channelmask.channels import (
+    ALL_DIRECTIONS,
+    PAULIS,
     SIGMA_0,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    BlochAffine,
     ChannelSpec,
     ClassicalChannel,
     DepolarizedUnitary,
     KrausChannel,
+    PauliFourVector,
     Unitary,
+    _canonical_direction,
     _check_unitary,
+    _dedupe_directions,
     apply,
     channel_dims,
+    is_qubit,
     to_kraus,
 )
 from channelmask.linalg import (
     _PHASE_FLOOR,
+    DECISION_TOL,
     VERIFY_TOL,
     cluster_phases,
     commutator_norm,
@@ -316,3 +324,89 @@ def loop_canonical_basis(ws, basis: np.ndarray) -> np.ndarray:
         for ordinal, c in enumerate(np.argsort(reps, kind="stable")):
             keys[row, clusters[c]] = ordinal
     return loop_fix_column_phases(basis[:, np.lexsort(keys[::-1])])
+
+
+def loop_to_kraus(spec: ChannelSpec) -> KrausChannel:
+    """Oracle for ``channels.to_kraus``: Pauli, classical and depolarized Kraus operators built one at a time."""
+    if isinstance(spec, PauliFourVector):
+        return KrausChannel(tuple(np.sqrt(p) * sigma for p, sigma in zip(spec.probabilities, PAULIS) if p > 0.0))
+    if isinstance(spec, ClassicalChannel):
+        ops = []
+        for y in range(spec.out_size):
+            for x in range(spec.in_size):
+                p = spec.probs[y, x]
+                if p > 0.0:
+                    k = np.zeros((spec.out_size, spec.in_size), dtype=complex)
+                    k[y, x] = np.sqrt(p)
+                    ops.append(k)
+        return KrausChannel(tuple(ops))
+    if isinstance(spec, DepolarizedUnitary):
+        d = spec.dim
+        ops = []
+        if spec.p > 0.0:
+            ops.append(np.sqrt(spec.p) * spec.matrix)
+        if spec.p < 1.0:
+            scale = np.sqrt((1.0 - spec.p) / d)
+            for i in range(d):
+                for j in range(d):
+                    k = np.zeros((d, d), dtype=complex)
+                    k[i, j] = scale
+                    ops.append(k)
+        return KrausChannel(tuple(ops))
+    return to_kraus(spec)
+
+
+def loop_bloch_affine(spec: ChannelSpec) -> BlochAffine:
+    """Oracle for ``channels.bloch_affine``: one ``apply`` per Pauli operator and one 2-d trace per entry."""
+    if not is_qubit(spec):
+        raise ValueError("Bloch representation requires a qubit channel")
+    sigmas = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+    a = np.empty((3, 3), dtype=complex)
+    b = np.empty(3, dtype=complex)
+    image_id = apply(spec, SIGMA_0)
+    for i, si in enumerate(sigmas):
+        b[i] = 0.5 * np.trace(si @ image_id)
+    for j, sj in enumerate(sigmas):
+        image = apply(spec, sj)
+        for i, si in enumerate(sigmas):
+            a[i, j] = 0.5 * np.trace(si @ image)
+    residue = max(np.abs(a.imag).max(), np.abs(b.imag).max())
+    if residue > 1e-10:
+        raise ValueError(f"Bloch action has imaginary residue {residue}; channel is not Hermiticity preserving")
+    return BlochAffine(a.real.copy(), b.real.copy())
+
+
+def loop_pure_fixed_points(spec: ChannelSpec, tol: float = DECISION_TOL):
+    """Oracle for ``channels.pure_fixed_points``: :func:`loop_bloch_affine`, then one state and one ``apply``
+    per candidate direction."""
+    aff = loop_bloch_affine(spec)
+    a, b = aff.matrix, aff.shift
+    eye3 = np.eye(3)
+    if np.linalg.norm(a - eye3) <= tol and np.linalg.norm(b) <= tol:
+        return ALL_DIRECTIONS
+    shifted = a - eye3
+    _, svals, vt = np.linalg.svd(shifted)
+    kernel = [vt[i] for i in range(3) if svals[i] <= tol]
+    candidates = []
+    if np.linalg.norm(b) <= tol:
+        for v in kernel:
+            c = _canonical_direction(v)
+            candidates.extend([c, -c])
+    else:
+        x, *_ = np.linalg.lstsq(shifted, -b, rcond=None)
+        if np.linalg.norm(shifted @ x + b) <= tol:
+            norm_x = np.linalg.norm(x)
+            if abs(norm_x - 1.0) <= tol:
+                candidates.append(x / norm_x)
+            elif norm_x < 1.0 and kernel:
+                t = np.sqrt(1.0 - norm_x**2)
+                for v in kernel:
+                    candidates.extend([x + t * v, x - t * v])
+    fixed = []
+    for v in candidates:
+        v = v / np.linalg.norm(v)
+        rho = 0.5 * (SIGMA_0 + v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z)
+        if np.linalg.norm(apply(spec, rho) - rho) <= 10 * tol:
+            fixed.append(v)
+    fixed = _dedupe_directions(fixed)
+    return fixed if fixed else None

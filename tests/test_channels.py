@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from channelmask import channels
 from channelmask.channels import (
     ALL_DIRECTIONS,
     ClassicalChannel,
@@ -31,6 +34,9 @@ from helpers import (
     choi,
     conjugate,
     dephasing_about,
+    loop_bloch_affine,
+    loop_pure_fixed_points,
+    loop_to_kraus,
     random_axis,
     random_density,
     random_kraus_channel,
@@ -353,3 +359,109 @@ class TestValidation:
     def test_depolarized_rejects_bad_probability(self):
         with pytest.raises(ValueError):
             DepolarizedUnitary(1.5, SIGMA_X)
+
+
+# -- the stacked qubit passes against their loop oracles --------------------------------------
+
+
+def _probability(draw) -> float:
+    return draw(st.sampled_from((0.0, 1.0, 0.37)) | st.floats(0.0, 1.0))
+
+
+@st.composite
+def qubit_channels(draw):
+    """Qubit channels of all five kinds, with zero and unit probabilities among the drawn ones."""
+    kind = draw(st.sampled_from(("unitary", "kraus", "pauli", "classical", "depolarized")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "unitary":
+        return Unitary(draw(st.sampled_from((random_unitary(2, rng), rotation_about(random_axis(rng), 0.5),
+                                             np.eye(2)))))
+    if kind == "kraus":
+        return draw(st.sampled_from((random_kraus_channel(rng, 2, 2, 3), amplitude_damping(_probability(draw)),
+                                     dephasing_about(random_axis(rng), _probability(draw)))))
+    if kind == "pauli":
+        weights = np.array([_probability(draw) for _ in range(4)])
+        return PauliFourVector(*(weights / weights.sum())) if weights.sum() > 0 else PauliFourVector(1, 0, 0, 0)
+    if kind == "classical":
+        q0, q1 = _probability(draw), _probability(draw)
+        return ClassicalChannel([[q0, q1], [1.0 - q0, 1.0 - q1]])
+    return DepolarizedUnitary(_probability(draw), random_unitary(2, rng))
+
+
+def _same_fixed_points(got, expected) -> bool:
+    if got is None or got is ALL_DIRECTIONS:
+        return got is expected
+    return isinstance(expected, list) and [v.tobytes() for v in got] == [v.tobytes() for v in expected]
+
+
+def _kraus_bytes(spec) -> list:
+    return [k.tobytes() for k in spec.kraus_ops]
+
+
+class TestStackedQubitPasses:
+    @settings(max_examples=300, deadline=None)
+    @given(qubit_channels())
+    @example(PauliFourVector(1.0, 0.0, 0.0, 0.0))
+    @example(PauliFourVector(0.0, 0.0, 1.0, 0.0))
+    @example(PauliFourVector(0.5, 0.0, 0.0, 0.5))
+    @example(depolarizing(1.0))
+    @example(ClassicalChannel(np.eye(2)[::-1]))
+    @example(ClassicalChannel([[1.0, 0.5], [0.0, 0.5]]))
+    @example(DepolarizedUnitary(0.0, HADAMARD))
+    @example(DepolarizedUnitary(1.0, HADAMARD))
+    @example(DepolarizedUnitary(0.37, HADAMARD))
+    @example(amplitude_damping(0.0))
+    @example(amplitude_damping(1.0))
+    @example(dephasing(1e-9))
+    def test_bits_match_the_loops(self, spec):
+        aff, oracle = bloch_affine(spec), loop_bloch_affine(spec)
+        assert aff.matrix.tobytes() == oracle.matrix.tobytes()
+        assert aff.shift.tobytes() == oracle.shift.tobytes()
+        assert aff.matrix.flags.c_contiguous and aff.shift.flags.c_contiguous
+        for tol in (DECISION_TOL, 1e-3):
+            assert _same_fixed_points(pure_fixed_points(spec, tol), loop_pure_fixed_points(spec, tol))
+        assert _kraus_bytes(to_kraus(spec)) == _kraus_bytes(loop_to_kraus(spec))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
+    def test_kraus_forms_of_every_size_match_the_loops(self, din, dout, seed, data):
+        rng = np.random.default_rng(seed)
+        columns = rng.dirichlet(np.ones(dout), size=din).T
+        columns[:, data.draw(st.integers(0, din - 1))] = np.eye(dout)[data.draw(st.integers(0, dout - 1))]
+        p = data.draw(st.sampled_from((0.0, 1.0, 0.37)) | st.floats(0.0, 1.0))
+        for spec in (ClassicalChannel(columns), DepolarizedUnitary(p, random_unitary(din, rng))):
+            assert _kraus_bytes(to_kraus(spec)) == _kraus_bytes(loop_to_kraus(spec))
+
+    @pytest.mark.parametrize("kind, fields, residue", [
+        ("pauli", {"p0": 0.5, "px": 0.25j, "py": 0.25, "pz": 0.0}, "0.25"),  # b is real, A is not
+        ("classical", {"probs": np.array([[0.5 + 0.3j, 0.5 + 0.1j], [0.5 - 0.3j, 0.5 - 0.1j]])}, "0.4"),  # b's
+    ])
+    def test_a_map_that_breaks_hermiticity_is_refused_with_the_loops_residue(self, kind, fields, residue):
+        # no constructor admits such a channel
+        spec = object.__new__(PauliFourVector if kind == "pauli" else ClassicalChannel)
+        for name, value in fields.items():
+            object.__setattr__(spec, name, value)
+        with pytest.raises(ValueError, match=f"imaginary residue {residue};") as stacked:
+            bloch_affine(spec)
+        with pytest.raises(ValueError) as loop:
+            loop_bloch_affine(spec)
+        assert str(stacked.value) == str(loop.value)
+
+    def test_one_apply_per_bloch_map_and_one_per_candidate_stack(self, monkeypatch):
+        stacks = []
+        apply = channels.apply
+
+        def counted(spec, op):
+            stacks.append(np.shape(op))
+            return apply(spec, op)
+
+        monkeypatch.setattr(channels, "apply", counted)
+        for spec, candidates in ((Unitary(rotation_about(np.array([0.6, 0.0, 0.8]), 1.0)), 2),
+                                 (dephasing(0.3), 2), (amplitude_damping(0.4), 1), (depolarizing(0.5), 0)):
+            stacks.clear()
+            bloch_affine(spec)
+            assert stacks == [(4, 2, 2)]
+            stacks.clear()
+            fixed = pure_fixed_points(spec)
+            assert stacks == [(4, 2, 2), (candidates, 2, 2)]
+            assert (fixed is None) == (candidates == 0)

@@ -1,6 +1,9 @@
 import copy
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -629,6 +632,28 @@ def test_deeply_nested_json_is_an_input_error(role, gate_family, tmp_path, capsy
             "verify-masker": ["verify", gate_family, str(deep)], "bloch": ["bloch", str(deep)]}[role]
     assert main(argv) == EXIT_ERROR
     assert f"error: {deep}: not valid JSON (maximum recursion depth exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", ["d16", "sample"])
+def test_a_closed_stdout_ends_quietly_with_the_sigpipe_code(size, tmp_path):
+    # d=16: the report outgrows the stdout buffer, so the write inside the command fails; a sample's
+    # short text report fails in the flush after it
+    if size == "d16":
+        members = [{"type": "unitary", "matrix": _matrix_json(u.matrix)}
+                   for u in random_commuting_family(np.random.default_rng(16), 16, 8)]
+        argv = ["decide", "--json", write_family(tmp_path / "big.json", "gate", members)]
+    else:
+        argv = ["decide", str(SAMPLES / "gate_family.json")]
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before anything is written
+    try:
+        done = subprocess.run([sys.executable, "-m", "channelmask.cli", *argv], stdout=write, stderr=subprocess.PIPE,
+                              env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)},
+                              timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (cli.EXIT_BROKEN_PIPE, b"")
+    assert cli.EXIT_BROKEN_PIPE == 141
 
 
 def _read_family(raw):
