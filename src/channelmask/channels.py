@@ -332,7 +332,11 @@ def pure_fixed_points(spec: ChannelSpec, tol: float = DECISION_TOL):
     unit vectors (antipodal pairs appear as two entries).  Every returned
     direction is re-verified at the channel level within ``10 * tol``.
     """
-    aff = bloch_affine(spec)
+    return _pure_fixed_points(spec, bloch_affine(spec), tol)
+
+
+def _pure_fixed_points(spec: ChannelSpec, aff: BlochAffine, tol: float):
+    """:func:`pure_fixed_points` of ``spec`` from its Bloch map ``aff``, for callers that already hold it."""
     a, b = aff.matrix, aff.shift
     eye3 = np.eye(3)
     if np.linalg.norm(a - eye3) <= tol and np.linalg.norm(b) <= tol:

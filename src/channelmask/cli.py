@@ -27,6 +27,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 from pathlib import Path
 from typing import Callable
@@ -43,9 +44,9 @@ from .channels import (
     PauliFourVector,
     Unitary,
     _gates,
+    _pure_fixed_points,
     bloch_affine,
     identity_channel,
-    pure_fixed_points,
     random_classical_channel,
 )
 from .linalg import DECISION_TOL, VERIFY_TOL, BipartiteDims, record
@@ -375,7 +376,14 @@ def load_masker_file(path) -> Masker:
 
 
 def save_masker_file(path, masker: Masker) -> None:
-    """Write the bytes of ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline, at array speed."""
+    """Write the bytes of ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline, at array speed.
+
+    An existing file is rewritten in place, not cut to zero first: its bytes are written over the old
+    ones, then a regular file is cut to the new length.  A symlink is followed, and the file keeps its
+    inode, owner and mode; a new file gets ``0o666`` less the umask.  Devices and pipes are written to
+    as by ``open(path, "w")``.  The write is not atomic and not synced; if it fails, a regular file is
+    left empty rather than holding new bytes followed by old ones.
+    """
     m = masker.matrix
     # Masker refuses non-finite entries, so this holds unless the array was
     # changed in place; json would write NaN or Infinity, which is not JSON.
@@ -388,7 +396,22 @@ def save_masker_file(path, masker: Masker) -> None:
         rows, sep, tail = ["    []"] * len(m), ",\n", _MASKER_TAIL
     rows[0] = _MASKER_HEAD % (json.dumps(masker.dims.dim_a), json.dumps(masker.dims.dim_b)) + rows[0]
     rows[-1] += tail
-    Path(path).write_text(sep.join(rows))  # one join copies the text once
+    data = sep.join(rows).encode()  # one join copies the text once
+    fd = os.open(Path(path), os.O_WRONLY | os.O_CREAT, 0o666)  # Path.write_text without O_TRUNC
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if regular:
+                os.ftruncate(fd, len(data))
+        except BaseException:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+    finally:
+        os.close(fd)
 
 
 # -- decision / synthesis ------------------------------------------------------------
@@ -526,7 +549,7 @@ def cmd_bloch(args) -> int:
     spec = _load_single_channel(args.channel)
     aff = bloch_affine(spec)
     unital = masking._unital(aff, DECISION_TOL)
-    fixed = pure_fixed_points(spec, DECISION_TOL)
+    fixed = _pure_fixed_points(spec, aff, DECISION_TOL)
     if args.json:
         payload = {
             "matrix": [[float(v) for v in row] for row in aff.matrix],
@@ -555,8 +578,11 @@ def cmd_bloch(args) -> int:
 def _parse_perms(text: str, dim: int) -> list[tuple]:
     perms = []
     for part in text.split(";"):
-        images = [int(v) for v in part.split(",")]
-        if sorted(images) != list(range(dim)):
+        try:
+            images = [int(v) for v in part.split(",")]
+        except ValueError:  # an empty or non-integer image
+            images = None
+        if images is None or sorted(images) != list(range(dim)):
             raise SchemaError(f"perms: {part!r} is not a permutation of {dim} symbols")
         perms.append(tuple(images))
     return perms
@@ -566,7 +592,7 @@ def cmd_demo_classical(args) -> int:
     dim = args.dim
     if dim < 1 or dim > 4:
         raise SchemaError("dim: the exhaustive search supports 1 <= dim <= 4")
-    if args.perms:
+    if args.perms is not None:
         perms = _parse_perms(args.perms, dim)
     else:
         perms = [tuple(range(dim)), tuple((x + 1) % dim for x in range(dim))]

@@ -37,10 +37,10 @@ from .channels import (
     Unitary,
     _canonical_direction,
     _dedupe_directions,
+    _pure_fixed_points,
     bloch_affine,
     channel_dims,
     is_qubit,
-    pure_fixed_points,
 )
 from .linalg import (
     DECISION_TOL,
@@ -215,7 +215,7 @@ class FixedPointAxis:
             aff = bloch_affine(spec)
             if not _unital(aff, tol):
                 raise ValueError("channel is not unital")
-            fixed = pure_fixed_points(spec, tol)
+            fixed = _pure_fixed_points(spec, aff, tol)
             listed = isinstance(fixed, list) and any(np.linalg.norm(u - v) <= 1e-8 for u in fixed)
             if not (listed or _fixes(aff, fixed, v, tol)):
                 raise ValueError("direction is not a fixed point of the channel")
@@ -504,7 +504,7 @@ def decide_identity_family(specs, tol: float = DECISION_TOL) -> MaskingDecision:
     for index, aff in enumerate(affines):
         if not _unital(aff, tol):
             return _not_maskable(NonUnital(aff.shift, index=index))
-    fixed_sets = [pure_fixed_points(spec, tol) for spec in members]
+    fixed_sets = [_pure_fixed_points(spec, aff, tol) for spec, aff in zip(members, affines)]
     if all(f is ALL_DIRECTIONS for f in fixed_sets):
         return _maskable(FixedPointAxis(Z_AXIS.copy()))
     if len(members) == 1 and fixed_sets[0] is None:

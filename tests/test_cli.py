@@ -1,7 +1,9 @@
 import copy
+import errno
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -411,6 +413,86 @@ class TestMaskerFileBytes:
         with pytest.raises(ValueError, match="masker matrix has non-finite entries"):
             save_masker_file(path, masker)
         assert not path.exists()
+
+
+class TestMaskerFileInPlace:
+    """``save_masker_file`` rewrites an existing file in place, as ``open(path, "w")`` writes it but
+    without cutting the file to zero first; devices, pipes and errors behave as they did under ``open``."""
+
+    SMALL, LARGE = copy_masker(np.eye(2)), copy_masker(np.eye(4))
+
+    def test_overwrite_keeps_the_inode_and_mode(self, tmp_path):
+        path = tmp_path / "masker.json"
+        path.write_text("old")
+        path.chmod(0o600)
+        before = path.stat()
+        save_masker_file(path, self.SMALL)
+        after = path.stat()
+        assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o600)
+        assert path.read_bytes() == _json_layout(self.SMALL)
+
+    def test_symlink_stays_and_its_target_gets_the_bytes(self, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("old")
+        link.symlink_to(target)
+        save_masker_file(link, self.SMALL)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == _json_layout(self.SMALL)
+
+    def test_a_longer_old_file_loses_its_tail(self, tmp_path):
+        path = tmp_path / "masker.json"
+        save_masker_file(path, self.LARGE)
+        save_masker_file(path, self.SMALL)
+        payload = {"version": "1", "dims": {"dimA": 2, "dimB": 2}, "matrix": matrix_to_json(self.SMALL.matrix)}
+        assert path.read_bytes() == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+        assert len(_json_layout(self.LARGE)) > path.stat().st_size
+
+    def test_a_new_file_gets_0o666_less_the_umask(self, tmp_path):
+        path = tmp_path / "masker.json"
+        umask = os.umask(0o027)
+        try:
+            save_masker_file(path, self.SMALL)
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~0o027
+
+    def test_dev_null_and_a_fifo_are_written_to(self, tmp_path):
+        save_masker_file(os.devnull, self.SMALL)
+        fifo = tmp_path / "masker.fifo"
+        os.mkfifo(fifo)
+        read_end = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # a reader, so the writer's open does not block
+        try:
+            save_masker_file(fifo, self.SMALL)  # smaller than the pipe buffer
+            assert os.read(read_end, 1 << 16) == _json_layout(self.SMALL)
+        finally:
+            os.close(read_end)
+
+    def test_a_directory_is_an_input_error(self, tmp_path, capsys):
+        argv = ["synthesize", str(SAMPLES / "gate_family.json"), "-o", str(tmp_path)]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+    def test_a_write_that_fails_partway_leaves_no_old_bytes(self, tmp_path):
+        path = tmp_path / "masker.json"
+        save_masker_file(path, self.LARGE)
+        write = os.write
+
+        def full_disk(fd, data):
+            write(fd, data[:100])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        with mock.patch.object(cli.os, "write", full_disk), pytest.raises(OSError, match="No space left"):
+            save_masker_file(path, self.SMALL)
+        assert path.read_bytes() == b""
+
+    def test_non_finite_refusal_leaves_an_existing_file_as_it_was(self, tmp_path):
+        path = tmp_path / "masker.json"
+        save_masker_file(path, self.LARGE)
+        masker = copy_masker(np.eye(2))
+        masker.matrix[0, 0] = np.inf
+        with pytest.raises(ValueError, match="masker matrix has non-finite entries"):
+            save_masker_file(path, masker)
+        assert path.read_bytes() == _json_layout(self.LARGE)
 
 
 def _loaded(path):
@@ -1032,6 +1114,21 @@ class TestBloch:
         payload = json.loads(capsys.readouterr().out)
         assert payload["fixed_points"] == "all"
 
+    def test_one_bloch_map(self, tmp_path, capsys, monkeypatch):
+        maps = []
+        bloch_affine = channels.bloch_affine
+
+        def counted(spec):
+            maps.append(spec)
+            return bloch_affine(spec)
+
+        for module in (channels, cli):
+            monkeypatch.setattr(module, "bloch_affine", counted)
+        path = tmp_path / "channel.json"
+        path.write_text(json.dumps({"type": "pauli", "p": [0.75, 0.0, 0.0, 0.25]}))
+        assert main(["bloch", str(path)]) == EXIT_OK
+        assert len(maps) == 1
+
     def test_non_qubit_exit_2(self, tmp_path, capsys):
         path = tmp_path / "qutrit.json"
         path.write_text(json.dumps({"type": "unitary", "matrix": _matrix_json(np.eye(3))}))
@@ -1110,6 +1207,13 @@ class TestDemoClassical:
 
     def test_bad_perm_exit_2(self, capsys):
         assert main(["demo-classical", "--dim", "2", "--perms", "0,0;1,0"]) == EXIT_ERROR
+
+    @pytest.mark.parametrize("perms, part", [("", ""), ("0,a", "0,a"), ("0,1;", ""), ("0,,1", "0,,1")])
+    def test_empty_or_non_integer_perms_exit_2(self, capsys, perms, part):
+        assert main(["demo-classical", "--dim", "2", "--perms", perms]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: perms: {part!r} is not a permutation of 2 symbols\n"
 
 
 class TestOptions:

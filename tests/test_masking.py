@@ -16,7 +16,7 @@ from channelmask.channels import (
     identity_channel,
     random_classical_channel,
 )
-from channelmask import linalg, masking
+from channelmask import channels, linalg, masking
 from channelmask.linalg import (
     BipartiteDims,
     commutator_norm,
@@ -512,6 +512,26 @@ class TestDecideIdentityFamily:
         assert decision.maskable
         masker = copy_masker(decision.certificate.copy_rows([family[0]]))
         assert verify_masking(masker, family, 1e-9).passed
+
+    def test_one_bloch_map_per_member(self, monkeypatch):
+        maps = []
+        bloch_affine = channels.bloch_affine
+
+        def counted(spec):
+            maps.append(spec)
+            return bloch_affine(spec)
+
+        for module in (channels, masking):
+            monkeypatch.setattr(module, "bloch_affine", counted)
+        maskable = [identity_channel(2), dephasing(0.2), dephasing(0.7)]
+        refused = [dephasing(0.5), conjugate(dephasing(0.5), HADAMARD, HADAMARD)]
+        for family in (maskable, refused):
+            maps.clear()
+            decide_identity_family(family)
+            assert len(maps) == len(family)
+        maps.clear()
+        decide_identity_family(maskable).certificate.copy_rows(maskable)
+        assert len(maps) == 2 * len(maskable)  # the decision's maps, then the copy's
 
 
 class TestDecideDepolarizedFamily:
