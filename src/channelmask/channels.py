@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .linalg import DECISION_TOL, as_complex_matrix, record
+from .linalg import DECISION_TOL, as_complex_matrix, isometry_defects, record
 
 # the stack (sigma_0, sigma_x, sigma_y, sigma_z), and its four matrices by name
 PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
@@ -34,10 +34,16 @@ def _check_unitary(m, name: str) -> np.ndarray:
     arr = as_complex_matrix(m, name)
     if arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be square")
-    # is_isometry's test, without coercing the array a second time
-    if not np.linalg.norm(arr.conj().T @ arr - np.eye(arr.shape[0])) <= _UNITARY_TOL:
+    if not isometry_defects(arr[None])[0] <= _UNITARY_TOL:
         raise ValueError(f"{name} is not unitary within 1e-10")
     return arr
+
+
+def _probability(p) -> float:
+    p = float(p)
+    if not -_PROB_CLAMP <= p <= 1.0 + _PROB_CLAMP:  # so NaN is refused
+        raise ValueError(f"p = {p} is not a probability")
+    return min(max(p, 0.0), 1.0)
 
 
 @record
@@ -64,11 +70,9 @@ class KrausChannel:
         ops = tuple(as_complex_matrix(k, f"kraus_ops[{i}]") for i, k in enumerate(self.kraus_ops))
         if not ops:
             raise ValueError("need at least one Kraus operator")
-        shape = ops[0].shape
-        if any(k.shape != shape for k in ops):
+        if any(k.shape != ops[0].shape for k in ops):
             raise ValueError("Kraus operators must share a common shape")
-        gram = sum(k.conj().T @ k for k in ops)
-        if np.linalg.norm(gram - np.eye(shape[1])) > _TRACE_TOL:
+        if not isometry_defects(np.concatenate(ops)[None])[0] <= _TRACE_TOL:  # [K_1; K_2; ...] is an isometry
             raise ValueError("Kraus operators do not sum to the identity (not trace preserving)")
         object.__setattr__(self, "kraus_ops", ops)
 
@@ -97,7 +101,7 @@ class PauliFourVector:
             if value < -_PROB_CLAMP:
                 raise ValueError(f"{name} = {value} is negative")
             probs.append(max(value, 0.0))
-        if abs(sum(probs) - 1.0) > _TRACE_TOL:
+        if not abs(sum(probs) - 1.0) <= _TRACE_TOL:  # a NaN passes max() into the sum
             raise ValueError(f"probabilities sum to {sum(probs)}, expected 1 within {_TRACE_TOL}")
         for name, value in zip(("p0", "px", "py", "pz"), probs):
             object.__setattr__(self, name, value)
@@ -148,10 +152,7 @@ class DepolarizedUnitary:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        p = float(self.p)
-        if p < -_PROB_CLAMP or p > 1.0 + _PROB_CLAMP:
-            raise ValueError(f"p = {p} is not a probability")
-        object.__setattr__(self, "p", min(max(p, 0.0), 1.0))
+        object.__setattr__(self, "p", _probability(self.p))
         object.__setattr__(self, "matrix", _check_unitary(self.matrix, "unitary matrix"))
 
     @property
@@ -160,27 +161,19 @@ class DepolarizedUnitary:
 
 
 def _gates(stack: np.ndarray, ps=None) -> tuple | None:
-    """``Unitary(u)`` for each ``u`` of the finite complex stack ``(n, d, d)``, or
-    ``DepolarizedUnitary(ps[k], u)``, as the constructors build them; ``None`` if a constructor would refuse
-    one or a ``p`` is NaN.  The stacked Gram norm adds in another order than :func:`_check_unitary`, which
-    decides each member within a relative 1e-6 of the bound.
-    """
-    if ps is not None and not all(-_PROB_CLAMP <= p <= 1.0 + _PROB_CLAMP for p in ps):
-        return None
-    norms = np.linalg.norm(stack.conj().transpose(0, 2, 1) @ stack - np.eye(stack.shape[-1]), axis=(1, 2))
-    near = np.abs(norms - _UNITARY_TOL) <= 1e-6 * _UNITARY_TOL
-    if not (near | (norms <= _UNITARY_TOL)).all():
-        return None
+    """``Unitary(u)`` for each ``u`` of the finite complex stack ``(n, d, d)``, or ``DepolarizedUnitary(ps[k], u)``,
+    as the constructors build them after their rules run once over the whole stack; ``None`` if one is refused."""
     try:
-        for k in np.flatnonzero(near).tolist():
-            _check_unitary(stack[k], "unitary matrix")
+        ps = None if ps is None else [*map(_probability, ps)]
     except ValueError:
+        return None
+    if not (isometry_defects(stack) <= _UNITARY_TOL).all():
         return None
     members = []
     for k, u in enumerate(stack):
         member = object.__new__(Unitary if ps is None else DepolarizedUnitary)
         if ps is not None:
-            object.__setattr__(member, "p", min(max(ps[k], 0.0), 1.0))
+            object.__setattr__(member, "p", ps[k])
         object.__setattr__(member, "matrix", u)
         members.append(member)
     return tuple(members)

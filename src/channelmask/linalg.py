@@ -183,11 +183,18 @@ def commutator_norm(a, b) -> float:
     return float(np.linalg.norm(ma @ mb - mb @ ma))
 
 
+def isometry_defects(stack: np.ndarray) -> np.ndarray:
+    """``|M^dag M - 1|`` (Frobenius) of each ``M`` of a stack ``(..., r, c)``, with the bits of ``M[None]`` alone.
+
+    The one unitarity and isometry rule: callers accept only ``defect <= bound``, which refuses the NaN or inf
+    of an overflowing Gram matrix, computed without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linalg.norm(stack.conj().swapaxes(-1, -2) @ stack - np.eye(stack.shape[-1]), axis=(-2, -1))
+
+
 def is_isometry(m, tol: float) -> bool:
-    """True iff ``m.conj().T @ m`` equals the identity within ``tol`` (Frobenius)."""
-    arr = as_complex_matrix(m, "m")
-    gram = arr.conj().T @ arr
-    return bool(np.linalg.norm(gram - np.eye(arr.shape[1])) <= tol)
+    """True iff ``m.conj().T @ m`` equals the identity within ``tol`` (Frobenius, :func:`isometry_defects`)."""
+    return bool(isometry_defects(as_complex_matrix(m, "m")[None])[0] <= tol)
 
 
 def cluster_phases(phases) -> list[np.ndarray]:
@@ -286,7 +293,7 @@ class NoCommonBasisError(ValueError):
 def _check_unitary(stack: np.ndarray) -> np.ndarray:
     # A fixed bound, not tol: gates are unitary within 1e-10, so a relative
     # gate U_i^dag U_j is within about 2e-10.
-    off = np.linalg.norm(stack.conj().transpose(0, 2, 1) @ stack - np.eye(stack.shape[1]), axis=(1, 2)) > 1e-9
+    off = ~(isometry_defects(stack) <= 1e-9)
     if off.any():
         raise ValueError(f"ws[{off.argmax()}] is not unitary within 1e-9")
     return stack

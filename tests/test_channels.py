@@ -351,14 +351,40 @@ class TestValidation:
         (np.array([[1e200, 1e200], [1e200, -1e200]]), r"unitary matrix is not unitary within 1e-10"),  # NaN Gram
         (np.diag([1.0, 1.0 + 2e-10]), r"unitary matrix is not unitary within 1e-10"),
     ])
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     def test_unitary_check_messages(self, matrix, message):
         with pytest.raises(ValueError, match=message):
             Unitary(matrix)
 
+    def test_kraus_operators_with_an_overflowing_gram_are_refused(self):
+        with pytest.raises(ValueError, match=r"not trace preserving"):
+            KrausChannel((np.array([[1e200, 1e200], [1e200, -1e200]]), np.eye(2)))
+
     def test_depolarized_rejects_bad_probability(self):
         with pytest.raises(ValueError):
             DepolarizedUnitary(1.5, SIGMA_X)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: DepolarizedUnitary(1.5, SIGMA_X), r"^p = 1\.5 is not a probability$"),
+        (lambda: DepolarizedUnitary(-1e-11, SIGMA_X), r"^p = -1e-11 is not a probability$"),
+        (lambda: PauliFourVector(1.1, -0.1, 0.0, 0.0), r"^px = -0\.1 is negative$"),
+        (lambda: PauliFourVector(0.5, 0.1, 0.1, 0.1), r"^probabilities sum to 0\.7999999999999999, expected 1 within 1e-10$"),
+        (lambda: DepolarizedUnitary(float("nan"), np.eye(2)), r"^p = nan is not a probability$"),
+        (lambda: PauliFourVector(float("nan"), 0.0, 0.0, 1.0), r"^probabilities sum to nan"),
+        (lambda: PauliFourVector(1.0, 0.0, float("nan"), 0.0), r"^probabilities sum to nan"),
+        (lambda: bit_flip(float("nan")), r"^probabilities sum to nan"),
+        (lambda: dephasing(float("nan")), r"^probabilities sum to nan"),
+        (lambda: depolarizing(float("nan")), r"^probabilities sum to nan"),
+    ], ids=["p-above-1", "p-below-0", "pauli-negative", "pauli-sum", "depolarized-nan", "pauli-nan-p0",
+            "pauli-nan-py", "bit-flip-nan", "dephasing-nan", "depolarizing-nan"])
+    def test_probability_messages(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    @pytest.mark.parametrize("p", [float("nan"), 1.5, -1e-11])
+    def test_the_stacked_gate_read_refuses_what_the_constructor_refuses(self, p):
+        with pytest.raises(ValueError, match="is not a probability"):
+            DepolarizedUnitary(p, np.eye(2))
+        assert channels._gates(np.eye(2, dtype=complex)[None], [p]) is None
 
 
 # -- the stacked qubit passes against their loop oracles --------------------------------------

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from channelmask import channels, cli, masking
-from channelmask.channels import amplitude_damping
+from channelmask.channels import Unitary, amplitude_damping
 from channelmask.cli import (
     DECISION_TOL,
     EXIT_ERROR,
@@ -30,7 +30,7 @@ from channelmask.cli import (
     save_masker_file,
     synthesize_family_masker,
 )
-from channelmask.linalg import BipartiteDims
+from channelmask.linalg import BipartiteDims, isometry_defects
 from channelmask.masking import Fourier, Masker, copy_masker, matrix_to_json
 
 from helpers import (
@@ -131,6 +131,17 @@ class TestDecide:
         path.write_text('{"version": "1", ')
         assert main(["decide", str(path)]) == EXIT_ERROR
         assert capsys.readouterr().err.startswith(f"error: {path}: not valid JSON (")
+
+    def test_an_overflowing_gram_matrix_is_refused_in_one_line(self, tmp_path):
+        # the member's Gram matrix overflows to NaN; a fresh process prints any warning that numpy raises
+        big = [[[1e200, 0], [1e200, 0]], [[1e200, 0], [-1e200, 0]]]
+        path = write_family(tmp_path / "huge.json", "gate", [{"type": "unitary", "matrix": big},
+                                                             {"type": "unitary", "matrix": _matrix_json(np.eye(2))}])
+        done = subprocess.run([sys.executable, "-m", "channelmask.cli", "decide", path], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)},
+                              timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            EXIT_ERROR, "", "error: members[0]: unitary matrix is not unitary within 1e-10\n")
 
     def test_unknown_payload_type_exit_2(self, tmp_path, capsys):
         path = write_family(tmp_path / "qutrit.json", "gate", [{"type": "qutrit"}])
@@ -853,16 +864,22 @@ class TestStackedGateRead:
             assert read == (SchemaError, "members[1]: unitary matrix is not unitary within 1e-10")
 
     def test_a_member_at_the_bound_is_decided_by_its_own_check(self, monkeypatch):
-        # the stacked norm adds in another order and differs from the member's own in the last bit for
-        # some members, so with the bound at the member's own norm only the re-check decides them all
+        # a member's defect inside the stack has the bits of its own one-matrix stack, so with the bound
+        # at that defect the stacked read and the constructor both accept it, and one ulp below both refuse it
         rng = np.random.default_rng(3)
         for d in range(1, 9):
             stack = np.stack([random_unitary(d, rng) * (1 + 1e-11) for _ in range(30)])
             for k in range(len(stack)):
-                own = np.linalg.norm(stack[k].conj().T @ stack[k] - np.eye(d))
+                own = isometry_defects(stack[k][None])[0]
                 for bound, accepted in ((own, True), (np.nextafter(own, 0), False)):
                     monkeypatch.setattr(channels, "_UNITARY_TOL", bound)
                     assert (channels._gates(np.stack([np.eye(d), stack[k]])) is not None) == accepted
+                    try:
+                        Unitary(stack[k])
+                    except ValueError:
+                        assert not accepted
+                    else:
+                        assert accepted
 
 
 class TestIdentityKinds:

@@ -20,6 +20,7 @@ from channelmask.linalg import (
     commutator_norm,
     fix_column_phases,
     is_isometry,
+    isometry_defects,
     partial_trace,
     simultaneous_eigenbasis,
 )
@@ -215,6 +216,11 @@ class TestSimultaneousEigenbasis:
         with pytest.raises(ValueError):
             simultaneous_eigenbasis([np.diag([1.0, 0.5])])
 
+    def test_rejects_an_overflowing_gram_matrix(self):
+        # the Gram matrix overflows to NaN, which is not within the bound
+        with pytest.raises(ValueError, match=r"^ws\[0\] is not unitary within 1e-9$"):
+            simultaneous_eigenbasis([[[1e200, 1e200], [1e200, -1e200]], np.eye(2)])
+
 
 class TestIsIsometry:
     def test_pauli_masker_columns(self):
@@ -235,6 +241,25 @@ class TestIsIsometry:
             for k in range(d):
                 m[k * d + k, j] = w ** (k * j) / np.sqrt(d)
         assert is_isometry(m, 1e-12)
+
+    @pytest.mark.parametrize("m", [[[1e200, 1e200], [1e200, -1e200]], [[1e200], [0.0]], [[1e300, 0.0], [0.0, 1.0]]])
+    def test_an_overflowing_gram_matrix_is_refused(self, m):
+        assert not is_isometry(m, 1e300)
+
+
+class TestIsometryDefects:
+    """A matrix has the same defect bits alone, as a one-matrix stack, as inside any stack."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 32), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([0.0, 1e-13, 1e-11, 1e-8, 1e-3]))
+    def test_a_member_alone_and_inside_its_stack(self, d, n, seed, scale):
+        rng = np.random.default_rng(seed)
+        stack = np.stack([random_unitary(d, rng) for _ in range(n)])
+        stack += scale * (rng.standard_normal(stack.shape) + 1j * rng.standard_normal(stack.shape))
+        # a C-contiguous read, and the relative gates U_0^dag U_k that the gate decider checks
+        for reads in (stack, masking._relative_gates(list(stack), 0)):
+            assert [isometry_defects(m[None])[0] for m in reads] == isometry_defects(reads).tolist()
 
 
 class TestPhaseHelpers:
