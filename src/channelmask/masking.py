@@ -22,6 +22,7 @@ certificates call it, and the CLI refuses a file whose members break it.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Optional, Union
 
 import numpy as np
@@ -543,60 +544,58 @@ def decide_classical_family(channels) -> MaskingDecision:
 
 @record
 class SearchReport:
-    """Outcome of the exhaustive search for a classical (reversible) masker.
-
-    ``first_counterexample_per_injection`` holds, for each injection in
-    enumeration order, ``None`` if the injection masks the permutations or a
-    ``(input, perm_i, perm_j, side)`` tuple showing where the marginal
-    symbols differ.
-    """
+    """Outcome of the exhaustive search for a classical (reversible) masker:
+    how many injections were tried, and whether every one of them leaks."""
 
     injection_count: int
     violating_all: bool
-    first_counterexample_per_injection: tuple
 
-    def __repr__(self) -> str:
-        # one entry per injection (43680 at dim 4) is too long to print
-        return f"SearchReport(injection_count={self.injection_count!r}, violating_all={self.violating_all!r})"
+
+def _injections(dim: int) -> np.ndarray:
+    """Every injection of ``dim`` symbols into ``dim**2``, as the columns of a
+    ``(dim, P(dim**2, dim))`` array in ``itertools.permutations`` order."""
+    maps = np.indices((dim * dim,) * dim, dtype=np.uint8).reshape(dim, -1)
+    injective = np.ones(maps.shape[1], dtype=bool)
+    for i, j in itertools.combinations(range(dim), 2):
+        injective &= maps[i] != maps[j]
+    return maps[:, injective]
+
+
+def _permutation(p, dim: int) -> tuple:
+    """``p`` as a tuple of ints if it permutes ``range(dim)``; a non-integer entry is refused, not truncated."""
+    p = tuple(p)
+    try:
+        p = tuple(operator.index(v) for v in p)
+    except TypeError:
+        raise ValueError(f"not a permutation of {dim} symbols: {p}") from None
+    if sorted(p) != list(range(dim)):
+        raise ValueError(f"not a permutation of {dim} symbols: {p}")
+    return p
 
 
 def classical_no_go_search(dim: int, perms) -> SearchReport:
     """Exhaustively check that no injective classical map masks the permutations.
 
     Every injection of the ``dim``-symbol output alphabet into the
-    ``dim**2``-symbol pair alphabet is tried; an injection masks iff for
-    every input symbol both pair components are independent of which
-    permutation was applied.  Distinct permutations always defeat every
-    injection (``violating_all`` is True).
+    ``dim**2``-symbol pair alphabet is tried, all at once as arrays; an
+    injection masks iff for every input symbol both pair components are
+    independent of which permutation was applied.  Distinct permutations
+    always defeat every injection (``violating_all`` is True).
     """
+    dim = operator.index(dim)
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     if dim > 4:
         raise ValueError("exhaustive search is limited to dimension <= 4")
-    perm_list = [tuple(int(v) for v in p) for p in perms]
-    for p in perm_list:
-        if sorted(p) != list(range(dim)):
-            raise ValueError(f"not a permutation of {dim} symbols: {p}")
+    perm_list = [_permutation(p, dim) for p in perms]
     if not perm_list:
         raise ValueError("need at least one permutation")
 
-    counterexamples = []
-    for injection in itertools.permutations(range(dim * dim), dim):
-        found = None
-        for x in range(dim):
-            pairs = [divmod(injection[p[x]], dim) for p in perm_list]
-            for other in range(1, len(pairs)):
-                if pairs[other][0] != pairs[0][0]:
-                    found = (x, 0, other, "A")
-                    break
-                if pairs[other][1] != pairs[0][1]:
-                    found = (x, 0, other, "B")
-                    break
-            if found:
-                break
-        counterexamples.append(found)
-    return SearchReport(
-        injection_count=len(counterexamples),
-        violating_all=all(c is not None for c in counterexamples),
-        first_counterexample_per_injection=tuple(counterexamples),
-    )
+    injections = _injections(dim)
+    first, *others = dict.fromkeys(perm_list)
+    a0, b0 = np.divmod(injections[list(first)], dim)
+    leaks = np.zeros(injections.shape[1], dtype=bool)
+    for p in others:
+        a, b = np.divmod(injections[list(p)], dim)
+        leaks |= ((a != a0) | (b != b0)).any(axis=0)
+    return SearchReport(injection_count=injections.shape[1], violating_all=bool(leaks.all()))

@@ -36,7 +36,7 @@ from channelmask.linalg import (
     partial_trace,
     simultaneous_eigenbasis,
 )
-from channelmask.masking import CommonEigenbasis, Masker, MaskingDecision, NoncommutingPair, Trivial
+from channelmask.masking import CommonEigenbasis, Masker, MaskingDecision, NoncommutingPair, SearchReport, Trivial
 from channelmask.verify import VerificationReport, _max_pairwise, _report
 
 
@@ -410,3 +410,27 @@ def loop_pure_fixed_points(spec: ChannelSpec, tol: float = DECISION_TOL):
             fixed.append(v)
     fixed = _dedupe_directions(fixed)
     return fixed if fixed else None
+
+
+def loop_classical_no_go_search(dim: int, perms) -> tuple:
+    """Oracle for ``masking.classical_no_go_search``: one injection at a time from ``itertools.permutations``.
+
+    Returns the report and, for each injection in that order, ``None`` if it masks the permutations or
+    the first ``(input, perm_i, perm_j, side)`` where the marginal symbols differ."""
+    counterexamples = []
+    for injection in itertools.permutations(range(dim * dim), dim):
+        found = None
+        for x in range(dim):
+            pairs = [divmod(injection[p[x]], dim) for p in perms]
+            for other in range(1, len(pairs)):
+                if pairs[other][0] != pairs[0][0]:
+                    found = (x, 0, other, "A")
+                    break
+                if pairs[other][1] != pairs[0][1]:
+                    found = (x, 0, other, "B")
+                    break
+            if found:
+                break
+        counterexamples.append(found)
+    report = SearchReport(len(counterexamples), all(c is not None for c in counterexamples))
+    return report, tuple(counterexamples)

@@ -1,8 +1,9 @@
 """The public surface stays in step with the code: README's library example
 runs, every name in ``channelmask.__all__`` resolves and appears once, no
 module of the package or of its tests imports a name it never uses, every
-function the benchmark's tracer wraps is where the tracer looks it up, and a
-traced verification counts one stacked pass per member."""
+function the benchmark's tracer wraps is where the tracer looks it up, a
+traced verification counts one stacked pass per member, and a traced
+``demo-classical`` counts one search over every injection."""
 
 import ast
 import importlib.util
@@ -99,3 +100,21 @@ def test_the_benchmark_tracer_counts_one_stacked_pass_per_member(monkeypatch):
     assert not report.passed
     assert tracer.layers()["verify.reduced_channel_choi"]["calls"] == 3
     assert tracer.calls == {"channels.apply": 3, "linalg.partial_trace": 6}
+
+
+def test_the_benchmark_tracer_counts_one_classical_search(monkeypatch, capsys):
+    # cmd_demo_classical looks classical_no_go_search up in cli, and the
+    # tracer reads the report's injection_count
+    pipeline = _perfbench_module("pipeline", monkeypatch)
+    tracer = _perfbench_module("tracing", monkeypatch).Tracer()
+    pipeline.instrument(tracer)
+    tracer.active = True
+    try:
+        code = cli.main(["demo-classical", "--dim", "4"])
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert code == cli.EXIT_OK
+    assert "classical search over 43680 injections" in capsys.readouterr().out
+    assert tracer.layers()["masking.classical_no_go_search"]["calls"] == 1
+    assert tracer.totals["masking.injections"] == tracer.totals["computed.masking.injections"] == 43680

@@ -1,5 +1,10 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from channelmask.channels import (
@@ -34,6 +39,7 @@ from channelmask.masking import (
     NoPureFixedPoint,
     NoncommutingPair,
     PauliAxis,
+    SearchReport,
     Trivial,
     classical_no_go_search,
     copy_masker,
@@ -51,6 +57,7 @@ from helpers import (
     depolarized_family,
     gate_family,
     local_orthogonality_check,
+    loop_classical_no_go_search,
     pair_loop_gate_decision,
     random_axis,
     random_commuting_family,
@@ -604,12 +611,26 @@ class TestClassicalMasking:
                 assert np.linalg.norm(red - np.eye(din * dout) / dout) <= 1e-9
 
 
+@st.composite
+def permutation_lists(draw, dims=st.integers(1, 3)):
+    """``(dim, perms)``: any list of permutations, one permutation repeated, or all of them."""
+    dim = draw(dims)
+    shape = draw(st.sampled_from(("any", "identical", "all")))
+    if shape == "all":
+        return dim, list(itertools.permutations(range(dim)))
+    if shape == "identical":
+        return dim, [draw(st.permutations(range(dim)))] * draw(st.integers(1, 4))
+    return dim, draw(st.lists(st.permutations(range(dim)), min_size=1, max_size=6))
+
+
 class TestClassicalNoGoSearch:
     def test_swap_pair(self):
         report = classical_no_go_search(2, [(0, 1), (1, 0)])
         assert report.injection_count == 12
         assert report.violating_all
-        assert all(c is not None for c in report.first_counterexample_per_injection)
+        oracle, counterexamples = loop_classical_no_go_search(2, [(0, 1), (1, 0)])
+        assert oracle == report
+        assert all(c is not None for c in counterexamples)
 
     def test_identical_permutations(self):
         report = classical_no_go_search(2, [(0, 1), (0, 1)])
@@ -620,18 +641,45 @@ class TestClassicalNoGoSearch:
         assert report.violating_all
 
     def test_counterexamples_are_real(self):
-        report = classical_no_go_search(2, [(0, 1), (1, 0)])
         perms = [(0, 1), (1, 0)]
-        import itertools
-
-        for injection, ce in zip(
-            itertools.permutations(range(4), 2), report.first_counterexample_per_injection
-        ):
+        _, counterexamples = loop_classical_no_go_search(2, perms)
+        for injection, ce in zip(itertools.permutations(range(4), 2), counterexamples):
             x, a, b, side = ce
             pa = divmod(injection[perms[a][x]], 2)
             pb = divmod(injection[perms[b][x]], 2)
             idx = 0 if side == "A" else 1
             assert pa[idx] != pb[idx]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_enumeration_is_every_injection_in_permutations_order(self, dim):
+        columns = [tuple(c) for c in masking._injections(dim).T.tolist()]
+        expected = list(itertools.permutations(range(dim * dim), dim))
+        assert len(set(columns)) == len(columns)
+        assert set(columns) == set(expected)
+        assert columns == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(permutation_lists())
+    @example((4, [(0, 1, 2, 3)]))
+    @example((4, [(0, 1, 2, 3), (3, 2, 1, 0)] * 3))
+    @example((4, [(1, 3, 0, 2)] * 2))
+    @example((4, list(itertools.permutations(range(4)))))
+    def test_matches_the_loop(self, case):
+        dim, perms = case
+        assert classical_no_go_search(dim, perms) == loop_classical_no_go_search(dim, perms)[0]
+
+    def test_memory_stays_flat_and_repeats_cost_nothing(self):
+        # the loop peaked at 3.67 MB on the first two lists and ran for minutes on the third
+        pair = [(0, 1, 2, 3), (1, 2, 3, 0)]
+        for perms in (pair, list(itertools.permutations(range(4))), pair * 5000):
+            tracemalloc.start()
+            try:
+                report = classical_no_go_search(4, perms)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report == SearchReport(injection_count=43680, violating_all=True)
+            assert peak < 3_000_000
 
     def test_rejects_large_dimension(self):
         with pytest.raises(ValueError):
@@ -640,6 +688,16 @@ class TestClassicalNoGoSearch:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             classical_no_go_search(2, [(0, 0)])
+
+    @pytest.mark.parametrize("perm", [(0.7, 1.2), (0.0, 1.0), "01", ("0", "1")])
+    def test_rejects_non_integer_entries(self, perm):
+        # int() would truncate 0.7 to 0 and read "0" as 0
+        with pytest.raises(ValueError, match="not a permutation of 2 symbols: "):
+            classical_no_go_search(2, [(0, 1), perm])
+
+    def test_accepts_numpy_integers(self):
+        report = classical_no_go_search(np.int64(2), np.array([[0, 1], [1, 0]]))
+        assert report == SearchReport(injection_count=12, violating_all=True)
 
 
 class TestMaskerValidation:
