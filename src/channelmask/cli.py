@@ -11,9 +11,9 @@ Commands
 Family and masker files are JSON with complex scalars as ``[re, im]`` pairs
 and matrices in row-major order.  Masker files are always written in the
 layout of ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline.  A
-masker file in that layout with JSON floats (a fraction or an exponent, in
-any spelling) is read row by row, parsing only its nonzero rows; integers and
-any other text go through ``json``, with the same results and messages.
+masker file in that layout is read row by row, each nonzero row parsed on its
+own by ``json``; any other text goes through ``json`` as a whole, with the
+same results and messages.
 Families of only unitary or only depolarized_unitary members are read as one
 stack.  Exit codes: 0 for a positive verdict or a passing verification, 1
 for a definitive negative, 2 for input errors, 141 when the reader closes
@@ -283,20 +283,13 @@ def load_family_file(path) -> FamilyFile:
     return _family_from_json(_read_json_object(path, "family file"))
 
 
-_MASKER_HEAD = '{\n  "dims": {\n    "dimA": %s,\n    "dimB": %s\n  },\n  "matrix": [\n'
-_MASKER_TAIL = '\n  ],\n  "version": "1"\n}\n'
+_MASKER_HEAD = '{\n  "dims": {\n    "dimA": %s,\n    "dimB": %s\n  },\n  "matrix": [\n    [\n'
+_MASKER_TAIL = '\n    ]\n  ],\n  "version": "1"\n}\n'
 _ROW_SEP = "\n    ],\n    [\n"
-# the writer's bytes around rows of one column or more, dims as json writes 1 to 999999999
-_LAYOUT_HEAD = re.compile(re.escape(_MASKER_HEAD + "    [\n").replace("%s", "([1-9][0-9]{0,8})"))
-_LAYOUT_TAIL = "\n    ]" + _MASKER_TAIL
+# the writer's head, dims as json writes 1 to 999999999
+_LAYOUT_HEAD = re.compile(re.escape(_MASKER_HEAD).replace("%s", "([1-9][0-9]{0,8})"))
 # one matrix entry, [re, im], as the masker layout writes it
 _PAIR = "      [\n        %r,\n        %r\n      ]"
-# a row of the layout with a JSON float, a number with a fraction or an exponent, in each number slot;
-# json reads such a number with float, and an integer with int (so -0 as +0.0, where float gives -0.0)
-# (the pair appears once in the pattern, which halves the time to compile it)
-_FLOAT = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+)"
-_ROW_PATTERN = "(?:%s(?:,\n(?=      \\[)|\\Z))+" % _FLOAT.join(map(re.escape, _PAIR.split("%r")))
-_BRACKETS_AND_COMMAS = str.maketrans("", "", "[],")
 
 
 def _zero_row(cols: int) -> str:
@@ -317,25 +310,23 @@ def _masker_rows(m: np.ndarray) -> list[str]:
 
 
 def _masker_from_layout(text: str) -> tuple[np.ndarray, BipartiteDims] | None:
-    """``(matrix, dims)`` if ``text`` is the writer's layout with JSON floats, else ``None``.
+    """``(matrix, dims)`` if ``text`` is the writer's layout, else ``None``.
 
     The rows, separated by ``_ROW_SEP``, are read in place: a row equal to the all-``+0.0`` row stays
-    zero; every other row must match ``_ROW_PATTERN`` with ``cols`` entries, and its numbers are read
-    with ``float``, as ``json`` reads a float.  Other whitespace, integers and other number spellings,
-    non-finite numbers or no columns are left to the ``json`` reader and its schema messages;
-    :class:`Masker` checks the row count on either path.
-    """
+    zero; every other row is parsed on its own by ``json``, so no row's brackets close another's, and
+    :func:`_stack_from_json` reads them all as it reads every matrix.  Anything either refuses, or no
+    columns, is left to the whole-file ``json`` reader and its messages; :class:`Masker` checks the rows."""
     head = _LAYOUT_HEAD.match(text)
-    if head is None or not text.endswith(_LAYOUT_TAIL):
+    if head is None or not text.endswith(_MASKER_TAIL):
         return None
-    pos, end = head.end(), len(text) - len(_LAYOUT_TAIL)
+    pos, end = head.end(), len(text) - len(_MASKER_TAIL)
     first = text.find(_ROW_SEP, pos, end)
     cols = text.count("[", pos, end if first < 0 else first)
     if not cols:
         return None
-    zero, pattern = _zero_row(cols), re.compile(_ROW_PATTERN)  # compiled on first use, then cached by re
+    zero = _zero_row(cols)
     unit = zero + _ROW_SEP  # no separator starts inside the zero row, so this is a zero row, not the last
-    count, nonzero, values = 0, [], []  # rows seen; index and numbers of each nonzero row
+    count, nonzero, rows = 0, [], []  # rows seen; index and entries of each nonzero row
     while True:
         if text.startswith(unit, pos, end):
             pos += len(unit)
@@ -344,20 +335,20 @@ def _masker_from_layout(text: str) -> tuple[np.ndarray, BipartiteDims] | None:
         stop = text.find(_ROW_SEP, pos, end)
         row = text[pos:end if stop < 0 else stop]
         if row != zero:
-            numbers = row.translate(_BRACKETS_AND_COMMAS).split()  # the number slots, once the row matches
-            if len(numbers) != 2 * cols or pattern.fullmatch(row) is None:
+            try:
+                rows.append(json.loads("[" + row + "]"))
+            except (json.JSONDecodeError, RecursionError):
                 return None
             nonzero.append(count)
-            values += map(float, numbers)
         count += 1
         if stop < 0:
             break
         pos = stop + len(_ROW_SEP)
-    values = np.array(values, dtype=float)
-    if not np.isfinite(values).all():
+    stack = _stack_from_json([rows])
+    if stack is None or stack.shape[2] != cols:
         return None
     matrix = np.zeros((count, cols), dtype=complex)
-    matrix[nonzero] = values.view(complex).reshape(len(nonzero), cols)
+    matrix[nonzero] = stack[0]
     return matrix, BipartiteDims(int(head[1]), int(head[2]))
 
 
@@ -389,14 +380,10 @@ def save_masker_file(path, masker: Masker) -> None:
     # changed in place; json would write NaN or Infinity, which is not JSON.
     if not np.isfinite(m).all():
         raise ValueError("masker matrix has non-finite entries")
-    if m.shape[1]:
-        rows, sep, tail = _masker_rows(m), _ROW_SEP, _LAYOUT_TAIL
-        rows[0] = "    [\n" + rows[0]
-    else:
-        rows, sep, tail = ["    []"] * len(m), ",\n", _MASKER_TAIL
-    rows[0] = _MASKER_HEAD % (json.dumps(masker.dims.dim_a), json.dumps(masker.dims.dim_b)) + rows[0]
-    rows[-1] += tail
-    data = sep.join(rows).encode()  # one join copies the text once
+    rows = _masker_rows(m)
+    rows[0] = _MASKER_HEAD % (masker.dims.dim_a, masker.dims.dim_b) + rows[0]
+    rows[-1] += _MASKER_TAIL
+    data = _ROW_SEP.join(rows).encode()  # one join copies the text once
     fd = os.open(Path(path), os.O_WRONLY | os.O_CREAT, 0o666)  # Path.write_text without O_TRUNC
     try:
         regular = stat.S_ISREG(os.fstat(fd).st_mode)

@@ -11,6 +11,8 @@ All functions are pure; the only randomness (the coefficient draws inside
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 #: Decision-level tolerance: separates "equal" from "different" in verdicts.
@@ -117,6 +119,11 @@ class BipartiteDims:
     dim_b: int
 
     def __post_init__(self) -> None:
+        try:  # stored as Python ints, which a masker file writes and reads back
+            _set(self, "dim_a", operator.index(self.dim_a))
+            _set(self, "dim_b", operator.index(self.dim_b))
+        except TypeError:
+            raise ValueError(f"factor dimensions must be integers, got {self.dim_a!r} and {self.dim_b!r}") from None
         if self.dim_a < 1 or self.dim_b < 1:
             raise ValueError("factor dimensions must be at least 1")
 

@@ -127,6 +127,8 @@ class Masker:
 
     def __post_init__(self) -> None:
         m = as_complex_matrix(self.matrix, "masker matrix")
+        if not m.shape[1]:
+            raise ValueError("masker matrix has no columns")
         if m.shape[0] != self.dims.total:
             raise ValueError(
                 f"masker has {m.shape[0]} rows but factor dimensions "

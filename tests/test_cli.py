@@ -403,9 +403,9 @@ class TestMaskerFileBytes:
         masker.matrix[:2] = np.array(values).view(complex).reshape(2, 2)
         _assert_saved_as_json_writes_it(masker, masker_path, loads_back=False)
 
-    def test_masker_without_columns(self, masker_path):
-        _assert_saved_as_json_writes_it(Masker(np.zeros((4, 0)), BipartiteDims(2, 2)), masker_path,
-                                        loads_back=False)
+    def test_masker_without_columns_is_refused(self):
+        with pytest.raises(ValueError, match="^masker matrix has no columns$"):
+            Masker(np.zeros((4, 0)), BipartiteDims(2, 2))
 
     def test_masker_of_every_maskable_sample(self, masker_path):
         maskers = 0
@@ -507,11 +507,13 @@ class TestMaskerFileInPlace:
 
 
 def _loaded(path):
-    """What ``load_masker_file`` gives: the matrix bits, its shape and the dims, or the exception's type and message."""
+    """What ``load_masker_file`` gives: the matrix bits, its shape and the dims, which must be Python ints,
+    or the exception's type and message."""
     try:
         masker = load_masker_file(path)
     except Exception as exc:  # every failure is compared, not only schema errors
         return type(exc), str(exc)
+    assert type(masker.dims.dim_a) is type(masker.dims.dim_b) is int
     return masker.matrix.view(np.uint64).tobytes(), masker.matrix.shape, masker.dims
 
 
@@ -521,10 +523,30 @@ def _loaded_by_json(path):
         return _loaded(path)
 
 
+def _loaded_by_row_scan(path, monkeypatch):
+    """:func:`_loaded` with the whole-file ``json`` reader and the row writer refused, and the number of
+    ``json.loads`` calls the read made."""
+    loads, calls = json.loads, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return loads(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reader rendered rows or read the whole file with json")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_read_json_object", refuse)
+        patch.setattr(cli, "_masker_rows", refuse)
+        patch.setattr(cli.json, "loads", counted)
+        return _loaded(path), len(calls)
+
+
 @st.composite
 def _maskers(draw):
-    """Copy maskers of random bases and dense isometries (``dimA != dimB`` too), some with one zero
-    row set to subnormals, ``1e-07`` or only ``-0.0`` bits: every such masker is an isometry within 1e-9."""
+    """Copy maskers of random bases and dense isometries (``dimA != dimB`` too, given as Python or numpy
+    integers), some with one zero row set to subnormals, ``1e-07`` or only ``-0.0`` bits: every such
+    masker is an isometry within 1e-9."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = draw(st.integers(1, 6))
     if draw(st.booleans()):
@@ -532,7 +554,8 @@ def _maskers(draw):
     else:
         dim_a = draw(st.integers(1, 3))
         dim_b = -(-d // dim_a) + draw(st.integers(0, 2))
-        masker = Masker(random_isometry(rng, dim_a * dim_b, d), BipartiteDims(dim_a, dim_b))
+        integer = draw(st.sampled_from([int, np.int64, np.int32, np.uint8]))
+        masker = Masker(random_isometry(rng, dim_a * dim_b, d), BipartiteDims(integer(dim_a), integer(dim_b)))
     zero_rows = np.flatnonzero(~masker.matrix.any(axis=1)).tolist()
     if zero_rows:
         entry = draw(st.sampled_from([None, complex(-0.0, -0.0), complex(0.0, -0.0), complex(5e-324, 0.0),
@@ -586,7 +609,7 @@ _MUTATIONS = {
     "trailing-comma-in-row": lambda t: t.replace("\n      ]\n    ],", "\n      ],\n\n    ],", 1),
     "leading-zero": lambda t: re.sub(r"(\n        -?)([0-9])", r"\g<1>0\2", t, count=1),
 }
-# JSON float spellings other than repr's, which the row pattern reads as json does
+# JSON float spellings other than repr's, which the row scan reads as json does
 _SPELLINGS = ("uppercase-E", "exponent-leading-zeros", "trailing-zero-after-nonzero", "1E+16",
               "exponent-with-point", "short-exponent")
 
@@ -610,9 +633,9 @@ class TestMaskerFileReader:
             masker_path.write_bytes(mutate(text).encode())
             assert _loaded(masker_path) == _loaded_by_json(masker_path), name
 
-    def test_masker_without_columns_is_written_and_refused(self, masker_path):
-        save_masker_file(masker_path, Masker(np.zeros((4, 0)), BipartiteDims(2, 2)))
-        assert masker_path.read_text().count("\n    []") == 4
+    def test_a_file_without_columns_is_refused(self, masker_path):
+        masker_path.write_text('{\n  "dims": {\n    "dimA": 2,\n    "dimB": 2\n  },\n  "matrix": [\n'
+                               + ",\n".join(["    []"] * 4) + '\n  ],\n  "version": "1"\n}\n')
         with pytest.raises(SchemaError, match=r"^matrix: row 0 must be a non-empty list$"):
             load_masker_file(masker_path)
 
@@ -636,7 +659,7 @@ class TestMaskerFileReader:
             save_masker_file(path, masker)
         assert not path.exists()
 
-    def test_written_maskers_are_read_without_json(self, tmp_path, monkeypatch, capsys):
+    def test_written_maskers_are_read_one_nonzero_row_at_a_time(self, tmp_path, monkeypatch, capsys):
         paths = []
         for sample in sorted(SAMPLES.glob("*.json")):
             out = tmp_path / f"{sample.stem}.masker.json"
@@ -646,17 +669,15 @@ class TestMaskerFileReader:
         save_masker_file(paths[-1], copy_masker(random_unitary(16, np.random.default_rng(16))))
         assert len(paths) == 7
         expected = [_loaded_by_json(path) for path in paths]
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("json.loads was called")
-
-        monkeypatch.setattr(cli.json, "loads", refuse)
-        assert [_loaded(path) for path in paths] == expected
+        nonzero_rows = [int(load_masker_file(path).matrix.any(axis=1).sum()) for path in paths]
+        assert nonzero_rows[-1] == 16
+        assert [_loaded_by_row_scan(path, monkeypatch) for path in paths] == list(zip(expected, nonzero_rows))
 
 
-class TestMaskerRowPattern:
-    """Nonzero masker rows are read by one pattern of the writer's layout with a JSON float in each number
-    slot; integer tokens and every other text go through ``json``."""
+class TestMaskerRowScan:
+    """Each nonzero masker row is parsed on its own by ``json`` and the rows are read into one array as
+    every other matrix is; a row that ``json`` refuses or that is not a row of ``[re, im]`` pairs sends
+    the whole file through ``json``."""
 
     @staticmethod
     def _written(path):
@@ -667,17 +688,21 @@ class TestMaskerRowPattern:
         save_masker_file(path, masker)
         return path.read_text()
 
-    @pytest.mark.parametrize("name", _SPELLINGS)
-    def test_json_float_spellings_are_read_by_the_row_pattern_as_json_reads_them(self, masker_path, name):
-        text = self._written(masker_path)
-        mutated = _MUTATIONS[name](text)
-        assert mutated != text
+    @staticmethod
+    def _assert_scanned_as_json_reads_it(path, mutated):
         layout = cli._masker_from_layout(mutated)
         assert layout is not None
         by_json = cli._matrix_from_json(json.loads(mutated)["matrix"], "matrix")
         assert layout[0].view(np.uint64).tobytes() == by_json.view(np.uint64).tobytes()
-        masker_path.write_text(mutated)
-        assert _loaded(masker_path) == _loaded_by_json(masker_path)
+        path.write_text(mutated)
+        assert _loaded(path) == _loaded_by_json(path)
+
+    @pytest.mark.parametrize("name", _SPELLINGS)
+    def test_json_float_spellings_are_read_by_the_row_scan_as_json_reads_them(self, masker_path, name):
+        text = self._written(masker_path)
+        mutated = _MUTATIONS[name](text)
+        assert mutated != text
+        self._assert_scanned_as_json_reads_it(masker_path, mutated)
 
     @pytest.mark.parametrize("name", ["trailing-comma-in-row", "leading-zero", "ragged-row", "short-pair",
                                       "plus-sign"])
@@ -689,30 +714,42 @@ class TestMaskerRowPattern:
         masker_path.write_text(mutated)
         assert _loaded(masker_path) == _loaded_by_json(masker_path)
 
+    @pytest.mark.parametrize("rows, message", [
+        # parsed together, these rows would read as [[1.0, 0.0], [0.0, 0.0]] and [[0.0, 0.0], [0.0, 1.0]],
+        # an isometry; in the file the zero row between them sits inside a row
+        (("[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0", "0.0, 1.0]"), "matrix: row 2 has 3 entries, expected 2"),
+        (("[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]", "[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]"),
+         "matrix: row 1 has 3 entries, expected 2"),
+        (("[" * 100000 + "]" * 100000, "[0.0, 0.0], [1.0, 0.0]"),
+         "{path}: not valid JSON (maximum recursion depth exceeded"),
+    ], ids=["brackets-across-rows", "wider-than-the-zero-rows", "deeply-nested"])
+    def test_rows_that_the_whole_file_refuses_go_to_json(self, masker_path, rows, message):
+        zero = cli._zero_row(2)
+        text = cli._MASKER_HEAD % (2, 2) + cli._ROW_SEP.join([zero, rows[0], zero, rows[1]]) + cli._MASKER_TAIL
+        assert cli._masker_from_layout(text) is None
+        masker_path.write_text(text)
+        loaded = _loaded(masker_path)
+        assert loaded == _loaded_by_json(masker_path)
+        assert loaded[0] is SchemaError and loaded[1].startswith(message.format(path=masker_path))
+
     @pytest.mark.parametrize("token", ["0", "-0", "1"])
     @pytest.mark.parametrize("row", [0, 1], ids=["nonzero-row", "zero-row"])
-    def test_integer_tokens_go_to_json(self, masker_path, token, row):
+    def test_integer_tokens_are_read_by_the_row_scan_as_json_reads_them(self, masker_path, token, row):
         save_masker_file(masker_path, copy_masker(np.eye(2)))
         lines = masker_path.read_text().split("\n")
         number = [i for i, line in enumerate(lines) if re.fullmatch(r" {8}-?[0-9.]+,?", line)][row * 4]
         lines[number] = lines[number].replace(lines[number].strip(" ,"), token)
-        mutated = "\n".join(lines)
-        assert cli._masker_from_layout(mutated) is None
-        masker_path.write_text(mutated)
-        assert _loaded(masker_path) == _loaded_by_json(masker_path)
+        self._assert_scanned_as_json_reads_it(masker_path, "\n".join(lines))
 
-    def test_written_masker_is_read_without_rendering_rows_or_json(self, tmp_path, monkeypatch):
-        path = tmp_path / "copy16.masker.json"
-        masker = copy_masker(random_unitary(16, np.random.default_rng(16)))
-        save_masker_file(path, masker)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the reader rendered rows or called json.loads")
-
-        monkeypatch.setattr(cli, "_masker_rows", refuse)
-        monkeypatch.setattr(cli.json, "loads", refuse)
-        loaded = load_masker_file(path)
-        assert loaded.matrix.view(np.uint64).tobytes() == masker.matrix.view(np.uint64).tobytes()
+    @pytest.mark.parametrize("masker, nonzero_rows", [
+        (copy_masker(random_unitary(16, np.random.default_rng(16))), 16),
+        (Masker(np.eye(4)[:, :2], BipartiteDims(2, 2)), 2),
+    ], ids=["copy16", "last-rows-zero"])
+    def test_written_masker_is_read_with_one_json_parse_per_nonzero_row(self, masker_path, monkeypatch, masker,
+                                                                        nonzero_rows):
+        save_masker_file(masker_path, masker)
+        loaded, parses = _loaded_by_row_scan(masker_path, monkeypatch)
+        assert loaded[0] == masker.matrix.view(np.uint64).tobytes() and parses == nonzero_rows
 
 
 @pytest.mark.parametrize("role", ["decide", "verify-family", "verify-masker", "bloch"])
@@ -1068,6 +1105,14 @@ def test_masker_dimensions_reject_booleans(gate_family, tmp_path, capsys):
                                 "matrix": _matrix_json(np.eye(2)[[0, 1]])}))
     assert main(["verify", gate_family, str(path)]) == EXIT_ERROR
     assert "dims.dimA" in capsys.readouterr().err
+
+
+def test_numpy_integer_dims_are_saved_and_loaded_back_as_int(masker_path):
+    save_masker_file(masker_path, Masker(random_isometry(np.random.default_rng(2), 6, 2),
+                                         BipartiteDims(np.uint8(2), np.int64(3))))
+    assert '"dimA": 2,\n    "dimB": 3\n' in masker_path.read_text()
+    dims = load_masker_file(masker_path).dims
+    assert dims == BipartiteDims(2, 3) and type(dims.dim_a) is type(dims.dim_b) is int
 
 
 class TestFlags:

@@ -514,5 +514,10 @@ class TestRecord:
         assert isinstance(kraus.kraus_ops, tuple) and kraus.kraus_ops[0].dtype == complex
         with pytest.raises(ValueError, match="factor dimensions must be at least 1"):
             BipartiteDims(dim_a=0, dim_b=1)
+        for dims in ((2.0, 2), (2, np.float64(3)), (2, "3")):
+            with pytest.raises(ValueError, match="factor dimensions must be integers"):
+                BipartiteDims(*dims)
+        dims = BipartiteDims(True, np.int64(4))  # stored as Python ints, as a masker file writes them
+        assert (dims.dim_a, dims.dim_b) == (1, 4) and type(dims.dim_a) is type(dims.dim_b) is int
         with pytest.raises(ValueError, match="not an isometry"):
             masking.Masker(2 * ONE, BipartiteDims(1, 1))
