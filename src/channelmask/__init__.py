@@ -4,9 +4,9 @@ The package decides whether a family of channels can be masked (both reduced
 outputs independent of the family member), synthesizes an explicit isometric
 masker for every maskable class (each one copies a basis), and verifies masking
 numerically by comparing the reduced-channel Choi matrices of what A sees and
-what B sees: by one stacked pass over the basis operators for both views up
-to input dimension 4, and above it by one Kraus-form formula for every
-masker, with no dimension cap (a view may hold up to ``2**24`` entries).
+what B sees: by one stacked pass over every member's basis operators for
+both views up to input dimension 4, and above it by one Kraus-form formula
+for every masker, with no dimension cap (a view may hold up to ``2**24`` entries).
 Masking next to the identity is verified as the family
 ``[identity_channel(d), E]``, as the CLI's identity kinds do.
 """

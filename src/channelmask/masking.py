@@ -207,8 +207,9 @@ class FixedPointAxis:
         """``U^dag`` for a unitary with ``U|0>`` on ``direction``, once every member fixes it.
 
         A member fixes ``direction`` as in :func:`decide_identity_family`: it
-        is unital within ``tol`` and fixes every direction, lists it among its
-        pure fixed points, or maps it to itself within ``tol``.
+        is unital within ``tol`` and maps it to itself within ``tol``, fixes
+        every direction, or lists it among its pure fixed points.  Only a
+        member that moves it computes its pure fixed points.
         """
         members = qubit_members(members)
         v = np.asarray(self.direction, dtype=float)
@@ -218,9 +219,11 @@ class FixedPointAxis:
             aff = bloch_affine(spec)
             if not _unital(aff, tol):
                 raise ValueError("channel is not unital")
+            if _maps_to_itself(aff, v, tol):
+                continue
             fixed = _pure_fixed_points(spec, aff, tol)
             listed = isinstance(fixed, list) and any(np.linalg.norm(u - v) <= 1e-8 for u in fixed)
-            if not (listed or _fixes(aff, fixed, v, tol)):
+            if not (listed or fixed is ALL_DIRECTIONS):
                 raise ValueError("direction is not a fixed point of the channel")
         return _bloch_frame_unitary(v).conj().T
 
@@ -489,9 +492,14 @@ def _unital(aff, tol: float) -> bool:
     return bool(np.linalg.norm(aff.shift) <= tol)
 
 
+def _maps_to_itself(aff, v: np.ndarray, tol: float) -> bool:
+    """The Bloch map ``aff`` moves the direction ``v`` by at most ``tol``."""
+    return bool(np.linalg.norm(aff.matrix @ v + aff.shift - v) <= tol)
+
+
 def _fixes(aff, fixed, v: np.ndarray, tol: float) -> bool:
     """A member (Bloch map ``aff``, pure fixed points ``fixed``) fixes every direction, or ``v`` within ``tol``."""
-    return fixed is ALL_DIRECTIONS or bool(np.linalg.norm(aff.matrix @ v + aff.shift - v) <= tol)
+    return fixed is ALL_DIRECTIONS or _maps_to_itself(aff, v, tol)
 
 
 def decide_identity_family(specs, tol: float = DECISION_TOL) -> MaskingDecision:

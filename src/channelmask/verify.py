@@ -6,13 +6,14 @@ are, so comparing them is a complete equality test.  Deviations are
 aggregated with max (masking is a worst-case property over inputs and family
 members).
 
-Up to input dimension 4 the ``din**2`` basis operators go through the
-channel, the masker and both partial traces as one stack per member, which
-fixes the round-off digits (such as ``1.570e-16``, or an exact ``0.0``) the
-CLI prints for small families, every file in ``samples/`` among them: numpy
-makes the same product and sum for each matrix of a stack as for a lone one,
-so the digits are those of one operator at a time.  The operators are taken
-in chunks, so that no stacked product ``M E(X) M^dag`` holds more than
+Up to input dimension 4 each member's ``din**2`` basis operators go through
+the channel as one stack, and the images of the whole family through the
+masker and both partial traces as one stack per family, which fixes the
+round-off digits (such as ``1.570e-16``, or an exact ``0.0``) the CLI prints
+for small families, every file in ``samples/`` among them: numpy makes the
+same product and sum for each matrix of a stack as for a lone one, so the
+digits are those of one operator at a time.  The (member, operator) pairs are
+taken in chunks, so that no stacked product ``M E(X) M^dag`` holds more than
 ``max(D**2, 2**20)`` entries for ``D = dA * dB``.  Above 4 one Kraus-form
 formula gives each view, with no dimension cap; a view may hold up to
 ``2**24`` entries.  A copy masker (``d x d`` factors, every row other than
@@ -55,30 +56,50 @@ class VerificationReport:
 def reduced_channel_choi(masker: Masker, spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
     """Choi matrices ``(seen_by_a, seen_by_b)`` of ``rho -> Tr_B[M E(rho) M^dag]`` and ``Tr_A[...]``.
 
-    Up to input dimension 4 both views are traced from ``M E(|i><j|) M^dag``
-    for the stack of basis operators, taken in chunks of at most
-    ``max(1, 2**20 // D**2)`` operators for ``D = dA * dB``; above, each is
-    :func:`_kraus_choi` of the rows of ``M``.
+    Up to input dimension 4 both views come from the stacked pass of
+    :func:`_stacked_views` over a family of one, so each has the bits it has
+    in any family; above, each is :func:`_kraus_choi` of the rows of ``M``.
     """
     din, dout = channel_dims(spec)
     _check_masker_input(masker, dout)
+    if din > _STACK_MAX_INPUT_DIM:
+        da, db = masker.dims.dim_a, masker.dims.dim_b
+        rows = masker.matrix.reshape(da, db, dout)  # G_b = rows[:, b] for A's view, G_a = rows[a] for B's
+        return _kraus_choi(rows.transpose(1, 0, 2)[None], spec)[0], _kraus_choi(rows[None], spec)[0]
+    seen_by_a, seen_by_b = _stacked_views(masker, [spec])
+    return seen_by_a[0], seen_by_b[0]
+
+
+def _stacked_views(masker: Masker, members: list) -> tuple[np.ndarray, np.ndarray]:
+    """What A and what B see of each of ``n`` members of input dimension ``din <= 4``, as the stacks
+    ``(n, din * dA, din * dA)`` and ``(n, din * dB, din * dB)``.
+
+    The ``n * din**2`` pairs (member, basis operator) are taken in chunks of
+    at most ``max(1, 2**20 // D**2)`` for ``D = dA * dB``.  In each chunk,
+    each member's operators go through one ``apply`` call, and all their
+    images through ``M . M^dag`` and each partial trace together.
+    """
+    din, dout = channel_dims(members[0])
     da, db = masker.dims.dim_a, masker.dims.dim_b
     m = masker.matrix
-    if din > _STACK_MAX_INPUT_DIM:
-        rows = m.reshape(da, db, dout)  # G_b = rows[:, b] for A's view, G_a = rows[a] for B's
-        return _kraus_choi(rows.transpose(1, 0, 2)[None], spec)[0], _kraus_choi(rows[None], spec)[0]
-    ops = np.eye(din * din, dtype=complex).reshape(din * din, din, din)  # ops[i * din + j] = |i><j|
-    seen_by_a = np.empty((din * din, da, da), dtype=complex)
-    seen_by_b = np.empty((din * din, db, db), dtype=complex)
+    per_member = din * din
+    n, count = len(members), len(members) * per_member
+    ops = np.eye(per_member, dtype=complex).reshape(per_member, din, din)  # ops[i * din + j] = |i><j|
+    seen_by_a = np.empty((count, da, da), dtype=complex)
+    seen_by_b = np.empty((count, db, db), dtype=complex)
     m_dag = m.conj().T
     chunk = max(1, _STACK_ENTRIES // masker.dims.total**2)
-    for start in range(0, din * din, chunk):
-        masked = m @ apply(spec, ops[start:start + chunk]) @ m_dag
-        seen_by_a[start:start + chunk] = partial_trace(masked, masker.dims, "B")
-        seen_by_b[start:start + chunk] = partial_trace(masked, masker.dims, "A")
-    # [(i, j), x, x'] -> [(i, x), (j, x')]
-    return (seen_by_a.reshape(din, din, da, da).transpose(0, 2, 1, 3).reshape(din * da, din * da),
-            seen_by_b.reshape(din, din, db, db).transpose(0, 2, 1, 3).reshape(din * db, din * db))
+    for start in range(0, count, chunk):
+        stop = min(start + chunk, count)
+        images = np.concatenate([apply(members[k], ops[max(start - k * per_member, 0):stop - k * per_member])
+                                 for k in range(start // per_member, (stop - 1) // per_member + 1)])
+        masked = m @ images @ m_dag
+        seen_by_a[start:stop] = partial_trace(masked, masker.dims, "B")
+        seen_by_b[start:stop] = partial_trace(masked, masker.dims, "A")
+        del masked  # the next chunk's product is not made while this one is held
+    # [(k, i, j), x, x'] -> [k, (i, x), (j, x')]
+    return (seen_by_a.reshape(n, din, din, da, da).transpose(0, 1, 3, 2, 4).reshape(n, din * da, din * da),
+            seen_by_b.reshape(n, din, din, db, db).transpose(0, 1, 3, 2, 4).reshape(n, din * db, din * db))
 
 
 def _check_masker_input(masker: Masker, dout: int) -> None:
@@ -134,19 +155,25 @@ def _kraus_choi(g: np.ndarray, spec: ChannelSpec) -> np.ndarray:
     return out
 
 
-def _max_pairwise(mats: list[np.ndarray]) -> tuple[float, tuple]:
+def _max_pairwise(views) -> tuple[float, tuple]:
+    # Each deviation is np.linalg.norm's Frobenius norm of a complex array,
+    # its expression written out, which gives its bits without its dispatch.
     worst, pair = 0.0, (0, 0)
-    for i, j in itertools.combinations(range(len(mats)), 2):
-        dev = float(np.linalg.norm(mats[i] - mats[j]))
+    for i, j in itertools.combinations(range(len(views)), 2):
+        x = (views[i] - views[j]).ravel()
+        dev = float(np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag)))
         if dev > worst:
             worst, pair = dev, (i, j)
     return worst, pair
 
 
-def _report(worst_a: tuple, worst_b: tuple, tol: float) -> VerificationReport:
-    # The worst (deviation, pair) from _max_pairwise over what subsystems A
-    # and B see; the worst pair is taken from the side that deviates more.
-    (dev_a, pair_a), (dev_b, pair_b) = worst_a, worst_b
+def _report(views_a, views_b, tol: float) -> VerificationReport:
+    """The report on what A and what B see of each member (``views_b is views_a`` when both see one map).
+
+    The worst pair is taken from the side that deviates more.
+    """
+    dev_a, pair_a = _max_pairwise(views_a)
+    dev_b, pair_b = (dev_a, pair_a) if views_b is views_a else _max_pairwise(views_b)
     return VerificationReport(passed=bool(dev_a <= tol and dev_b <= tol), max_deviation_a=dev_a,
                               max_deviation_b=dev_b, worst_pair=pair_a if dev_a >= dev_b else pair_b, tol=tol)
 
@@ -154,12 +181,13 @@ def _report(worst_a: tuple, worst_b: tuple, tol: float) -> VerificationReport:
 def verify_masking(masker: Masker, family, tol: float = VERIFY_TOL) -> VerificationReport:
     """Check that both reduced channels are identical across the whole family."""
     members = _members(family, "family", shared="input and output dimensions")
-    dims = channel_dims(members[0])
-    rows = _copy_rows(masker) if dims[0] > _STACK_MAX_INPUT_DIM else None
+    din, dout = channel_dims(members[0])
+    _check_masker_input(masker, dout)
+    if din <= _STACK_MAX_INPUT_DIM:
+        return _report(*_stacked_views(masker, members), tol)
+    rows = _copy_rows(masker)
     if rows is not None:
         # Both reduced channels of a copy masker are the same map.
-        _check_masker_input(masker, dims[1])
-        worst = _max_pairwise([_kraus_choi(rows[:, None, None], spec) for spec in members])
-        return _report(worst, worst, tol)
-    views = zip(*(reduced_channel_choi(masker, spec) for spec in members))
-    return _report(*map(_max_pairwise, views), tol)
+        views = [_kraus_choi(rows[:, None, None], spec) for spec in members]
+        return _report(views, views, tol)
+    return _report(*zip(*(reduced_channel_choi(masker, spec) for spec in members)), tol)

@@ -37,7 +37,7 @@ from channelmask.linalg import (
     simultaneous_eigenbasis,
 )
 from channelmask.masking import CommonEigenbasis, Masker, MaskingDecision, NoncommutingPair, SearchReport, Trivial
-from channelmask.verify import VerificationReport, _max_pairwise, _report
+from channelmask.verify import VerificationReport, _report
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -212,6 +212,17 @@ def loop_reduced_channel_choi(masker: Masker, spec) -> tuple:
     return seen_by_a.reshape(din * da, din * da), seen_by_b.reshape(din * db, din * db)
 
 
+def loop_max_pairwise(views) -> tuple:
+    """Oracle for ``verify._max_pairwise``: the worst ``np.linalg.norm`` of a pairwise difference, and its
+    first pair ``(i, j)``, ``i < j``; ``(0.0, (0, 0))`` when no pair differs."""
+    worst, pair = 0.0, (0, 0)
+    for i, j in itertools.combinations(range(len(views)), 2):
+        dev = float(np.linalg.norm(views[i] - views[j]))
+        if dev > worst:
+            worst, pair = dev, (i, j)
+    return worst, pair
+
+
 def local_orthogonality_check(masker: Masker, u, tol: float = VERIFY_TOL) -> bool:
     """Masked eigenstates from distinct eigenspaces must be locally orthogonal.
 
@@ -241,8 +252,7 @@ def state_mask_check(masker: Masker, states, tol: float = VERIFY_TOL) -> Verific
     for k in kets:
         if k.shape != (masker.input_dim,):
             raise ValueError("state dimension does not match the masker input")
-    views = zip(*(_marginals(masker, k) for k in kets))
-    return _report(*map(_max_pairwise, views), tol)
+    return _report(*zip(*(_marginals(masker, k) for k in kets)), tol)
 
 
 def _marginals(masker: Masker, ket: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,7 @@
 runs, every name in ``channelmask.__all__`` resolves and appears once, no
 module of the package or of its tests imports a name it never uses, every
 function the benchmark's tracer wraps is where the tracer looks it up, a
-traced verification counts one stacked pass per member, and a traced
+traced verification counts one stacked pass per family, and a traced
 ``demo-classical`` counts one search over every injection."""
 
 import ast
@@ -15,6 +15,8 @@ import numpy as np
 
 import channelmask
 from channelmask import channels, cli, linalg, masking, verify
+
+from helpers import loop_reduced_channel_choi
 
 TESTS = Path(__file__).resolve().parent
 README = TESTS.parent / "README.md"
@@ -84,22 +86,25 @@ def test_the_benchmark_tracer_finds_every_hook_and_puts_it_back(monkeypatch):
     assert [dict(vars(m)) for m in modules] == before
 
 
-def test_the_benchmark_tracer_counts_one_stacked_pass_per_member(monkeypatch):
+def test_the_benchmark_tracer_counts_one_stacked_pass_per_family(monkeypatch):
     # Up to input dimension 4 each member's basis operators go through
-    # verify.apply as one stack and each view through one verify.partial_trace.
+    # verify.apply as one stack, and the family's images through one
+    # verify.partial_trace per side; reduced_channel_choi is not called.
     pipeline = _perfbench_module("pipeline", monkeypatch)
     tracer = _perfbench_module("tracing", monkeypatch).Tracer()
     pipeline.instrument(tracer)
     tracer.active = True
     try:
         family = [channels.identity_channel(2), channels.dephasing(0.3), channels.bit_flip(0.2)]
-        report = verify.verify_masking(masking.copy_masker(np.eye(2)), family, 1e-9)
+        masker = masking.copy_masker(np.eye(2))
+        report = verify.verify_masking(masker, family, 1e-9)
     finally:
         tracer.active = False
         tracer.uninstall()
     assert not report.passed
-    assert tracer.layers()["verify.reduced_channel_choi"]["calls"] == 3
-    assert tracer.calls == {"channels.apply": 3, "linalg.partial_trace": 6}
+    assert report == verify._report(*zip(*(loop_reduced_channel_choi(masker, spec) for spec in family)), 1e-9)
+    assert "verify.reduced_channel_choi" not in tracer.layers()
+    assert tracer.calls == {"channels.apply": 3, "linalg.partial_trace": 2}
 
 
 def test_the_benchmark_tracer_counts_one_classical_search(monkeypatch, capsys):

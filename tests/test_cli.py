@@ -6,6 +6,7 @@ import re
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from channelmask import channels, cli, masking
+from channelmask import channels, cli, masking, verify
 from channelmask.channels import Unitary, amplitude_damping
 from channelmask.cli import (
     DECISION_TOL,
@@ -732,6 +733,19 @@ class TestMaskerRowScan:
         assert loaded == _loaded_by_json(masker_path)
         assert loaded[0] is SchemaError and loaded[1].startswith(message.format(path=masker_path))
 
+    def test_a_first_row_of_brackets_builds_no_zero_row_longer_than_the_file(self, masker_path):
+        # 200000 "[" would make a 12 MB zero row; no row of a 0.4 MB file can be that long
+        masker_path.write_text(cli._MASKER_HEAD % (1, 2) + "[" * 200000 + "]" * 200000 + cli._MASKER_TAIL)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SchemaError) as refused:
+                load_masker_file(masker_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value).startswith(f"{masker_path}: not valid JSON (maximum recursion depth exceeded")
+        assert peak < 2_000_000
+
     @pytest.mark.parametrize("token", ["0", "-0", "1"])
     @pytest.mark.parametrize("row", [0, 1], ids=["nonzero-row", "zero-row"])
     def test_integer_tokens_are_read_by_the_row_scan_as_json_reads_them(self, masker_path, token, row):
@@ -1263,6 +1277,20 @@ class TestDemoClassical:
         assert main(["demo-classical", "--dim", "1", "--json"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["no_go"]["violating_all"] is False
+
+    def test_each_channel_goes_through_apply_once(self, monkeypatch, capsys):
+        # the report and the marginal deviations come from one family pass
+        calls = []
+        apply = verify.apply
+
+        def counted(spec, ops):
+            calls.append(spec)
+            return apply(spec, ops)
+
+        monkeypatch.setattr(verify, "apply", counted)
+        assert main(["demo-classical", "--dim", "4"]) == EXIT_OK
+        assert len(calls) == 5
+        assert "distance of reduced channels from the constant channel onto 1/d: 1.241e-16" in capsys.readouterr().out
 
     def test_too_large_exit_2(self, capsys):
         assert main(["demo-classical", "--dim", "5"]) == EXIT_ERROR

@@ -456,6 +456,47 @@ class TestSynthesizeIdentityMasker:
         assert_allclose(cert.direction, [0, 0, 1], atol=0)
         assert_allclose(cert.copy_rows([spec]), I2, atol=1e-12)
 
+    @staticmethod
+    def _count_fixed_points(monkeypatch) -> list:
+        """Record each member whose pure fixed points ``FixedPointAxis.copy_rows`` computes."""
+        calls = []
+        fixed_points = masking._pure_fixed_points
+
+        def counted(spec, aff, tol):
+            calls.append(spec)
+            return fixed_points(spec, aff, tol)
+
+        monkeypatch.setattr(masking, "_pure_fixed_points", counted)
+        return calls
+
+    def test_a_common_axis_family_computes_no_fixed_points(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        axis = random_axis(rng)
+        family = [identity_channel(2), dephasing_about(axis, 0.3), rotation_mixture_channel(rng, axis)]
+        decision = decide_identity_family(family)
+        calls = self._count_fixed_points(monkeypatch)
+        masker = copy_masker(decision.certificate.copy_rows(family))
+        assert calls == []
+        assert verify_masking(masker, family, 1e-9).passed
+
+    def test_a_member_fixing_the_axis_only_by_its_list_computes_its_fixed_points(self, monkeypatch):
+        # the member of test_listed_direction_is_accepted_beyond_tol moves +z by 1.8e-8, beyond the
+        # tolerance, so only its listed fixed points accept it; dephasing(0.3) needs none
+        gamma, p = 0.9e-8, 0.25
+        damping = (np.diag([np.sqrt(1 - gamma), 1.0]), np.array([[0.0, 0.0], [np.sqrt(gamma), 0.0]]))
+        listed = KrausChannel(tuple(np.sqrt(1 - p) * k for k in damping)
+                              + tuple(np.sqrt(p) * SIGMA_Z @ k for k in damping))
+        aff = channels.bloch_affine(listed)
+        z = np.array([0.0, 0.0, 1.0])
+        assert np.linalg.norm(aff.matrix @ z + aff.shift - z) > 1e-8
+        calls = self._count_fixed_points(monkeypatch)
+        assert_allclose(FixedPointAxis(z).copy_rows([dephasing(0.3), listed]), I2, atol=1e-12)
+        assert calls == [listed]
+        calls.clear()
+        with pytest.raises(ValueError, match="^direction is not a fixed point of the channel$"):
+            FixedPointAxis(z).copy_rows([listed, bit_flip(0.3)])
+        assert calls == [listed, bit_flip(0.3)]
+
     def test_rejects_axis_a_later_member_moves(self):
         with pytest.raises(ValueError, match="not a fixed point"):
             FixedPointAxis(np.array([0, 0, 1.0])).copy_rows([dephasing(0.3), bit_flip(0.3)])

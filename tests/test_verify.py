@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from helpers import (
     choi_reduced_chois,
     gate_family,
     local_orthogonality_check,
+    loop_max_pairwise,
     loop_reduced_channel_choi,
     random_commuting_family,
     random_isometry,
@@ -454,6 +456,133 @@ class TestStackedPassMemory:
         assert max(entries) <= max(total**2, 2**20)
         assert sum(entries) == 2 * 4**2 * total**2  # every basis operator, traced on both sides
         assert seen_by_a.shape == (4 * dim_a, 4 * dim_a) and seen_by_b.shape == (4 * dim_b, 4 * dim_b)
+
+
+
+def _family_member(kind: str, din: int, rng: np.random.Generator):
+    """A member that maps dimension ``din`` to ``din``; Pauli members need ``din`` 2."""
+    if kind == "unitary":
+        return Unitary(random_unitary(din, rng))
+    if kind == "kraus":
+        return random_kraus_channel(rng, din, din, int(rng.integers(1, 4)))
+    if kind == "pauli":
+        return PauliFourVector(*rng.dirichlet(np.ones(4)))
+    if kind == "classical":
+        return random_classical_channel(din, din, rng)
+    return DepolarizedUnitary(0.37, random_unitary(din, rng))
+
+
+class TestFamilyPass:
+    """Up to input dimension 4 the whole family goes through one stacked pass, and each member's views have
+    the bits of its own ``reduced_channel_choi`` and of the loop over basis operators."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        din=st.integers(1, 4),
+        kinds=st.lists(st.sampled_from(["unitary", "kraus", "pauli", "classical", "depolarized"]), max_size=4),
+        shape=st.sampled_from(["copy", "a<b", "a>b"]),
+        chunk=st.sampled_from([None, 1, 3, 5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_members_views_are_the_bits_of_its_own_pass_and_of_the_loop(self, din, kinds, shape, chunk, seed):
+        # chunk: (member, operator) pairs per stacked product; None keeps the default bound, 1 is
+        # _STACK_ENTRIES = 1, and 3 and 5 make chunks that start and end inside a member
+        rng = np.random.default_rng(seed)
+        members = [identity_channel(din)] + [_family_member(k, din, rng) for k in kinds if k != "pauli" or din == 2]
+        masker = _small_masker(shape, din, rng)
+        if chunk is None:
+            entries = verify._STACK_ENTRIES
+        elif chunk == 1:
+            entries = 1
+        else:
+            entries = chunk * masker.dims.total**2
+        with mock.patch.object(verify, "_STACK_ENTRIES", entries):
+            views = verify._stacked_views(masker, members)
+            alone = [reduced_channel_choi(masker, spec) for spec in members]
+            report = verify_masking(masker, members, 1e-9)
+        loops = [loop_reduced_channel_choi(masker, spec) for spec in members]
+        for k in range(len(members)):
+            for seen, own, loop in zip((views[0][k], views[1][k]), alone[k], loops[k]):
+                assert seen.shape == own.shape == loop.shape
+                assert seen.tobytes() == own.tobytes() == loop.tobytes()
+        dev_a, pair_a = loop_max_pairwise([loop[0] for loop in loops])
+        dev_b, pair_b = loop_max_pairwise([loop[1] for loop in loops])
+        assert (report.max_deviation_a, report.max_deviation_b) == (dev_a, dev_b)
+        assert report.worst_pair == (pair_a if dev_a >= dev_b else pair_b)
+
+    def test_one_apply_per_member_and_one_partial_trace_per_side(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        members = [identity_channel(3)] + [_family_member(k, 3, rng) for k in ("unitary", "kraus", "classical")]
+        masker = _small_masker("a>b", 3, rng)
+        calls = []
+        apply, partial_trace = verify.apply, verify.partial_trace
+
+        def applied(spec, ops):
+            calls.append(("apply", len(ops)))
+            return apply(spec, ops)
+
+        def traced(m, dims, side):
+            calls.append(("partial_trace", len(m)))
+            return partial_trace(m, dims, side)
+
+        monkeypatch.setattr(verify, "apply", applied)
+        monkeypatch.setattr(verify, "partial_trace", traced)
+        verify_masking(masker, members, 1e-9)
+        assert calls == [("apply", 9)] * 4 + [("partial_trace", 36)] * 2
+
+
+class TestMaxPairwise:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(0, 6),
+        shape=st.sampled_from([(1, 1), (2, 2), (3, 5), (8, 8)]),
+        scale=st.sampled_from([1e-300, 1e-17, 1.0, 1e150]),
+        repeats=st.booleans(),
+        stacked=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_deviations_and_pairs_are_those_of_the_norm_loop(self, n, shape, scale, repeats, stacked, seed):
+        rng = np.random.default_rng(seed)
+        views = (rng.normal(size=(n, *shape)) + 1j * rng.normal(size=(n, *shape))) * scale
+        if repeats and n > 2:
+            views[2], views[-1] = views[0], views[1]
+        views = views if stacked else list(views)
+        worst, pair = verify._max_pairwise(views)
+        expected_worst, expected_pair = loop_max_pairwise(views)
+        assert type(worst) is float and pair == expected_pair
+        assert np.float64(worst).tobytes() == np.float64(expected_worst).tobytes()
+
+
+class TestFamilyPassMemory:
+    # The family's (member, basis operator) pairs are taken max(1, 2**20 // D**2)
+    # at a time, so no stacked product M E(X) M^dag holds more than
+    # max(D**2, 2**20) entries, however many members there are, and one
+    # chunk's product is freed before the next is made.
+    @pytest.mark.parametrize("dim_a,dim_b,chunks", [(2, 3, 1), (16, 32, 12), (33, 32, 48)])
+    def test_no_stacked_product_exceeds_the_bound(self, dim_a, dim_b, chunks, monkeypatch):
+        entries = []
+        partial_trace = verify.partial_trace
+
+        def recorded(m, dims, side):
+            entries.append(np.size(m))
+            return partial_trace(m, dims, side)
+
+        monkeypatch.setattr(verify, "partial_trace", recorded)
+        rng = np.random.default_rng(dim_a * dim_b)
+        total = dim_a * dim_b
+        masker = Masker(random_isometry(rng, total, 4), BipartiteDims(dim_a, dim_b))
+        members = [Unitary(random_unitary(4, rng)) for _ in range(3)]
+        tracemalloc.start()
+        try:
+            report = verify_masking(masker, members, 1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(entries) == 2 * chunks
+        assert max(entries) <= max(total**2, 2**20)
+        assert sum(entries) == 2 * 3 * 4**2 * total**2  # every member's basis operators, traced on both sides
+        assert peak <= 16 * max(total**2, 2**20) + 2**22  # one stacked product held at a time, and 4 MB
+        assert not report.passed
 
 
 def _expand(blocks: np.ndarray) -> np.ndarray:
