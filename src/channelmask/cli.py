@@ -17,12 +17,16 @@ same results and messages.
 Families of only unitary or only depolarized_unitary members are read as one
 stack.  Exit codes: 0 for a positive verdict or a passing verification, 1
 for a definitive negative, 2 for input errors, 141 when the reader closes
-stdout before the output is written.
+stdout before the output is written.  A command's process ends through
+:func:`run`, which freezes the garbage collector once the command has run, so
+the interpreter's shutdown collections skip the objects numpy and the package
+made; those are still freed, stdout is still flushed and ``atexit`` still runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -262,7 +266,7 @@ KINDS = {
 def _family_from_json(raw: dict) -> FamilyFile:
     _expect(raw.get("version") == "1", 'version: must be the string "1"')
     kind = raw.get("kind")
-    _expect(kind in KINDS, f"kind: must be one of {', '.join(KINDS)}")
+    _expect(isinstance(kind, str) and kind in KINDS, f"kind: must be one of {', '.join(KINDS)}")
     members_raw = raw.get("members")
     _expect(isinstance(members_raw, list) and members_raw, "members: must be a non-empty list")
     members = _gates_from_json(members_raw) or tuple(
@@ -695,5 +699,17 @@ def main(argv=None) -> int:
         return EXIT_ERROR
 
 
+def run() -> int:
+    """The process entry (the ``channelmask`` script and ``python -m channelmask.cli``): :func:`main`, then
+    ``gc.freeze()``, so that the collections at shutdown do not walk every object of a process about to end.
+
+    In a long-lived process call :func:`main`, which leaves the collector as it is.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

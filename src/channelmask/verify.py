@@ -25,6 +25,7 @@ Choi matrix is ``d`` blocks of size ``din x din`` from the same formula.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -158,10 +159,13 @@ def _kraus_choi(g: np.ndarray, spec: ChannelSpec) -> np.ndarray:
 def _max_pairwise(views) -> tuple[float, tuple]:
     # Each deviation is np.linalg.norm's Frobenius norm of a complex array,
     # its expression written out, which gives its bits without its dispatch.
+    # A NaN deviation is worse than any other: the first one is the result.
     worst, pair = 0.0, (0, 0)
     for i, j in itertools.combinations(range(len(views)), 2):
         x = (views[i] - views[j]).ravel()
         dev = float(np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag)))
+        if math.isnan(dev):
+            return dev, (i, j)
         if dev > worst:
             worst, pair = dev, (i, j)
     return worst, pair
@@ -170,12 +174,14 @@ def _max_pairwise(views) -> tuple[float, tuple]:
 def _report(views_a, views_b, tol: float) -> VerificationReport:
     """The report on what A and what B see of each member (``views_b is views_a`` when both see one map).
 
-    The worst pair is taken from the side that deviates more.
+    The worst pair is taken from the side that deviates more.  A NaN deviation counts as the worst (A's
+    before B's) and fails the report.
     """
     dev_a, pair_a = _max_pairwise(views_a)
     dev_b, pair_b = (dev_a, pair_a) if views_b is views_a else _max_pairwise(views_b)
+    worst_pair = pair_a if dev_a >= dev_b or math.isnan(dev_a) else pair_b
     return VerificationReport(passed=bool(dev_a <= tol and dev_b <= tol), max_deviation_a=dev_a,
-                              max_deviation_b=dev_b, worst_pair=pair_a if dev_a >= dev_b else pair_b, tol=tol)
+                              max_deviation_b=dev_b, worst_pair=worst_pair, tol=tol)
 
 
 def verify_masking(masker: Masker, family, tol: float = VERIFY_TOL) -> VerificationReport:

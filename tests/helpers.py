@@ -214,10 +214,13 @@ def loop_reduced_channel_choi(masker: Masker, spec) -> tuple:
 
 def loop_max_pairwise(views) -> tuple:
     """Oracle for ``verify._max_pairwise``: the worst ``np.linalg.norm`` of a pairwise difference, and its
-    first pair ``(i, j)``, ``i < j``; ``(0.0, (0, 0))`` when no pair differs."""
+    first pair ``(i, j)``, ``i < j``; ``(0.0, (0, 0))`` when no pair differs.  A NaN is worse than any number,
+    so the first NaN and its pair are returned."""
     worst, pair = 0.0, (0, 0)
     for i, j in itertools.combinations(range(len(views)), 2):
         dev = float(np.linalg.norm(views[i] - views[j]))
+        if np.isnan(dev):
+            return dev, (i, j)
         if dev > worst:
             worst, pair = dev, (i, j)
     return worst, pair

@@ -2,13 +2,15 @@
 runs, every name in ``channelmask.__all__`` resolves and appears once, no
 module of the package or of its tests imports a name it never uses, every
 function the benchmark's tracer wraps is where the tracer looks it up, a
-traced verification counts one stacked pass per family, and a traced
-``demo-classical`` counts one search over every injection."""
+traced verification counts one stacked pass per family, a traced
+``demo-classical`` counts one search over every injection, and the installed
+``channelmask`` script is the entry that ``python -m channelmask.cli`` runs."""
 
 import ast
 import importlib.util
 import re
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,11 @@ def test_readme_library_example_runs():
     section = README.read_text().split("\n## Library\n", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(block, "README.md (## Library)", "exec"), {})
+
+
+def test_the_console_script_is_the_process_entry():
+    scripts = tomllib.loads((TESTS.parent / "pyproject.toml").read_text())["project"]["scripts"]
+    assert scripts == {"channelmask": "channelmask.cli:run"}
 
 
 def test_every_export_resolves_once():

@@ -1,5 +1,6 @@
 import copy
 import errno
+import gc
 import json
 import os
 import re
@@ -126,6 +127,15 @@ class TestDecide:
         path.write_text(json.dumps({"version": "1", "kind": "weird", "members": [{}]}))
         assert main(["decide", str(path)]) == EXIT_ERROR
         assert "kind" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["decide", "bloch"])
+    @pytest.mark.parametrize("kind", [[], {}, 1, None], ids=["list", "object", "number", "null"])
+    def test_a_kind_that_is_not_a_string_exit_2(self, command, kind, tmp_path, capsys):
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps({"version": "1", "kind": kind, "members": [{"type": "unitary", "matrix": X}]}))
+        assert main([command, str(path)]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: kind: must be one of gate, pauli, identity_pair, identity_family, depolarized, classical\n")
 
     def test_family_file_that_is_not_json_exit_2(self, tmp_path, capsys):
         path = tmp_path / "truncated.json"
@@ -776,6 +786,47 @@ def test_deeply_nested_json_is_an_input_error(role, gate_family, tmp_path, capsy
             "verify-masker": ["verify", gate_family, str(deep)], "bloch": ["bloch", str(deep)]}[role]
     assert main(argv) == EXIT_ERROR
     assert f"error: {deep}: not valid JSON (maximum recursion depth exceeded" in capsys.readouterr().err
+
+
+def _entry_cases(tmp_path):
+    """A maskable sample (exit 0), a sample that is refused (exit 1) and a malformed file (exit 2)."""
+    odd = tmp_path / "odd.json"
+    odd.write_text(json.dumps({"version": "1", "kind": [], "members": [{"type": "unitary", "matrix": X}]}))
+    return [(["decide", str(SAMPLES / "gate_family.json")], EXIT_OK),
+            (["decide", "--json", str(SAMPLES / "pauli_depolarizing.json")], EXIT_NEGATIVE),
+            (["decide", str(odd)], EXIT_ERROR)]
+
+
+class TestProcessEntry:
+    """``run`` ends a command's process: ``main``, then ``gc.freeze()``; ``main`` leaves the collector alone,
+    so that a long-lived caller keeps collecting its cyclic garbage."""
+
+    @pytest.fixture(autouse=True)
+    def unfrozen(self):
+        yield
+        gc.unfreeze()
+
+    def test_main_leaves_the_collector_as_it_was(self, tmp_path, capsys):
+        for argv, code in _entry_cases(tmp_path):
+            before = gc.get_freeze_count()
+            assert main(argv) == code
+            assert gc.get_freeze_count() == before
+
+    def test_run_returns_the_exit_code_of_main_and_freezes_the_collector(self, tmp_path, capsys, monkeypatch):
+        for argv, code in _entry_cases(tmp_path):
+            gc.unfreeze()
+            monkeypatch.setattr(sys, "argv", ["channelmask", *argv])
+            assert cli.run() == code
+            assert gc.get_freeze_count() > 0
+
+    def test_a_process_prints_the_bytes_that_main_prints(self, tmp_path, capsys):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+        for argv, code in _entry_cases(tmp_path):
+            assert main(argv) == code
+            out, err = capsys.readouterr()
+            done = subprocess.run([sys.executable, "-m", "channelmask.cli", *argv], capture_output=True, env=env,
+                                  cwd=tmp_path, timeout=120)
+            assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), err.encode())
 
 
 @pytest.mark.parametrize("size", ["d16", "sample"])

@@ -161,6 +161,26 @@ class TestVerifyMasking:
         with pytest.raises(ValueError, match="^family members must share input and output dimensions$"):
             verify_masking(COPY2_MASKER, [identity_channel(2), identity_channel(3)], 1e-9)
 
+    # At input dimension 5 a copy masker takes the closed form, where no
+    # partial trace scans the views for non-finite entries.
+    def test_nan_in_a_copy_masker_fails(self):
+        members = list(random_commuting_family(np.random.default_rng(5), 5, 3))
+        masker = copy_masker(decide_gate_family(members).certificate.copy_rows(members))
+        masker.matrix[0, 0] = np.nan
+        report = verify_masking(masker, members, 1e-9)
+        assert not report.passed
+        assert np.isnan(report.max_deviation_a) and np.isnan(report.max_deviation_b)
+        assert report.worst_pair == (0, 1)
+
+    def test_nan_in_a_member_fails(self):
+        members = list(random_commuting_family(np.random.default_rng(6), 5, 3))
+        masker = copy_masker(decide_gate_family(members).certificate.copy_rows(members))
+        members[2].matrix[1, 1] = np.nan
+        report = verify_masking(masker, members, 1e-9)
+        assert not report.passed
+        assert np.isnan(report.max_deviation_a) and np.isnan(report.max_deviation_b)
+        assert report.worst_pair == (0, 2)
+
 
 class TestVerifyIdentityMasking:
     def test_dephasing_passes(self):
@@ -551,6 +571,31 @@ class TestMaxPairwise:
         expected_worst, expected_pair = loop_max_pairwise(views)
         assert type(worst) is float and pair == expected_pair
         assert np.float64(worst).tobytes() == np.float64(expected_worst).tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(2, 6), nans=st.sets(st.integers(0, 5), min_size=1), seed=st.integers(0, 2**32 - 1))
+    def test_the_first_nan_deviation_and_its_pair_are_kept(self, n, nans, seed):
+        rng = np.random.default_rng(seed)
+        views = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
+        with_nan = {k % n for k in nans}
+        for k in with_nan:
+            views[k, k % 3, 0] = np.nan
+        worst, pair = verify._max_pairwise(views)
+        expected_worst, expected_pair = loop_max_pairwise(views)
+        assert np.isnan(worst) and np.isnan(expected_worst)
+        assert pair == expected_pair == next((i, j) for i in range(n) for j in range(i + 1, n) if {i, j} & with_nan)
+
+    @pytest.mark.parametrize("nan_side", ["a", "b", "both"])
+    def test_a_nan_deviation_fails_the_report_and_names_its_pair(self, nan_side):
+        rng = np.random.default_rng(7)
+        views_a, views_b = (rng.normal(size=(3, 2, 2)) + 0j for _ in "ab")
+        if nan_side in ("a", "both"):
+            views_a[2, 0, 0] = np.nan
+        if nan_side in ("b", "both"):
+            views_b[1, 0, 0] = np.nan
+        report = verify._report(views_a, views_b, 1e-9)
+        assert not report.passed
+        assert report.worst_pair == {"a": (0, 2), "b": (0, 1), "both": (0, 2)}[nan_side]
 
 
 class TestFamilyPassMemory:
