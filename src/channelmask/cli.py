@@ -598,7 +598,7 @@ def cmd_demo_classical(args) -> int:
     perm_channels = [ClassicalChannel(np.eye(dim)[:, list(p)]) for p in perms]
     rng = np.random.default_rng(seed)
     random_channels = [random_classical_channel(dim, dim, rng) for _ in range(3)]
-    views = verify._stacked_views(masker, perm_channels + random_channels)  # dim <= 4: one family pass
+    views = verify._views(masker, perm_channels + random_channels)  # dim <= 4: the stacked pass, full views
     report = verify._report(*views, tol)
     target = np.eye(dim * dim) / dim
     marginal_dev = max(float(np.linalg.norm(view - target)) for side in views for view in side)

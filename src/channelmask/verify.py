@@ -6,20 +6,22 @@ are, so comparing them is a complete equality test.  Deviations are
 aggregated with max (masking is a worst-case property over inputs and family
 members).
 
-Up to input dimension 4 each member's ``din**2`` basis operators go through
-the channel as one stack, and the images of the whole family through the
-masker and both partial traces as one stack per family, which fixes the
-round-off digits (such as ``1.570e-16``, or an exact ``0.0``) the CLI prints
-for small families, every file in ``samples/`` among them: numpy makes the
-same product and sum for each matrix of a stack as for a lone one, so the
-digits are those of one operator at a time.  The (member, operator) pairs are
-taken in chunks, so that no stacked product ``M E(X) M^dag`` holds more than
-``max(D**2, 2**20)`` entries for ``D = dA * dB``.  Above 4 one Kraus-form
-formula gives each view, with no dimension cap; a view may hold up to
-``2**24`` entries.  A copy masker (``d x d`` factors, every row other than
-``k*(d+1)`` exactly zero, as every masker this package writes) shows both
-sides one map, ``rho -> diag(R E(rho) R^dag)`` for its copy rows ``R``, whose
-Choi matrix is ``d`` blocks of size ``din x din`` from the same formula.
+Three routes give the views, and :func:`_views` alone picks one.  The
+stacked pass serves input dimensions up to 4 when the family's whole stack
+of ``n * din**2`` products ``M E(X) M^dag`` (each ``D x D``, ``D = dA * dB``)
+holds at most ``_STACK_ENTRIES`` entries: the basis operators go through the
+channel, the masker and both partial traces as one stack, and numpy makes
+the same product and sum for each matrix of a stack as for a lone one, so
+each view has the bits of one operator at a time and of its member's own
+``reduced_channel_choi``.  Those bits fix the round-off digits (such as
+``1.570e-16``, or an exact ``0.0``) the CLI prints for ``samples/``.  Past
+the bound a copy masker (``d x d`` factors, every row other than ``k*(d+1)``
+exactly zero, as every masker this package writes) shows both sides one
+map, ``rho -> diag(R E(rho) R^dag)`` for its copy rows ``R``, whose Choi
+matrix is ``d`` blocks of size ``din x din``; any other masker goes member
+by member through ``reduced_channel_choi``, whose route past the bound is
+one Kraus-form formula with no dimension cap.  A view may hold up to
+``2**24`` entries.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from .masking import Masker, _members
 # The stacked basis-operator pass serves inputs up to this dimension (see the
 # module docstring): it fixes the round-off digits of the CLI's small reports.
 _STACK_MAX_INPUT_DIM = 4
-# Entries of one stacked product M E(X) M^dag (16 MB of complex128), unless
-# one operator's D x D product alone is larger.
+# Entries of a family's whole stack of products M E(X) M^dag (16 MB of
+# complex128); a larger family does not take the stacked pass.
 _STACK_ENTRIES = 2**20
 # Entries of one view (268 MB of complex128): a dense view at din = 64.
 _MAX_VIEW_ENTRIES = 2**24
@@ -57,55 +59,59 @@ class VerificationReport:
 def reduced_channel_choi(masker: Masker, spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
     """Choi matrices ``(seen_by_a, seen_by_b)`` of ``rho -> Tr_B[M E(rho) M^dag]`` and ``Tr_A[...]``.
 
-    Up to input dimension 4 both views come from the stacked pass of
-    :func:`_stacked_views` over a family of one, so each has the bits it has
-    in any family; above, each is :func:`_kraus_choi` of the rows of ``M``.
+    Both come from :func:`_views` for a family of one, so wherever a family
+    takes the stacked pass each member's views have the bits of its own.
+    Copy blocks are set in place: block ``k`` is the entries ``[(i, k), (j, k)]``.
     """
-    din, dout = channel_dims(spec)
-    _check_masker_input(masker, dout)
-    if din > _STACK_MAX_INPUT_DIM:
-        da, db = masker.dims.dim_a, masker.dims.dim_b
-        rows = masker.matrix.reshape(da, db, dout)  # G_b = rows[:, b] for A's view, G_a = rows[a] for B's
-        return _kraus_choi(rows.transpose(1, 0, 2)[None], spec)[0], _kraus_choi(rows[None], spec)[0]
-    seen_by_a, seen_by_b = _stacked_views(masker, [spec])
-    return seen_by_a[0], seen_by_b[0]
+    seen_by_a, seen_by_b = _views(masker, [spec])
+    if seen_by_b is not seen_by_a:
+        return seen_by_a[0], seen_by_b[0]
+    d, din, _ = seen_by_a[0].shape
+    _check_view_entries((din * d) ** 2)
+    view = np.zeros((din, d, din, d), dtype=complex)
+    view[:, np.arange(d), :, np.arange(d)] = seen_by_a[0]
+    view = view.reshape(din * d, din * d)
+    return view, view.copy()
+
+
+def _views(masker: Masker, members: list) -> tuple:
+    """``(views_a, views_b)``, what A and what B see of each member, from the route picked here and
+    nowhere else (see the module docstring).  Copy blocks come as ``views_b is views_a``; a family of
+    one that takes neither the stacked pass nor the copy blocks takes the Kraus-form formula."""
+    din, dout = channel_dims(members[0])
+    if masker.input_dim != dout:
+        raise ValueError(f"masker input dimension {masker.input_dim} does not match channel output {dout}")
+    if din <= _STACK_MAX_INPUT_DIM and len(members) * (din * masker.dims.total) ** 2 <= _STACK_ENTRIES:
+        return _stacked_views(masker, members)
+    rows = _copy_rows(masker)
+    if rows is not None:
+        blocks = [_kraus_choi(rows[:, None, None], spec) for spec in members]
+        return blocks, blocks
+    if len(members) > 1:
+        return tuple(zip(*(reduced_channel_choi(masker, spec) for spec in members)))
+    rows = masker.matrix.reshape(masker.dims.dim_a, masker.dims.dim_b, dout)  # G_b = rows[:, b] for A's view
+    return _kraus_choi(rows.transpose(1, 0, 2)[None], members[0]), _kraus_choi(rows[None], members[0])
 
 
 def _stacked_views(masker: Masker, members: list) -> tuple[np.ndarray, np.ndarray]:
-    """What A and what B see of each of ``n`` members of input dimension ``din <= 4``, as the stacks
-    ``(n, din * dA, din * dA)`` and ``(n, din * dB, din * dB)``.
-
-    The ``n * din**2`` pairs (member, basis operator) are taken in chunks of
-    at most ``max(1, 2**20 // D**2)`` for ``D = dA * dB``.  In each chunk,
-    each member's operators go through one ``apply`` call, and all their
-    images through ``M . M^dag`` and each partial trace together.
-    """
-    din, dout = channel_dims(members[0])
+    """What A and what B see of each of ``n`` members, as the stacks ``(n, din * dA, din * dA)`` and
+    ``(n, din * dB, din * dB)``: each member's ``din**2`` basis operators go through one ``apply`` call,
+    and all the images through one product ``M . M^dag`` and one partial trace per side."""
+    din, _ = channel_dims(members[0])
     da, db = masker.dims.dim_a, masker.dims.dim_b
-    m = masker.matrix
-    per_member = din * din
-    n, count = len(members), len(members) * per_member
-    ops = np.eye(per_member, dtype=complex).reshape(per_member, din, din)  # ops[i * din + j] = |i><j|
-    seen_by_a = np.empty((count, da, da), dtype=complex)
-    seen_by_b = np.empty((count, db, db), dtype=complex)
-    m_dag = m.conj().T
-    chunk = max(1, _STACK_ENTRIES // masker.dims.total**2)
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        images = np.concatenate([apply(members[k], ops[max(start - k * per_member, 0):stop - k * per_member])
-                                 for k in range(start // per_member, (stop - 1) // per_member + 1)])
-        masked = m @ images @ m_dag
-        seen_by_a[start:stop] = partial_trace(masked, masker.dims, "B")
-        seen_by_b[start:stop] = partial_trace(masked, masker.dims, "A")
-        del masked  # the next chunk's product is not made while this one is held
+    n, m = len(members), masker.matrix
+    ops = np.eye(din * din, dtype=complex).reshape(din * din, din, din)  # ops[i * din + j] = |i><j|
+    masked = m @ np.concatenate([apply(spec, ops) for spec in members]) @ m.conj().T
+    seen_by_a = partial_trace(masked, masker.dims, "B")
+    seen_by_b = partial_trace(masked, masker.dims, "A")
     # [(k, i, j), x, x'] -> [k, (i, x), (j, x')]
     return (seen_by_a.reshape(n, din, din, da, da).transpose(0, 1, 3, 2, 4).reshape(n, din * da, din * da),
             seen_by_b.reshape(n, din, din, db, db).transpose(0, 1, 3, 2, 4).reshape(n, din * db, din * db))
 
 
-def _check_masker_input(masker: Masker, dout: int) -> None:
-    if masker.input_dim != dout:
-        raise ValueError(f"masker input dimension {masker.input_dim} does not match channel output {dout}")
+def _check_view_entries(entries: int) -> None:
+    if entries > _MAX_VIEW_ENTRIES:
+        raise ValueError(f"a reduced Choi matrix of {entries} entries exceeds the bound of 2**24 entries")
 
 
 def _copy_rows(masker: Masker):
@@ -133,8 +139,7 @@ def _kraus_choi(g: np.ndarray, spec: ChannelSpec) -> np.ndarray:
     """
     din, dout = channel_dims(spec)
     n, b, r, _ = g.shape
-    if n * (din * r) ** 2 > _MAX_VIEW_ENTRIES:
-        raise ValueError(f"a reduced Choi matrix of {n * (din * r) ** 2} entries exceeds the bound of 2**24 entries")
+    _check_view_entries(n * (din * r) ** 2)
     diagonal = np.arange(din)  # the blocks (i, i) of out.reshape(n, din, r, din, r)
     if isinstance(spec, ClassicalChannel):
         # E(|i><j|) = delta_ij diag(P[:, i]): block (i, i) takes the Kraus operators sqrt(P[z, i]) |z><i|.
@@ -186,14 +191,4 @@ def _report(views_a, views_b, tol: float) -> VerificationReport:
 
 def verify_masking(masker: Masker, family, tol: float = VERIFY_TOL) -> VerificationReport:
     """Check that both reduced channels are identical across the whole family."""
-    members = _members(family, "family", shared="input and output dimensions")
-    din, dout = channel_dims(members[0])
-    _check_masker_input(masker, dout)
-    if din <= _STACK_MAX_INPUT_DIM:
-        return _report(*_stacked_views(masker, members), tol)
-    rows = _copy_rows(masker)
-    if rows is not None:
-        # Both reduced channels of a copy masker are the same map.
-        views = [_kraus_choi(rows[:, None, None], spec) for spec in members]
-        return _report(views, views, tol)
-    return _report(*zip(*(reduced_channel_choi(masker, spec) for spec in members)), tol)
+    return _report(*_views(masker, _members(family, "family", shared="input and output dimensions")), tol)

@@ -295,6 +295,46 @@ class TestSynthesizeAndVerify:
         assert abs(report["max_deviation_b"] - np.linalg.norm(b0 - b1)) <= 1e-12
         assert report["passed"] is False
 
+    def test_classical_family_with_a_large_output_verifies_in_little_memory(self, tmp_path, capsys):
+        # in_size 1 and out_size 40: the Fourier copy masker has D = 1600, so one stacked product
+        # M E(X) M^dag would hold 1600**2 entries (41 MB); verify compares the copy blocks instead
+        rng = np.random.default_rng(40)
+        members = [{"type": "classical", "probs": [[float(p)] for p in rng.dirichlet(np.ones(40))]}
+                   for _ in range(2)]
+        family = write_family(tmp_path / "classical40.json", "classical", members)
+        out = tmp_path / "masker.json"
+        assert main(["synthesize", family, "-o", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert main(["verify", "--json", family, str(out)]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+        assert peak < 16 * 2**20
+
+    def test_dense_masker_at_input_dimension_four_builds_no_large_array(self, tmp_path, capsys):
+        # a dense isometry on 36 x 36 (D = 1296) at din = 4: one stacked product would hold 1296**2
+        # entries; under a peak of 16 MB no array of 2**20 complex entries is built
+        rng = np.random.default_rng(36)
+        fam = random_commuting_family(rng, 4, 3)
+        family = write_family(tmp_path / "gate4.json", "gate",
+                              [{"type": "unitary", "matrix": _matrix_json(m.matrix)} for m in fam])
+        save_masker_file(tmp_path / "dense.json", Masker(random_isometry(rng, 36 * 36, 4), BipartiteDims(36, 36)))
+        tracemalloc.start()
+        try:
+            assert main(["verify", "--json", family, str(tmp_path / "dense.json")]) == EXIT_NEGATIVE
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        report = json.loads(capsys.readouterr().out)
+        views = [choi_reduced_chois(load_masker_file(tmp_path / "dense.json"), m) for m in fam]
+        for side, key in ((0, "max_deviation_a"), (1, "max_deviation_b")):
+            expected = max(np.linalg.norm(views[i][side] - views[j][side]) for i in range(3) for j in range(i + 1, 3))
+            assert abs(report[key] - expected) <= 1e-12
+
     def test_pauli_family_round_trip(self, tmp_path, capsys):
         members = [{"type": "pauli", "p": [1 - p, p, 0.0, 0.0]} for p in (0.1, 0.3, 0.7)]
         family = write_family(tmp_path / "bitflip.json", "pauli", members)

@@ -33,6 +33,7 @@ from channelmask.channels import (
     ALL_DIRECTIONS,
     DepolarizedUnitary,
     PauliFourVector,
+    SIGMA_X,
     Unitary,
     amplitude_damping,
     bloch_affine,
@@ -246,6 +247,13 @@ def _check_witness(members: tuple, wit) -> None:
         for fixed in wit.per_channel:
             if fixed is not None and fixed is not ALL_DIRECTIONS:
                 assert not any(all(_fixes(m, v) for m in members) for v in fixed)
+    elif isinstance(wit, NoCommonBasis):
+        us = [m.matrix for m in members]
+        rel = [us[0].conj().T @ u for u in us]
+        bound = tol * us[0].shape[0]
+        assert all(np.linalg.norm(rel[i] @ rel[j] - rel[j] @ rel[i]) <= bound
+                   for i in range(1, len(us)) for j in range(i + 1, len(us)))
+        assert wit.residual > bound
     else:
         raise AssertionError(f"unknown witness {wit!r}")
 
@@ -257,6 +265,17 @@ def test_every_witness_recomputes_from_the_members(kind, size, seed):
     family = _refused_family(kind, size, np.random.default_rng(seed))
     decision = decide_family(family, DECISION_TOL, 0)
     assert not decision.maskable
+    _check_witness(family.members, decision.witness)
+
+
+def test_a_no_common_basis_witness_recomputes_from_the_members():
+    # {I, diag(1, e^{i eta}), exp(i delta X)}, eta = delta = 1e-4: the one commutator, 1.4e-8, is within
+    # tol * d = 2e-8, but no basis diagonalizes both relative gates within it
+    eta = delta = 1e-4
+    gates = [np.eye(2), np.diag([1, np.exp(1j * eta)]), np.cos(delta) * np.eye(2) + 1j * np.sin(delta) * SIGMA_X]
+    family = FamilyFile("1", "gate", tuple(Unitary(u) for u in gates), {})
+    decision = decide_family(family, DECISION_TOL, 0)
+    assert isinstance(decision.witness, NoCommonBasis)
     _check_witness(family.members, decision.witness)
 
 

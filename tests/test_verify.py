@@ -1,5 +1,4 @@
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -416,8 +415,9 @@ def _small_masker(shape: str, dout: int, rng: np.random.Generator) -> Masker:
 
 
 class TestStackedPassAgainstTheLoop:
-    """Up to input dimension 4 ``reduced_channel_choi`` gives, bit for bit, the views of the loop that
-    sends one basis operator at a time through ``apply`` and ``partial_trace``."""
+    """Up to input dimension 4, on maskers whose stack fits the bound, ``reduced_channel_choi`` gives, bit
+    for bit, the views of the loop that sends one basis operator at a time through ``apply`` and
+    ``partial_trace``."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -435,48 +435,59 @@ class TestStackedPassAgainstTheLoop:
             assert stacked.shape == loop.shape
             assert stacked.tobytes() == loop.tobytes()
 
-    @pytest.mark.parametrize("kind", ["unitary", "kraus", "pauli", "classical", "depolarized"])
-    def test_one_operator_per_chunk_keeps_the_bits(self, kind, monkeypatch):
-        monkeypatch.setattr(verify, "_STACK_ENTRIES", 1)
-        rng = np.random.default_rng(len(kind))
-        spec = _small_member(kind, 2 if kind == "pauli" else 3, 0.37, rng)
-        masker = _small_masker("a>b", channel_dims(spec)[1], rng)
-        operators = []
-        apply = verify.apply
 
-        def counted(spec, op):
-            operators.append(len(op))
-            return apply(spec, op)
+def _record_stacked_pass(monkeypatch) -> tuple[list, list]:
+    """Record the stack length of every ``verify.apply`` call and the entries of every product
+    ``M E(X) M^dag`` that ``verify.partial_trace`` gets."""
+    applied, traced = [], []
+    apply, partial_trace = verify.apply, verify.partial_trace
 
-        monkeypatch.setattr(verify, "apply", counted)
-        for stacked, loop in zip(reduced_channel_choi(masker, spec), loop_reduced_channel_choi(masker, spec)):
-            assert stacked.tobytes() == loop.tobytes()
-        assert operators == [1] * channel_dims(spec)[0] ** 2
+    def counted(spec, ops):
+        applied.append(len(ops))
+        return apply(spec, ops)
+
+    def recorded(m, dims, side):
+        traced.append(np.size(m))
+        return partial_trace(m, dims, side)
+
+    monkeypatch.setattr(verify, "apply", counted)
+    monkeypatch.setattr(verify, "partial_trace", recorded)
+    return applied, traced
+
+
+def _traced_peak(call):
+    """``call()`` and the peak bytes ``tracemalloc`` saw while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Peak bytes of a reduced Choi matrix or a verification at din = 4 on the maskers below: a quarter of a
+# stack of _STACK_ENTRIES = 2**20 complex entries.  One product M E(X) M^dag alone is 4.2 MB on 16 x 32
+# and 17.8 MB on 33 x 32.
+_SMALL_PEAK = 2**22
 
 
 class TestStackedPassMemory:
-    # A chunk holds max(1, 2**20 // D**2) operators, so no stacked product
-    # M E(X) M^dag holds more than max(D**2, 2**20) entries.
-    @pytest.mark.parametrize("dim_a,dim_b,chunks", [(2, 3, 1), (16, 32, 4), (33, 32, 16)])
-    def test_no_stacked_product_exceeds_the_bound(self, dim_a, dim_b, chunks, monkeypatch):
-        entries = []
-        partial_trace = verify.partial_trace
-
-        def recorded(m, dims, side):
-            entries.append(np.size(m))
-            return partial_trace(m, dims, side)
-
-        monkeypatch.setattr(verify, "partial_trace", recorded)
+    # A member takes the stacked pass only when its din**2 products M E(X) M^dag hold at most
+    # _STACK_ENTRIES = 2**20 entries together: on 2 x 3 it makes one product and one partial trace
+    # per side.  On 16 x 32 and 33 x 32 (4.2M and 17.8M entries) it takes the Kraus formula, which
+    # makes no such product and applies no channel.
+    @pytest.mark.parametrize("dim_a,dim_b,stacked", [(2, 3, True), (16, 32, False), (33, 32, False)])
+    def test_no_stack_over_the_bound_is_made(self, dim_a, dim_b, stacked, monkeypatch):
+        applied, traced = _record_stacked_pass(monkeypatch)
         rng = np.random.default_rng(dim_a * dim_b)
         total = dim_a * dim_b
         masker = Masker(random_isometry(rng, total, 4), BipartiteDims(dim_a, dim_b))
         spec = Unitary(random_unitary(4, rng))
-        seen_by_a, seen_by_b = reduced_channel_choi(masker, spec)
-        assert len(entries) == 2 * chunks
-        assert max(entries) <= max(total**2, 2**20)
-        assert sum(entries) == 2 * 4**2 * total**2  # every basis operator, traced on both sides
-        assert seen_by_a.shape == (4 * dim_a, 4 * dim_a) and seen_by_b.shape == (4 * dim_b, 4 * dim_b)
-
+        views, peak = _traced_peak(lambda: reduced_channel_choi(masker, spec))
+        assert applied == ([4**2] if stacked else [])
+        assert traced == ([4**2 * total**2] * 2 if stacked else [])
+        assert peak <= _SMALL_PEAK
+        for view, oracle in zip(views, choi_reduced_chois(masker, spec)):
+            assert np.abs(view - oracle).max() <= 1e-12
 
 
 def _family_member(kind: str, din: int, rng: np.random.Generator):
@@ -493,33 +504,23 @@ def _family_member(kind: str, din: int, rng: np.random.Generator):
 
 
 class TestFamilyPass:
-    """Up to input dimension 4 the whole family goes through one stacked pass, and each member's views have
-    the bits of its own ``reduced_channel_choi`` and of the loop over basis operators."""
+    """Up to input dimension 4 a family whose stack fits the bound goes through one stacked pass, and each
+    member's views have the bits of its own ``reduced_channel_choi`` and of the loop over basis operators."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         din=st.integers(1, 4),
         kinds=st.lists(st.sampled_from(["unitary", "kraus", "pauli", "classical", "depolarized"]), max_size=4),
         shape=st.sampled_from(["copy", "a<b", "a>b"]),
-        chunk=st.sampled_from([None, 1, 3, 5]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_each_members_views_are_the_bits_of_its_own_pass_and_of_the_loop(self, din, kinds, shape, chunk, seed):
-        # chunk: (member, operator) pairs per stacked product; None keeps the default bound, 1 is
-        # _STACK_ENTRIES = 1, and 3 and 5 make chunks that start and end inside a member
+    def test_each_members_views_are_the_bits_of_its_own_pass_and_of_the_loop(self, din, kinds, shape, seed):
         rng = np.random.default_rng(seed)
         members = [identity_channel(din)] + [_family_member(k, din, rng) for k in kinds if k != "pauli" or din == 2]
         masker = _small_masker(shape, din, rng)
-        if chunk is None:
-            entries = verify._STACK_ENTRIES
-        elif chunk == 1:
-            entries = 1
-        else:
-            entries = chunk * masker.dims.total**2
-        with mock.patch.object(verify, "_STACK_ENTRIES", entries):
-            views = verify._stacked_views(masker, members)
-            alone = [reduced_channel_choi(masker, spec) for spec in members]
-            report = verify_masking(masker, members, 1e-9)
+        views = verify._stacked_views(masker, members)
+        alone = [reduced_channel_choi(masker, spec) for spec in members]
+        report = verify_masking(masker, members, 1e-9)
         loops = [loop_reduced_channel_choi(masker, spec) for spec in members]
         for k in range(len(members)):
             for seen, own, loop in zip((views[0][k], views[1][k]), alone[k], loops[k]):
@@ -599,35 +600,40 @@ class TestMaxPairwise:
 
 
 class TestFamilyPassMemory:
-    # The family's (member, basis operator) pairs are taken max(1, 2**20 // D**2)
-    # at a time, so no stacked product M E(X) M^dag holds more than
-    # max(D**2, 2**20) entries, however many members there are, and one
-    # chunk's product is freed before the next is made.
-    @pytest.mark.parametrize("dim_a,dim_b,chunks", [(2, 3, 1), (16, 32, 12), (33, 32, 48)])
-    def test_no_stacked_product_exceeds_the_bound(self, dim_a, dim_b, chunks, monkeypatch):
-        entries = []
-        partial_trace = verify.partial_trace
-
-        def recorded(m, dims, side):
-            entries.append(np.size(m))
-            return partial_trace(m, dims, side)
-
-        monkeypatch.setattr(verify, "partial_trace", recorded)
+    # The bound is on the family's whole stack of n * din**2 products M E(X) M^dag: three members on
+    # 2 x 3 make one product and one partial trace per side.  On 16 x 32 and 33 x 32 the dense masker
+    # sends each member through reduced_channel_choi, whose Kraus formula makes no such product.
+    @pytest.mark.parametrize("dim_a,dim_b,stacked", [(2, 3, True), (16, 32, False), (33, 32, False)])
+    def test_no_stack_over_the_bound_is_made(self, dim_a, dim_b, stacked, monkeypatch):
+        applied, traced = _record_stacked_pass(monkeypatch)
         rng = np.random.default_rng(dim_a * dim_b)
         total = dim_a * dim_b
         masker = Masker(random_isometry(rng, total, 4), BipartiteDims(dim_a, dim_b))
         members = [Unitary(random_unitary(4, rng)) for _ in range(3)]
-        tracemalloc.start()
-        try:
-            report = verify_masking(masker, members, 1e-9)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(entries) == 2 * chunks
-        assert max(entries) <= max(total**2, 2**20)
-        assert sum(entries) == 2 * 3 * 4**2 * total**2  # every member's basis operators, traced on both sides
-        assert peak <= 16 * max(total**2, 2**20) + 2**22  # one stacked product held at a time, and 4 MB
+        report, peak = _traced_peak(lambda: verify_masking(masker, members, 1e-9))
+        assert applied == ([4**2] * 3 if stacked else [])
+        assert traced == ([3 * 4**2 * total**2] * 2 if stacked else [])
+        assert peak <= _SMALL_PEAK
         assert not report.passed
+        expected_a, expected_b = _oracle_deviations(masker, members, choi_reduced_chois)
+        assert abs(report.max_deviation_a - expected_a) <= 1e-12
+        assert abs(report.max_deviation_b - expected_b) <= 1e-12
+
+    def test_a_family_over_the_bound_goes_member_by_member_and_each_member_keeps_its_pass(self, monkeypatch):
+        # On 16 x 16 one member's stack at din = 4 is 2**20 entries, the bound itself; two members are over it.
+        applied, traced = _record_stacked_pass(monkeypatch)
+        rng = np.random.default_rng(16)
+        masker = Masker(random_isometry(rng, 256, 4), BipartiteDims(16, 16))
+        members = [Unitary(random_unitary(4, rng)) for _ in range(2)]
+        calls = _count_general_route(monkeypatch)
+        report = verify_masking(masker, members, 1e-9)
+        assert calls == members
+        assert applied == [4**2] * 2
+        assert traced == [2**20] * 4
+        alone = [loop_reduced_channel_choi(masker, spec) for spec in members]
+        dev_a, _ = loop_max_pairwise([views[0] for views in alone])
+        dev_b, _ = loop_max_pairwise([views[1] for views in alone])
+        assert (report.max_deviation_a, report.max_deviation_b) == (dev_a, dev_b)
 
 
 def _expand(blocks: np.ndarray) -> np.ndarray:
@@ -651,10 +657,10 @@ def _independent_views(masker, spec) -> tuple:
     return choi_reduced_chois(masker, spec)
 
 
-def _oracle_deviations(masker, members) -> tuple:
-    """Worst pairwise deviation seen by A and by B, from the views of ``_independent_views``."""
+def _oracle_deviations(masker, members, views=_independent_views) -> tuple:
+    """Worst pairwise deviation seen by A and by B, from the oracle ``views`` (``_independent_views``)."""
     out = []
-    for chois in zip(*(_independent_views(masker, spec) for spec in members)):
+    for chois in zip(*(views(masker, spec) for spec in members)):
         out.append(max(np.linalg.norm(chois[i] - chois[j])
                        for i in range(len(chois)) for j in range(i + 1, len(chois))))
     return tuple(out)
@@ -712,6 +718,30 @@ class TestCopyMaskerClosedForm:
         report = verify_masking(masker, members, 1e-12)
         assert report.passed and calls == []
         assert report.max_deviation_a == report.max_deviation_b
+
+    @pytest.mark.parametrize("kind,din,dout", [("classical", 1, 40), ("classical", 4, 17), ("unitary", 5, 5)])
+    def test_reduced_channel_choi_sets_the_blocks_in_place(self, kind, din, dout, monkeypatch):
+        # Over the stack bound a copy masker's views are its d blocks on the entries [(i, k), (j, k)].
+        rng = np.random.default_rng(din * dout)
+        spec = random_classical_channel(din, dout, rng) if kind == "classical" else Unitary(random_unitary(din, rng))
+        masker = copy_masker(random_unitary(dout, rng))
+        applied, traced = _record_stacked_pass(monkeypatch)
+        seen_by_a, seen_by_b = reduced_channel_choi(masker, spec)
+        assert applied == traced == []
+        assert seen_by_a is not seen_by_b
+        for view, oracle in zip((seen_by_a, seen_by_b), choi_reduced_chois(masker, spec)):
+            assert np.abs(view - oracle).max() <= 1e-12
+
+    def test_set_blocks_over_the_entry_bound_are_refused(self):
+        # A copy masker on 65 x 65 at din = 64: its blocks hold 65 * 64**2 entries, but each view would hold
+        # (64 * 65)**2, over the bound of 2**24.  verify_masking compares the blocks.
+        rng = np.random.default_rng(65)
+        members = [random_classical_channel(64, 65, rng) for _ in range(2)]
+        masker = copy_masker(np.eye(65))
+        with pytest.raises(ValueError, match=r"^a reduced Choi matrix of 17305600 entries exceeds "
+                                             r"the bound of 2\*\*24 entries$"):
+            reduced_channel_choi(masker, members[0])
+        assert not verify_masking(masker, members, 1e-9).passed
 
     def test_input_dimension_mismatch_is_refused(self):
         masker = copy_masker(np.eye(6))
