@@ -5,12 +5,15 @@ a few dozen): partial traces over a bipartite split, a deterministic phase
 convention for eigenvector columns, commutator norms, and simultaneous
 diagonalization of commuting unitaries.
 All functions are pure; the only randomness (the coefficient draws inside
-:func:`simultaneous_eigenbasis`) is driven by an explicit seed.
+:func:`simultaneous_eigenbasis`) is driven by an explicit seed.  The draws are
+numpy's PCG64 stream seeded through ``SeedSequence``, computed here without
+``numpy.random`` and checked against it in ``tests/test_linalg.py``.
 :func:`record` makes the package's frozen value classes.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 
 import numpy as np
@@ -320,12 +323,82 @@ def _hermitian_combination(ws: np.ndarray, coefficients: np.ndarray) -> np.ndarr
     return np.add.accumulate(terms)[-1] + 0.0
 
 
+# -- the combination draws: numpy's PCG64 stream -----------------------------------
+#
+# The bits of ``np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, 2))``,
+# draw after draw, without importing ``numpy.random`` (and ``secrets``,
+# ``hashlib`` and OpenSSL with it) in every gate command: ``SeedSequence``'s
+# hash mix into a pool of four 32-bit words, PCG64's 128-bit LCG with XSL-RR
+# output (O'Neill, HMC-CS-2014-0905), and ``uniform``'s
+# ``low + (high - low) * ((x >> 11) * 2**-53)``.  NumPy keeps bit-generator
+# streams stable across releases but not ``Generator`` methods (NEP 19), so
+# certificates no longer depend on numpy's ``uniform``.
+
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(const: int, multiplier: int):
+    """``SeedSequence``'s ``hashmix``: xor in the running constant, step it, multiply by it."""
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * multiplier & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+    return value ^ value >> 16
+
+
+@functools.lru_cache(maxsize=64)  # seeding costs about 20 us, more than a draw of a few members
+def _pcg64_seeded(seed: int) -> tuple[int, int]:
+    """``(state, increment)`` of ``PCG64(SeedSequence(seed))`` for an int ``seed >= 0``."""
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]  # little-endian
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # generate_state(4, np.uint64): eight words off the cycled pool, paired little-endian
+    w = list(map(_hasher(0x8B51F9DD, 0x58F38DED), pool + pool))
+    initstate = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
+    inc = (w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 & _MASK128 | 1
+    # pcg64_set_seed: one step from state 0, add initstate, one more step
+    return ((inc + initstate) * _PCG64_MULTIPLIER + inc) & _MASK128, inc
+
+
+def _uniform_draws(seed, n: int):
+    """``rng.uniform(-1.0, 1.0, size=(n, 2))`` of ``rng = np.random.default_rng(seed)``, once per ``next``."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    state, inc = _pcg64_seeded(seed)
+    while True:
+        xs = []
+        for _ in range(2 * n):
+            state = (state * _PCG64_MULTIPLIER + inc) & _MASK128
+            x = (state >> 64 ^ state) & _MASK64
+            rot = state >> 122
+            xs.append(((x >> rot | x << 64 - rot) & _MASK64) >> 11)
+        yield -1.0 + 2.0 * (np.array(xs, dtype=float).reshape(n, 2) * 2.0**-53)
+
+
 def _combination_bases(ws: np.ndarray, seed: int):
     """For each draw, the eigenbasis of a random Hermitian combination of ``ws``, and
     each member's off-diagonal mass in that basis."""
-    rng = np.random.default_rng(seed)
+    coefficients = _uniform_draws(seed, len(ws))
     for _ in range(_MAX_COMBINATION_DRAWS):
-        basis = np.linalg.eigh(_hermitian_combination(ws, rng.uniform(-1.0, 1.0, size=(len(ws), 2))))[1]
+        basis = np.linalg.eigh(_hermitian_combination(ws, next(coefficients)))[1]
         yield basis, _offdiagonal_masses(ws, basis)
 
 
@@ -348,7 +421,10 @@ def simultaneous_eigenbasis(ws, tol: float = DECISION_TOL, seed: int = 0, *, dra
     tol : float
         Diagonality tolerance, scaled by the dimension.
     seed : int
-        Seed for the random combination coefficients.
+        Seed for the random combination coefficients, a non-negative integer
+        read with ``operator.index``: the draws are those of
+        ``np.random.default_rng(seed)``.  ``seed=None`` does not draw OS
+        entropy; like a float or a sequence, it raises ``TypeError``.
     draws : iterator, optional
         Draws of ``_combination_bases`` to continue: ``ws`` is then the stack
         they come from, already through ``_check_unitary``, and ``seed`` unused.

@@ -891,6 +891,26 @@ def test_a_closed_stdout_ends_quietly_with_the_sigpipe_code(size, tmp_path):
     assert cli.EXIT_BROKEN_PIPE == 141
 
 
+@pytest.mark.parametrize("command, imports_random", [("decide", False), ("synthesize", False), ("verify", False),
+                                                     ("demo-classical", True)])
+def test_only_demo_classical_imports_numpy_random(command, imports_random, tmp_path, capsys):
+    # numpy.random brings secrets, hashlib and OpenSSL with it; the gate draws are the package's own
+    # stream, and demo-classical's random channels (rng.dirichlet) are its one use left
+    gate = str(SAMPLES / "gate_family.json")
+    masker = str(tmp_path / "masker.json")
+    assert main(["synthesize", gate, "-o", masker]) == EXIT_OK
+    capsys.readouterr()
+    argv = {"decide": ["decide", gate], "synthesize": ["synthesize", gate, "-o", str(tmp_path / "out.json")],
+            "verify": ["verify", gate, masker], "demo-classical": ["demo-classical", "--dim", "2"]}[command]
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "channelmask.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)},
+                          timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines() if line.startswith("import time:")}
+    assert "channelmask.masking" in imported  # the list is read: -m runs channelmask.cli as __main__
+    assert ("numpy.random" in imported) == imports_random
+
+
 def _read_family(raw):
     """What ``_family_from_json`` gives: the kind and each member's type, matrix bits and ``p`` bits, or the
     exception's type and message."""

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -25,12 +25,14 @@ from channelmask.linalg import (
     simultaneous_eigenbasis,
 )
 from channelmask.linalg import (
+    _MAX_COMBINATION_DRAWS,
     _PHASE_FLOOR,
     _canonical_basis,
     _combination_bases,
     _diagonalizes_all,
     _hermitian_combination,
     _refine_subspaces,
+    _uniform_draws,
 )
 
 from helpers import (
@@ -220,6 +222,42 @@ class TestSimultaneousEigenbasis:
         # the Gram matrix overflows to NaN, which is not within the bound
         with pytest.raises(ValueError, match=r"^ws\[0\] is not unitary within 1e-9$"):
             simultaneous_eigenbasis([[[1e200, 1e200], [1e200, -1e200]], np.eye(2)])
+
+
+class TestCombinationStream:
+    """The combination draws are numpy's ``default_rng(seed).uniform(-1.0, 1.0, size=(n, 2))``, draw
+    after draw, bit for bit; numpy is only the oracle here."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**256), n=st.integers(1, 64))
+    @example(seed=2**32 - 1, n=1)
+    @example(seed=2**32, n=2)
+    @example(seed=2**64, n=31)
+    @example(seed=2**128 + 7, n=64)
+    @example(seed=True, n=3)
+    @example(seed=np.uint64(5), n=4)
+    def test_draws_are_numpys_bits(self, seed, n):
+        rng = np.random.default_rng(seed)
+        draws = _uniform_draws(seed, n)
+        for _ in range(_MAX_COMBINATION_DRAWS):
+            assert next(draws).tobytes() == rng.uniform(-1.0, 1.0, size=(n, 2)).tobytes()
+
+    def test_a_negative_seed_is_refused_with_numpys_message(self):
+        with pytest.raises(ValueError) as numpys:
+            np.random.default_rng(-1)
+        for seed in (-1, -(2**70), np.int64(-3)):
+            with pytest.raises(ValueError, match=f"^{numpys.value}$"):
+                next(_uniform_draws(seed, 2))
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            simultaneous_eigenbasis([Z], seed=-1)
+
+    @pytest.mark.parametrize("seed", [None, 1.0, np.float64(2.0), [1], (1, 2)])
+    def test_a_seed_that_is_not_an_integer_is_refused(self, seed):
+        # seed=None would draw OS entropy from numpy; here it is refused like any non-integer
+        with pytest.raises(TypeError):
+            next(_uniform_draws(seed, 2))
+        with pytest.raises(TypeError):
+            simultaneous_eigenbasis([Z], seed=seed)
 
 
 class TestIsIsometry:

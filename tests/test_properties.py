@@ -19,6 +19,8 @@ pair ``{identity, E}``.
   non-unitary, at any decision tolerance;
 * the gate decider gives, byte for byte, the decision of the loop over every
   pair of relative gates, which it screens and batches;
+* the gate decider gives, byte for byte, the decision it gives when its
+  combination draws come from numpy's own generator;
 * the screen's bound ``||[W_a, W_b]|| <= 2 (eps_a + eps_b) + 2 eps_a eps_b``
   holds, ``eps`` being the off-diagonal masses in any orthonormal basis.
 """
@@ -26,9 +28,11 @@ pair ``{identity, E}``.
 import json
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from channelmask import linalg
 from channelmask.channels import (
     ALL_DIRECTIONS,
     DepolarizedUnitary,
@@ -357,6 +361,63 @@ def test_gate_decision_is_the_pair_loops_byte_for_byte(kind, dim, size, copies, 
     except NoCommonBasisError as exc:  # the loop raised where the decider refuses
         expected = MaskingDecision(False, witness=NoCommonBasis(exc.residual))
     assert json.dumps(decision_to_dict(decide_family(family, tol, 0))) == json.dumps(decision_to_dict(expected))
+
+
+def _split_pair_gates(rng, dim: int, size: int) -> list:
+    """Gates whose first two eigenphases are 1e-9 apart, each turned by 1e-6 inside that pair: every
+    commutator is within 1e-8, but no combination's eigenbasis diagonalizes them all."""
+    basis = random_unitary(dim, rng)
+    us = []
+    for _ in range(size):
+        phases = rng.uniform(0.0, 2 * np.pi, size=dim)
+        phases[1] = phases[0] + 1e-9
+        turn = np.eye(dim, dtype=complex)
+        turn[:2, :2] = _turn(rng, 2, 1e-6)
+        us.append(basis @ (np.exp(1j * phases)[:, None] * turn) @ basis.conj().T)
+    return us
+
+
+def _draw_oracle_families() -> list:
+    """``(family, tol)`` pairs whose decisions take from one to all eight draws: commuting families of
+    2 to 32 members (the first draw passes), commuting ``d=4`` quadruples with one member turned by
+    2e-5 at tol 1e-5 (the first draw often fails and a later one passes) and split-pair gates (all fail)."""
+    families = []
+    for k, size in enumerate((2, 7, 32)):
+        members = random_commuting_family(np.random.default_rng(k), 8, size)
+        families.append((FamilyFile("1", "gate", members, {}), DECISION_TOL))
+    for k in range(40):
+        rng = np.random.default_rng(k)
+        us = [m.matrix for m in random_commuting_family(rng, 4, 4)]
+        us[3] = us[3] @ _turn(rng, 4, 2e-5)
+        families.append((FamilyFile("1", "gate", tuple(Unitary(u) for u in us), {}), 1e-5))
+    us = _split_pair_gates(np.random.default_rng(0), 4, 4)
+    families.append((FamilyFile("1", "gate", tuple(Unitary(u) for u in us), {}), DECISION_TOL))
+    return families
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**32 + 5, 2**70 + 3])
+def test_gate_decisions_are_those_of_numpys_draws(seed, monkeypatch):
+    # numpy's own generator is the oracle for the package's stream, through whole decisions
+    families = _draw_oracle_families()
+    own = [json.dumps(decision_to_dict(decide_family(family, tol, seed))) for family, tol in families]
+    taken = []
+
+    def numpy_draws(seed, n):
+        rng = np.random.default_rng(seed)
+        while True:
+            taken[-1] += 1
+            yield rng.uniform(-1.0, 1.0, size=(n, 2))
+
+    monkeypatch.setattr(linalg, "_uniform_draws", numpy_draws)
+    accepted = set()
+    for (family, tol), expected in zip(families, own):
+        taken.append(0)
+        decision = decide_family(family, tol, seed)
+        assert json.dumps(decision_to_dict(decision)) == expected
+        if decision.maskable:
+            accepted.add(taken[-1])
+    assert taken[-1] == 8 and not decision.maskable  # the split pair: every draw fails
+    assert 1 in accepted and max(accepted) >= 3, accepted  # certificates from the first and later draws
 
 
 @settings(max_examples=60, deadline=None)
