@@ -207,27 +207,6 @@ def is_isometry(m, tol: float) -> bool:
     return bool(isometry_defects(as_complex_matrix(m, "m")[None])[0] <= tol)
 
 
-def cluster_phases(phases) -> list[np.ndarray]:
-    """Group angles on the unit circle into clusters separated by more than ``PHASE_GAP``.
-
-    Returns index arrays into ``phases``.  The wrap-around at +/- pi is
-    honoured, so noisy copies of the same eigenvalue land in one cluster.
-    """
-    ph = np.asarray(phases, dtype=float)
-    n = ph.size
-    if n == 0:
-        return []
-    order = np.argsort(ph, kind="stable")
-    s = ph[order]
-    breaks = np.flatnonzero(np.diff(s) > PHASE_GAP)
-    bounds = np.concatenate(([0], breaks + 1, [n]))
-    clusters = [order[bounds[i]:bounds[i + 1]] for i in range(len(bounds) - 1)]
-    if len(clusters) > 1 and (s[0] + 2 * np.pi - s[-1]) <= PHASE_GAP:
-        clusters[0] = np.concatenate((clusters[-1], clusters[0]))
-        clusters.pop()
-    return clusters
-
-
 def _offdiagonal_masses(ws, basis: np.ndarray) -> np.ndarray:
     d = basis.conj().T @ ws @ basis
     return np.linalg.norm(d - d * np.eye(basis.shape[1]), axis=(1, 2))
@@ -237,15 +216,22 @@ def _diagonalizes_all(ws, basis: np.ndarray, tol: float) -> bool:
     return bool(np.all(_offdiagonal_masses(ws, basis) <= tol * basis.shape[0]))
 
 
+def _runs(values: np.ndarray) -> list[np.ndarray]:
+    # Index arrays of the runs of ascending values that no step of more than
+    # PHASE_GAP breaks.  Index arrays, not views: a column slice of the
+    # eigenvectors would change the bits of the products taken from it.
+    return np.split(np.arange(values.size), np.flatnonzero(np.diff(values) > PHASE_GAP) + 1)
+
+
 def _phase_clusters(block: np.ndarray):
     # Bases of the eigenphase clusters of a normal matrix: the joint clusters
-    # of its commuting Hermitian (cos) and anti-Hermitian (sin) parts.  Values
-    # in [-1, 1] never wrap around in cluster_phases.
+    # of its commuting Hermitian (cos) and anti-Hermitian (sin) parts.  eigh's
+    # values ascend in [-1, 1], so a run never wraps around.
     cos, vectors = np.linalg.eigh((block + block.conj().T) / 2)
-    for idx in cluster_phases(cos):
+    for idx in _runs(cos):
         sub = vectors[:, idx]
         sin, inner = np.linalg.eigh(sub.conj().T @ ((block - block.conj().T) / 2j) @ sub)
-        for jdx in cluster_phases(sin):
+        for jdx in _runs(sin):
             yield sub @ inner[:, jdx]
 
 
@@ -261,34 +247,27 @@ def _refine_subspaces(ws: list[np.ndarray], cols: np.ndarray) -> np.ndarray:
 def _canonical_basis(ws, basis: np.ndarray) -> np.ndarray:
     # Sort columns by the tuple of clustered eigenphases across the family, so
     # the order does not depend on the combination drawn, and fix their phases.
-    # cluster_phases of every gate's eigenphases at once.  The diagonals come
-    # from einsum, not a matmul, whose round-off can move a lone eigenphase
-    # at +-pi from the last column to the first.
-    n, dim = len(ws), basis.shape[1]
+    # Eigenphases within PHASE_GAP of a neighbour share a cluster, which ranks
+    # by its position among the sorted phases.  The diagonals come from
+    # einsum, not a matmul, whose round-off can move a lone eigenphase at +-pi
+    # from the last column to the first.
     phases = np.angle(np.einsum("ji,njk,ki->ni", basis.conj(), ws, basis))
     order = np.argsort(phases, axis=1, kind="stable")
     s = np.take_along_axis(phases, order, axis=1)
-    seg = np.hstack((np.zeros((n, 1), dtype=np.intp), np.cumsum(np.diff(s, axis=1) > PHASE_GAP, axis=1)))
-    last = seg[:, -1:]
-    wrap = (last > 0) & (s[:, :1] + 2 * np.pi - s[:, -1:] <= PHASE_GAP)
-    # A wrap-around row starts with its last cluster, which joins its first.
-    roll = (np.arange(dim) - np.where(wrap, (seg == last).sum(axis=1, keepdims=True), 0)) % dim
-    order, seg = np.take_along_axis(order, roll, axis=1), np.take_along_axis(seg, roll, axis=1)
-    seg = np.where(wrap & (seg == last), 0, seg)
-    # Each cluster's mean in cluster_phases' member order, one size at a time,
-    # then its rank in its row by the angle of the mean, ties by position.
-    starts = np.hstack((np.ones((n, 1), dtype=bool), seg[:, 1:] != seg[:, :-1])).ravel()
-    first = np.flatnonzero(starts)
-    sizes = np.diff(first, append=n * dim)
-    z = np.exp(1j * np.take_along_axis(phases, order, axis=1)).ravel()
-    means = np.empty(first.size, dtype=complex)
-    for size in set(sizes.tolist()):
-        pick = sizes == size
-        means[pick] = z[first[pick, None] + np.arange(size)].mean(axis=1)
-    rank = np.empty(first.size, dtype=np.intp)
-    rank[np.lexsort((np.angle(means), first // dim))] = np.arange(first.size)
-    keys = np.empty((n, dim), dtype=np.intp)
-    np.put_along_axis(keys, order, rank[np.cumsum(starts) - 1].reshape(n, dim), axis=1)
+    rank = np.cumsum(np.diff(s, axis=1, prepend=s[:, :1]) > PHASE_GAP, axis=1)
+    top = rank[:, -1]
+    for i in np.flatnonzero((top > 0) & (s[:, 0] + 2 * np.pi - s[:, -1] <= PHASE_GAP)):
+        # The last cluster joins the first across +-pi.  The merged cluster,
+        # last cluster's members first, ranks last if the angle of its mean is
+        # positive and first otherwise.
+        last, first = rank[i] == top[i], rank[i] == 0
+        mean = np.exp(1j * np.concatenate((s[i, last], s[i, first])))[None].mean(axis=1)[0]
+        if np.angle(mean) > 0:
+            rank[i, first] = top[i]
+        else:
+            rank[i, last] = 0
+    keys = np.empty_like(rank)
+    np.put_along_axis(keys, order, rank, axis=1)
     return fix_column_phases(basis[:, np.lexsort(keys[::-1])])
 
 
@@ -448,6 +427,6 @@ def simultaneous_eigenbasis(ws, tol: float = DECISION_TOL, seed: int = 0, *, dra
     if basis is None:
         basis = _refine_subspaces(list(ws), np.eye(ws.shape[1], dtype=complex))
         residual = float(_offdiagonal_masses(ws, basis).max())
-        if residual > bound:
+        if not residual <= bound:  # a NaN tol refuses too
             raise NoCommonBasisError(residual)
     return _canonical_basis(ws, basis)

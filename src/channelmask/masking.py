@@ -152,6 +152,14 @@ class Masker:
 # gates in its members.
 
 
+def _integer(value, what: str) -> int:
+    """``value`` read with ``operator.index``: a float is refused with ``ValueError``, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 @record
 class CommonEigenbasis:
     """All relative gates are diagonal in ``basis``; mask by copying it."""
@@ -163,7 +171,7 @@ class CommonEigenbasis:
         """``basis^dag U_ref^dag``, once ``basis`` diagonalizes every relative gate within ``tol * dim``."""
         us = [m.matrix for m in _members(members, "family", _GATE_KINDS, "one dimension")]
         basis = as_complex_matrix(self.basis, "basis")
-        reference = self.reference_index
+        reference = _integer(self.reference_index, "certificate reference index")
         if basis.shape != us[0].shape:
             raise ValueError("certificate basis dimension does not match the family")
         if not 0 <= reference < len(us):
@@ -213,7 +221,7 @@ class FixedPointAxis:
         """
         members = qubit_members(members)
         v = np.asarray(self.direction, dtype=float)
-        if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > 1e-8:
+        if v.shape != (3,) or not abs(np.linalg.norm(v) - 1.0) <= 1e-8:  # NaN is not a unit vector
             raise ValueError("direction must be a unit 3-vector")
         for spec in members:
             aff = bloch_affine(spec)
@@ -240,7 +248,7 @@ class Fourier:
     def copy_rows(self, members=(), tol: float = DECISION_TOL) -> np.ndarray:
         """Entries ``w^{kj} / sqrt(d)``, ``w = exp(2 pi i / d)``: the masker's columns are
         orthonormal and its marginals maximally mixed, so every classical channel is masked."""
-        d = self.dim
+        d = _integer(self.dim, "dimension")
         if d < 1:
             raise ValueError("dimension must be at least 1")
         return np.array([[np.exp(2j * np.pi * k * j / d) / np.sqrt(d) for j in range(d)] for k in range(d)])
@@ -421,7 +429,7 @@ def _decide_gates(us: list[np.ndarray], tol: float, seed: int) -> MaskingDecisio
     near = (pairs[k] for k in np.flatnonzero(norms >= (1 - 1e-9) * norms.max(initial=0.0)))
     norm, i, j = max(((commutator_norm(ws[a - 1], ws[b - 1]), a, b) for a, b in near),
                      key=lambda t: t[0], default=(0.0, 0, 0))
-    if norm > bound:
+    if not norm <= bound:  # a NaN tol refuses too
         return _not_maskable(NoncommutingPair(i, j, norm))
     try:
         return _maskable(CommonEigenbasis(simultaneous_eigenbasis(ws, tol, seed, draws=draws), reference_index=0))

@@ -30,8 +30,8 @@ from channelmask.channels import (
 from channelmask.linalg import (
     _PHASE_FLOOR,
     DECISION_TOL,
+    PHASE_GAP,
     VERIFY_TOL,
-    cluster_phases,
     commutator_norm,
     partial_trace,
     simultaneous_eigenbasis,
@@ -226,6 +226,27 @@ def loop_max_pairwise(views) -> tuple:
     return worst, pair
 
 
+def cluster_phases(phases) -> list[np.ndarray]:
+    """Group angles on the unit circle into clusters separated by more than ``PHASE_GAP``.
+
+    Returns index arrays into ``phases``.  The wrap-around at +/- pi is
+    honoured, so noisy copies of the same eigenvalue land in one cluster.
+    """
+    ph = np.asarray(phases, dtype=float)
+    n = ph.size
+    if n == 0:
+        return []
+    order = np.argsort(ph, kind="stable")
+    s = ph[order]
+    breaks = np.flatnonzero(np.diff(s) > PHASE_GAP)
+    bounds = np.concatenate(([0], breaks + 1, [n]))
+    clusters = [order[bounds[i]:bounds[i + 1]] for i in range(len(bounds) - 1)]
+    if len(clusters) > 1 and (s[0] + 2 * np.pi - s[-1]) <= PHASE_GAP:
+        clusters[0] = np.concatenate((clusters[-1], clusters[0]))
+        clusters.pop()
+    return clusters
+
+
 def local_orthogonality_check(masker: Masker, u, tol: float = VERIFY_TOL) -> bool:
     """Masked eigenstates from distinct eigenspaces must be locally orthogonal.
 
@@ -337,6 +358,22 @@ def loop_canonical_basis(ws, basis: np.ndarray) -> np.ndarray:
         for ordinal, c in enumerate(np.argsort(reps, kind="stable")):
             keys[row, clusters[c]] = ordinal
     return loop_fix_column_phases(basis[:, np.lexsort(keys[::-1])])
+
+
+def loop_refine_subspaces(ws, cols: np.ndarray) -> np.ndarray:
+    """Oracle for ``linalg._refine_subspaces``: one relative gate at a time, its block's Hermitian and
+    then anti-Hermitian eigenvalues split by ``cluster_phases``, the pieces gathered in a list."""
+    if not len(ws):
+        return cols
+    block = cols.conj().T @ ws[0] @ cols
+    cos, vectors = np.linalg.eigh((block + block.conj().T) / 2)
+    pieces = []
+    for idx in cluster_phases(cos):
+        sub = vectors[:, idx]
+        sin, inner = np.linalg.eigh(sub.conj().T @ ((block - block.conj().T) / 2j) @ sub)
+        for jdx in cluster_phases(sin):
+            pieces.append(loop_refine_subspaces(ws[1:], cols @ (sub @ inner[:, jdx])))
+    return np.hstack(pieces)
 
 
 def loop_to_kraus(spec: ChannelSpec) -> KrausChannel:

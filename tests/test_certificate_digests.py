@@ -2,13 +2,16 @@
 
 A fixed, seeded list of families (``d`` 2 to 16, ``n`` 2 to 32; commuting,
 degenerate, with eigenphases at and near +-pi, across a ``PHASE_GAP`` break,
-and not commuting) is decided with the CLI's defaults, and the digest of
+not commuting, and commuting so nearly that only the eigenspace refinement
+decides) is decided with the CLI's defaults, and the digest of
 ``json.dumps(decision_to_dict(decision))`` is compared with the one recorded
 when certificates were built by a Python loop over the relative gates.  A
 change that moves one byte of a certificate or witness fails here.
 
-To re-record after a deliberate change of format, print ``digest(name)`` for
-every name in ``FAMILIES``.
+To re-record after a deliberate change of format, print ``name digest`` for
+every family from the repository root:
+
+    PYTHONPATH=src python tests/test_certificate_digests.py
 """
 
 import hashlib
@@ -40,6 +43,24 @@ def _family(seed: int, dim: int, size: int, fixed=(), kind: str = "gate", p: flo
     return FamilyFile("1", kind, members, {})
 
 
+def _near_degenerate(seed: int, dim: int, size: int) -> FamilyFile:
+    """Members ``V diag(e^{i (phi_k + delta_k)}) V^dag`` with ``phi_k`` in {0, 1} and
+    ``delta_k ~ 10^U(-10, -7) N(0, 1)``, the last one times ``exp(i eps H)`` with
+    ``||H||_F = 1`` and ``eps = 10^U(-9, -6.5)``: no draw diagonalizes them, and the
+    refinement decides."""
+    rng = np.random.default_rng(seed)
+    v = random_unitary(dim, rng)
+    us = []
+    for _ in range(size):
+        phases = rng.integers(0, 2, dim) + 10 ** rng.uniform(-10, -7) * rng.standard_normal(dim)
+        us.append((v * np.exp(1j * phases)) @ v.conj().T)
+    h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    h = h + h.conj().T
+    w, e = np.linalg.eigh(h / np.linalg.norm(h))
+    us[-1] = us[-1] @ (e * np.exp(1j * 10 ** rng.uniform(-9, -6.5) * w)) @ e.conj().T
+    return FamilyFile("1", "gate", tuple(Unitary(u) for u in us), {})
+
+
 def _haar(seed: int, dim: int, size: int) -> FamilyFile:
     rng = np.random.default_rng(seed)
     return FamilyFile("1", "gate", tuple(Unitary(random_unitary(dim, rng)) for _ in range(size)), {})
@@ -63,6 +84,8 @@ FAMILIES = {
        for d in (2, 4, 8, 16) for n in (3, 8)},
     "depolarized degenerate d8": lambda: _family(520, 8, 4, fixed=(1.1, 1.1), kind="depolarized", p=0.9),
     "depolarized wrap d4": lambda: _family(521, 4, 3, fixed=(PI, -PI), kind="depolarized"),
+    **{f"no common basis d{d} n{n}": (lambda s=s, d=d, n=n: _near_degenerate(s, d, n))
+       for s, d, n in ((415, 4, 4), (426, 8, 3))},
 }
 
 
@@ -122,6 +145,8 @@ DIGESTS = {
     "haar d2 n3": "016c4fc4093375f8eecbaef7c1855b42f1b3b757af115b6fb9c8ea03e62c0d04",  # NoncommutingPair
     "haar d4 n3": "33d85c2e45261a79392c7e0c3e809f92004e6b320d4b1356658adfe3689ea1df",  # NoncommutingPair
     "haar d4 n8": "4c3d82c80aa7dfcf043e06bda58ea4c4078806067928fc840bb575a7cf2b9533",  # NoncommutingPair
+    "no common basis d4 n4": "3764e58ee1113bbef9e66806ca65e9c2dfce6393d4e34f87ec5af3398296bb11",  # NoCommonBasis
+    "no common basis d8 n3": "a8a5971c6cf10f683b26dcb252498aef4e1bb5bb164693038eaade8dbfa3ebf0",  # NoCommonBasis
     "minus pi singleton d16": "d338604786f6c633c7c88d917ab666b24274e5ea12d1dd3fa9f41ea27de6fd61",  # maskable
     "minus pi singleton d2": "642b83e1572c436e42249c99091a55e9b1a58f42acb9e4f901bbba62acc6590f",  # maskable
     "minus pi singleton d4": "5c80c183d6e381a7a168832295e6bfef9fe9e3acdbc5cc35b635f50ea3c89593",  # maskable
@@ -144,3 +169,8 @@ def test_every_family_has_a_digest():
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_decision_bytes_are_unchanged(name):
     assert digest(name) == DIGESTS[name]
+
+
+if __name__ == "__main__":
+    for name in sorted(FAMILIES):
+        print(name, digest(name))

@@ -16,7 +16,7 @@ from channelmask.channels import ALL_DIRECTIONS, PAULIS
 from channelmask.linalg import (
     PHASE_GAP,
     BipartiteDims,
-    cluster_phases,
+    NoCommonBasisError,
     commutator_norm,
     fix_column_phases,
     is_isometry,
@@ -36,9 +36,11 @@ from channelmask.linalg import (
 )
 
 from helpers import (
+    cluster_phases,
     loop_canonical_basis,
     loop_fix_column_phases,
     loop_hermitian_combination,
+    loop_refine_subspaces,
     random_noncommuting_triple,
     random_unitary,
 )
@@ -214,6 +216,12 @@ class TestSimultaneousEigenbasis:
             with pytest.raises(ValueError, match="no basis diagonalizes every member"):
                 simultaneous_eigenbasis([us[0].conj().T @ u for u in us[1:]])
 
+    def test_a_nan_tolerance_finds_no_basis(self):
+        # no residual is within a NaN bound, not even a commuting family's
+        for ws in ([X, Z], [Z], [np.kron(Z, I2), np.kron(Z, Z)]):
+            with pytest.raises(NoCommonBasisError):
+                simultaneous_eigenbasis(ws, float("nan"))
+
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             simultaneous_eigenbasis([np.diag([1.0, 0.5])])
@@ -222,6 +230,24 @@ class TestSimultaneousEigenbasis:
         # the Gram matrix overflows to NaN, which is not within the bound
         with pytest.raises(ValueError, match=r"^ws\[0\] is not unitary within 1e-9$"):
             simultaneous_eigenbasis([[[1e200, 1e200], [1e200, -1e200]], np.eye(2)])
+
+
+class TestRefinementAgainstLoop:
+    """``_refine_subspaces`` gives the bytes of the loop that splits with ``cluster_phases``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(dim=st.integers(1, 10), size=st.integers(1, 4), data=st.data(), seed=st.integers(0, 2**32 - 1),
+           noise=st.sampled_from([0.0, 1e-12, 1e-10, 0.4 * PHASE_GAP, 3 * PHASE_GAP]))
+    def test_refinement(self, dim, size, data, seed, noise):
+        # commuting V diag(e^{i phi}) V^dag with phases from a small palette, each moved by up to noise:
+        # repeated phases, and near-degenerate ones on both sides of a PHASE_GAP break
+        rng = np.random.default_rng(seed)
+        palette = data.draw(st.lists(PHASE, min_size=1, max_size=max(1, dim // 2)))
+        phases = rng.choice(palette, size=(size, dim)) + noise * rng.standard_normal((size, dim))
+        v = random_unitary(dim, rng)
+        ws = [(v * np.exp(1j * row)) @ v.conj().T for row in phases]
+        eye = np.eye(dim, dtype=complex)
+        assert _refine_subspaces(ws, eye).tobytes() == loop_refine_subspaces(ws, eye).tobytes()
 
 
 class TestCombinationStream:

@@ -33,6 +33,7 @@ from channelmask.masking import (
     FixedPointAxis,
     Fourier,
     Masker,
+    MaskingDecision,
     NoCommonFixedPoint,
     NoConstantAxis,
     NonUnital,
@@ -196,6 +197,18 @@ class TestDecideGateFamily:
             wrapped = gate_family(*(v @ m.matrix @ w for m in fam))
             assert decide_gate_family(fam).maskable == decide_gate_family(wrapped).maskable
 
+    @pytest.mark.parametrize("decide, family", [(decide_gate_family, gate_family),
+                                                (decide_depolarized_family, lambda *us: depolarized_family(0.5, *us))],
+                             ids=["gate", "depolarized"])
+    def test_a_nan_tolerance_is_refused(self, decide, family):
+        # no norm is within a NaN bound: [I, X, Z] is refused as at the default tolerance, and the
+        # commuting [I, Z, Z] with its pair's norm 0.0
+        nan = float("nan")
+        refused = decide(family(I2, SIGMA_X, SIGMA_Z), nan)
+        assert refused == decide(family(I2, SIGMA_X, SIGMA_Z))
+        assert decide(family(I2, SIGMA_Z, SIGMA_Z), nan) == MaskingDecision(False, witness=NoncommutingPair(1, 2, 0.0))
+        assert decide(family(I2, SIGMA_Z, SIGMA_Z)).maskable
+
 
 class TestSynthesizeGateMasker:
     def test_identity_z_pair(self):
@@ -280,6 +293,11 @@ class TestGateMembers:
             CommonEigenbasis(I2, reference_index=2).copy_rows(fam)
         with pytest.raises(ValueError, match="^certificate basis is not orthonormal$"):
             CommonEigenbasis(np.array([[1.0, 1.0], [0.0, 1.0]])).copy_rows(fam)
+
+    def test_common_eigenbasis_refuses_a_reference_index_that_is_not_an_integer(self):
+        # read with operator.index: a float is refused, not used to index the members
+        with pytest.raises(ValueError, match=r"^certificate reference index must be an integer, got 0\.5$"):
+            CommonEigenbasis(I2, reference_index=0.5).copy_rows(gate_family(I2, SIGMA_Z))
 
     def test_both_gate_kinds_give_the_same_rows(self):
         cert = decide_gate_family(gate_family(SIGMA_X, SIGMA_X @ SIGMA_Z)).certificate
@@ -511,6 +529,11 @@ class TestSynthesizeIdentityMasker:
         with pytest.raises(ValueError, match="^channel is not unital$"):
             FixedPointAxis(np.array([0, 0, 1.0])).copy_rows([spec])
 
+    def test_rejects_a_nan_direction(self):
+        # abs(nan - 1) > 1e-8 is False, so the unit check must refuse a NaN norm itself
+        with pytest.raises(ValueError, match="^direction must be a unit 3-vector$"):
+            FixedPointAxis(np.array([np.nan, 0.0, 0.0])).copy_rows([identity_channel(2)])
+
     def test_rejects_non_fixed_axis(self):
         with pytest.raises(ValueError, match="not a fixed point"):
             copy_masker(FixedPointAxis(np.array([1.0, 0, 0])).copy_rows([dephasing(0.3)]))
@@ -640,6 +663,11 @@ class TestClassicalMasking:
             for side in ("A", "B"):
                 marginal = partial_trace(state, masker.dims, side)
                 assert np.linalg.norm(marginal - np.eye(3) / 3) <= 1e-12
+
+    def test_fourier_refuses_a_dimension_that_is_not_an_integer(self):
+        # read with operator.index: a float is refused, not passed to range()
+        with pytest.raises(ValueError, match=r"^dimension must be an integer, got 2\.0$"):
+            Fourier(2.0).copy_rows()
 
     def test_fourier_universality(self):
         rng = np.random.default_rng(13)
