@@ -15,9 +15,11 @@ masker file in that layout is read row by row, each nonzero row parsed on its
 own by ``json``; any other text goes through ``json`` as a whole, with the
 same results and messages.
 Families of only unitary or only depolarized_unitary members are read as one
-stack.  Exit codes: 0 for a positive verdict or a passing verification, 1
-for a definitive negative, 2 for input errors, 141 when the reader closes
-stdout before the output is written.  A command's process ends through
+stack.  Every file is read with the cyclic garbage collector paused until the
+parsed document has been freed; a collector that was off stays off.  Exit
+codes: 0 for a positive verdict or a passing verification, 1 for a definitive
+negative, 2 for input errors, 141 when the reader closes stdout before the
+output is written.  A command's process ends through
 :func:`run`, which freezes the garbage collector once the command has run, so
 the interpreter's shutdown collections skip the objects numpy and the package
 made; those are still freed, stdout is still flushed and ``atexit`` still runs.
@@ -26,6 +28,7 @@ made; those are still freed, stdout is still flushed and ``atexit`` still runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import math
@@ -86,6 +89,27 @@ class FamilyFile:
 def _expect(condition: bool, rule: str) -> None:
     if not condition:
         raise SchemaError(rule)
+
+
+def _collector_paused(read: Callable) -> Callable:
+    """``read`` with the cyclic garbage collector off until it returns.
+
+    A parsed file is a tree of thousands of lists that all live until the reader has built its arrays,
+    so a collection during the read frees none of them; it only walks them and moves them into older
+    generations, which brings on full collections.  ``read`` returns only what it built, so its
+    document is freed by reference counting before the collector is turned back on.  A collector that
+    was off at entry stays off, so nested reads and callers that manage it themselves are unaffected.
+    """
+    @functools.wraps(read)
+    def paused(path):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return read(path)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
 
 
 def _read_json_object(path, what: str, text: str | None = None) -> dict:
@@ -283,6 +307,7 @@ def _family_from_json(raw: dict) -> FamilyFile:
     return FamilyFile("1", kind, members, dict(options))
 
 
+@_collector_paused
 def load_family_file(path) -> FamilyFile:
     return _family_from_json(_read_json_object(path, "family file"))
 
@@ -358,6 +383,7 @@ def _masker_from_layout(text: str) -> tuple[np.ndarray, BipartiteDims] | None:
     return matrix, BipartiteDims(int(head[1]), int(head[2]))
 
 
+@_collector_paused
 def load_masker_file(path) -> Masker:
     """Read a masker file; the writer's layout is read row by row, any other text through ``json``."""
     text = Path(path).read_text()
@@ -529,6 +555,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_NEGATIVE
 
 
+@_collector_paused
 def _load_single_channel(path) -> ChannelSpec:
     raw = _read_json_object(path, "channel file")
     if "type" in raw:

@@ -429,7 +429,7 @@ def _decide_gates(us: list[np.ndarray], tol: float, seed: int) -> MaskingDecisio
     near = (pairs[k] for k in np.flatnonzero(norms >= (1 - 1e-9) * norms.max(initial=0.0)))
     norm, i, j = max(((commutator_norm(ws[a - 1], ws[b - 1]), a, b) for a, b in near),
                      key=lambda t: t[0], default=(0.0, 0, 0))
-    if not norm <= bound:  # a NaN tol refuses too
+    if pairs and not norm <= bound:  # a NaN tol refuses too; one relative gate has no pair to refuse
         return _not_maskable(NoncommutingPair(i, j, norm))
     try:
         return _maskable(CommonEigenbasis(simultaneous_eigenbasis(ws, tol, seed, draws=draws), reference_index=0))

@@ -3,6 +3,7 @@ import errno
 import gc
 import json
 import os
+import pickle
 import re
 import stat
 import subprocess
@@ -867,6 +868,99 @@ class TestProcessEntry:
             done = subprocess.run([sys.executable, "-m", "channelmask.cli", *argv], capture_output=True, env=env,
                                   cwd=tmp_path, timeout=120)
             assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), err.encode())
+
+
+_READERS = {"family": load_family_file, "masker": load_masker_file, "channel": cli._load_single_channel}
+
+
+def _reader_cases(tmp_path, role):
+    """A file the reader reads, then the files it refuses: invalid JSON, JSON nested too deep, a schema
+    error, and no file at all."""
+    good = tmp_path / "good.json"
+    if role == "masker":
+        save_masker_file(good, copy_masker(random_unitary(4, np.random.default_rng(4))))
+    elif role == "family":
+        write_family(good, "gate", [{"type": "unitary", "matrix": m} for m in (X, XZ, X_SQRT_Z)])
+    else:
+        good.write_text(json.dumps({"type": "kraus", "ops": [X]}))
+    schema = {"family": {"version": "1", "kind": "gate", "members": []},
+              "masker": {"version": "1", "dims": {"dimA": 2, "dimB": 2}, "matrix": []},
+              "channel": {"neither": "payload nor family"}}[role]
+    texts = {"not_json": "{", "too_deep": "[" * 100000 + "]" * 100000, "schema": json.dumps(schema)}
+    bad = []
+    for name, text in texts.items():
+        (tmp_path / f"{name}.json").write_text(text)
+        bad.append(tmp_path / f"{name}.json")
+    return good, [*bad, tmp_path / "missing.json"]
+
+
+def _read(role, path):
+    """What the reader builds from ``path``, pickled so that arrays compare bit for bit, or its error."""
+    try:
+        return pickle.dumps(_READERS[role](path))
+    except (SchemaError, OSError) as exc:
+        return type(exc), str(exc)
+
+
+def _collections_during(read, path) -> int:
+    starts = []
+
+    def seen(phase, info):
+        starts.append(phase == "start")
+
+    gc.callbacks.append(seen)
+    try:
+        read(path)
+    finally:
+        gc.callbacks.remove(seen)
+    return sum(starts)
+
+
+@pytest.mark.parametrize("role", list(_READERS))
+class TestReadsPauseTheCollector:
+    """Each file reader runs with the cyclic collector off and turns it back on, if it was on, once the
+    parsed document is freed: a collection during a read would only walk and promote the parsed lists."""
+
+    def test_the_collector_is_on_again_after_every_read(self, role, tmp_path):
+        good, bad = _reader_cases(tmp_path, role)
+        assert isinstance(_read(role, good), bytes) and gc.isenabled()
+        for path in bad:
+            assert not isinstance(_read(role, path), bytes)
+            assert gc.isenabled(), path.name
+
+    def test_a_caller_that_turned_the_collector_off_finds_it_off(self, role, tmp_path):
+        good, bad = _reader_cases(tmp_path, role)
+        gc.disable()
+        try:
+            for path in [good, *bad]:
+                _read(role, path)
+                assert not gc.isenabled(), path.name
+        finally:
+            gc.enable()
+
+    def test_reads_are_bit_identical_with_the_collector_off_at_entry(self, role, tmp_path):
+        good, bad = _reader_cases(tmp_path, role)
+        collecting = [_read(role, path) for path in [good, *bad]]
+        gc.disable()
+        try:
+            paused = [_read(role, path) for path in [good, *bad]]
+        finally:
+            gc.enable()
+        assert paused == collecting
+        assert [error[0] for error in collecting[1:]] == [SchemaError] * 3 + [FileNotFoundError]
+
+    def test_a_d16_n32_read_runs_no_collection(self, role, tmp_path):
+        us = [u.matrix for u in random_commuting_family(np.random.default_rng(32), 16, 32)]
+        path = tmp_path / "big.json"
+        if role == "masker":
+            save_masker_file(path, copy_masker(us[1]))
+        else:
+            write_family(path, "gate", [{"type": "unitary", "matrix": _matrix_json(u)} for u in us])
+        read = _READERS[role]
+        assert gc.isenabled()
+        if role == "family":  # unpaused, the same read collects
+            assert _collections_during(read.__wrapped__, path) > 0
+        assert _collections_during(read, path) == 0
 
 
 @pytest.mark.parametrize("size", ["d16", "sample"])

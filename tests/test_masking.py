@@ -34,6 +34,7 @@ from channelmask.masking import (
     Fourier,
     Masker,
     MaskingDecision,
+    NoCommonBasis,
     NoCommonFixedPoint,
     NoConstantAxis,
     NonUnital,
@@ -208,6 +209,20 @@ class TestDecideGateFamily:
         assert refused == decide(family(I2, SIGMA_X, SIGMA_Z))
         assert decide(family(I2, SIGMA_Z, SIGMA_Z), nan) == MaskingDecision(False, witness=NoncommutingPair(1, 2, 0.0))
         assert decide(family(I2, SIGMA_Z, SIGMA_Z)).maskable
+
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0], ids=["nan", "zero", "negative"])
+    @pytest.mark.parametrize("decide, family", [(decide_gate_family, gate_family),
+                                                (decide_depolarized_family, lambda *us: depolarized_family(0.5, *us))],
+                             ids=["gate", "depolarized"])
+    def test_one_relative_gate_has_no_pair_to_refuse(self, decide, family, tol):
+        # [I, Z] has the one relative gate Z, so a tolerance that is not positive goes to the common eigenbasis:
+        # Z's is exact, so a bound of 0 keeps it and a bound below 0 (or NaN) refuses it with its residual 0.0
+        decision = decide(family(I2, SIGMA_Z), tol)
+        if tol == 0.0:
+            expected = decide(family(I2, SIGMA_Z)).certificate
+            assert decision.maskable and decision.certificate.basis.tobytes() == expected.basis.tobytes()
+        else:
+            assert decision == MaskingDecision(False, witness=NoCommonBasis(0.0))
 
 
 class TestSynthesizeGateMasker:
