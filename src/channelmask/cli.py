@@ -625,10 +625,11 @@ def cmd_demo_classical(args) -> int:
     perm_channels = [ClassicalChannel(np.eye(dim)[:, list(p)]) for p in perms]
     rng = np.random.default_rng(seed)
     random_channels = [random_classical_channel(dim, dim, rng) for _ in range(3)]
-    views = verify._views(masker, perm_channels + random_channels)  # dim <= 4: the stacked pass, full views
-    report = verify._report(*views, tol)
+    # A copy masker: both sides see each channel's copy blocks, densified once for the distance from 1/d.
+    blocks, _ = verify._views(masker, perm_channels + random_channels)
+    report = verify._report(blocks, blocks, tol)
     target = np.eye(dim * dim) / dim
-    marginal_dev = max(float(np.linalg.norm(view - target)) for side in views for view in side)
+    marginal_dev = max(float(np.linalg.norm(verify._dense(b) - target)) for b in blocks)
 
     if args.json:
         payload = {
@@ -662,51 +663,50 @@ def cmd_demo_classical(args) -> int:
 # -- parser -------------------------------------------------------------------------
 
 
+# The options the commands share, as add_argument's arguments; each command adds the ones it reads.
+_FLAGS = {
+    "tol": (("--tol",), {"type": float, "default": None, "help": "decision tolerance (default 1e-8)"}),
+    "verify_tol": (("--verify-tol",), {"dest": "verify_tol", "type": float, "default": None,
+                                      "help": "verification tolerance (default 1e-9)"}),
+    "seed": (("--seed",), {"type": int, "default": None, "help": "seed for randomized diagonalization"}),
+    "json": (("--json",), {"action": "store_true", "help": "emit the report as JSON"}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="channelmask",
         description="Decide, synthesize, and verify isometric maskers for channel families.",
     )
-
-    def flag(*names, **options) -> argparse.ArgumentParser:
-        # one parent parser per flag, so each command takes only the flags it reads
-        parent = argparse.ArgumentParser(add_help=False)
-        parent.add_argument(*names, **options)
-        return parent
-
-    tol = flag("--tol", type=float, default=None, help="decision tolerance (default 1e-8)")
-    verify_tol = flag("--verify-tol", dest="verify_tol", type=float, default=None,
-                      help="verification tolerance (default 1e-9)")
-    seed = flag("--seed", type=int, default=None, help="seed for randomized diagonalization")
-    as_json = flag("--json", action="store_true", help="emit the report as JSON")
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("decide", parents=[tol, seed, as_json], help="decide maskability of a family file")
-    p.add_argument("family", help="path to a family JSON file")
-    p.set_defaults(func=cmd_decide)
+    def command(name: str, func: Callable, flags: tuple, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        for flag in flags:
+            names, options = _FLAGS[flag]
+            p.add_argument(*names, **options)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("synthesize", parents=[tol, seed, as_json],
-                       help="synthesize a masker for a family file")
+    p = command("decide", cmd_decide, ("tol", "seed", "json"), "decide maskability of a family file")
+    p.add_argument("family", help="path to a family JSON file")
+
+    p = command("synthesize", cmd_synthesize, ("tol", "seed", "json"), "synthesize a masker for a family file")
     p.add_argument("family", help="path to a family JSON file")
     p.add_argument("-o", "--out", required=True, help="path for the masker JSON file")
-    p.set_defaults(func=cmd_synthesize)
 
-    p = sub.add_parser("verify", parents=[verify_tol, as_json], help="verify a masker against a family file")
+    p = command("verify", cmd_verify, ("verify_tol", "json"), "verify a masker against a family file")
     p.add_argument("family", help="path to a family JSON file")
     p.add_argument("masker", help="path to a masker JSON file")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bloch", parents=[as_json], help="print the Bloch affine action of a qubit channel")
+    p = command("bloch", cmd_bloch, ("json",), "print the Bloch affine action of a qubit channel")
     p.add_argument("channel", help="path to a channel payload or family JSON file")
-    p.set_defaults(func=cmd_bloch)
 
-    p = sub.add_parser("demo-classical", parents=[verify_tol, seed, as_json],
-                       help="classical no-go search plus the quantum Fourier masker")
+    p = command("demo-classical", cmd_demo_classical, ("verify_tol", "seed", "json"),
+                "classical no-go search plus the quantum Fourier masker")
     p.add_argument("--dim", type=int, default=2, help="alphabet size (1-4)")
     p.add_argument("--perms", default=None,
                    help="semicolon-separated permutations, e.g. '0,1;1,0' (default: identity and cycle)")
-    p.set_defaults(func=cmd_demo_classical)
     return parser
 
 

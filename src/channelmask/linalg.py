@@ -406,7 +406,7 @@ def simultaneous_eigenbasis(ws, tol: float = DECISION_TOL, seed: int = 0, *, dra
         entropy; like a float or a sequence, it raises ``TypeError``.
     draws : iterator, optional
         Draws of ``_combination_bases`` to continue: ``ws`` is then the stack
-        they come from, already through ``_check_unitary``, and ``seed`` unused.
+        they come from, already unitary within 1e-9, and ``seed`` unused.
 
     Returns
     -------

@@ -6,22 +6,21 @@ are, so comparing them is a complete equality test.  Deviations are
 aggregated with max (masking is a worst-case property over inputs and family
 members).
 
-Three routes give the views, and :func:`_views` alone picks one.  The
-stacked pass serves input dimensions up to 4 when the family's whole stack
-of ``n * din**2`` products ``M E(X) M^dag`` (each ``D x D``, ``D = dA * dB``)
-holds at most ``_STACK_ENTRIES`` entries: the basis operators go through the
-channel, the masker and both partial traces as one stack, and numpy makes
-the same product and sum for each matrix of a stack as for a lone one, so
-each view has the bits of one operator at a time and of its member's own
-``reduced_channel_choi``.  Those bits fix the round-off digits (such as
-``1.570e-16``, or an exact ``0.0``) the CLI prints for ``samples/``.  Past
-the bound a copy masker (``d x d`` factors, every row other than ``k*(d+1)``
-exactly zero, as every masker this package writes) shows both sides one
-map, ``rho -> diag(R E(rho) R^dag)`` for its copy rows ``R``, whose Choi
-matrix is ``d`` blocks of size ``din x din``; any other masker goes member
-by member through ``reduced_channel_choi``, whose route past the bound is
-one Kraus-form formula with no dimension cap.  A view may hold up to
-``2**24`` entries.
+The masker alone picks one of two routes at every input dimension, by
+whether :func:`_copy_rows` finds copy rows in it.  A copy masker (``d x d``
+factors, every row other than ``k*(d+1)`` exactly zero, as every masker this
+package writes) shows both sides one map, ``rho -> diag(R E(rho) R^dag)``
+for its copy rows ``R``, whose Choi matrix is ``d`` blocks of size
+``din x din``: block ``k`` holds ``(R E(|i><j|) R^dag)[k, k]`` at
+``[i, j]``.  Unitary, depolarized and Kraus members take these from the
+Kraus-form formula with one copy row per block; Pauli members from their
+images of the four ``|i><j|``; classical members, whose ``E(|i><j|)`` is
+``delta_ij diag(P[:, i])``, from the real diagonals of
+``R diag(P[:, i]) R^dag``.  Those forms give the round-off digits (such as
+``1.570e-16``, or an exact ``0.0``) the CLI prints for ``samples/``.  Any
+other masker goes member by member through the Kraus-form formula, with no
+dimension cap.  A view may hold up to ``2**24`` entries, and so may a
+member's blocks.
 """
 
 from __future__ import annotations
@@ -31,16 +30,22 @@ import math
 
 import numpy as np
 
-from .channels import ChannelSpec, ClassicalChannel, DepolarizedUnitary, Unitary, apply, channel_dims, to_kraus
+from .channels import (
+    ChannelSpec,
+    ClassicalChannel,
+    DepolarizedUnitary,
+    PauliFourVector,
+    Unitary,
+    apply,
+    channel_dims,
+    to_kraus,
+)
 from .linalg import VERIFY_TOL, partial_trace, record
 from .masking import Masker, _members
 
-# The stacked basis-operator pass serves inputs up to this dimension (see the
-# module docstring): it fixes the round-off digits of the CLI's small reports.
-_STACK_MAX_INPUT_DIM = 4
-# Entries of a family's whole stack of products M E(X) M^dag (16 MB of
-# complex128); a larger family does not take the stacked pass.
-_STACK_ENTRIES = 2**20
+# Verification takes no partial trace; the name stays on this module, where perfbench's tracer counts its calls.
+__all__ = ["VerificationReport", "partial_trace", "reduced_channel_choi", "verify_masking"]
+
 # Entries of one view (268 MB of complex128): a dense view at din = 64.
 _MAX_VIEW_ENTRIES = 2**24
 
@@ -59,54 +64,26 @@ class VerificationReport:
 def reduced_channel_choi(masker: Masker, spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
     """Choi matrices ``(seen_by_a, seen_by_b)`` of ``rho -> Tr_B[M E(rho) M^dag]`` and ``Tr_A[...]``.
 
-    Both come from :func:`_views` for a family of one, so wherever a family
-    takes the stacked pass each member's views have the bits of its own.
-    Copy blocks are set in place: block ``k`` is the entries ``[(i, k), (j, k)]``.
+    A copy masker's blocks are set in place (block ``k`` is the entries
+    ``[(i, k), (j, k)]``); any other masker's views come from the Kraus-form
+    formula, which is how :func:`_views` sees such a masker, member by member.
     """
-    seen_by_a, seen_by_b = _views(masker, [spec])
-    if seen_by_b is not seen_by_a:
-        return seen_by_a[0], seen_by_b[0]
-    d, din, _ = seen_by_a[0].shape
-    _check_view_entries((din * d) ** 2)
-    view = np.zeros((din, d, din, d), dtype=complex)
-    view[:, np.arange(d), :, np.arange(d)] = seen_by_a[0]
-    view = view.reshape(din * d, din * d)
-    return view, view.copy()
+    rows = _copy_rows(masker, spec)
+    if rows is not None:
+        view = _dense(_copy_blocks(rows, spec))
+        return view, view.copy()
+    g = masker.matrix.reshape(masker.dims.dim_a, masker.dims.dim_b, -1)  # G_b = g[:, b] for A's view
+    return _kraus_choi(g.transpose(1, 0, 2)[None], spec)[0], _kraus_choi(g[None], spec)[0]
 
 
 def _views(masker: Masker, members: list) -> tuple:
-    """``(views_a, views_b)``, what A and what B see of each member, from the route picked here and
-    nowhere else (see the module docstring).  Copy blocks come as ``views_b is views_a``; a family of
-    one that takes neither the stacked pass nor the copy blocks takes the Kraus-form formula."""
-    din, dout = channel_dims(members[0])
-    if masker.input_dim != dout:
-        raise ValueError(f"masker input dimension {masker.input_dim} does not match channel output {dout}")
-    if din <= _STACK_MAX_INPUT_DIM and len(members) * (din * masker.dims.total) ** 2 <= _STACK_ENTRIES:
-        return _stacked_views(masker, members)
-    rows = _copy_rows(masker)
-    if rows is not None:
-        blocks = [_kraus_choi(rows[:, None, None], spec) for spec in members]
-        return blocks, blocks
-    if len(members) > 1:
+    """``(views_a, views_b)``, what A and what B see of each member, from the route the masker picks (see the
+    module docstring).  Copy blocks come as ``views_b is views_a``."""
+    rows = _copy_rows(masker, members[0])
+    if rows is None:
         return tuple(zip(*(reduced_channel_choi(masker, spec) for spec in members)))
-    rows = masker.matrix.reshape(masker.dims.dim_a, masker.dims.dim_b, dout)  # G_b = rows[:, b] for A's view
-    return _kraus_choi(rows.transpose(1, 0, 2)[None], members[0]), _kraus_choi(rows[None], members[0])
-
-
-def _stacked_views(masker: Masker, members: list) -> tuple[np.ndarray, np.ndarray]:
-    """What A and what B see of each of ``n`` members, as the stacks ``(n, din * dA, din * dA)`` and
-    ``(n, din * dB, din * dB)``: each member's ``din**2`` basis operators go through one ``apply`` call,
-    and all the images through one product ``M . M^dag`` and one partial trace per side."""
-    din, _ = channel_dims(members[0])
-    da, db = masker.dims.dim_a, masker.dims.dim_b
-    n, m = len(members), masker.matrix
-    ops = np.eye(din * din, dtype=complex).reshape(din * din, din, din)  # ops[i * din + j] = |i><j|
-    masked = m @ np.concatenate([apply(spec, ops) for spec in members]) @ m.conj().T
-    seen_by_a = partial_trace(masked, masker.dims, "B")
-    seen_by_b = partial_trace(masked, masker.dims, "A")
-    # [(k, i, j), x, x'] -> [k, (i, x), (j, x')]
-    return (seen_by_a.reshape(n, din, din, da, da).transpose(0, 1, 3, 2, 4).reshape(n, din * da, din * da),
-            seen_by_b.reshape(n, din, din, db, db).transpose(0, 1, 3, 2, 4).reshape(n, din * db, din * db))
+    blocks = [_copy_blocks(rows, spec) for spec in members]
+    return blocks, blocks
 
 
 def _check_view_entries(entries: int) -> None:
@@ -114,12 +91,25 @@ def _check_view_entries(entries: int) -> None:
         raise ValueError(f"a reduced Choi matrix of {entries} entries exceeds the bound of 2**24 entries")
 
 
-def _copy_rows(masker: Masker):
-    """The rows ``R`` a copy masker writes to ``|kk>``, or ``None`` for any other masker.
+def _dense(blocks: np.ndarray) -> np.ndarray:
+    """The reduced Choi matrix whose only nonzero entries ``[(i, k), (j, k)]`` are ``blocks[k][i, j]``."""
+    d, din, _ = blocks.shape
+    _check_view_entries((din * d) ** 2)
+    view = np.zeros((din, d, din, d), dtype=complex)
+    view[:, np.arange(d), :, np.arange(d)] = blocks
+    return view.reshape(din * d, din * d)
+
+
+def _copy_rows(masker: Masker, spec: ChannelSpec):
+    """The rows ``R`` a copy masker writes to ``|kk>``, or ``None`` for any other masker; the masker must
+    take the output of ``spec``.
 
     A copy masker has ``d x d`` factors and every row other than ``k*(d+1)``
     exactly zero; the test reads the matrix, not how it was made.
     """
+    dout = channel_dims(spec)[1]
+    if masker.input_dim != dout:
+        raise ValueError(f"masker input dimension {masker.input_dim} does not match channel output {dout}")
     d = masker.dims.dim_a
     if masker.dims.dim_b != d:
         return None
@@ -127,6 +117,26 @@ def _copy_rows(masker: Masker):
     if np.count_nonzero(masker.matrix) != np.count_nonzero(rows):
         return None
     return rows
+
+
+def _copy_blocks(rows: np.ndarray, spec: ChannelSpec) -> np.ndarray:
+    """The ``d`` blocks of ``rho -> diag(R E(rho) R^dag)``: ``(R E(|i><j|) R^dag)[k, k]`` at ``[k, i, j]``.
+
+    Each kind takes the form the module docstring names.
+    """
+    din, _ = channel_dims(spec)
+    _check_view_entries(len(rows) * din**2)
+    if isinstance(spec, PauliFourVector):
+        ops = np.eye(din * din, dtype=complex).reshape(din * din, din, din)  # ops[i * din + j] = |i><j|
+        images = np.diagonal(rows @ apply(spec, ops) @ rows.conj().T, axis1=1, axis2=2)
+        return images.T.reshape(-1, din, din)
+    if isinstance(spec, ClassicalChannel):
+        # E(|i><j|) = delta_ij diag(P[:, i]), so only the diagonal of each block is set; it is real.
+        images = np.diagonal((rows * spec.probs.T[:, None]) @ rows.conj().T, axis1=1, axis2=2).real
+        blocks = np.zeros((len(rows), din, din), dtype=complex)
+        blocks[:, np.arange(din), np.arange(din)] = images.T
+        return blocks
+    return _kraus_choi(rows[:, None, None], spec)
 
 
 def _kraus_choi(g: np.ndarray, spec: ChannelSpec) -> np.ndarray:

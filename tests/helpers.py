@@ -191,8 +191,8 @@ def brute_force_reduced_choi(masker: Masker, spec, side: str) -> np.ndarray:
 
 
 def loop_reduced_channel_choi(masker: Masker, spec) -> tuple:
-    """Oracle for the stacked pass of ``reduced_channel_choi`` (input dimension at most 4): one basis
-    operator at a time through ``apply``, the masker and two 2-d ``partial_trace`` calls.
+    """Oracle for ``reduced_channel_choi`` on small maskers: one basis operator at a time through ``apply``,
+    the masker and two 2-d ``partial_trace`` calls, as the definition reads.
 
     Returns ``(seen_by_a, seen_by_b)``.
     """

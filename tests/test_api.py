@@ -2,9 +2,10 @@
 runs, every name in ``channelmask.__all__`` resolves and appears once, no
 module of the package or of its tests imports a name it never uses, every
 function the benchmark's tracer wraps is where the tracer looks it up, a
-traced verification counts one stacked pass per family, a traced
-``demo-classical`` counts one search over every injection, and the installed
-``channelmask`` script is the entry that ``python -m channelmask.cli`` runs."""
+traced verification of a copy masker counts one ``apply`` per Pauli member,
+a traced ``demo-classical`` counts one search over every injection, and the
+installed ``channelmask`` script is the entry that ``python -m
+channelmask.cli`` runs."""
 
 import ast
 import importlib.util
@@ -93,10 +94,11 @@ def test_the_benchmark_tracer_finds_every_hook_and_puts_it_back(monkeypatch):
     assert [dict(vars(m)) for m in modules] == before
 
 
-def test_the_benchmark_tracer_counts_one_stacked_pass_per_family(monkeypatch):
-    # Up to input dimension 4 each member's basis operators go through
-    # verify.apply as one stack, and the family's images through one
-    # verify.partial_trace per side; reduced_channel_choi is not called.
+def test_the_benchmark_tracer_counts_the_copy_blocks_of_a_family(monkeypatch):
+    # A copy masker's blocks send each Pauli member's four basis operators
+    # through verify.apply as one stack; the identity takes the Kraus form,
+    # which applies no channel, and no partial trace or reduced_channel_choi
+    # is called.
     pipeline = _perfbench_module("pipeline", monkeypatch)
     tracer = _perfbench_module("tracing", monkeypatch).Tracer()
     pipeline.instrument(tracer)
@@ -111,7 +113,7 @@ def test_the_benchmark_tracer_counts_one_stacked_pass_per_family(monkeypatch):
     assert not report.passed
     assert report == verify._report(*zip(*(loop_reduced_channel_choi(masker, spec) for spec in family)), 1e-9)
     assert "verify.reduced_channel_choi" not in tracer.layers()
-    assert tracer.calls == {"channels.apply": 3, "linalg.partial_trace": 2}
+    assert tracer.calls == {"channels.apply": 2}
 
 
 def test_the_benchmark_tracer_counts_one_classical_search(monkeypatch, capsys):

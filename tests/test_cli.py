@@ -1,3 +1,4 @@
+import argparse
 import copy
 import errno
 import gc
@@ -1334,7 +1335,69 @@ def test_numpy_integer_dims_are_saved_and_loaded_back_as_int(masker_path):
     assert dims == BipartiteDims(2, 3) and type(dims.dim_a) is type(dims.dim_b) is int
 
 
+def _parser_with_parent_parsers() -> argparse.ArgumentParser:
+    """Oracle for ``cli.build_parser``: the same commands, each shared flag on a parent parser of its own."""
+    parser = argparse.ArgumentParser(
+        prog="channelmask",
+        description="Decide, synthesize, and verify isometric maskers for channel families.",
+    )
+
+    def flag(*names, **options) -> argparse.ArgumentParser:
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*names, **options)
+        return parent
+
+    tol = flag("--tol", type=float, default=None, help="decision tolerance (default 1e-8)")
+    verify_tol = flag("--verify-tol", dest="verify_tol", type=float, default=None,
+                      help="verification tolerance (default 1e-9)")
+    seed = flag("--seed", type=int, default=None, help="seed for randomized diagonalization")
+    as_json = flag("--json", action="store_true", help="emit the report as JSON")
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("decide", parents=[tol, seed, as_json], help="decide maskability of a family file")
+    p.add_argument("family", help="path to a family JSON file")
+    p.set_defaults(func=cli.cmd_decide)
+    p = sub.add_parser("synthesize", parents=[tol, seed, as_json], help="synthesize a masker for a family file")
+    p.add_argument("family", help="path to a family JSON file")
+    p.add_argument("-o", "--out", required=True, help="path for the masker JSON file")
+    p.set_defaults(func=cli.cmd_synthesize)
+    p = sub.add_parser("verify", parents=[verify_tol, as_json], help="verify a masker against a family file")
+    p.add_argument("family", help="path to a family JSON file")
+    p.add_argument("masker", help="path to a masker JSON file")
+    p.set_defaults(func=cli.cmd_verify)
+    p = sub.add_parser("bloch", parents=[as_json], help="print the Bloch affine action of a qubit channel")
+    p.add_argument("channel", help="path to a channel payload or family JSON file")
+    p.set_defaults(func=cli.cmd_bloch)
+    p = sub.add_parser("demo-classical", parents=[verify_tol, seed, as_json],
+                       help="classical no-go search plus the quantum Fourier masker")
+    p.add_argument("--dim", type=int, default=2, help="alphabet size (1-4)")
+    p.add_argument("--perms", default=None,
+                   help="semicolon-separated permutations, e.g. '0,1;1,0' (default: identity and cycle)")
+    p.set_defaults(func=cli.cmd_demo_classical)
+    return parser
+
+
+def _parse(parser, argv, capsys) -> tuple:
+    """What ``parser.parse_args(argv)`` prints and returns: ``(out, err, exit code or namespace)``."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return (*capsys.readouterr(), result)
+
+
 class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        *([command, "--help"] for command in ("decide", "synthesize", "verify", "bloch", "demo-classical")),
+        ["synthesize", "family.json", "--bogus"], ["decide", "--tol", "1e-6", "--json", "family.json"],
+        ["synthesize", "--seed", "3", "family.json", "-o", "masker.json"], ["verify", "family.json", "masker.json"],
+        ["bloch", "--json", "channel.json"], ["demo-classical", "--verify-tol", "1e-7", "--dim", "3"],
+    ], ids=["help", "decide-help", "synthesize-help", "verify-help", "bloch-help", "demo-classical-help",
+            "usage-error", "decide", "synthesize", "verify", "bloch", "demo-classical"])
+    def test_the_parser_prints_and_parses_as_with_parent_parsers(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert _parse(cli.build_parser(), argv, capsys) == _parse(_parser_with_parent_parsers(), argv, capsys)
+
     @pytest.mark.parametrize("argv", [["verify", "--tol", "5", "FAMILY", "FAMILY"],
                                       ["bloch", "--seed", "3", "FAMILY"]])
     def test_flags_a_command_does_not_read_are_rejected(self, gate_family, argv, capsys):
@@ -1483,18 +1546,18 @@ class TestDemoClassical:
         payload = json.loads(capsys.readouterr().out)
         assert payload["no_go"]["violating_all"] is False
 
-    def test_each_channel_goes_through_apply_once(self, monkeypatch, capsys):
-        # the report and the marginal deviations come from one family pass
+    def test_each_channel_gets_its_copy_blocks_once(self, monkeypatch, capsys):
+        # the report and the marginal deviations come from one computation of each channel's copy blocks
         calls = []
-        apply = verify.apply
+        copy_blocks = verify._copy_blocks
 
-        def counted(spec, ops):
+        def counted(rows, spec):
             calls.append(spec)
-            return apply(spec, ops)
+            return copy_blocks(rows, spec)
 
-        monkeypatch.setattr(verify, "apply", counted)
+        monkeypatch.setattr(verify, "_copy_blocks", counted)
         assert main(["demo-classical", "--dim", "4"]) == EXIT_OK
-        assert len(calls) == 5
+        assert len(calls) == len({id(spec) for spec in calls}) == 5
         assert "distance of reduced channels from the constant channel onto 1/d: 1.241e-16" in capsys.readouterr().out
 
     def test_too_large_exit_2(self, capsys):

@@ -324,6 +324,36 @@ class TestGateMembers:
         assert_allclose(Trivial().copy_rows([PauliFourVector(1, 0, 0, 0)]), I2, atol=0)
 
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d=st.integers(1, 32),
+        n=st.integers(2, 8),
+        scaled=st.booleans(),
+        stacked=st.booleans(),
+        defect=st.floats(0.0, 0.999),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_relative_gates_of_members_within_1e_10_are_within_1e_9(self, d, n, scaled, stacked, defect, seed):
+        # The gate decider takes the relative gates U_1^dag U_k to simultaneous_eigenbasis unchecked.  Scaled
+        # members (1 + e) V_k give each relative gate twice the members' defect; the others perturb V_k at random.
+        rng = np.random.default_rng(seed)
+        target = defect * 1e-10
+        stack = []
+        for _ in range(n):
+            v = random_unitary(d, rng)
+            if scaled:
+                stack.append(v * (1.0 + target / (2.0 * np.sqrt(d))))
+            else:
+                noise = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                first_order = v.conj().T @ noise + noise.conj().T @ v  # of (v + t N)^dag (v + t N) - 1
+                stack.append(v + target / np.linalg.norm(first_order) * noise)
+        stack = np.array(stack)
+        members = channels._gates(stack) if stacked else [Unitary(u) for u in stack]
+        assert members is not None
+        ws = masking._relative_gates([m.matrix for m in members], 0)
+        assert (linalg.isometry_defects(ws) <= 1e-9).all()
+
+
 class TestDecidePauliFamily:
     def test_bit_flip_family(self):
         decision = decide_pauli_family([bit_flip(p) for p in (0.1, 0.3, 0.7)])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from channelmask import verify
+from channelmask import cli, linalg, verify
 from channelmask.channels import (
     DepolarizedUnitary,
     PauliFourVector,
@@ -286,8 +286,8 @@ def _member(kind: str, din: int, rng: np.random.Generator, p=None):
 
 
 class TestBasisLoopAgainstOracle:
-    """Both views of ``reduced_channel_choi`` (the stacked basis-operator pass at ``din`` 4, the Kraus form
-    above) against a full Choi matrix."""
+    """Both views of ``reduced_channel_choi`` (the Kraus form for these dense maskers) against a full Choi
+    matrix."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -357,85 +357,6 @@ class TestKrausOracle:
                 assert np.abs(view - brute_force_reduced_choi(masker, spec, side)).max() <= 1e-12
 
 
-class TestOnePassOverTheBasis:
-    def test_each_basis_operator_goes_through_the_channel_once(self, monkeypatch):
-        # A dense masker on 2 x 3 takes the general route, and A and B see
-        # maps of different sizes, so a swap of the two views shows.  Above
-        # input dimension 4 the Kraus form applies no channel at all.
-        rng = np.random.default_rng(21)
-        dims = BipartiteDims(2, 3)
-        operators = []
-        apply = verify.apply
-
-        def counted(spec, op):
-            op = np.asarray(op)
-            operators.append(op.size // (op.shape[-2] * op.shape[-1]))  # a stack counts its length
-            return apply(spec, op)
-
-        monkeypatch.setattr(verify, "apply", counted)
-        for din, expected_operators in ((4, 4**2 * 3), (5, 0)):
-            operators.clear()
-            members = [random_kraus_channel(rng, din, din, 3) for _ in range(3)]
-            masker = Masker(random_isometry(rng, dims.total, din), dims)
-            report = verify_masking(masker, members, 1e-9)
-            assert sum(operators) == expected_operators
-            expected_a, expected_b = _oracle_deviations(masker, members)
-            assert abs(expected_a - expected_b) > 1e-3
-            assert abs(report.max_deviation_a - expected_a) <= 1e-12
-            assert abs(report.max_deviation_b - expected_b) <= 1e-12
-            seen_by_a, seen_by_b = reduced_channel_choi(masker, members[0])
-            oracle_a, oracle_b = _independent_views(masker, members[0])
-            assert np.abs(seen_by_a - oracle_a).max() <= 1e-12
-            assert np.abs(seen_by_b - oracle_b).max() <= 1e-12
-
-
-def _small_member(kind: str, din: int, p: float, rng: np.random.Generator):
-    """A member of input dimension ``din`` (2 for Pauli); Kraus and classical members change dimension."""
-    if kind == "unitary":
-        return Unitary(random_unitary(din, rng))
-    if kind == "kraus":
-        dout = int(rng.integers(1, 5))
-        return random_kraus_channel(rng, din, dout, max(2, -(-din // dout)) + int(rng.integers(2)))
-    if kind == "pauli":
-        return PauliFourVector(*rng.dirichlet(np.ones(4)))
-    if kind == "classical":
-        return random_classical_channel(din, int(rng.choice([d for d in range(1, 6) if d != din])), rng)
-    return DepolarizedUnitary(p, random_unitary(din, rng))
-
-
-def _small_masker(shape: str, dout: int, rng: np.random.Generator) -> Masker:
-    """A copy masker, or a random isometry on ``dA x dB`` with ``dA < dB`` or ``dA > dB``."""
-    if shape == "copy":
-        return copy_masker(random_unitary(dout, rng))
-    dim_a = int(rng.integers(1, 4))
-    dim_b = max(dim_a + 1, -(-dout // dim_a))
-    if shape == "a>b":
-        dim_a, dim_b = dim_b, dim_a
-    return Masker(random_isometry(rng, dim_a * dim_b, dout), BipartiteDims(dim_a, dim_b))
-
-
-class TestStackedPassAgainstTheLoop:
-    """Up to input dimension 4, on maskers whose stack fits the bound, ``reduced_channel_choi`` gives, bit
-    for bit, the views of the loop that sends one basis operator at a time through ``apply`` and
-    ``partial_trace``."""
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        kind=st.sampled_from(["unitary", "kraus", "pauli", "classical", "depolarized"]),
-        din=st.integers(1, 4),
-        p=st.sampled_from([0.0, 1.0, 0.37]),
-        shape=st.sampled_from(["copy", "a<b", "a>b"]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_views_are_the_bits_of_the_loop(self, kind, din, p, shape, seed):
-        rng = np.random.default_rng(seed)
-        spec = _small_member(kind, 2 if kind == "pauli" else din, p, rng)
-        masker = _small_masker(shape, channel_dims(spec)[1], rng)
-        for stacked, loop in zip(reduced_channel_choi(masker, spec), loop_reduced_channel_choi(masker, spec)):
-            assert stacked.shape == loop.shape
-            assert stacked.tobytes() == loop.tobytes()
-
-
 def _record_stacked_pass(monkeypatch) -> tuple[list, list]:
     """Record the stack length of every ``verify.apply`` call and the entries of every product
     ``M E(X) M^dag`` that ``verify.partial_trace`` gets."""
@@ -455,41 +376,6 @@ def _record_stacked_pass(monkeypatch) -> tuple[list, list]:
     return applied, traced
 
 
-def _traced_peak(call):
-    """``call()`` and the peak bytes ``tracemalloc`` saw while it ran."""
-    tracemalloc.start()
-    try:
-        return call(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-# Peak bytes of a reduced Choi matrix or a verification at din = 4 on the maskers below: a quarter of a
-# stack of _STACK_ENTRIES = 2**20 complex entries.  One product M E(X) M^dag alone is 4.2 MB on 16 x 32
-# and 17.8 MB on 33 x 32.
-_SMALL_PEAK = 2**22
-
-
-class TestStackedPassMemory:
-    # A member takes the stacked pass only when its din**2 products M E(X) M^dag hold at most
-    # _STACK_ENTRIES = 2**20 entries together: on 2 x 3 it makes one product and one partial trace
-    # per side.  On 16 x 32 and 33 x 32 (4.2M and 17.8M entries) it takes the Kraus formula, which
-    # makes no such product and applies no channel.
-    @pytest.mark.parametrize("dim_a,dim_b,stacked", [(2, 3, True), (16, 32, False), (33, 32, False)])
-    def test_no_stack_over_the_bound_is_made(self, dim_a, dim_b, stacked, monkeypatch):
-        applied, traced = _record_stacked_pass(monkeypatch)
-        rng = np.random.default_rng(dim_a * dim_b)
-        total = dim_a * dim_b
-        masker = Masker(random_isometry(rng, total, 4), BipartiteDims(dim_a, dim_b))
-        spec = Unitary(random_unitary(4, rng))
-        views, peak = _traced_peak(lambda: reduced_channel_choi(masker, spec))
-        assert applied == ([4**2] if stacked else [])
-        assert traced == ([4**2 * total**2] * 2 if stacked else [])
-        assert peak <= _SMALL_PEAK
-        for view, oracle in zip(views, choi_reduced_chois(masker, spec)):
-            assert np.abs(view - oracle).max() <= 1e-12
-
-
 def _family_member(kind: str, din: int, rng: np.random.Generator):
     """A member that maps dimension ``din`` to ``din``; Pauli members need ``din`` 2."""
     if kind == "unitary":
@@ -503,53 +389,67 @@ def _family_member(kind: str, din: int, rng: np.random.Generator):
     return DepolarizedUnitary(0.37, random_unitary(din, rng))
 
 
-class TestFamilyPass:
-    """Up to input dimension 4 a family whose stack fits the bound goes through one stacked pass, and each
-    member's views have the bits of its own ``reduced_channel_choi`` and of the loop over basis operators."""
+def _copy_member(kind: str, din: int, rng: np.random.Generator):
+    """A member of input dimension ``din`` (2 for Pauli) whose output dimension is at most 4."""
+    if kind == "unitary":
+        return Unitary(random_unitary(din, rng))
+    if kind == "kraus":
+        dout = int(rng.integers(1, 5))
+        return random_kraus_channel(rng, din, dout, max(2, -(-din // dout)) + int(rng.integers(2)))
+    if kind == "pauli":
+        return PauliFourVector(*rng.dirichlet(np.ones(4)))
+    if kind == "classical":
+        return random_classical_channel(din, int(rng.integers(1, 5)), rng)
+    return DepolarizedUnitary(float(rng.choice([0.0, 1.0, 0.37])), random_unitary(din, rng))
 
-    @settings(max_examples=60, deadline=None)
+
+class TestCopyBlocksAgainstTheLoop:
+    """On copy rows of at most 4 symbols, a member's copy blocks, set in place, are the views of the loop that
+    sends one basis operator at a time through ``apply``, the masker and two partial traces."""
+
+    @settings(max_examples=100, deadline=None)
     @given(
+        kind=st.sampled_from(["pauli", "classical", "unitary", "kraus", "depolarized"]),
         din=st.integers(1, 4),
-        kinds=st.lists(st.sampled_from(["unitary", "kraus", "pauli", "classical", "depolarized"]), max_size=4),
-        shape=st.sampled_from(["copy", "a<b", "a>b"]),
+        symbols=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_each_members_views_are_the_bits_of_its_own_pass_and_of_the_loop(self, din, kinds, shape, seed):
+    def test_blocks_are_the_loop_views(self, kind, din, symbols, seed):
         rng = np.random.default_rng(seed)
-        members = [identity_channel(din)] + [_family_member(k, din, rng) for k in kinds if k != "pauli" or din == 2]
-        masker = _small_masker(shape, din, rng)
-        views = verify._stacked_views(masker, members)
-        alone = [reduced_channel_choi(masker, spec) for spec in members]
-        report = verify_masking(masker, members, 1e-9)
-        loops = [loop_reduced_channel_choi(masker, spec) for spec in members]
-        for k in range(len(members)):
-            for seen, own, loop in zip((views[0][k], views[1][k]), alone[k], loops[k]):
-                assert seen.shape == own.shape == loop.shape
-                assert seen.tobytes() == own.tobytes() == loop.tobytes()
-        dev_a, pair_a = loop_max_pairwise([loop[0] for loop in loops])
-        dev_b, pair_b = loop_max_pairwise([loop[1] for loop in loops])
-        assert (report.max_deviation_a, report.max_deviation_b) == (dev_a, dev_b)
-        assert report.worst_pair == (pair_a if dev_a >= dev_b else pair_b)
+        spec = _copy_member(kind, 2 if kind == "pauli" else din, rng)
+        dout = channel_dims(spec)[1]
+        rows = random_isometry(rng, max(symbols, dout), dout)
+        masker = copy_masker(rows)
+        blocks = verify._copy_blocks(rows, spec)
+        for view, loop in zip(reduced_channel_choi(masker, spec), loop_reduced_channel_choi(masker, spec)):
+            assert view.shape == loop.shape
+            assert np.abs(view - loop).max() <= 1e-15
+            assert np.abs(verify._dense(blocks) - loop).max() <= 1e-15
+        if kind == "classical":  # a classical channel's copy view is real
+            assert not blocks.imag.any()
 
-    def test_one_apply_per_member_and_one_partial_trace_per_side(self, monkeypatch):
-        rng = np.random.default_rng(4)
-        members = [identity_channel(3)] + [_family_member(k, 3, rng) for k in ("unitary", "kraus", "classical")]
-        masker = _small_masker("a>b", 3, rng)
-        calls = []
-        apply, partial_trace = verify.apply, verify.partial_trace
 
-        def applied(spec, ops):
-            calls.append(("apply", len(ops)))
-            return apply(spec, ops)
+class TestNoPartialTrace:
+    """Neither route of ``verify`` nor ``demo-classical`` takes a partial trace."""
 
-        def traced(m, dims, side):
-            calls.append(("partial_trace", len(m)))
-            return partial_trace(m, dims, side)
+    def test_verification_and_the_demo_never_call_partial_trace(self, monkeypatch, capsys):
+        def refused(*args):
+            raise AssertionError("partial_trace was called")
 
-        monkeypatch.setattr(verify, "apply", applied)
-        monkeypatch.setattr(verify, "partial_trace", traced)
-        verify_masking(masker, members, 1e-9)
-        assert calls == [("apply", 9)] * 4 + [("partial_trace", 36)] * 2
+        monkeypatch.setattr(linalg, "partial_trace", refused)
+        monkeypatch.setattr(verify, "partial_trace", refused)
+        rng = np.random.default_rng(30)
+        for kind in ("pauli", "classical", "unitary", "kraus", "depolarized"):
+            members = [_family_member(kind, 2, rng) for _ in range(3)]
+            dout = channel_dims(members[0])[1]
+            for masker in (copy_masker(random_unitary(dout, rng)),
+                           Masker(random_isometry(rng, 6, dout), BipartiteDims(2, 3))):
+                report = verify_masking(masker, members, 1e-9)
+                expected_a, expected_b = _oracle_deviations(masker, members)
+                assert abs(report.max_deviation_a - expected_a) <= 1e-12
+                assert abs(report.max_deviation_b - expected_b) <= 1e-12
+        assert cli.main(["demo-classical", "--dim", "4"]) == cli.EXIT_OK
+        assert "quantum Fourier masker on 5 classical channels: verified" in capsys.readouterr().out
 
 
 class TestMaxPairwise:
@@ -597,43 +497,6 @@ class TestMaxPairwise:
         report = verify._report(views_a, views_b, 1e-9)
         assert not report.passed
         assert report.worst_pair == {"a": (0, 2), "b": (0, 1), "both": (0, 2)}[nan_side]
-
-
-class TestFamilyPassMemory:
-    # The bound is on the family's whole stack of n * din**2 products M E(X) M^dag: three members on
-    # 2 x 3 make one product and one partial trace per side.  On 16 x 32 and 33 x 32 the dense masker
-    # sends each member through reduced_channel_choi, whose Kraus formula makes no such product.
-    @pytest.mark.parametrize("dim_a,dim_b,stacked", [(2, 3, True), (16, 32, False), (33, 32, False)])
-    def test_no_stack_over_the_bound_is_made(self, dim_a, dim_b, stacked, monkeypatch):
-        applied, traced = _record_stacked_pass(monkeypatch)
-        rng = np.random.default_rng(dim_a * dim_b)
-        total = dim_a * dim_b
-        masker = Masker(random_isometry(rng, total, 4), BipartiteDims(dim_a, dim_b))
-        members = [Unitary(random_unitary(4, rng)) for _ in range(3)]
-        report, peak = _traced_peak(lambda: verify_masking(masker, members, 1e-9))
-        assert applied == ([4**2] * 3 if stacked else [])
-        assert traced == ([3 * 4**2 * total**2] * 2 if stacked else [])
-        assert peak <= _SMALL_PEAK
-        assert not report.passed
-        expected_a, expected_b = _oracle_deviations(masker, members, choi_reduced_chois)
-        assert abs(report.max_deviation_a - expected_a) <= 1e-12
-        assert abs(report.max_deviation_b - expected_b) <= 1e-12
-
-    def test_a_family_over_the_bound_goes_member_by_member_and_each_member_keeps_its_pass(self, monkeypatch):
-        # On 16 x 16 one member's stack at din = 4 is 2**20 entries, the bound itself; two members are over it.
-        applied, traced = _record_stacked_pass(monkeypatch)
-        rng = np.random.default_rng(16)
-        masker = Masker(random_isometry(rng, 256, 4), BipartiteDims(16, 16))
-        members = [Unitary(random_unitary(4, rng)) for _ in range(2)]
-        calls = _count_general_route(monkeypatch)
-        report = verify_masking(masker, members, 1e-9)
-        assert calls == members
-        assert applied == [4**2] * 2
-        assert traced == [2**20] * 4
-        alone = [loop_reduced_channel_choi(masker, spec) for spec in members]
-        dev_a, _ = loop_max_pairwise([views[0] for views in alone])
-        dev_b, _ = loop_max_pairwise([views[1] for views in alone])
-        assert (report.max_deviation_a, report.max_deviation_b) == (dev_a, dev_b)
 
 
 def _expand(blocks: np.ndarray) -> np.ndarray:
