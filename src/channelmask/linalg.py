@@ -381,7 +381,7 @@ def _combination_bases(ws: np.ndarray, seed: int):
         yield basis, _offdiagonal_masses(ws, basis)
 
 
-def simultaneous_eigenbasis(ws, tol: float = DECISION_TOL, seed: int = 0, *, draws=None) -> np.ndarray:
+def simultaneous_eigenbasis(ws, tol: float = DECISION_TOL, seed: int = 0) -> np.ndarray:
     """Orthonormal basis diagonalizing every member of a commuting unitary family.
 
     A random Hermitian combination of the family members (and their adjoints)
@@ -404,9 +404,6 @@ def simultaneous_eigenbasis(ws, tol: float = DECISION_TOL, seed: int = 0, *, dra
         read with ``operator.index``: the draws are those of
         ``np.random.default_rng(seed)``.  ``seed=None`` does not draw OS
         entropy; like a float or a sequence, it raises ``TypeError``.
-    draws : iterator, optional
-        Draws of ``_combination_bases`` to continue: ``ws`` is then the stack
-        they come from, already unitary within 1e-9, and ``seed`` unused.
 
     Returns
     -------
@@ -414,16 +411,14 @@ def simultaneous_eigenbasis(ws, tol: float = DECISION_TOL, seed: int = 0, *, dra
         Unitary matrix whose columns are the common eigenvectors, ordered by
         the clustered eigenphase tuples of the family and phase-fixed.
     """
-    if draws is None:
-        mats = [as_complex_matrix(w, f"ws[{i}]") for i, w in enumerate(ws)]
-        if not mats:
-            raise ValueError("need at least one matrix")
-        if any(w.shape != mats[0].shape or w.shape[0] != w.shape[1] for w in mats):
-            raise ValueError("all matrices must be square with equal dimension")
-        ws = _check_unitary(np.array(mats))
-        draws = _combination_bases(ws, seed)
+    mats = [as_complex_matrix(w, f"ws[{i}]") for i, w in enumerate(ws)]
+    if not mats:
+        raise ValueError("need at least one matrix")
+    if any(w.shape != mats[0].shape or w.shape[0] != w.shape[1] for w in mats):
+        raise ValueError("all matrices must be square with equal dimension")
+    ws = _check_unitary(np.array(mats))
     bound = tol * ws.shape[1]
-    basis = next((b for b, masses in draws if masses.max() <= bound), None)
+    basis = next((b for b, masses in _combination_bases(ws, seed) if masses.max() <= bound), None)
     if basis is None:
         basis = _refine_subspaces(list(ws), np.eye(ws.shape[1], dtype=complex))
         residual = float(_offdiagonal_masses(ws, basis).max())

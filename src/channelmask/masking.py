@@ -410,18 +410,15 @@ def _decide_gates(us: list[np.ndarray], tol: float, seed: int) -> MaskingDecisio
     if len(us) == 1:
         return _maskable(Trivial())
     # ws[k - 1] belongs to family position k.  Every member was built unitary within 1e-10, so each relative
-    # gate is within about 2e-10 and needs no re-check against simultaneous_eigenbasis's 1e-9.
+    # gate is within about 2e-10 and the screen needs no check; a fallback re-checks them against 1e-9.
     ws = _relative_gates(us, 0)
     bound = tol * us[0].shape[0]
-    draws = None  # simultaneous_eigenbasis starts them if the screen does not
     # A pair over the bound fails the screen too, so its draw is not spent.
     if len(ws) == 1 or np.linalg.norm(ws[0] @ ws[1] - ws[1] @ ws[0]) <= bound:
-        draws = _combination_bases(ws, seed)
-        first, masses = next(draws)
+        first, masses = next(_combination_bases(ws, seed))
         eps = masses.max()
         if 4 * eps + 2 * eps * eps <= bound:  # ||[W_a, W_b]|| <= 2 (eps_a + eps_b) + 2 eps_a eps_b <= bound
             return _maskable(CommonEigenbasis(_canonical_basis(ws, first), reference_index=0))
-        draws = itertools.chain([(first, masses)], draws)  # a fallback tries the screen's draw first
     # Commutator norms one row of pairs at a time, never an (n, n, d, d) array;
     # the pairs within 1e-9 of the worst are recomputed by commutator_norm, so
     # the first worst pair and its norm are the pair loop's to the bit.
@@ -433,7 +430,7 @@ def _decide_gates(us: list[np.ndarray], tol: float, seed: int) -> MaskingDecisio
     if pairs and not norm <= bound:  # a NaN tol refuses too; one relative gate has no pair to refuse
         return _not_maskable(NoncommutingPair(i, j, norm))
     try:
-        return _maskable(CommonEigenbasis(simultaneous_eigenbasis(ws, tol, seed, draws=draws), reference_index=0))
+        return _maskable(CommonEigenbasis(simultaneous_eigenbasis(ws, tol, seed), reference_index=0))
     except NoCommonBasisError as exc:
         return _not_maskable(NoCommonBasis(exc.residual))
 

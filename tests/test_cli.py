@@ -1182,6 +1182,34 @@ class TestIdentityKinds:
         assert load_masker_file(out).dims.total == 4
 
 
+def _assert_maskable_verifies(family, tmp_path):
+    """The rule maskable => synthesize exits 0 => verify exits 0, through the CLI."""
+    decided = main(["decide", family])
+    assert decided in (EXIT_OK, EXIT_NEGATIVE)
+    if decided == EXIT_OK:
+        out = tmp_path / "masker.json"
+        assert main(["synthesize", family, "-o", str(out)]) == EXIT_OK
+        assert main(["verify", family, str(out)]) == EXIT_OK
+
+
+@pytest.mark.xfail(raises=AssertionError, reason="ROADMAP item 10: the identity decider misses a first-order "
+                   "tilt, so verify fails at 1.200e-04")
+def test_a_tilted_identity_pair_judged_maskable_verifies(tmp_path, capsys):
+    # u rotates by 1e-4: a unital channel whose Bloch map fixes no pure state
+    theta = 1e-4
+    u = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    ops = [np.sqrt(0.3) * u, np.sqrt(0.7) * u @ np.diag([1.0, -1.0])]
+    member = {"type": "kraus", "ops": [_matrix_json(k) for k in ops]}
+    _assert_maskable_verifies(write_family(tmp_path / "tilted.json", "identity_pair", [member]), tmp_path)
+
+
+@pytest.mark.xfail(raises=AssertionError, reason="ROADMAP item 1: decide accepts a Pauli spread of 5e-9 under "
+                   "tol 1e-8, and verify fails at 1.000e-08 against 1e-9")
+def test_a_pauli_pair_judged_maskable_verifies(tmp_path, capsys):
+    members = [{"type": "pauli", "p": p} for p in ([0.5, 0.2, 0.1, 0.2], [0.3, 0.2, 0.099999995, 0.400000005])]
+    _assert_maskable_verifies(write_family(tmp_path / "near_pauli.json", "pauli", members), tmp_path)
+
+
 BIG = 10**400
 
 

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import os
 import subprocess
@@ -41,6 +42,7 @@ from helpers import (
     loop_fix_column_phases,
     loop_hermitian_combination,
     loop_refine_subspaces,
+    random_commuting_family,
     random_noncommuting_triple,
     random_unitary,
 )
@@ -230,6 +232,17 @@ class TestSimultaneousEigenbasis:
         # the Gram matrix overflows to NaN, which is not within the bound
         with pytest.raises(ValueError, match=r"^ws\[0\] is not unitary within 1e-9$"):
             simultaneous_eigenbasis([[[1e200, 1e200], [1e200, -1e200]], np.eye(2)])
+
+    def test_checks_every_basis_against_its_own_ws(self):
+        # no keyword hands in the draws of another stack, whose masses would certify Haar gates
+        rng = np.random.default_rng(3)
+        commuting = np.array([m.matrix for m in random_commuting_family(rng, 4, 4)])
+        haar = [random_unitary(4, rng) for _ in range(3)]
+        assert list(inspect.signature(simultaneous_eigenbasis).parameters) == ["ws", "tol", "seed"]
+        with pytest.raises(TypeError, match="draws"):
+            simultaneous_eigenbasis(haar, draws=_combination_bases(commuting[1:], 0))
+        with pytest.raises(NoCommonBasisError):
+            simultaneous_eigenbasis(haar)
 
 
 class TestRefinementAgainstLoop:

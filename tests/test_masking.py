@@ -160,10 +160,10 @@ class TestDecideGateFamily:
         assert isinstance(decision.witness, NoncommutingPair) and draws == []
         assert decide_gate_family(random_commuting_family(rng, 4, 3)).maskable and draws == [2]
 
-    def test_fallback_continues_the_screens_draws(self, monkeypatch):
+    def test_fallback_restarts_the_seeds_draws(self, monkeypatch):
         # member 3 nudged by exp(i 1e-5 H): the screen's draw fails its bound
-        # but every commutator passes, so simultaneous_eigenbasis continues the
-        # screen's generator instead of starting another with the same seed
+        # but every commutator passes, so simultaneous_eigenbasis starts the
+        # same seed's draws again on the ws it is given, the screen's draw first
         starts, fallbacks, draw, fallback = [], [], masking._combination_bases, masking.simultaneous_eigenbasis
 
         def counted(ws, seed):
@@ -182,7 +182,7 @@ class TestDecideGateFamily:
         values, vectors = np.linalg.eigh(random_density(rng, 4))
         us[3] = us[3] @ (vectors * np.exp(1e-5j * values)) @ vectors.conj().T
         decision = decide_gate_family(gate_family(*us), 1e-5)
-        assert len(fallbacks) == 1 and starts == [0]
+        assert len(fallbacks) == 1 and starts == [0, 0]
         expected = pair_loop_gate_decision(us, 1e-5, 0).certificate.basis
         assert decision.certificate.basis.tobytes() == expected.tobytes()
 

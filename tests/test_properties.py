@@ -416,7 +416,7 @@ def test_gate_decisions_are_those_of_numpys_draws(seed, monkeypatch):
         assert json.dumps(decision_to_dict(decision)) == expected
         if decision.maskable:
             accepted.add(taken[-1])
-    assert taken[-1] == 8 and not decision.maskable  # the split pair: every draw fails
+    assert taken[-1] == 9 and not decision.maskable  # the split pair: the screen's draw, then all 8 again fail
     assert 1 in accepted and max(accepted) >= 3, accepted  # certificates from the first and later draws
 
 

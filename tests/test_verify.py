@@ -357,7 +357,7 @@ class TestKrausOracle:
                 assert np.abs(view - brute_force_reduced_choi(masker, spec, side)).max() <= 1e-12
 
 
-def _record_stacked_pass(monkeypatch) -> tuple[list, list]:
+def _record_apply_stacks_and_traced_products(monkeypatch) -> tuple[list, list]:
     """Record the stack length of every ``verify.apply`` call and the entries of every product
     ``M E(X) M^dag`` that ``verify.partial_trace`` gets."""
     applied, traced = [], []
@@ -588,7 +588,7 @@ class TestCopyMaskerClosedForm:
         rng = np.random.default_rng(din * dout)
         spec = random_classical_channel(din, dout, rng) if kind == "classical" else Unitary(random_unitary(din, rng))
         masker = copy_masker(random_unitary(dout, rng))
-        applied, traced = _record_stacked_pass(monkeypatch)
+        applied, traced = _record_apply_stacks_and_traced_products(monkeypatch)
         seen_by_a, seen_by_b = reduced_channel_choi(masker, spec)
         assert applied == traced == []
         assert seen_by_a is not seen_by_b
