@@ -15,8 +15,10 @@ masker file in that layout is read row by row, each nonzero row parsed on its
 own by ``json``; any other text goes through ``json`` as a whole, with the
 same results and messages.
 Families of only unitary or only depolarized_unitary members are read as one
-stack.  Every file is read with the cyclic garbage collector paused until the
-parsed document has been freed; a collector that was off stays off.  Exit
+stack.  A family file of at least 256 KiB is parsed by ``orjson`` where its
+reading cannot differ from ``json``'s, and by ``json`` otherwise.  Every file
+is read with the cyclic garbage collector paused until the parsed document has
+been freed; a collector that was off stays off.  Exit
 codes: 0 for a positive verdict or a passing verification, 1 for a definitive
 negative, 2 for input errors, 141 when the reader closes stdout before the
 output is written.  A command's process ends through
@@ -307,9 +309,50 @@ def _family_from_json(raw: dict) -> FamilyFile:
     return FamilyFile("1", kind, members, dict(options))
 
 
+# Family texts of at least this many characters go to orjson: its import, about 3.3 ms after this module's,
+# costs about what it saves on one such parse, so smaller files and start-up never import it.
+_ORJSON_MIN = 256 * 1024
+# every byte but those that quote, open or close a JSON value, or start an escape
+_NOT_STRUCTURE = bytes(b for b in range(256) if b not in b'"[]{}\\')
+
+
+def _family_by_orjson(text: str) -> FamilyFile | None:
+    """The family that ``orjson`` reads from ``text``, or ``None`` where ``json``'s reading might differ.
+
+    ``orjson`` 3.8 has no depth limit and overflows the C stack on a few hundred thousand nested brackets,
+    where ``json`` raises ``RecursionError``.  So only text without escapes is parsed, and only if its
+    brackets outside strings nest at most eight deep (a family file nests six or seven), never more than
+    sixteen.  ``orjson`` refuses ``NaN``, ``Infinity``, numbers beyond float range and a byte order mark,
+    which ``json`` reads or refuses with its own message; every refusal, by ``orjson`` or by
+    :func:`_family_from_json`, returns ``None``, so ``json`` gives the result or the message.  ``orjson``
+    reads an integer outside ``[-2**63, 2**64)`` as a float, which ``json`` reads as an ``int``; only an
+    option keeps a number as parsed, so an option that may be such a float returns ``None`` too.
+    """
+    skeleton = text.encode().translate(None, _NOT_STRUCTURE)
+    if b"\\" in skeleton:
+        return None
+    skeleton = b"".join(skeleton.split(b'"')[::2])  # with no escapes, every other quote ends a string
+    # each pass takes every innermost pair, so at least one and at most two levels off every nest
+    for _ in range(8):
+        skeleton = skeleton.replace(b"[]", b"").replace(b"{}", b"")
+    if skeleton:
+        return None
+    import orjson
+    try:
+        raw = orjson.loads(text)
+        family = _family_from_json(raw) if isinstance(raw, dict) else None
+    except ValueError:  # orjson.JSONDecodeError or SchemaError
+        return None
+    if family is None or any(isinstance(v, float) and abs(v) >= 2.0**63 for v in family.options.values()):
+        return None
+    return family
+
+
 @_collector_paused
 def load_family_file(path) -> FamilyFile:
-    return _family_from_json(_read_json_object(path, "family file"))
+    text = Path(path).read_text()
+    family = _family_by_orjson(text) if len(text) >= _ORJSON_MIN else None
+    return _family_from_json(_read_json_object(path, "family file", text)) if family is None else family
 
 
 _MASKER_HEAD = '{\n  "dims": {\n    "dimA": %s,\n    "dimB": %s\n  },\n  "matrix": [\n    [\n'

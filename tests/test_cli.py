@@ -1006,6 +1006,26 @@ def test_only_demo_classical_imports_numpy_random(command, imports_random, tmp_p
     assert ("numpy.random" in imported) == imports_random
 
 
+@pytest.mark.parametrize("run, imports_orjson", [("import", False), ("sample", False), ("d16-n32", True)])
+def test_only_a_family_file_of_256_kib_imports_orjson(run, imports_orjson, big_gate_document, tmp_path):
+    # orjson's import costs about what it saves on one such parse, so start-up and small files go without it
+    if run == "import":
+        argv = ["-c", "import channelmask"]
+    else:
+        family = SAMPLES / "gate_family.json"
+        if run == "d16-n32":
+            family = tmp_path / "big.json"
+            family.write_text(json.dumps(big_gate_document))
+        argv = ["-m", "channelmask.cli", "decide", str(family)]
+    done = subprocess.run([sys.executable, "-X", "importtime", *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)},
+                          timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines() if line.startswith("import time:")}
+    assert "channelmask" in imported
+    assert ("orjson" in imported) == imports_orjson
+
+
 def _read_family(raw):
     """What ``_family_from_json`` gives: the kind and each member's type, matrix bits and ``p`` bits, or the
     exception's type and message."""
@@ -1137,6 +1157,181 @@ class TestStackedGateRead:
                         assert not accepted
                     else:
                         assert accepted
+
+
+# -- orjson reads of large family files ---------------------------------------------
+
+
+def _raw_tokens(document, **dumps) -> str:
+    """``json.dumps(document, **dumps)`` with every string ``"@token"`` written as the bare ``token``."""
+    return re.sub(r'"@([^"]*)"', r"\1", json.dumps(document, **dumps))
+
+
+def _read_by_json(path):
+    """What ``load_family_file`` gave before ``orjson``: the file's text through ``json`` alone."""
+    return cli._family_from_json(cli._read_json_object(path, "family file"))
+
+
+def _outcome(read, *args):
+    """``read(*args)`` pickled, so that arrays compare bit for bit and options by type, or its error."""
+    try:
+        return pickle.dumps(read(*args))
+    except SchemaError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def big_gate_document():
+    """A commuting ``d=16``, ``n=32`` gate family, 369 KB as ``json.dumps`` writes it."""
+    us = [u.matrix for u in random_commuting_family(np.random.default_rng(256), 16, 32)]
+    return {"version": "1", "kind": "gate", "members": [{"type": "unitary", "matrix": _matrix_json(u)} for u in us]}
+
+
+_DEEP = "[" * 100000 + "]" * 100000
+
+
+def _signed_permutations(document):
+    """Members 0-3 as signed permutations of integer tokens ``0``, ``-0``, ``1`` and ``-1``."""
+    for k, member in enumerate(document["members"][:4]):
+        matrix = [[["@0", "@-0"] for _ in range(16)] for _ in range(16)]
+        for column in range(16):
+            matrix[(column * (2 * k + 3)) % 16][column] = ["@-1" if (column + k) % 3 else "@1", "@0"]
+        member["matrix"] = matrix
+
+
+def _on_text(edit):
+    """A case that edits the document's ``json.dumps`` text."""
+    return lambda document: edit(json.dumps(document))
+
+
+def _on_document(edit):
+    """A case that edits the document, then writes it with :func:`_raw_tokens`."""
+    def written(document):
+        edit(document)
+        return _raw_tokens(document)
+    return written
+
+
+def _entry(token):
+    return _on_document(lambda document: document["members"][3]["matrix"][2][5].__setitem__(0, token))
+
+
+def _options(options):
+    return _on_document(lambda document: document.update(options=options))
+
+
+# name: (the text of an edited copy of the d=16, n=32 document; whether orjson's reading is kept)
+_LARGE_FAMILY_CASES = {
+    "top-level-array": (_on_text(lambda text: "[" + text + "]"), False),
+    "deep-under-a-top-level-key": (_on_text(lambda text: text[:-1] + ', "pad": ' + _DEEP + "}"), False),
+    # the escaped quote shifts every later quote by one: a scan that paired quotes blindly would see only "{}"
+    "deep-behind-an-escaped-quote": (_on_text(lambda text: '{"pad\\"": 0, "}": ' + _DEEP + ", " + text[1:]), False),
+    "deep-under-a-member-key": (_on_text(lambda text: text.replace('{"type"', '{"pad": ' + _DEEP + ', "type"', 1)),
+                                False),
+    "seed-of-2**64": (_options({"seed": 2**64}), False),
+    "seed-of-2**64-1": (_options({"seed": 2**64 - 1}), True),
+    "tol-of-2**70": (_options({"tol": 2**70}), False),
+    "options-of-every-type": (_options({"tol": 1e-9, "verify_tol": 1, "seed": 7}), True),
+    "NaN-entry": (_entry("@NaN"), False),
+    "Infinity-entry": (_entry("@Infinity"), False),
+    "1e400-entry": (_entry("@1e400"), False),
+    "byte-order-mark": (_on_text(lambda text: "\ufeff" + text), False),
+    "duplicate-kind": (_on_text(lambda text: '{"kind": "classical", ' + text[1:]), True),
+    "duplicate-members": (_on_text(lambda text: '{"members": [{"type": "unitary", "matrix": [[[1, 0]]]}], ' + text[1:]),
+                          True),
+    "integer-tokens": (_on_document(_signed_permutations), True),
+    "20-digit-integer-entry": (_entry("@12345678901234567890"), False),
+    "ragged-row": (_on_document(lambda document: document["members"][5]["matrix"][3].pop()), False),
+    "true-entry": (_entry(True), False),
+    "non-unitary-member": (_entry(0.5), False),
+    "mixed-unitary-and-kraus": (_on_document(lambda document: document["members"][9].update(
+        type="kraus", ops=[document["members"][9].pop("matrix")])), False),
+}
+
+
+class TestLargeFamilyFiles:
+    """A family file of at least 256 KiB is parsed by orjson, with the members, options, messages, exit codes
+    and output that json's reading gives."""
+
+    @pytest.mark.parametrize("name", list(_LARGE_FAMILY_CASES))
+    def test_orjson_reads_as_json_reads(self, name, big_gate_document, tmp_path, capsys):
+        edit, kept = _LARGE_FAMILY_CASES[name]
+        text = edit(copy.deepcopy(big_gate_document))
+        assert len(text) >= cli._ORJSON_MIN
+        assert (cli._family_by_orjson(text) is not None) == kept
+        path = tmp_path / "family.json"
+        path.write_text(text)
+        assert _outcome(load_family_file, path) == _outcome(_read_by_json, path)
+        decided = main(["decide", str(path)]), capsys.readouterr()
+        with mock.patch.object(cli, "_family_by_orjson", lambda text: None):
+            assert (main(["decide", str(path)]), capsys.readouterr()) == decided
+
+    def test_nesting_that_overflows_orjsons_stack_is_left_to_json(self, tmp_path):
+        # orjson 3.8 ends the process with SIGSEGV on these 200000 brackets; json raises RecursionError
+        path = tmp_path / "deep.json"
+        path.write_text('{"version": "1", "pad": ' + "[" * 200000 + "]" * 200000 + "}")
+        done = subprocess.run([sys.executable, "-m", "channelmask.cli", "decide", str(path)], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)},
+                              timeout=120)
+        assert done.returncode == EXIT_ERROR
+        assert done.stderr.startswith(f"error: {path}: not valid JSON (maximum recursion depth exceeded")
+
+
+_ZERO_SPELLINGS = ("0", "-0", "0.0", "-0.0", "0e0", "-0E-5", "5e-324", "-4.9406564584124654e-324",
+                   "2.2250738585072009e-308", "1e-400")
+
+
+def _spelled(value: float, spelling: str, rng) -> str:
+    """A number token for ``value``: its 17-digit repr, an exponent form or an integer."""
+    if value == 0 and spelling == "zero":
+        return _ZERO_SPELLINGS[rng.integers(len(_ZERO_SPELLINGS))]
+    if value == int(value) and spelling == "integer":
+        return str(int(value))
+    return {"repr": repr, "17g": "%.17g".__mod__, "exponent": "%.16e".__mod__, "Exponent": "%.16E".__mod__,
+            }.get(spelling, repr)(value)
+
+
+@st.composite
+def _spelled_family_texts(draw):
+    """Gate and depolarized family texts, ``d`` 1-16 and ``n`` 1-32, as ``json.dumps`` writes them at a random
+    indent and separators, of Haar unitaries and signed permutations whose entries are spelled at random:
+    17-digit reprs, exponent forms, integers, ``-0.0`` and subnormals."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d, n = draw(st.integers(1, 16)), draw(st.integers(1, 32))
+    spellings = draw(st.lists(st.sampled_from(["repr", "17g", "exponent", "Exponent", "integer", "zero"]),
+                              min_size=1, max_size=6, unique=True))
+
+    def token(value):
+        return "@" + _spelled(float(value), spellings[rng.integers(len(spellings))], rng)
+
+    members = []
+    for _ in range(n):
+        if rng.integers(2):
+            u = random_unitary(d, rng)
+        else:
+            u = np.zeros((d, d))
+            u[rng.permutation(d), np.arange(d)] = rng.choice([-1.0, 1.0], d)
+        members.append({"type": "unitary", "matrix": [[[token(v.real), token(v.imag)] for v in row]
+                                                       for row in u.astype(complex)]})
+    document = {"version": "1", "kind": "gate", "members": members}
+    if draw(st.booleans()):
+        p = draw(st.sampled_from([0.0, 1.0, 0.25, -0.0, 1e-300, 0.7316490272153761, -1e-13, 1 + 1e-13]))
+        for member in members:
+            member.update(type="depolarized_unitary", p=token(p))
+        document["kind"] = "depolarized"
+    if draw(st.booleans()):
+        document["options"] = {"tol": token(draw(st.sampled_from([1e-8, 3e-7, 1.0]))),
+                               "seed": draw(st.integers(0, 2**63 - 1))}
+    return _raw_tokens(document, indent=draw(st.sampled_from([None, 0, 1, 2, "\t"])),
+                       separators=draw(st.sampled_from([None, (",", ":"), (", ", ": "), (" ,\n", " : ")])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=_spelled_family_texts())
+def test_orjsons_family_is_jsons_bit_for_bit_or_both_refuse(text):
+    read = _outcome(cli._family_by_orjson, text)
+    expected = _outcome(lambda: cli._family_from_json(cli._read_json_object("family", "family file", text)))
+    assert read == (pickle.dumps(None) if isinstance(expected, tuple) else expected)
 
 
 class TestIdentityKinds:
