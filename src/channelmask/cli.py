@@ -114,11 +114,28 @@ def _collector_paused(read: Callable) -> Callable:
     return paused
 
 
-def _read_json_object(path, what: str, text: str | None = None) -> dict:
+def _not_json(path, exc: Exception) -> SchemaError:
+    return SchemaError(f"{path}: not valid JSON ({exc})")
+
+
+def _read_text(path) -> str:
     try:
-        raw = json.loads(Path(path).read_text() if text is None else text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: arrays or objects nested too deep
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+        return Path(path).read_text()
+    except ValueError as exc:  # UnicodeDecodeError: bytes that are not text
+        raise _not_json(path, exc) from exc
+
+
+# What json.loads raises on text that is not a JSON document: JSONDecodeError and the ValueError of an
+# integer over Python's digit limit, or RecursionError for arrays or objects nested too deep.
+_JSON_ERRORS = (ValueError, RecursionError)
+
+
+def _read_json_object(path, what: str, text: str | None = None) -> dict:
+    text = _read_text(path) if text is None else text
+    try:
+        raw = json.loads(text)
+    except _JSON_ERRORS as exc:
+        raise _not_json(path, exc) from exc
     _expect(isinstance(raw, dict), f"{what}: top level must be an object")
     return raw
 
@@ -350,7 +367,7 @@ def _family_by_orjson(text: str) -> FamilyFile | None:
 
 @_collector_paused
 def load_family_file(path) -> FamilyFile:
-    text = Path(path).read_text()
+    text = _read_text(path)
     family = _family_by_orjson(text) if len(text) >= _ORJSON_MIN else None
     return _family_from_json(_read_json_object(path, "family file", text)) if family is None else family
 
@@ -411,7 +428,7 @@ def _masker_from_layout(text: str) -> tuple[np.ndarray, BipartiteDims] | None:
         if row != zero:
             try:
                 rows.append(json.loads("[" + row + "]"))
-            except (json.JSONDecodeError, RecursionError):
+            except _JSON_ERRORS:
                 return None
             nonzero.append(count)
         count += 1
@@ -429,7 +446,7 @@ def _masker_from_layout(text: str) -> tuple[np.ndarray, BipartiteDims] | None:
 @_collector_paused
 def load_masker_file(path) -> Masker:
     """Read a masker file; the writer's layout is read row by row, any other text through ``json``."""
-    text = Path(path).read_text()
+    text = _read_text(path)
     if (layout := _masker_from_layout(text)) is not None:
         return Masker(*layout)
     raw = _read_json_object(path, "masker file", text)

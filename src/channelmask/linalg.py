@@ -150,25 +150,25 @@ def as_complex_matrix(m, name: str = "matrix", stack: bool = False) -> np.ndarra
 
 
 def partial_trace(m, dims: BipartiteDims, side: str) -> np.ndarray:
-    """Trace out one factor of an operator, or of each in a stack ``(..., n, n)``, on a bipartite space.
+    """Trace out one factor of an operator on a bipartite space.
 
     ``side`` names the subsystem that is discarded: ``"A"`` returns the
-    operator left on B, ``"B"`` the operator left on A.  Each matrix of a
-    stack gives the bits of its own 2-d call.
+    operator left on B, ``"B"`` the operator left on A.  No package code
+    calls it; the tests check verification against it.
     """
-    arr = as_complex_matrix(m, "m", stack=True)
-    if arr.shape[-2] != arr.shape[-1]:
+    arr = as_complex_matrix(m, "m")
+    if arr.shape[0] != arr.shape[1]:
         raise ValueError("partial trace needs a square matrix")
-    if arr.shape[-1] != dims.total:
+    if arr.shape[0] != dims.total:
         raise ValueError(
-            f"matrix size {arr.shape[-1]} does not match factors "
+            f"matrix size {arr.shape[0]} does not match factors "
             f"{dims.dim_a} x {dims.dim_b}"
         )
-    four = arr.reshape(*arr.shape[:-2], dims.dim_a, dims.dim_b, dims.dim_a, dims.dim_b)
+    four = arr.reshape(dims.dim_a, dims.dim_b, dims.dim_a, dims.dim_b)
     if side == "A":
-        return np.trace(four, axis1=-4, axis2=-2)
+        return np.trace(four, axis1=0, axis2=2)
     if side == "B":
-        return np.trace(four, axis1=-3, axis2=-1)
+        return np.trace(four, axis1=1, axis2=3)
     raise ValueError("side must be 'A' or 'B'")
 
 

@@ -194,9 +194,12 @@ class PauliAxis:
     constant: float
 
     def copy_rows(self, members=(), tol: float = DECISION_TOL) -> np.ndarray:
-        """Rows ``<u+|`` and ``<u-|`` from the eigenvectors of ``sigma_axis``."""
+        """Rows ``<u+|`` and ``<u-|`` from the eigenvectors of ``sigma_axis``, once the spread of
+        ``p0 + p_axis`` over the ``members`` given is within ``tol``, as :func:`decide_pauli_family` reads it."""
         if self.axis not in _AXIS_SIGMA:
             raise ValueError(f"axis must be one of {AXES}")
+        if members and not _spread(_axis_sums(pauli_members(members))[self.axis]) <= tol:  # a NaN tol refuses
+            raise ValueError(f"p0 + p_{self.axis} is not constant across the family")
         vectors = fix_column_phases(np.linalg.eigh(_AXIS_SIGMA[self.axis])[1])  # eigenvalues ascend
         return vectors[:, ::-1].conj().T
 
@@ -246,10 +249,13 @@ class Fourier:
 
     def copy_rows(self, members=(), tol: float = DECISION_TOL) -> np.ndarray:
         """Entries ``w^{kj} / sqrt(d)``, ``w = exp(2 pi i / d)``: the masker's columns are
-        orthonormal and its marginals maximally mixed, so every classical channel is masked."""
+        orthonormal and its marginals maximally mixed, so every classical channel with ``d`` output
+        symbols is masked; the ``members`` given must be such a family."""
         d = _integer(self.dim, "dimension")
         if d < 1:
             raise ValueError("dimension must be at least 1")
+        if members and (out_size := classical_members(members)[0].out_size) != d:
+            raise ValueError(f"the family's output alphabet has {out_size} symbols, not {d}")
         return np.array([[np.exp(2j * np.pi * k * j / d) / np.sqrt(d) for j in range(d)] for k in range(d)])
 
     def to_json(self) -> dict:
@@ -452,6 +458,16 @@ def decide_gate_family(members, tol: float = DECISION_TOL, seed: int = 0) -> Mas
 # -- Pauli channel families ---------------------------------------------------
 
 
+def _axis_sums(members: list) -> dict:
+    """``p0 + p_axis`` of each member, for each axis."""
+    table = np.array([p.probabilities for p in members])
+    return {axis: table[:, 0] + table[:, idx] for axis, idx in zip(AXES, (1, 2, 3))}
+
+
+def _spread(sums: np.ndarray) -> float:
+    return float(sums.max() - sums.min())
+
+
 def decide_pauli_family(ps, tol: float = DECISION_TOL) -> MaskingDecision:
     """Maskability of Pauli channels: some ``p0 + p_k`` must be constant.
 
@@ -462,16 +478,11 @@ def decide_pauli_family(ps, tol: float = DECISION_TOL) -> MaskingDecision:
     members = pauli_members(ps)
     if len(members) == 1:
         return _maskable(Trivial())
-    table = np.array([p.probabilities for p in members])
-    spreads = {}
-    means = {}
-    for axis, idx in zip(AXES, (1, 2, 3)):
-        sums = table[:, 0] + table[:, idx]
-        spreads[axis] = float(sums.max() - sums.min())
-        means[axis] = float(sums.mean())
+    sums = _axis_sums(members)
+    spreads = {axis: _spread(sums[axis]) for axis in AXES}
     for axis in AXES:
         if spreads[axis] <= tol:
-            return _maskable(PauliAxis(axis, means[axis]))
+            return _maskable(PauliAxis(axis, float(sums[axis].mean())))
     return _not_maskable(NoConstantAxis(spreads))
 
 

@@ -6,21 +6,21 @@ are, so comparing them is a complete equality test.  Deviations are
 aggregated with max (masking is a worst-case property over inputs and family
 members).
 
-The masker alone picks one of two routes at every input dimension, by
-whether :func:`_copy_rows` finds copy rows in it.  A copy masker (``d x d``
-factors, every row other than ``k*(d+1)`` exactly zero, as every masker this
-package writes) shows both sides one map, ``rho -> diag(R E(rho) R^dag)``
-for its copy rows ``R``, whose Choi matrix is ``d`` blocks of size
-``din x din``: block ``k`` holds ``(R E(|i><j|) R^dag)[k, k]`` at
-``[i, j]``.  Unitary, depolarized and Kraus members take these from the
-Kraus-form formula with one copy row per block; Pauli members from their
-images of the four ``|i><j|``; classical members, whose ``E(|i><j|)`` is
-``delta_ij diag(P[:, i])``, from the real diagonals of
+The masker alone picks one of two routes at every input dimension, in
+:func:`_views`, by whether :func:`_copy_rows` finds copy rows in it.  A copy
+masker (``d x d`` factors, every row other than ``k*(d+1)`` exactly zero, as
+every masker this package writes) shows both sides one map,
+``rho -> diag(R E(rho) R^dag)`` for its copy rows ``R``, whose Choi matrix is
+``d`` blocks of size ``din x din``: block ``k`` holds
+``(R E(|i><j|) R^dag)[k, k]`` at ``[i, j]``.  Unitary, depolarized and Kraus
+members take these from the Kraus-form formula with one copy row per block;
+Pauli members from their images of the four ``|i><j|``; classical members,
+whose ``E(|i><j|)`` is ``delta_ij diag(P[:, i])``, from the real diagonals of
 ``R diag(P[:, i]) R^dag``.  Those forms give the round-off digits (such as
 ``1.570e-16``, or an exact ``0.0``) the CLI prints for ``samples/``.  Any
-other masker goes member by member through the Kraus-form formula, with no
-dimension cap.  A view may hold up to ``2**24`` entries, and so may a
-member's blocks.
+other masker goes member by member through :func:`reduced_channel_choi`, the
+Kraus-form formula for any masker, with no dimension cap.  A view may hold up
+to ``2**24`` entries, and so may a member's blocks.
 """
 
 from __future__ import annotations
@@ -62,16 +62,9 @@ class VerificationReport:
 
 
 def reduced_channel_choi(masker: Masker, spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Choi matrices ``(seen_by_a, seen_by_b)`` of ``rho -> Tr_B[M E(rho) M^dag]`` and ``Tr_A[...]``.
-
-    A copy masker's blocks are set in place (block ``k`` is the entries
-    ``[(i, k), (j, k)]``); any other masker's views come from the Kraus-form
-    formula, which is how :func:`_views` sees such a masker, member by member.
-    """
-    rows = _copy_rows(masker, spec)
-    if rows is not None:
-        view = _dense(_copy_blocks(rows, spec))
-        return view, view.copy()
+    """Choi matrices ``(seen_by_a, seen_by_b)`` of ``rho -> Tr_B[M E(rho) M^dag]`` and ``Tr_A[...]``, from the
+    Kraus-form formula for any masker."""
+    _check_input_dim(masker, spec)
     g = masker.matrix.reshape(masker.dims.dim_a, masker.dims.dim_b, -1)  # G_b = g[:, b] for A's view
     return _kraus_choi(g.transpose(1, 0, 2)[None], spec)[0], _kraus_choi(g[None], spec)[0]
 
@@ -79,11 +72,18 @@ def reduced_channel_choi(masker: Masker, spec: ChannelSpec) -> tuple[np.ndarray,
 def _views(masker: Masker, members: list) -> tuple:
     """``(views_a, views_b)``, what A and what B see of each member, from the route the masker picks (see the
     module docstring).  Copy blocks come as ``views_b is views_a``."""
-    rows = _copy_rows(masker, members[0])
+    _check_input_dim(masker, members[0])
+    rows = _copy_rows(masker)
     if rows is None:
         return tuple(zip(*(reduced_channel_choi(masker, spec) for spec in members)))
     blocks = [_copy_blocks(rows, spec) for spec in members]
     return blocks, blocks
+
+
+def _check_input_dim(masker: Masker, spec: ChannelSpec) -> None:
+    dout = channel_dims(spec)[1]
+    if masker.input_dim != dout:
+        raise ValueError(f"masker input dimension {masker.input_dim} does not match channel output {dout}")
 
 
 def _check_view_entries(entries: int) -> None:
@@ -100,16 +100,12 @@ def _dense(blocks: np.ndarray) -> np.ndarray:
     return view.reshape(din * d, din * d)
 
 
-def _copy_rows(masker: Masker, spec: ChannelSpec):
-    """The rows ``R`` a copy masker writes to ``|kk>``, or ``None`` for any other masker; the masker must
-    take the output of ``spec``.
+def _copy_rows(masker: Masker):
+    """The rows ``R`` a copy masker writes to ``|kk>``, or ``None`` for any other masker.
 
     A copy masker has ``d x d`` factors and every row other than ``k*(d+1)``
     exactly zero; the test reads the matrix, not how it was made.
     """
-    dout = channel_dims(spec)[1]
-    if masker.input_dim != dout:
-        raise ValueError(f"masker input dimension {masker.input_dim} does not match channel output {dout}")
     d = masker.dims.dim_a
     if masker.dims.dim_b != d:
         return None

@@ -19,7 +19,7 @@ import numpy as np
 import channelmask
 from channelmask import channels, cli, linalg, masking, verify
 
-from helpers import loop_reduced_channel_choi
+from helpers import loop_reduced_channel_choi, random_isometry, random_kraus_channel, random_unitary
 
 TESTS = Path(__file__).resolve().parent
 README = TESTS.parent / "README.md"
@@ -114,6 +114,37 @@ def test_the_benchmark_tracer_counts_the_copy_blocks_of_a_family(monkeypatch):
     assert report == verify._report(*zip(*(loop_reduced_channel_choi(masker, spec) for spec in family)), 1e-9)
     assert "verify.reduced_channel_choi" not in tracer.layers()
     assert tracer.calls == {"channels.apply": 2}
+
+
+def test_the_benchmark_tracer_sees_reduced_channel_choi_take_the_kraus_form_on_a_copy_masker(monkeypatch):
+    # reduced_channel_choi is the general route for every masker: on a copy
+    # masker each call records its one span and takes no copy blocks, and
+    # both views are the loop's.
+    def refused(*args):
+        raise AssertionError("verify._copy_blocks was called")
+
+    monkeypatch.setattr(verify, "_copy_blocks", refused)
+    rng = np.random.default_rng(33)
+    u = random_unitary(3, rng)
+    members = [channels.Unitary(u), channels.DepolarizedUnitary(0.37, u), random_kraus_channel(rng, 3, 2, 2),
+               channels.random_classical_channel(3, 4, rng), channels.PauliFourVector(*rng.dirichlet(np.ones(4)))]
+    maskers = [masking.copy_masker(random_isometry(rng, dout + 1, dout))
+               for dout in (channels.channel_dims(spec)[1] for spec in members)]
+    pipeline = _perfbench_module("pipeline", monkeypatch)
+    tracer = _perfbench_module("tracing", monkeypatch).Tracer()
+    pipeline.instrument(tracer)
+    tracer.active = True
+    try:
+        views = [verify.reduced_channel_choi(masker, spec) for masker, spec in zip(maskers, members)]
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert [span[0] for span in tracer.spans] == ["verify.reduced_channel_choi"] * len(members)
+    assert tracer.errors == {}
+    for masker, spec, pair in zip(maskers, members, views):
+        for view, loop in zip(pair, loop_reduced_channel_choi(masker, spec)):
+            assert view.shape == loop.shape
+            assert np.abs(view - loop).max() <= 1e-15
 
 
 def test_the_benchmark_tracer_counts_one_classical_search(monkeypatch, capsys):

@@ -830,6 +830,35 @@ def test_deeply_nested_json_is_an_input_error(role, gate_family, tmp_path, capsy
     assert f"error: {deep}: not valid JSON (maximum recursion depth exceeded" in capsys.readouterr().err
 
 
+# Over Python's limit of 4300 digits for an int read from a string, so json.loads raises ValueError.
+_LONG_INTEGER = "7" * 5001
+
+
+@pytest.mark.parametrize("role, content", [
+    ("decide", "long-integer"), ("decide-large", "long-integer"), ("verify-masker", "long-integer"),
+    ("bloch", "long-integer"), ("decide", "not-utf-8"), ("verify-masker", "not-utf-8"), ("bloch", "not-utf-8"),
+])
+def test_a_file_json_cannot_read_is_refused_with_its_path(role, content, gate_family, big_gate_document, tmp_path,
+                                                          capsys):
+    bad = tmp_path / "bad.json"
+    if role == "verify-masker":
+        save_masker_file(bad, copy_masker(np.eye(2)))
+        text = bad.read_text().replace("1.0", _LONG_INTEGER, 1)  # in the first nonzero row
+        assert cli._masker_from_layout(text) is None
+    elif role == "decide-large":
+        text = _entry("@" + _LONG_INTEGER)(copy.deepcopy(big_gate_document))
+        assert len(text) >= cli._ORJSON_MIN and cli._family_by_orjson(text) is None
+    else:
+        text = Path(gate_family).read_text()[:-1] + ', "pad": ' + _LONG_INTEGER + "}"
+    bad.write_bytes(b"\xff\xfe" + text.encode() if content == "not-utf-8" else text.encode())
+    argv = {"decide": ["decide", str(bad)], "decide-large": ["decide", str(bad)],
+            "verify-masker": ["verify", gate_family, str(bad)], "bloch": ["bloch", str(bad)]}[role]
+    assert main(argv) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not valid JSON (")
+    assert ("Exceeds the limit (4300 digits)" if content == "long-integer" else "can't decode byte 0xff") in err
+
+
 def _entry_cases(tmp_path):
     """A maskable sample (exit 0), a sample that is refused (exit 1) and a malformed file (exit 2)."""
     odd = tmp_path / "odd.json"

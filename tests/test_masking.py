@@ -444,6 +444,20 @@ class TestSynthesizePauliMasker:
         with pytest.raises(ValueError):
             copy_masker(PauliAxis("w", 0.0).copy_rows())
 
+    def test_a_family_the_decider_refuses_is_refused(self):
+        family = [bit_flip(0.1), dephasing(0.3)]
+        assert not decide_pauli_family(family).maskable
+        with pytest.raises(ValueError, match=r"^p0 \+ p_x is not constant across the family$"):
+            PauliAxis("x", 0.5).copy_rows(family)
+        with pytest.raises(ValueError, match="^pauli family members must be PauliFourVector$"):
+            PauliAxis("z", 0.0).copy_rows([Unitary(np.eye(2))])
+
+    def test_a_nan_tolerance_refuses(self):
+        family = [dephasing(0.2), dephasing(0.4)]
+        assert_allclose(PauliAxis("z", 1.0).copy_rows(family, 0.0), PauliAxis("z", 1.0).copy_rows(), atol=0)
+        with pytest.raises(ValueError, match=r"^p0 \+ p_z is not constant across the family$"):
+            PauliAxis("z", 1.0).copy_rows(family, float("nan"))
+
     def test_refused_family_masker_fails_loudly(self):
         family = [depolarizing(0.2), depolarizing(0.8)]
         assert not decide_pauli_family(family).maskable
@@ -713,6 +727,16 @@ class TestClassicalMasking:
         # read with operator.index: a float is refused, not passed to range()
         with pytest.raises(ValueError, match=r"^dimension must be an integer, got 2\.0$"):
             Fourier(2.0).copy_rows()
+
+    def test_fourier_refuses_a_family_it_does_not_fit(self):
+        rng = np.random.default_rng(14)
+        family = [random_classical_channel(2, 3, rng) for _ in range(2)]
+        assert_allclose(decide_classical_family(family).certificate.copy_rows(family), Fourier(3).copy_rows(),
+                        atol=0)
+        with pytest.raises(ValueError, match=r"^the family's output alphabet has 3 symbols, not 2$"):
+            Fourier(2).copy_rows(family)
+        with pytest.raises(ValueError, match="^classical family members must be ClassicalChannel$"):
+            Fourier(2).copy_rows([Unitary(np.eye(2))] * 3)
 
     def test_fourier_universality(self):
         rng = np.random.default_rng(13)

@@ -307,6 +307,26 @@ def test_maskable_identity_family_near_threshold_gets_a_masker(size, tol, decade
 
 
 @settings(max_examples=60, deadline=None)
+@given(size=st.integers(2, 5), tol=st.sampled_from([0.0, 1e-15, 1e-8, 1e-3]), scale=st.sampled_from([0.5, 1.0, 2.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_maskable_pauli_family_near_threshold_gets_a_masker(size, tol, scale, seed):
+    # p0 + p_axis varies by up to scale * tol, so the spread straddles the
+    # threshold: the certificate checks it at tol as the decider does
+    rng = np.random.default_rng(seed)
+    axis = int(rng.integers(1, 4))
+    members = []
+    for _ in range(size):
+        p = np.zeros(4)
+        p[0], p[axis] = (0.6 + scale * tol * rng.uniform(-0.5, 0.5)) * rng.dirichlet([1.0, 1.0])
+        p[[k for k in (1, 2, 3) if k != axis]] = (1.0 - p[0] - p[axis]) * rng.dirichlet([1.0, 1.0])
+        members.append(PauliFourVector(*p))
+    family = FamilyFile("1", "pauli", tuple(members), {})
+    decision = decide_family(family, tol, 0)
+    if decision.maskable:
+        synthesize_family_masker(family, decision, tol)
+
+
+@settings(max_examples=60, deadline=None)
 @given(dim=st.integers(1, 8), size=st.integers(2, 5), share=st.floats(0.0, 0.99),
        tol=st.sampled_from([1e-12, 1e-11, 1e-10, 1e-8, 1e-5]), seed=st.integers(0, 2**32 - 1))
 def test_gates_unitary_within_their_bound_pass_the_unitarity_check_at_any_tolerance(dim, size, share, tol, seed):

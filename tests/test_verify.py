@@ -583,8 +583,9 @@ class TestCopyMaskerClosedForm:
         assert report.max_deviation_a == report.max_deviation_b
 
     @pytest.mark.parametrize("kind,din,dout", [("classical", 1, 40), ("classical", 4, 17), ("unitary", 5, 5)])
-    def test_reduced_channel_choi_sets_the_blocks_in_place(self, kind, din, dout, monkeypatch):
-        # Over the stack bound a copy masker's views are its d blocks on the entries [(i, k), (j, k)].
+    def test_reduced_channel_choi_takes_the_kraus_form(self, kind, din, dout, monkeypatch):
+        # reduced_channel_choi is the Kraus-form formula for a copy masker too: no channel applied, no
+        # partial trace, and two views of their own.
         rng = np.random.default_rng(din * dout)
         spec = random_classical_channel(din, dout, rng) if kind == "classical" else Unitary(random_unitary(din, rng))
         masker = copy_masker(random_unitary(dout, rng))
