@@ -681,15 +681,15 @@ def cmd_demo_classical(args) -> int:
 
     search = classical_no_go_search(dim, perms)
 
-    masker = masking.copy_masker(Fourier(dim).copy_rows())
     perm_channels = [ClassicalChannel(np.eye(dim)[:, list(p)]) for p in perms]
     rng = np.random.default_rng(seed)
     random_channels = [random_classical_channel(dim, dim, rng) for _ in range(3)]
-    # A copy masker: both sides see each channel's copy blocks, densified once for the distance from 1/d.
-    blocks, _ = verify._views(masker, perm_channels + random_channels)
+    channels = perm_channels + random_channels
+    masker = masking.copy_masker(Fourier(dim).copy_rows(channels))
+    # Both sides see each channel's copy blocks; the rest of a view is zero, as is 1/d's, so blocks give the distance.
+    blocks, _ = verify._views(masker, channels)
     report = verify._report(blocks, blocks, tol)
-    target = np.eye(dim * dim) / dim
-    marginal_dev = max(float(np.linalg.norm(verify._dense(b) - target)) for b in blocks)
+    marginal_dev = max(float(np.linalg.norm(b - np.eye(dim) / dim)) for b in blocks)
 
     if args.json:
         payload = {

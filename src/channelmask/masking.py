@@ -145,18 +145,21 @@ class Masker:
 # -- certificates (which basis the masker copies) -----------------------------
 #
 # Every masker copies a basis: ``|v_k> -> |kk>`` (see :func:`copy_masker`).
-# A certificate's ``copy_rows(members, tol)`` returns ``V^dag``, the rows the
-# masker copies, after checking the certificate against the family's
-# ``members``; a gate family (with or without depolarizing noise) carries its
-# gates in its members.
+# A certificate's ``copy_rows(members, tol)`` checks itself against the
+# family's ``members`` as its decider reads them, then returns ``V^dag``, the
+# rows the masker copies; a gate family (with or without depolarizing noise)
+# carries its gates in its members.
 
 
 def _integer(value, what: str) -> int:
-    """``value`` read with ``operator.index``: a float is refused with ``ValueError``, not truncated."""
+    """``value`` read with ``operator.index``: a float or a bool is refused with ``ValueError``, not truncated or
+    read as 0 or 1."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+        pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 @record
@@ -166,7 +169,7 @@ class CommonEigenbasis:
     basis: np.ndarray
     reference_index: int = 0
 
-    def copy_rows(self, members=(), tol: float = DECISION_TOL) -> np.ndarray:
+    def copy_rows(self, members, tol: float = DECISION_TOL) -> np.ndarray:
         """``basis^dag U_ref^dag``, once ``basis`` diagonalizes every relative gate within ``tol * dim``."""
         us = [m.matrix for m in _members(members, "family", _GATE_KINDS, "one dimension")]
         basis = as_complex_matrix(self.basis, "basis")
@@ -193,13 +196,17 @@ class PauliAxis:
     axis: str
     constant: float
 
-    def copy_rows(self, members=(), tol: float = DECISION_TOL) -> np.ndarray:
-        """Rows ``<u+|`` and ``<u-|`` from the eigenvectors of ``sigma_axis``, once the spread of
-        ``p0 + p_axis`` over the ``members`` given is within ``tol``, as :func:`decide_pauli_family` reads it."""
+    def copy_rows(self, members, tol: float = DECISION_TOL) -> np.ndarray:
+        """Rows ``<u+|`` and ``<u-|`` from the eigenvectors of ``sigma_axis``, once ``p0 + p_axis`` over the
+        ``members`` has a spread within ``tol`` and a mean within ``tol`` of ``constant``, as
+        :func:`decide_pauli_family` reads and records them."""
         if self.axis not in _AXIS_SIGMA:
             raise ValueError(f"axis must be one of {AXES}")
-        if members and not _spread(_axis_sums(pauli_members(members))[self.axis]) <= tol:  # a NaN tol refuses
+        sums = _axis_sums(pauli_members(members))[self.axis]
+        if not _spread(sums) <= tol:  # a NaN tol refuses
             raise ValueError(f"p0 + p_{self.axis} is not constant across the family")
+        if not abs(self.constant - float(sums.mean())) <= tol:  # so does a NaN constant
+            raise ValueError(f"p0 + p_{self.axis} is not {self.constant!r} across the family")
         vectors = fix_column_phases(np.linalg.eigh(_AXIS_SIGMA[self.axis])[1])  # eigenvalues ascend
         return vectors[:, ::-1].conj().T
 
@@ -213,7 +220,7 @@ class FixedPointAxis:
 
     direction: np.ndarray
 
-    def copy_rows(self, members=(), tol: float = DECISION_TOL) -> np.ndarray:
+    def copy_rows(self, members, tol: float = DECISION_TOL) -> np.ndarray:
         """``U^dag`` for a unitary with ``U|0>`` on ``direction``, once every member fixes it.
 
         A member fixes ``direction`` as in :func:`decide_identity_family`: it
@@ -247,14 +254,14 @@ class Fourier:
 
     dim: int
 
-    def copy_rows(self, members=(), tol: float = DECISION_TOL) -> np.ndarray:
+    def copy_rows(self, members, tol: float = DECISION_TOL) -> np.ndarray:
         """Entries ``w^{kj} / sqrt(d)``, ``w = exp(2 pi i / d)``: the masker's columns are
         orthonormal and its marginals maximally mixed, so every classical channel with ``d`` output
-        symbols is masked; the ``members`` given must be such a family."""
+        symbols is masked; the ``members`` must be such a family."""
         d = _integer(self.dim, "dimension")
         if d < 1:
             raise ValueError("dimension must be at least 1")
-        if members and (out_size := classical_members(members)[0].out_size) != d:
+        if (out_size := classical_members(members)[0].out_size) != d:
             raise ValueError(f"the family's output alphabet has {out_size} symbols, not {d}")
         return np.array([[np.exp(2j * np.pi * k * j / d) / np.sqrt(d) for j in range(d)] for k in range(d)])
 
@@ -266,9 +273,14 @@ class Fourier:
 class Trivial:
     """Constant or single-member family: any isometry masks it."""
 
-    def copy_rows(self, members=(), tol: float = DECISION_TOL) -> np.ndarray:
-        """``U_0^dag`` when the first member carries a gate, the identity on the output space otherwise."""
-        spec = _members(members, "family")[0]
+    def copy_rows(self, members, tol: float = DECISION_TOL) -> np.ndarray:
+        """``U_0^dag`` when the first member carries a gate, the identity on the output space otherwise, once the
+        ``members`` are a family the deciders certify as trivial: one member, or :class:`DepolarizedUnitary`
+        members of one ``p <= 0``, one constant channel (see :func:`decide_depolarized_family`)."""
+        members = _members(members, "family")
+        spec = members[0]
+        if len(members) > 1 and not (isinstance(spec, DepolarizedUnitary) and depolarized_members(members)[0].p <= 0.0):
+            raise ValueError("a trivial family has one member, or depolarized members at p = 0")
         return spec.matrix.conj().T if isinstance(spec, _GATE_KINDS) else np.eye(channel_dims(spec)[1], dtype=complex)
 
     def to_json(self) -> dict:

@@ -91,15 +91,6 @@ def _check_view_entries(entries: int) -> None:
         raise ValueError(f"a reduced Choi matrix of {entries} entries exceeds the bound of 2**24 entries")
 
 
-def _dense(blocks: np.ndarray) -> np.ndarray:
-    """The reduced Choi matrix whose only nonzero entries ``[(i, k), (j, k)]`` are ``blocks[k][i, j]``."""
-    d, din, _ = blocks.shape
-    _check_view_entries((din * d) ** 2)
-    view = np.zeros((din, d, din, d), dtype=complex)
-    view[:, np.arange(d), :, np.arange(d)] = blocks
-    return view.reshape(din * d, din * d)
-
-
 def _copy_rows(masker: Masker):
     """The rows ``R`` a copy masker writes to ``|kk>``, or ``None`` for any other masker.
 

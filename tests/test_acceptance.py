@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 from channelmask.channels import (
+    ClassicalChannel,
     DepolarizedUnitary,
     PauliFourVector,
     Unitary,
@@ -139,7 +140,7 @@ def test_criterion_4_constant_axis_pauli_families():
             problems.append(f"grid certified on axis {cert.axis}, expected x")
         if abs(cert.constant - c) > 1e-12:
             problems.append(f"certified constant {cert.constant} differs from {c}")
-        masker = copy_masker(PauliAxis("x", 0.0).copy_rows())
+        masker = copy_masker(PauliAxis("x", c).copy_rows(grid))
         report = verify_masking(masker, grid, 1e-12)
         if not report.passed:
             problems.append(
@@ -149,7 +150,7 @@ def test_criterion_4_constant_axis_pauli_families():
     depol_decision = decide_pauli_family(depol, 1e-8)
     if depol_decision.maskable:
         problems.append("depolarizing family accepted")
-    report = verify_masking(copy_masker(PauliAxis("x", 0.0).copy_rows()), depol, 1e-6)
+    report = verify_masking(copy_masker(PauliAxis("x", 1.0).copy_rows([PauliFourVector(1, 0, 0, 0)])), depol, 1e-6)
     if report.passed or max(report.max_deviation_a, report.max_deviation_b) < 0.05:
         problems.append("depolarizing family not separated by the x masker")
     _report(4, "constant-axis grid certifies (k=x, c=0.6) at 1e-12; depolarizing family refused", problems)
@@ -231,7 +232,7 @@ def test_criterion_7_classical_no_go_and_quantum_masker():
         d = int(rng.integers(2, 7))
         batch = [random_classical_channel(d, d, rng) for _ in range(min(5, 50 - checked))]
         checked += len(batch)
-        masker = copy_masker(Fourier(d).copy_rows())
+        masker = copy_masker(Fourier(d).copy_rows(batch))
         report = verify_masking(masker, batch, 1e-9)
         if not report.passed:
             problems.append(f"Fourier masker failed on a batch at d={d}")
@@ -282,8 +283,8 @@ def test_criterion_9_structural_suite(tmp_path):
     rng = np.random.default_rng(2024_09)
     problems = []
 
-    maskers = [copy_masker(PauliAxis(axis, 0.0).copy_rows()) for axis in ("x", "y", "z")]
-    maskers += [copy_masker(Fourier(d).copy_rows()) for d in range(1, 7)]
+    maskers = [copy_masker(PauliAxis(axis, 1.0).copy_rows([PauliFourVector(1, 0, 0, 0)])) for axis in ("x", "y", "z")]
+    maskers += [copy_masker(Fourier(d).copy_rows([ClassicalChannel(np.eye(d))])) for d in range(1, 7)]
     for _ in range(10):
         dim = int(rng.choice(DIMS))
         fam = random_commuting_family(rng, dim, int(rng.integers(2, 5)))

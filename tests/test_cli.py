@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from channelmask import channels, cli, masking, verify
-from channelmask.channels import Unitary, amplitude_damping
+from channelmask.channels import ClassicalChannel, Unitary, amplitude_damping
 from channelmask.cli import (
     DECISION_TOL,
     EXIT_ERROR,
@@ -385,7 +385,7 @@ class TestSynthesizeAndVerify:
         assert first.read_bytes() == second.read_bytes()
 
     def test_masker_file_round_trip_is_bit_exact(self, tmp_path):
-        masker = copy_masker(Fourier(3).copy_rows())
+        masker = copy_masker(Fourier(3).copy_rows([ClassicalChannel(np.eye(3))]))
         path = tmp_path / "fourier.json"
         save_masker_file(path, masker)
         loaded = load_masker_file(path)

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import tracemalloc
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from channelmask.channels import (
+    ClassicalChannel,
     DepolarizedUnitary,
     KrausChannel,
     PauliFourVector,
@@ -73,6 +75,8 @@ I2 = np.eye(2, dtype=complex)
 SQRT_Z = np.diag([1.0, 1j])
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 COPY2 = copy_masker(I2).matrix
+# The Pauli channel that leaves every state alone: p0 + p_axis is 1 on every axis.
+NO_ERROR = [PauliFourVector(1, 0, 0, 0)]
 
 
 def constant_x_family(c: float, grid: int) -> list:
@@ -310,9 +314,10 @@ class TestGateMembers:
             CommonEigenbasis(np.array([[1.0, 1.0], [0.0, 1.0]])).copy_rows(fam)
 
     def test_common_eigenbasis_refuses_a_reference_index_that_is_not_an_integer(self):
-        # read with operator.index: a float is refused, not used to index the members
-        with pytest.raises(ValueError, match=r"^certificate reference index must be an integer, got 0\.5$"):
-            CommonEigenbasis(I2, reference_index=0.5).copy_rows(gate_family(I2, SIGMA_Z))
+        # read with operator.index: a float or a bool is refused, not used to index the members
+        for index, shown in ((0.5, r"0\.5"), (True, "True")):
+            with pytest.raises(ValueError, match=rf"^certificate reference index must be an integer, got {shown}$"):
+                CommonEigenbasis(I2, reference_index=index).copy_rows(gate_family(I2, SIGMA_Z))
 
     def test_both_gate_kinds_give_the_same_rows(self):
         cert = decide_gate_family(gate_family(SIGMA_X, SIGMA_X @ SIGMA_Z)).certificate
@@ -322,6 +327,19 @@ class TestGateMembers:
         # one member leaves no relative gate to diagonalize
         assert_allclose(CommonEigenbasis(I2).copy_rows(gate_family(SIGMA_X)), SIGMA_X.conj().T, atol=0)
         assert_allclose(Trivial().copy_rows([PauliFourVector(1, 0, 0, 0)]), I2, atol=0)
+
+    def test_trivial_takes_only_the_families_the_deciders_certify_as_trivial(self):
+        gates = gate_family(I2, SIGMA_X, SIGMA_Z)
+        assert not decide_gate_family(gates).maskable
+        with pytest.raises(ValueError, match="^a trivial family has one member, or depolarized members at p = 0$"):
+            Trivial().copy_rows(gates)
+        with pytest.raises(ValueError, match="^a trivial family has one member"):
+            Trivial().copy_rows(depolarized_family(0.3, SIGMA_X, SIGMA_Z))
+        with pytest.raises(ValueError, match="one noise level p"):
+            Trivial().copy_rows((DepolarizedUnitary(0.0, SIGMA_X), DepolarizedUnitary(1e-9, SIGMA_Z)))
+        noise = depolarized_family(0.0, SIGMA_X, SIGMA_Z)
+        assert decide_depolarized_family(noise).certificate == Trivial()
+        assert_allclose(Trivial().copy_rows(noise), SIGMA_X.conj().T, atol=0)
 
 
     @settings(max_examples=80, deadline=None)
@@ -352,6 +370,12 @@ class TestGateMembers:
         assert members is not None
         ws = masking._relative_gates([m.matrix for m in members], 0)
         assert (linalg.isometry_defects(ws) <= 1e-9).all()
+
+
+def test_every_certificate_needs_the_members():
+    for cls in masking.Certificate.__args__:
+        members = inspect.signature(cls.copy_rows).parameters["members"]
+        assert members.default is inspect.Parameter.empty, cls.__name__
 
 
 class TestDecidePauliFamily:
@@ -408,22 +432,22 @@ class TestDecidePauliFamily:
 
 class TestSynthesizePauliMasker:
     def test_axis_x(self):
-        masker = copy_masker(PauliAxis("x", 0.0).copy_rows())
+        masker = copy_masker(PauliAxis("x", 1.0).copy_rows(NO_ERROR))
         expected = np.zeros((4, 2), dtype=complex)
         expected[0] = [1, 1] / np.sqrt(2)
         expected[3] = [1, -1] / np.sqrt(2)
         assert_allclose(masker.matrix, expected, atol=1e-15)
 
     def test_axis_z(self):
-        assert_allclose(copy_masker(PauliAxis("z", 0.0).copy_rows()).matrix, COPY2, atol=1e-15)
+        assert_allclose(copy_masker(PauliAxis("z", 1.0).copy_rows(NO_ERROR)).matrix, COPY2, atol=1e-15)
 
     def test_axis_y(self):
-        masker = copy_masker(PauliAxis("y", 0.0).copy_rows())
+        family = [PauliFourVector(0.5, 0.0, 0.3, 0.2), PauliFourVector(0.2, 0.0, 0.6, 0.2)]
+        masker = copy_masker(PauliAxis("y", 0.8).copy_rows(family))
         expected = np.zeros((4, 2), dtype=complex)
         expected[0] = np.array([1, -1j]) / np.sqrt(2)  # <y+| row
         expected[3] = np.array([1, 1j]) / np.sqrt(2)  # <y-| row
         assert_allclose(masker.matrix, expected, atol=1e-15)
-        family = [PauliFourVector(0.5, 0.0, 0.3, 0.2), PauliFourVector(0.2, 0.0, 0.6, 0.2)]
         assert verify_masking(masker, family, 1e-9).passed
 
     # Bit patterns of (re, im) of each row entry, signed zeros included:
@@ -437,12 +461,12 @@ class TestSynthesizePauliMasker:
 
     @pytest.mark.parametrize("axis", ["x", "y", "z"])
     def test_rows_keep_their_bits(self, axis):
-        rows = np.ascontiguousarray(PauliAxis(axis, 0.0).copy_rows())
+        rows = np.ascontiguousarray(PauliAxis(axis, 1.0).copy_rows(NO_ERROR))
         assert rows.view(np.uint64).tolist() == self.ROW_BITS[axis]
 
     def test_bad_axis(self):
         with pytest.raises(ValueError):
-            copy_masker(PauliAxis("w", 0.0).copy_rows())
+            copy_masker(PauliAxis("w", 1.0).copy_rows(NO_ERROR))
 
     def test_a_family_the_decider_refuses_is_refused(self):
         family = [bit_flip(0.1), dephasing(0.3)]
@@ -452,16 +476,24 @@ class TestSynthesizePauliMasker:
         with pytest.raises(ValueError, match="^pauli family members must be PauliFourVector$"):
             PauliAxis("z", 0.0).copy_rows([Unitary(np.eye(2))])
 
+    def test_a_constant_the_family_does_not_have_is_refused(self):
+        family = [bit_flip(0.1), bit_flip(0.3)]  # p0 + p_x is 1 for both
+        assert decide_pauli_family(family).certificate == PauliAxis("x", 1.0)
+        for constant in (0.5, float("nan")):
+            with pytest.raises(ValueError, match=rf"^p0 \+ p_x is not {constant!r} across the family$"):
+                PauliAxis("x", constant).copy_rows(family)
+        assert_allclose(PauliAxis("x", 1.0 + 1e-9).copy_rows(family), PauliAxis("x", 1.0).copy_rows(family), atol=0)
+
     def test_a_nan_tolerance_refuses(self):
         family = [dephasing(0.2), dephasing(0.4)]
-        assert_allclose(PauliAxis("z", 1.0).copy_rows(family, 0.0), PauliAxis("z", 1.0).copy_rows(), atol=0)
+        assert_allclose(PauliAxis("z", 1.0).copy_rows(family, 0.0), PauliAxis("z", 1.0).copy_rows(NO_ERROR), atol=0)
         with pytest.raises(ValueError, match=r"^p0 \+ p_z is not constant across the family$"):
             PauliAxis("z", 1.0).copy_rows(family, float("nan"))
 
     def test_refused_family_masker_fails_loudly(self):
         family = [depolarizing(0.2), depolarizing(0.8)]
         assert not decide_pauli_family(family).maskable
-        report = verify_masking(copy_masker(PauliAxis("x", 0.0).copy_rows()), family, 1e-6)
+        report = verify_masking(copy_masker(PauliAxis("x", 1.0).copy_rows(NO_ERROR)), family, 1e-6)
         assert not report.passed
         assert max(report.max_deviation_a, report.max_deviation_b) > 1e-6
 
@@ -496,7 +528,7 @@ class TestDecideIdentityPair:
             decide_identity_family([identity_channel(3)])
 
     def test_refused_channels_fail_class_masker(self):
-        masker = copy_masker(PauliAxis("z", 0.0).copy_rows())  # the fixed-axis masker for z
+        masker = copy_masker(PauliAxis("z", 1.0).copy_rows(NO_ERROR))  # the fixed-axis masker for z
         for spec in (amplitude_damping(0.3), depolarizing(0.5)):
             report = verify_masking(masker, [identity_channel(2), spec], 1e-6)
             assert not report.passed
@@ -700,21 +732,21 @@ class TestClassicalMasking:
         assert decision.certificate == Fourier(3)
 
     def test_fourier_masker_d2(self):
-        masker = copy_masker(Fourier(2).copy_rows())
+        masker = copy_masker(Fourier(2).copy_rows([ClassicalChannel(np.eye(2))]))
         expected = np.zeros((4, 2), dtype=complex)
         expected[0] = [1, 1] / np.sqrt(2)
         expected[3] = [1, -1] / np.sqrt(2)
         assert_allclose(masker.matrix, expected, atol=1e-15)
 
     def test_fourier_masker_d1(self):
-        masker = copy_masker(Fourier(1).copy_rows())
+        masker = copy_masker(Fourier(1).copy_rows([ClassicalChannel(np.eye(1))]))
         assert masker.matrix.shape == (1, 1)
         assert masker.matrix[0, 0] == pytest.approx(1.0)
 
     def test_fourier_masker_d3_marginals(self):
         from channelmask.linalg import partial_trace
 
-        masker = copy_masker(Fourier(3).copy_rows())
+        masker = copy_masker(Fourier(3).copy_rows([ClassicalChannel(np.eye(3))]))
         assert is_isometry(masker.matrix, 1e-12)
         for j in range(3):
             column = masker.matrix[:, j]
@@ -724,14 +756,15 @@ class TestClassicalMasking:
                 assert np.linalg.norm(marginal - np.eye(3) / 3) <= 1e-12
 
     def test_fourier_refuses_a_dimension_that_is_not_an_integer(self):
-        # read with operator.index: a float is refused, not passed to range()
-        with pytest.raises(ValueError, match=r"^dimension must be an integer, got 2\.0$"):
-            Fourier(2.0).copy_rows()
+        # read with operator.index: a float or a bool is refused, not passed to range()
+        for dim, shown in ((2.0, r"2\.0"), (True, "True")):
+            with pytest.raises(ValueError, match=rf"^dimension must be an integer, got {shown}$"):
+                Fourier(dim).copy_rows([ClassicalChannel(np.eye(2))])
 
     def test_fourier_refuses_a_family_it_does_not_fit(self):
         rng = np.random.default_rng(14)
         family = [random_classical_channel(2, 3, rng) for _ in range(2)]
-        assert_allclose(decide_classical_family(family).certificate.copy_rows(family), Fourier(3).copy_rows(),
+        assert_allclose(decide_classical_family(family).certificate.copy_rows(family), Fourier(3).copy_rows(family),
                         atol=0)
         with pytest.raises(ValueError, match=r"^the family's output alphabet has 3 symbols, not 2$"):
             Fourier(2).copy_rows(family)
@@ -744,7 +777,7 @@ class TestClassicalMasking:
             din = int(rng.integers(1, 7))
             dout = int(rng.integers(1, 7))
             spec = random_classical_channel(din, dout, rng)
-            masker = copy_masker(Fourier(dout).copy_rows())
+            masker = copy_masker(Fourier(dout).copy_rows([spec]))
             for red in reduced_channel_choi(masker, spec):
                 assert np.linalg.norm(red - np.eye(din * dout) / dout) <= 1e-9
 

@@ -59,14 +59,14 @@ class TestReducedChannelChoi:
 
     def test_fourier_masker_is_constant(self):
         rng = np.random.default_rng(0)
-        masker = copy_masker(Fourier(4).copy_rows())
         spec = random_classical_channel(4, 4, rng)
+        masker = copy_masker(Fourier(4).copy_rows([spec]))
         for red in reduced_channel_choi(masker, spec):
             assert_allclose(red, np.eye(16) / 4, atol=1e-12)
 
     def test_x_axis_masker_on_identity(self):
         # discarding A leaves rho -> <+|rho|+> |0><0| + <-|rho|-> |1><1| on B
-        masker = copy_masker(PauliAxis("x", 0.0).copy_rows())
+        masker = copy_masker(PauliAxis("x", 1.0).copy_rows([PauliFourVector(1, 0, 0, 0)]))
 
         def expected_map(rho):
             return (PLUS.conj() @ rho @ PLUS) * np.diag([1.0, 0.0]) + (
@@ -404,8 +404,9 @@ def _copy_member(kind: str, din: int, rng: np.random.Generator):
 
 
 class TestCopyBlocksAgainstTheLoop:
-    """On copy rows of at most 4 symbols, a member's copy blocks, set in place, are the views of the loop that
-    sends one basis operator at a time through ``apply``, the masker and two partial traces."""
+    """On copy rows of at most 4 symbols, a member's copy blocks are the entries ``[(i, k), (j, k)]`` of the views
+    of the loop that sends one basis operator at a time through ``apply``, the masker and two partial traces, and
+    every other entry of those views is zero."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -421,10 +422,15 @@ class TestCopyBlocksAgainstTheLoop:
         rows = random_isometry(rng, max(symbols, dout), dout)
         masker = copy_masker(rows)
         blocks = verify._copy_blocks(rows, spec)
+        din, d = channel_dims(spec)[0], len(rows)
+        k = np.arange(d)
         for view, loop in zip(reduced_channel_choi(masker, spec), loop_reduced_channel_choi(masker, spec)):
             assert view.shape == loop.shape
             assert np.abs(view - loop).max() <= 1e-15
-            assert np.abs(verify._dense(blocks) - loop).max() <= 1e-15
+            loop = loop.reshape(din, d, din, d).copy()
+            assert np.abs(blocks - loop[:, k, :, k]).max() <= 1e-15  # [k, i, j] of the right side is [(i, k), (j, k)]
+            loop[:, k, :, k] = 0
+            assert not loop.any()
         if kind == "classical":  # a classical channel's copy view is real
             assert not blocks.imag.any()
 
