@@ -82,7 +82,6 @@ class SchemaError(ValueError):
 
 @record
 class FamilyFile:
-    version: str
     kind: str
     members: tuple
     options: dict
@@ -323,7 +322,7 @@ def _family_from_json(raw: dict) -> FamilyFile:
         KINDS[kind].rule(members)
     except ValueError as exc:
         raise SchemaError(f"members: {exc}") from exc
-    return FamilyFile("1", kind, members, dict(options))
+    return FamilyFile(kind, members, dict(options))
 
 
 # Family texts of at least this many characters go to orjson: its import, about 3.3 ms after this module's,

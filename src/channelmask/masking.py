@@ -145,10 +145,10 @@ class Masker:
 # -- certificates (which basis the masker copies) -----------------------------
 #
 # Every masker copies a basis: ``|v_k> -> |kk>`` (see :func:`copy_masker`).
-# A certificate's ``copy_rows(members, tol)`` checks itself against the
-# family's ``members`` as its decider reads them, then returns ``V^dag``, the
-# rows the masker copies; a gate family (with or without depolarizing noise)
-# carries its gates in its members.
+# A certificate's ``copy_rows(members, tol)`` checks the ``members`` by their
+# kind's rule and itself against them as its decider reads them, then returns
+# ``V^dag``, the rows the masker copies; a gate family (with or without
+# depolarizing noise) carries its gates in its members, the first the reference.
 
 
 def _integer(value, what: str) -> int:
@@ -167,26 +167,24 @@ class CommonEigenbasis:
     """All relative gates are diagonal in ``basis``; mask by copying it."""
 
     basis: np.ndarray
-    reference_index: int = 0
 
     def copy_rows(self, members, tol: float = DECISION_TOL) -> np.ndarray:
-        """``basis^dag U_ref^dag``, once ``basis`` diagonalizes every relative gate within ``tol * dim``."""
-        us = [m.matrix for m in _members(members, "family", _GATE_KINDS, "one dimension")]
+        """``basis^dag U_1^dag``, once the members pass their rule and ``basis`` diagonalizes each ``U_1^dag U_k``."""
+        members = list(members)
+        rule = depolarized_members if members and isinstance(members[0], DepolarizedUnitary) else gate_members
+        us = [m.matrix for m in rule(members)]
         basis = as_complex_matrix(self.basis, "basis")
-        reference = _integer(self.reference_index, "certificate reference index")
         if basis.shape != us[0].shape:
             raise ValueError("certificate basis dimension does not match the family")
-        if not 0 <= reference < len(us):
-            raise ValueError("certificate reference index out of range")
         if not is_isometry(basis, 1e-8):
             raise ValueError("certificate basis is not orthonormal")
-        if not _diagonalizes_all(_relative_gates(us, reference), basis, tol):
+        if not _diagonalizes_all(_relative_gates(us), basis, tol):
             raise ValueError("certificate basis does not diagonalize the family")
-        return basis.conj().T @ us[reference].conj().T
+        return basis.conj().T @ us[0].conj().T
 
     def to_json(self) -> dict:
-        return {"type": "common_eigenbasis", "reference_index": self.reference_index,
-                "basis": matrix_to_json(self.basis)}
+        # The key is part of the certificate format, which the goldens and digests pin; the reference is the first.
+        return {"type": "common_eigenbasis", "reference_index": 0, "basis": matrix_to_json(self.basis)}
 
 
 @record
@@ -320,7 +318,7 @@ class NonUnital:
     """Family member ``index`` displaces the Bloch-ball origin by ``shift``."""
 
     shift: np.ndarray
-    index: int = 0
+    index: int
 
     def to_json(self) -> dict:
         return {"type": "non_unital", "shift": vector_to_json(self.shift), "member": self.index}
@@ -420,8 +418,8 @@ def copy_masker(rows) -> Masker:
 # -- unitary gate families ----------------------------------------------------
 
 
-def _relative_gates(us: list[np.ndarray], reference_index: int) -> np.ndarray:
-    return us[reference_index].conj().T @ np.array(us)[np.arange(len(us)) != reference_index]
+def _relative_gates(us: list[np.ndarray]) -> np.ndarray:
+    return us[0].conj().T @ np.array(us)[1:]  # np.array(us[1:]) would be 1-d for one member
 
 
 def _decide_gates(us: list[np.ndarray], tol: float, seed: int) -> MaskingDecision:
@@ -429,14 +427,14 @@ def _decide_gates(us: list[np.ndarray], tol: float, seed: int) -> MaskingDecisio
         return _maskable(Trivial())
     # ws[k - 1] belongs to family position k.  Every member was built unitary within 1e-10, so each relative
     # gate is within about 2e-10 and the screen needs no check; a fallback re-checks them against 1e-9.
-    ws = _relative_gates(us, 0)
+    ws = _relative_gates(us)
     bound = tol * us[0].shape[0]
     # A pair over the bound fails the screen too, so its draw is not spent.
     if len(ws) == 1 or np.linalg.norm(ws[0] @ ws[1] - ws[1] @ ws[0]) <= bound:
         first, masses = next(_combination_bases(ws, seed))
         eps = masses.max()
         if 4 * eps + 2 * eps * eps <= bound:  # ||[W_a, W_b]|| <= 2 (eps_a + eps_b) + 2 eps_a eps_b <= bound
-            return _maskable(CommonEigenbasis(_canonical_basis(ws, first), reference_index=0))
+            return _maskable(CommonEigenbasis(_canonical_basis(ws, first)))
     # Commutator norms one row of pairs at a time, never an (n, n, d, d) array;
     # the pairs within 1e-9 of the worst are recomputed by commutator_norm, so
     # the first worst pair and its norm are the pair loop's to the bit.
@@ -448,7 +446,7 @@ def _decide_gates(us: list[np.ndarray], tol: float, seed: int) -> MaskingDecisio
     if pairs and not norm <= bound:  # a NaN tol refuses too; one relative gate has no pair to refuse
         return _not_maskable(NoncommutingPair(i, j, norm))
     try:
-        return _maskable(CommonEigenbasis(simultaneous_eigenbasis(ws, tol, seed), reference_index=0))
+        return _maskable(CommonEigenbasis(simultaneous_eigenbasis(ws, tol, seed)))
     except NoCommonBasisError as exc:
         return _not_maskable(NoCommonBasis(exc.residual))
 
@@ -601,11 +599,11 @@ def _injections(dim: int) -> np.ndarray:
 
 
 def _permutation(p, dim: int) -> tuple:
-    """``p`` as a tuple of ints if it permutes ``range(dim)``; a non-integer entry is refused, not truncated."""
+    """``p`` as a tuple of ints if it permutes ``range(dim)``; a non-integer entry is refused by :func:`_integer`."""
     p = tuple(p)
     try:
-        p = tuple(operator.index(v) for v in p)
-    except TypeError:
+        p = tuple(_integer(v, "entry") for v in p)
+    except ValueError:
         raise ValueError(f"not a permutation of {dim} symbols: {p}") from None
     if sorted(p) != list(range(dim)):
         raise ValueError(f"not a permutation of {dim} symbols: {p}")
@@ -621,7 +619,7 @@ def classical_no_go_search(dim: int, perms) -> SearchReport:
     independent of which permutation was applied.  Distinct permutations
     always defeat every injection (``violating_all`` is True).
     """
-    dim = operator.index(dim)
+    dim = _integer(dim, "dimension")
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     if dim > 4:

@@ -40,7 +40,7 @@ def _family(seed: int, dim: int, size: int, fixed=(), kind: str = "gate", p: flo
         phases[:len(fixed)] = fixed[:dim]
         us.append(left @ (basis * np.exp(1j * phases)) @ basis.conj().T)
     members = tuple(Unitary(u) if kind == "gate" else DepolarizedUnitary(p, u) for u in us)
-    return FamilyFile("1", kind, members, {})
+    return FamilyFile(kind, members, {})
 
 
 def _near_degenerate(seed: int, dim: int, size: int) -> FamilyFile:
@@ -58,12 +58,12 @@ def _near_degenerate(seed: int, dim: int, size: int) -> FamilyFile:
     h = h + h.conj().T
     w, e = np.linalg.eigh(h / np.linalg.norm(h))
     us[-1] = us[-1] @ (e * np.exp(1j * 10 ** rng.uniform(-9, -6.5) * w)) @ e.conj().T
-    return FamilyFile("1", "gate", tuple(Unitary(u) for u in us), {})
+    return FamilyFile("gate", tuple(Unitary(u) for u in us), {})
 
 
 def _haar(seed: int, dim: int, size: int) -> FamilyFile:
     rng = np.random.default_rng(seed)
-    return FamilyFile("1", "gate", tuple(Unitary(random_unitary(dim, rng)) for _ in range(size)), {})
+    return FamilyFile("gate", tuple(Unitary(random_unitary(dim, rng)) for _ in range(size)), {})
 
 
 PI = np.pi

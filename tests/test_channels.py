@@ -293,6 +293,22 @@ class TestUnitalityAndFixedPoints:
         assert isinstance(fixed, list) and len(fixed) == 1
         assert_allclose(fixed[0], [0, 0, 1], atol=1e-10)
 
+    def test_a_near_identity_damping_takes_the_affine_line(self):
+        # Generalized amplitude damping (q = 0.9, gamma = 1.5e-8): |b| = 1.2e-8 is above tol, and A - 1 has two
+        # singular values 7.5e-9 below it, so the solution line x + t v meets the sphere.  The channel fixes only
+        # the mixed Bloch vector (0, 0, 0.8), yet four pure directions pass within 10 tol (ROADMAP item 11).
+        q, gamma = 0.9, 1.5e-8
+        spec = KrausChannel((np.sqrt(q) * np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]]),
+                             np.sqrt(q) * np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]]),
+                             np.sqrt(1.0 - q) * np.array([[np.sqrt(1.0 - gamma), 0.0], [0.0, 1.0]]),
+                             np.sqrt(1.0 - q) * np.array([[0.0, 0.0], [np.sqrt(gamma), 0.0]])))
+        aff = bloch_affine(spec)
+        assert DECISION_TOL < np.linalg.norm(aff.shift) < 2e-8
+        assert np.sum(np.linalg.svd(aff.matrix - np.eye(3), compute_uv=False) <= DECISION_TOL) == 2
+        fixed = pure_fixed_points(spec)
+        assert_allclose(fixed, [[0.0, -0.6, 0.8], [0.0, 0.6, 0.8], [-0.6, 0.0, 0.8], [0.6, 0.0, 0.8]], atol=1e-8)
+        assert _same_fixed_points(fixed, loop_pure_fixed_points(spec))
+
     def test_tilted_dephasing_fixed_axis(self):
         rng = np.random.default_rng(8)
         axis = random_axis(rng)
@@ -374,11 +390,29 @@ class TestValidation:
         (lambda: bit_flip(float("nan")), r"^probabilities sum to nan"),
         (lambda: dephasing(float("nan")), r"^probabilities sum to nan"),
         (lambda: depolarizing(float("nan")), r"^probabilities sum to nan"),
+        (lambda: ClassicalChannel([0.5, 0.5]), r"^probs must be a non-empty 2-d array$"),
+        (lambda: ClassicalChannel([[float("nan")], [1.0]]), r"^probs contains non-finite entries$"),
+        (lambda: ClassicalChannel([[1.1], [-0.1]]), r"^probs contains negative entries$"),
+        (lambda: amplitude_damping(1.5), r"^gamma must lie in \[0, 1\]$"),
     ], ids=["p-above-1", "p-below-0", "pauli-negative", "pauli-sum", "depolarized-nan", "pauli-nan-p0",
-            "pauli-nan-py", "bit-flip-nan", "dephasing-nan", "depolarizing-nan"])
+            "pauli-nan-py", "bit-flip-nan", "dephasing-nan", "depolarizing-nan", "classical-1d", "classical-nan",
+            "classical-negative", "damping-above-1"])
     def test_probability_messages(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
+
+    @pytest.mark.parametrize("ops, message", [
+        ((), "need at least one Kraus operator"),
+        ((np.eye(2), np.zeros((3, 2))), "Kraus operators must share a common shape"),
+    ])
+    def test_kraus_shape_messages(self, ops, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            KrausChannel(ops)
+
+    @pytest.mark.parametrize("call", [channel_dims, lambda spec: apply(spec, np.eye(2)), to_kraus])
+    def test_a_non_channel_is_refused(self, call):
+        with pytest.raises(TypeError, match=r"^not a channel spec: 'I'$"):
+            call("I")
 
     @pytest.mark.parametrize("p", [float("nan"), 1.5, -1e-11])
     def test_the_stacked_gate_read_refuses_what_the_constructor_refuses(self, p):

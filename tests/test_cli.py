@@ -211,6 +211,9 @@ class TestSynthesizeAndVerify:
         out = tmp_path / "masker.json"
         assert main(["synthesize", noncommuting_family, "-o", str(out)]) == EXIT_NEGATIVE
         assert not out.exists()
+        family = load_family_file(noncommuting_family)
+        with pytest.raises(ValueError, match="^cannot synthesize a masker for a family that is not maskable$"):
+            synthesize_family_masker(family, decide_family(family, DECISION_TOL, 0))
 
     def test_identity_pair_round_trip(self, dephasing_pair, tmp_path, capsys):
         out = tmp_path / "masker.json"
@@ -1797,6 +1800,9 @@ class TestDemoClassical:
         assert main(["demo-classical", "--dim", "1", "--json"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["no_go"]["violating_all"] is False
+        # identical permutations do not differ, so some injection masks them
+        assert main(["demo-classical", "--dim", "2", "--perms", "0,1;0,1"]) == EXIT_OK
+        assert "\n  some injection masks the permutations (they do not differ)\n" in capsys.readouterr().out
 
     def test_each_channel_gets_its_copy_blocks_once(self, monkeypatch, capsys):
         # the report and the marginal deviations come from one computation of each channel's copy blocks

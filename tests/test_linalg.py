@@ -210,6 +210,10 @@ class TestSimultaneousEigenbasis:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             simultaneous_eigenbasis([np.diag([1.0, 0.5])])
+        with pytest.raises(ValueError, match="^need at least one matrix$"):
+            simultaneous_eigenbasis([])
+        with pytest.raises(ValueError, match="^all matrices must be square with equal dimension$"):
+            simultaneous_eigenbasis([I2, np.eye(3)])
 
     def test_rejects_an_overflowing_gram_matrix(self):
         # the Gram matrix overflows to NaN, which is not within the bound
@@ -318,7 +322,7 @@ class TestIsometryDefects:
         stack = np.stack([random_unitary(d, rng) for _ in range(n)])
         stack += scale * (rng.standard_normal(stack.shape) + 1j * rng.standard_normal(stack.shape))
         # a C-contiguous read, and the relative gates U_0^dag U_k that the gate decider checks
-        for reads in (stack, masking._relative_gates(list(stack), 0)):
+        for reads in (stack, masking._relative_gates(list(stack))):
             assert [isometry_defects(m[None])[0] for m in reads] == isometry_defects(reads).tolist()
 
 
@@ -453,7 +457,7 @@ RECORDS = {
     channels.DepolarizedUnitary: ({"p": 0.5, "matrix": ONE}, {"p": 0.25, "matrix": ONE}),
     channels.BlochAffine: ({"matrix": np.eye(1), "shift": np.zeros(1)}, {"matrix": np.eye(1), "shift": np.ones(1)}),
     masking.Masker: ({"matrix": ONE, "dims": BipartiteDims(1, 1)}, {"matrix": 1j * ONE, "dims": BipartiteDims(1, 1)}),
-    masking.CommonEigenbasis: ({"basis": ONE, "reference_index": 1}, {"basis": ONE, "reference_index": 2}),
+    masking.CommonEigenbasis: ({"basis": ONE}, {"basis": -ONE}),
     masking.PauliAxis: ({"axis": "x", "constant": 1.0}, {"axis": "z", "constant": 1.0}),
     masking.FixedPointAxis: ({"direction": (0.0, 0.0, 1.0)}, {"direction": (0.0, 0.0, -1.0)}),
     masking.Fourier: ({"dim": 2}, {"dim": 3}),
@@ -472,14 +476,11 @@ RECORDS = {
                                  "worst_pair": (0, 1), "tol": 1e-9},
                                 {"passed": False, "max_deviation_a": 1e-3, "max_deviation_b": 0.0,
                                  "worst_pair": (0, 1), "tol": 1e-9}),
-    cli.FamilyFile: ({"version": "1", "kind": "gate", "members": (), "options": {}},
-                     {"version": "1", "kind": "pauli", "members": (), "options": {}}),
+    cli.FamilyFile: ({"kind": "gate", "members": (), "options": {}}, {"kind": "pauli", "members": (), "options": {}}),
     cli.FamilyKind: ({"rule": masking.gate_members, "decide": masking.decide_gate_family, "channels": tuple},
                      {"rule": masking.gate_members, "decide": masking.decide_gate_family, "channels": list}),
 }
 DEFAULTS = {
-    masking.CommonEigenbasis: {"reference_index": 0},
-    masking.NonUnital: {"index": 0},
     masking.MaskingDecision: {"certificate": None, "witness": None},
     cli.FamilyKind: {"channels": list},
 }

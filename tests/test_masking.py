@@ -294,7 +294,7 @@ class TestGateMembers:
             Trivial().copy_rows(())
         with pytest.raises(ValueError, match="one dimension"):
             decide_gate_family(gate_family(I2, np.eye(3)))
-        with pytest.raises(ValueError, match="must be Unitary or DepolarizedUnitary"):
+        with pytest.raises(ValueError, match="^gate family members must be Unitary$"):
             cert.copy_rows((Unitary(I2), PauliFourVector(1, 0, 0, 0)))
         with pytest.raises(ValueError, match="must be Unitary$"):
             decide_gate_family(depolarized_family(0.5, I2, SIGMA_Z))
@@ -308,16 +308,22 @@ class TestGateMembers:
         fam = gate_family(I2, SIGMA_Z)
         with pytest.raises(ValueError, match="^certificate basis dimension does not match the family$"):
             CommonEigenbasis(np.eye(3)).copy_rows(fam)
-        with pytest.raises(ValueError, match="^certificate reference index out of range$"):
-            CommonEigenbasis(I2, reference_index=2).copy_rows(fam)
         with pytest.raises(ValueError, match="^certificate basis is not orthonormal$"):
             CommonEigenbasis(np.array([[1.0, 1.0], [0.0, 1.0]])).copy_rows(fam)
 
-    def test_common_eigenbasis_refuses_a_reference_index_that_is_not_an_integer(self):
-        # read with operator.index: a float or a bool is refused, not used to index the members
-        for index, shown in ((0.5, r"0\.5"), (True, "True")):
-            with pytest.raises(ValueError, match=rf"^certificate reference index must be an integer, got {shown}$"):
-                CommonEigenbasis(I2, reference_index=index).copy_rows(gate_family(I2, SIGMA_Z))
+    def test_common_eigenbasis_refuses_what_the_deciders_refuse(self):
+        # the gate rule, or the depolarized rule when the first member is depolarized, with the deciders' messages
+        cases = (((Unitary(I2), DepolarizedUnitary(0.5, SIGMA_Z)), "gate family members must be Unitary"),
+                 ((DepolarizedUnitary(0.5, I2), Unitary(SIGMA_Z)),
+                  "depolarized family members must be DepolarizedUnitary"),
+                 ((DepolarizedUnitary(0.5, I2), DepolarizedUnitary(0.7, SIGMA_Z)),
+                  "depolarized family members must share one noise level p"))
+        for family, message in cases:
+            decide = decide_depolarized_family if isinstance(family[0], DepolarizedUnitary) else decide_gate_family
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                decide(family)
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                CommonEigenbasis(I2).copy_rows(family)
 
     def test_both_gate_kinds_give_the_same_rows(self):
         cert = decide_gate_family(gate_family(SIGMA_X, SIGMA_X @ SIGMA_Z)).certificate
@@ -368,7 +374,7 @@ class TestGateMembers:
         stack = np.array(stack)
         members = channels._gates(stack) if stacked else [Unitary(u) for u in stack]
         assert members is not None
-        ws = masking._relative_gates([m.matrix for m in members], 0)
+        ws = masking._relative_gates([m.matrix for m in members])
         assert (linalg.isometry_defects(ws) <= 1e-9).all()
 
 
@@ -768,6 +774,8 @@ class TestClassicalMasking:
                         atol=0)
         with pytest.raises(ValueError, match=r"^the family's output alphabet has 3 symbols, not 2$"):
             Fourier(2).copy_rows(family)
+        with pytest.raises(ValueError, match="^dimension must be at least 1$"):
+            Fourier(0).copy_rows(family)
         with pytest.raises(ValueError, match="^classical family members must be ClassicalChannel$"):
             Fourier(2).copy_rows([Unitary(np.eye(2))] * 3)
 
@@ -860,11 +868,22 @@ class TestClassicalNoGoSearch:
         with pytest.raises(ValueError):
             classical_no_go_search(2, [(0, 0)])
 
-    @pytest.mark.parametrize("perm", [(0.7, 1.2), (0.0, 1.0), "01", ("0", "1")])
+    @pytest.mark.parametrize("perm", [(0.7, 1.2), (0.0, 1.0), "01", ("0", "1"), (True, False)])
     def test_rejects_non_integer_entries(self, perm):
-        # int() would truncate 0.7 to 0 and read "0" as 0
+        # int() would truncate 0.7 to 0 and read "0" as 0; operator.index would read True as 1
         with pytest.raises(ValueError, match="not a permutation of 2 symbols: "):
             classical_no_go_search(2, [(0, 1), perm])
+
+    @pytest.mark.parametrize("dim, shown", [(True, "True"), (2.0, r"2\.0")])
+    def test_rejects_a_dimension_that_is_not_an_integer(self, dim, shown):
+        with pytest.raises(ValueError, match=rf"^dimension must be an integer, got {shown}$"):
+            classical_no_go_search(dim, [(0,)])
+
+    @pytest.mark.parametrize("dim, perms, message", [(0, [()], "dimension must be at least 1"),
+                                                     (2, [], "need at least one permutation")])
+    def test_rejects_an_empty_search(self, dim, perms, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            classical_no_go_search(dim, perms)
 
     def test_accepts_numpy_integers(self):
         report = classical_no_go_search(np.int64(2), np.array([[0, 1], [1, 0]]))

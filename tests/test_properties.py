@@ -124,7 +124,7 @@ def _family(kind: str, size: int, rng) -> FamilyFile:
     else:
         din, dout = (int(v) for v in rng.integers(1, 6, size=2))
         members = [random_classical_channel(din, dout, rng) for _ in range(size)]
-    return FamilyFile("1", kind, tuple(members), {})
+    return FamilyFile(kind, tuple(members), {})
 
 
 def _refused_qubit_channel(rng):
@@ -164,7 +164,7 @@ def _refused_family(kind: str, size: int, rng) -> FamilyFile:
         axis = random_axis(rng)
         members = [_fixes_axis(rng, axis) for _ in range(size - 1)]
         members.insert(int(rng.integers(size)), amplitude_damping(rng.uniform(0.1, 0.9)))
-    return FamilyFile("1", kind, tuple(members), {})
+    return FamilyFile(kind, tuple(members), {})
 
 
 KIND = st.sampled_from(["gate", "depolarized", "pauli", "identity_pair", "identity_family", "classical"])
@@ -184,7 +184,7 @@ def test_maskable_family_gets_a_masker_that_verifies(kind, size, seed):
 def _refiled(family: FamilyFile, members: list) -> FamilyFile:
     # an identity_pair file holds one channel; with more it is an identity_family file
     kind = "identity_family" if family.kind == "identity_pair" and len(members) > 1 else family.kind
-    return FamilyFile("1", kind, tuple(members), {})
+    return FamilyFile(kind, tuple(members), {})
 
 
 def _conjugated(spec, v: np.ndarray):
@@ -277,7 +277,7 @@ def test_a_no_common_basis_witness_recomputes_from_the_members():
     # tol * d = 2e-8, but no basis diagonalizes both relative gates within it
     eta = delta = 1e-4
     gates = [np.eye(2), np.diag([1, np.exp(1j * eta)]), np.cos(delta) * np.eye(2) + 1j * np.sin(delta) * SIGMA_X]
-    family = FamilyFile("1", "gate", tuple(Unitary(u) for u in gates), {})
+    family = FamilyFile("gate", tuple(Unitary(u) for u in gates), {})
     decision = decide_family(family, DECISION_TOL, 0)
     assert isinstance(decision.witness, NoCommonBasis)
     _check_witness(family.members, decision.witness)
@@ -300,7 +300,7 @@ def test_maskable_identity_family_near_threshold_gets_a_masker(size, tol, decade
     axis = random_axis(rng)
     spread = tol * 10.0 ** decades
     members = [_fixes_axis(rng, _nudged(rng, axis, rng.uniform(0.0, spread))) for _ in range(size)]
-    family = FamilyFile("1", "identity_family", tuple(members), {})
+    family = FamilyFile("identity_family", tuple(members), {})
     decision = decide_family(family, tol, 0)
     if decision.maskable:
         synthesize_family_masker(family, decision, tol)
@@ -320,7 +320,7 @@ def test_maskable_pauli_family_near_threshold_gets_a_masker(size, tol, scale, se
         p[0], p[axis] = (0.6 + scale * tol * rng.uniform(-0.5, 0.5)) * rng.dirichlet([1.0, 1.0])
         p[[k for k in (1, 2, 3) if k != axis]] = (1.0 - p[0] - p[axis]) * rng.dirichlet([1.0, 1.0])
         members.append(PauliFourVector(*p))
-    family = FamilyFile("1", "pauli", tuple(members), {})
+    family = FamilyFile("pauli", tuple(members), {})
     decision = decide_family(family, tol, 0)
     if decision.maskable:
         synthesize_family_masker(family, decision, tol)
@@ -337,7 +337,7 @@ def test_gates_unitary_within_their_bound_pass_the_unitarity_check_at_any_tolera
     for m in random_commuting_family(rng, dim, size):
         g = rng.standard_normal((dim, dim))
         members.append(Unitary(m.matrix @ (np.eye(dim) + share * 1e-10 / np.linalg.norm(g + g.T) * g)))
-    decide_family(FamilyFile("1", "gate", tuple(members), {}), tol, 0)
+    decide_family(FamilyFile("gate", tuple(members), {}), tol, 0)
 
 
 def _turn(rng, dim: int, angle: float) -> np.ndarray:
@@ -374,7 +374,7 @@ def _gate_matrices(rng, kind: str, dim: int, size: int, copies: int) -> list:
        size=st.integers(2, 37), copies=st.integers(0, 3),
        tol=st.sampled_from([DECISION_TOL, 1e-12, 1e-14, 1e-15, 1e-16]), seed=st.integers(0, 2**32 - 1))
 def test_gate_decision_is_the_pair_loops_byte_for_byte(kind, dim, size, copies, tol, seed):
-    family = FamilyFile("1", "gate", tuple(Unitary(u) for u in _gate_matrices(
+    family = FamilyFile("gate", tuple(Unitary(u) for u in _gate_matrices(
         np.random.default_rng(seed), kind, dim, size, copies)), {})
     try:
         expected = pair_loop_gate_decision([m.matrix for m in family.members], tol, 0)
@@ -404,14 +404,14 @@ def _draw_oracle_families() -> list:
     families = []
     for k, size in enumerate((2, 7, 32)):
         members = random_commuting_family(np.random.default_rng(k), 8, size)
-        families.append((FamilyFile("1", "gate", members, {}), DECISION_TOL))
+        families.append((FamilyFile("gate", members, {}), DECISION_TOL))
     for k in range(40):
         rng = np.random.default_rng(k)
         us = [m.matrix for m in random_commuting_family(rng, 4, 4)]
         us[3] = us[3] @ _turn(rng, 4, 2e-5)
-        families.append((FamilyFile("1", "gate", tuple(Unitary(u) for u in us), {}), 1e-5))
+        families.append((FamilyFile("gate", tuple(Unitary(u) for u in us), {}), 1e-5))
     us = _split_pair_gates(np.random.default_rng(0), 4, 4)
-    families.append((FamilyFile("1", "gate", tuple(Unitary(u) for u in us), {}), DECISION_TOL))
+    families.append((FamilyFile("gate", tuple(Unitary(u) for u in us), {}), DECISION_TOL))
     return families
 
 

@@ -46,7 +46,7 @@ Z = np.array([0.0, 0.0, 1.0])
 
 
 def _family(kind: str, *members) -> FamilyFile:
-    return FamilyFile("1", kind, members, {})
+    return FamilyFile(kind, members, {})
 
 
 def _pauli_axis_x(seed: int) -> FamilyFile:
