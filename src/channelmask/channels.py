@@ -257,12 +257,11 @@ def apply(spec: ChannelSpec, rho) -> np.ndarray:
         diagonal = np.arange(spec.out_size)
         out[..., diagonal, diagonal] = image[..., 0]
         return out
-    if isinstance(spec, DepolarizedUnitary):
-        d = spec.dim
-        coherent = spec.matrix @ arr @ spec.matrix.conj().T
-        mixed = (1.0 - spec.p) * np.trace(arr, axis1=-2, axis2=-1)[..., None, None]
-        return spec.p * coherent + mixed * np.eye(d) / d
-    raise TypeError(f"not a channel spec: {spec!r}")
+    # channel_dims refused every other type, so spec is a DepolarizedUnitary
+    d = spec.dim
+    coherent = spec.matrix @ arr @ spec.matrix.conj().T
+    mixed = (1.0 - spec.p) * np.trace(arr, axis1=-2, axis2=-1)[..., None, None]
+    return spec.p * coherent + mixed * np.eye(d) / d
 
 
 def to_kraus(spec: ChannelSpec) -> KrausChannel:
@@ -322,8 +321,9 @@ def pure_fixed_points(spec: ChannelSpec, tol: float = DECISION_TOL):
 
     Returns ``ALL_DIRECTIONS`` when the channel is the identity within
     ``tol``, ``None`` when no pure state is fixed, and otherwise a list of
-    unit vectors (antipodal pairs appear as two entries).  Every returned
-    direction is re-verified at the channel level within ``10 * tol``.
+    unit vectors (antipodal pairs appear as two entries).  A channel that is
+    not unital within ``tol`` lists at most one.  Every returned direction is
+    re-verified at the channel level within ``10 * tol``.
     """
     return _pure_fixed_points(spec, bloch_affine(spec), tol)
 
@@ -336,34 +336,28 @@ def _pure_fixed_points(spec: ChannelSpec, aff: BlochAffine, tol: float):
         return ALL_DIRECTIONS
 
     shifted = a - eye3
-    _, svals, vt = np.linalg.svd(shifted)
-    kernel = [vt[i] for i in range(3) if svals[i] <= tol]
-
     candidates: list[np.ndarray] = []
     if np.linalg.norm(b) <= tol:
-        for v in kernel:
+        _, svals, vt = np.linalg.svd(shifted)
+        for v in vt[svals <= tol]:
             c = _canonical_direction(v)
             candidates.extend([c, -c])
     else:
+        # A qubit channel that is not unital fixes at most one pure state,
+        # so only the minimum-norm solution of (A - 1) x = -b can be one.
         x, *_ = np.linalg.lstsq(shifted, -b, rcond=None)
         residual = np.linalg.norm(shifted @ x + b)
         if residual <= tol:
             norm_x = np.linalg.norm(x)
             if abs(norm_x - 1.0) <= tol:
                 candidates.append(x / norm_x)
-            elif norm_x < 1.0 and kernel:
-                # Affine solution line: the minimum-norm solution plus kernel
-                # components reaches the unit sphere at two points.
-                t = np.sqrt(1.0 - norm_x**2)
-                for v in kernel:
-                    candidates.extend([x + t * v, x - t * v])
 
     # every candidate's pure state through the channel at once (an empty stack when there is none)
     units = np.reshape([v / np.linalg.norm(v) for v in candidates], (-1, 3))
     nx, ny, nz = units.T[..., None, None]
     states = 0.5 * (SIGMA_0 + nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z)
-    fixed = _dedupe_directions([v for v, rho, image in zip(units, states, apply(spec, states))
-                                if np.linalg.norm(image - rho) <= 10 * tol])
+    fixed = [v for v, rho, image in zip(units, states, apply(spec, states))
+             if np.linalg.norm(image - rho) <= 10 * tol]
     return fixed if fixed else None
 
 

@@ -92,6 +92,15 @@ def dephasing_about(axis, p: float) -> KrausChannel:
     return KrausChannel((np.sqrt(1.0 - p) * SIGMA_0, np.sqrt(p) * axis_operator(axis)))
 
 
+def generalized_amplitude_damping(q: float, gamma: float) -> KrausChannel:
+    """Decay of strength ``gamma`` toward ``|0>`` with probability ``q``, and toward ``|1>`` otherwise."""
+    damp, keep = np.sqrt(gamma), np.sqrt(1.0 - gamma)
+    return KrausChannel((np.sqrt(q) * np.array([[1.0, 0.0], [0.0, keep]]),
+                         np.sqrt(q) * np.array([[0.0, damp], [0.0, 0.0]]),
+                         np.sqrt(1.0 - q) * np.array([[keep, 0.0], [0.0, 1.0]]),
+                         np.sqrt(1.0 - q) * np.array([[0.0, 0.0], [damp, 0.0]])))
+
+
 def choi(spec: ChannelSpec) -> np.ndarray:
     """Choi matrix ``sum_ij |i><j| (x) E(|i><j|)`` (channel on the second factor).
 
@@ -448,10 +457,6 @@ def loop_pure_fixed_points(spec: ChannelSpec, tol: float = DECISION_TOL):
             norm_x = np.linalg.norm(x)
             if abs(norm_x - 1.0) <= tol:
                 candidates.append(x / norm_x)
-            elif norm_x < 1.0 and kernel:
-                t = np.sqrt(1.0 - norm_x**2)
-                for v in kernel:
-                    candidates.extend([x + t * v, x - t * v])
     fixed = []
     for v in candidates:
         v = v / np.linalg.norm(v)

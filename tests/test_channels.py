@@ -34,6 +34,7 @@ from helpers import (
     choi,
     conjugate,
     dephasing_about,
+    generalized_amplitude_damping,
     loop_bloch_affine,
     loop_pure_fixed_points,
     loop_to_kraus,
@@ -293,21 +294,16 @@ class TestUnitalityAndFixedPoints:
         assert isinstance(fixed, list) and len(fixed) == 1
         assert_allclose(fixed[0], [0, 0, 1], atol=1e-10)
 
-    def test_a_near_identity_damping_takes_the_affine_line(self):
+    def test_a_near_identity_damping_fixes_no_pure_state(self):
         # Generalized amplitude damping (q = 0.9, gamma = 1.5e-8): |b| = 1.2e-8 is above tol, and A - 1 has two
-        # singular values 7.5e-9 below it, so the solution line x + t v meets the sphere.  The channel fixes only
-        # the mixed Bloch vector (0, 0, 0.8), yet four pure directions pass within 10 tol (ROADMAP item 11).
-        q, gamma = 0.9, 1.5e-8
-        spec = KrausChannel((np.sqrt(q) * np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]]),
-                             np.sqrt(q) * np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]]),
-                             np.sqrt(1.0 - q) * np.array([[np.sqrt(1.0 - gamma), 0.0], [0.0, 1.0]]),
-                             np.sqrt(1.0 - q) * np.array([[0.0, 0.0], [np.sqrt(gamma), 0.0]])))
+        # singular values 7.5e-9 below it.  The channel fixes only the mixed Bloch vector (0, 0, 0.8), and a
+        # channel that is not unital fixes at most one pure state, so no line of fixed points is searched.
+        spec = generalized_amplitude_damping(0.9, 1.5e-8)
         aff = bloch_affine(spec)
         assert DECISION_TOL < np.linalg.norm(aff.shift) < 2e-8
         assert np.sum(np.linalg.svd(aff.matrix - np.eye(3), compute_uv=False) <= DECISION_TOL) == 2
-        fixed = pure_fixed_points(spec)
-        assert_allclose(fixed, [[0.0, -0.6, 0.8], [0.0, 0.6, 0.8], [-0.6, 0.0, 0.8], [0.6, 0.0, 0.8]], atol=1e-8)
-        assert _same_fixed_points(fixed, loop_pure_fixed_points(spec))
+        assert pure_fixed_points(spec) is None
+        assert loop_pure_fixed_points(spec) is None
 
     def test_tilted_dephasing_fixed_axis(self):
         rng = np.random.default_rng(8)
@@ -448,6 +444,21 @@ def qubit_channels(draw):
     return DepolarizedUnitary(_probability(draw), random_unitary(2, rng))
 
 
+@st.composite
+def non_unital_qubit_channels(draw):
+    """Generalized amplitude dampings near the identity, whose |b| and the singular values of A - 1 sit
+    around tol, mixed with random Kraus channels, which fix no pure state, and rotated amplitude dampings,
+    which fix one."""
+    kind = draw(st.sampled_from(("near-identity", "kraus", "damping")))
+    if kind == "near-identity":
+        return generalized_amplitude_damping(draw(st.floats(0.0, 1.0)), 10.0 ** draw(st.floats(-10.0, -6.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "kraus":
+        return random_kraus_channel(rng, 2, 2, draw(st.integers(2, 4)))
+    u = random_unitary(2, rng)
+    return conjugate(amplitude_damping(draw(st.floats(1e-3, 1.0))), u.conj().T, u)
+
+
 def _same_fixed_points(got, expected) -> bool:
     if got is None or got is ALL_DIRECTIONS:
         return got is expected
@@ -481,6 +492,15 @@ class TestStackedQubitPasses:
         for tol in (DECISION_TOL, 1e-3):
             assert _same_fixed_points(pure_fixed_points(spec, tol), loop_pure_fixed_points(spec, tol))
         assert _kraus_bytes(to_kraus(spec)) == _kraus_bytes(loop_to_kraus(spec))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(non_unital_qubit_channels())
+    @example(generalized_amplitude_damping(0.9, 1.5e-8))
+    def test_a_channel_that_is_not_unital_fixes_at_most_one_pure_state(self, spec):
+        fixed = pure_fixed_points(spec)
+        assert _same_fixed_points(fixed, loop_pure_fixed_points(spec))
+        if not _unital(bloch_affine(spec), DECISION_TOL):
+            assert fixed is None or len(fixed) == 1
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())

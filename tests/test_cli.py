@@ -40,6 +40,7 @@ from channelmask.masking import Fourier, Masker, copy_masker, matrix_to_json
 from helpers import (
     choi_reduced_chois,
     dephasing_about,
+    generalized_amplitude_damping,
     random_commuting_family,
     random_density,
     random_isometry,
@@ -1773,6 +1774,18 @@ class TestBloch:
         assert main(["bloch", "--json", path]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["unital"] is True and payload["fixed_points"] == "all"
+
+    def test_a_near_identity_damping_lists_no_pure_fixed_point(self, tmp_path, capsys):
+        # |b| = 1.2e-8 is above tol: the channel is not unital, and its only fixed state is the mixed (0, 0, 0.8)
+        ops = generalized_amplitude_damping(0.9, 1.5e-8).kraus_ops
+        path = tmp_path / "damping.json"
+        path.write_text(json.dumps({"type": "kraus", "ops": [_matrix_json(k) for k in ops]}))
+        assert main(["bloch", str(path)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == ["  unital: no", "  pure fixed points: none"]
+        assert main(["bloch", "--json", str(path)]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["unital"] is False and payload["fixed_points"] is None
 
     def test_file_that_is_neither_payload_nor_family_exit_2(self, tmp_path, capsys):
         path = tmp_path / "neither.json"
