@@ -316,13 +316,22 @@ def _dedupe_directions(dirs: list[np.ndarray]) -> list[np.ndarray]:
     return kept
 
 
+def _keeps(a: np.ndarray, v: np.ndarray, tol: float) -> bool:
+    """The identity kinds' rule that a unital member with Bloch matrix ``a`` keeps the direction ``v``:
+    ``|A v - v|`` and ``|A^T v - v|`` are within ``tol``.  A tilt of the member moves its near-fixed
+    direction to second order under ``A`` but to first order under ``A^T``, and ``A^T v`` is what a
+    copy masker along ``v`` shows of it."""
+    return bool(np.linalg.norm(a @ v - v) <= tol and np.linalg.norm(a.T @ v - v) <= tol)
+
+
 def pure_fixed_points(spec: ChannelSpec, tol: float = DECISION_TOL):
     """Unit Bloch vectors ``n`` with ``A n + b = n``, i.e. pure fixed states.
 
     Returns ``ALL_DIRECTIONS`` when the channel is the identity within
     ``tol``, ``None`` when no pure state is fixed, and otherwise a list of
-    unit vectors (antipodal pairs appear as two entries).  A channel that is
-    not unital within ``tol`` lists at most one.  Every returned direction is
+    unit vectors (antipodal pairs appear as two entries).  A channel unital
+    within ``tol`` lists the kernel directions of ``A - 1`` that :func:`_keeps`
+    accepts; any other lists at most one.  Every returned direction is
     re-verified at the channel level within ``10 * tol``.
     """
     return _pure_fixed_points(spec, bloch_affine(spec), tol)
@@ -340,8 +349,9 @@ def _pure_fixed_points(spec: ChannelSpec, aff: BlochAffine, tol: float):
     if np.linalg.norm(b) <= tol:
         _, svals, vt = np.linalg.svd(shifted)
         for v in vt[svals <= tol]:
-            c = _canonical_direction(v)
-            candidates.extend([c, -c])
+            if _keeps(a, v, tol):
+                c = _canonical_direction(v)
+                candidates.extend([c, -c])
     else:
         # A qubit channel that is not unital fixes at most one pure state,
         # so only the minimum-norm solution of (A - 1) x = -b can be one.

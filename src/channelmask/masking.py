@@ -38,6 +38,7 @@ from .channels import (
     Unitary,
     _canonical_direction,
     _dedupe_directions,
+    _keeps,
     _pure_fixed_points,
     bloch_affine,
     channel_dims,
@@ -222,9 +223,7 @@ class FixedPointAxis:
         """``U^dag`` for a unitary with ``U|0>`` on ``direction``, once every member fixes it.
 
         A member fixes ``direction`` as in :func:`decide_identity_family`: it
-        is unital within ``tol`` and maps it to itself within ``tol``, fixes
-        every direction, or lists it among its pure fixed points.  Only a
-        member that moves it computes its pure fixed points.
+        is unital within ``tol`` and keeps the direction by :func:`_keeps`.
         """
         members = qubit_members(members)
         v = np.asarray(self.direction, dtype=float)
@@ -234,11 +233,7 @@ class FixedPointAxis:
             aff = bloch_affine(spec)
             if not _unital(aff, tol):
                 raise ValueError("channel is not unital")
-            if _maps_to_itself(aff, v, tol):
-                continue
-            fixed = _pure_fixed_points(spec, aff, tol)
-            listed = isinstance(fixed, list) and any(np.linalg.norm(u - v) <= 1e-8 for u in fixed)
-            if not (listed or fixed is ALL_DIRECTIONS):
+            if not _keeps(aff.matrix, v, tol):
                 raise ValueError("direction is not a fixed point of the channel")
         return _bloch_frame_unitary(v).conj().T
 
@@ -326,7 +321,8 @@ class NonUnital:
 
 @record
 class NoPureFixedPoint:
-    """The Bloch matrix has no unit eigenvector with eigenvalue 1."""
+    """The one member fixes no pure state: no kernel direction of ``A - 1`` (singular value within
+    ``tol``) is kept by :func:`_keeps`.  ``eigenvalues`` are those of the Bloch matrix ``A``."""
 
     eigenvalues: np.ndarray
 
@@ -519,23 +515,15 @@ def _unital(aff, tol: float) -> bool:
     return bool(np.linalg.norm(aff.shift) <= tol)
 
 
-def _maps_to_itself(aff, v: np.ndarray, tol: float) -> bool:
-    """The Bloch map ``aff`` moves the direction ``v`` by at most ``tol``."""
-    return bool(np.linalg.norm(aff.matrix @ v + aff.shift - v) <= tol)
-
-
-def _fixes(aff, fixed, v: np.ndarray, tol: float) -> bool:
-    """A member (Bloch map ``aff``, pure fixed points ``fixed``) fixes every direction, or ``v`` within ``tol``."""
-    return fixed is ALL_DIRECTIONS or _maps_to_itself(aff, v, tol)
-
-
 def decide_identity_family(specs, tol: float = DECISION_TOL) -> MaskingDecision:
     """Maskability of ``{identity} ∪ specs``: one masker for the qubit members and the identity.
 
     All members must be unital and fix a common pure state.  Candidate
-    directions are collected from each member's fixed set and checked
-    against every other member.  A single member that fixes no pure state
-    is refused with the eigenvalues of its Bloch matrix.
+    directions are collected from each member's fixed set, and one is
+    common when every member keeps it by :func:`_keeps`, the rule
+    :class:`FixedPointAxis` checks, so a maskable family's copy masker
+    verifies within ``2 sqrt(2) tol``.  A single member that fixes no pure
+    state is refused with the eigenvalues of its Bloch matrix.
     """
     members = qubit_members(specs)
     affines = [bloch_affine(spec) for spec in members]
@@ -548,8 +536,8 @@ def decide_identity_family(specs, tol: float = DECISION_TOL) -> MaskingDecision:
     if len(members) == 1 and fixed_sets[0] is None:
         return _not_maskable(NoPureFixedPoint(np.sort_complex(np.linalg.eigvals(affines[0].matrix))))
 
-    common = [v for i, f in enumerate(fixed_sets) if isinstance(f, list) for v in f
-              if all(_fixes(affines[j], fixed_sets[j], v, tol) for j in range(len(members)) if j != i)]
+    common = [v for f in fixed_sets if isinstance(f, list) for v in f
+              if all(_keeps(aff.matrix, v, tol) for aff in affines)]
     if common:
         return _maskable(FixedPointAxis(_pick_axis(common)))
     return _not_maskable(NoCommonFixedPoint(tuple(fixed_sets)))

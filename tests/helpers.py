@@ -449,8 +449,10 @@ def loop_pure_fixed_points(spec: ChannelSpec, tol: float = DECISION_TOL):
     candidates = []
     if np.linalg.norm(b) <= tol:
         for v in kernel:
-            c = _canonical_direction(v)
-            candidates.extend([c, -c])
+            # kept when both A and A^T move it by at most tol
+            if np.linalg.norm(a @ v - v) <= tol and np.linalg.norm(a.T @ v - v) <= tol:
+                c = _canonical_direction(v)
+                candidates.extend([c, -c])
     else:
         x, *_ = np.linalg.lstsq(shifted, -b, rcond=None)
         if np.linalg.norm(shifted @ x + b) <= tol:

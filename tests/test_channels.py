@@ -43,6 +43,7 @@ from helpers import (
     random_kraus_channel,
     random_unitary,
     rotation_about,
+    rotation_mixture_channel,
 )
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -304,6 +305,20 @@ class TestUnitalityAndFixedPoints:
         assert np.sum(np.linalg.svd(aff.matrix - np.eye(3), compute_uv=False) <= DECISION_TOL) == 2
         assert pure_fixed_points(spec) is None
         assert loop_pure_fixed_points(spec) is None
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    def test_rotations_fix_their_axis_though_their_bloch_matrix_is_not_symmetric(self, tol):
+        # A is a rotation, or a mixture of rotations, about the axis: A^T turns the other way, yet keeps the axis
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            axis = random_axis(rng)
+            for spec in (rotation_mixture_channel(rng, axis), Unitary(rotation_about(axis, rng.uniform(0.1, 6.0)))):
+                a = bloch_affine(spec).matrix
+                assert np.linalg.norm(a - a.T) > 1e-2
+                fixed = pure_fixed_points(spec, tol)
+                assert _same_fixed_points(fixed, loop_pure_fixed_points(spec, tol))
+                assert len(fixed) == 2 and fixed[1].tobytes() == (-fixed[0]).tobytes()
+                assert min(np.linalg.norm(fixed[0] - axis), np.linalg.norm(fixed[0] + axis)) <= 1e-12
 
     def test_tilted_dephasing_fixed_axis(self):
         rng = np.random.default_rng(8)

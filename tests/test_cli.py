@@ -1420,15 +1420,26 @@ def _assert_maskable_verifies(family, tmp_path):
         assert main(["verify", family, str(out)]) == EXIT_OK
 
 
-@pytest.mark.xfail(raises=AssertionError, reason="ROADMAP item 10: the identity decider misses a first-order "
-                   "tilt, so verify fails at 1.200e-04")
 def test_a_tilted_identity_pair_judged_maskable_verifies(tmp_path, capsys):
-    # u rotates by 1e-4: a unital channel whose Bloch map fixes no pure state
+    # u rotates by 1e-4: a unital channel whose Bloch map fixes no pure state.  Its near-fixed z
+    # direction moves by only 8.6e-9 under A, but by 1.2e-4 under A^T, so every stage refuses it
     theta = 1e-4
     u = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     ops = [np.sqrt(0.3) * u, np.sqrt(0.7) * u @ np.diag([1.0, -1.0])]
     member = {"type": "kraus", "ops": [_matrix_json(k) for k in ops]}
-    _assert_maskable_verifies(write_family(tmp_path / "tilted.json", "identity_pair", [member]), tmp_path)
+    family = write_family(tmp_path / "tilted.json", "identity_pair", [member])
+    _assert_maskable_verifies(family, tmp_path)
+    capsys.readouterr()
+    assert main(["decide", "--json", family]) == EXIT_NEGATIVE
+    assert json.loads(capsys.readouterr().out)["witness"]["type"] == "no_pure_fixed_point"
+    assert main(["bloch", family]) == EXIT_OK
+    assert "\n  pure fixed points: none\n" in capsys.readouterr().out
+    assert main(["bloch", "--json", family]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["fixed_points"] is None
+    # the direction the decider certified before it read A^T
+    direction = [0.0001428571416132167, -0.0, 0.9999999897959185]
+    with pytest.raises(ValueError, match="^direction is not a fixed point of the channel$"):
+        masking.FixedPointAxis(direction).copy_rows(load_family_file(family).members, DECISION_TOL)
 
 
 @pytest.mark.xfail(raises=AssertionError, reason="ROADMAP item 1: decide accepts a Pauli spread of 5e-9 under "
