@@ -5,7 +5,8 @@ outputs independent of the family member), synthesizes an explicit isometric
 masker for every maskable class (each one copies a basis), and verifies masking
 numerically by comparing the reduced-channel Choi matrices of what A sees and
 what B sees, by the route the masker picks at every input dimension: a copy
-masker's blocks, else each member alone through :func:`reduced_channel_choi`,
+masker's blocks, from the copy rows ``Masker.rows`` it finds once when it is
+built, else each member alone through :func:`reduced_channel_choi`,
 the Kraus-form formula for any masker (a view may hold ``2**24`` entries).
 Masking next to the identity is verified as the family
 ``[identity_channel(d), E]``, as the CLI's identity kinds do.

@@ -6,8 +6,8 @@ column-stochastic matrix, or a unitary mixed with depolarizing noise.  The
 module converts between them, evaluates channels on operators, and analyzes
 the affine action of qubit channels on Bloch vectors (the shift that measures
 unitality, pure fixed points).  The Bloch map takes one :func:`apply` of the
-stack ``PAULIS`` and the pure fixed points one more of their candidate
-states; each matrix of a stack gets the bits of its own 2-d call.
+stack ``PAULIS``, each matrix of which gets the bits of its own 2-d call, and
+the pure fixed points are read off the Bloch map alone.
 """
 
 from __future__ import annotations
@@ -331,14 +331,13 @@ def pure_fixed_points(spec: ChannelSpec, tol: float = DECISION_TOL):
     ``tol``, ``None`` when no pure state is fixed, and otherwise a list of
     unit vectors (antipodal pairs appear as two entries).  A channel unital
     within ``tol`` lists the kernel directions of ``A - 1`` that :func:`_keeps`
-    accepts; any other lists at most one.  Every returned direction is
-    re-verified at the channel level within ``10 * tol``.
+    accepts; any other lists at most one.
     """
-    return _pure_fixed_points(spec, bloch_affine(spec), tol)
+    return _pure_fixed_points(bloch_affine(spec), tol)
 
 
-def _pure_fixed_points(spec: ChannelSpec, aff: BlochAffine, tol: float):
-    """:func:`pure_fixed_points` of ``spec`` from its Bloch map ``aff``, for callers that already hold it."""
+def _pure_fixed_points(aff: BlochAffine, tol: float):
+    """:func:`pure_fixed_points` of a channel from its Bloch map ``aff``, for callers that already hold it."""
     a, b = aff.matrix, aff.shift
     eye3 = np.eye(3)
     if np.linalg.norm(a - eye3) <= tol and np.linalg.norm(b) <= tol:
@@ -361,14 +360,7 @@ def _pure_fixed_points(spec: ChannelSpec, aff: BlochAffine, tol: float):
             norm_x = np.linalg.norm(x)
             if abs(norm_x - 1.0) <= tol:
                 candidates.append(x / norm_x)
-
-    # every candidate's pure state through the channel at once (an empty stack when there is none)
-    units = np.reshape([v / np.linalg.norm(v) for v in candidates], (-1, 3))
-    nx, ny, nz = units.T[..., None, None]
-    states = 0.5 * (SIGMA_0 + nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z)
-    fixed = [v for v, rho, image in zip(units, states, apply(spec, states))
-             if np.linalg.norm(image - rho) <= 10 * tol]
-    return fixed if fixed else None
+    return [v / np.linalg.norm(v) for v in candidates] or None
 
 
 # -- named channel constructors ----------------------------------------------

@@ -119,7 +119,7 @@ def _not_json(path, exc: Exception) -> SchemaError:
 
 def _read_text(path) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except ValueError as exc:  # UnicodeDecodeError: bytes that are not text
         raise _not_json(path, exc) from exc
 
@@ -628,7 +628,7 @@ def cmd_bloch(args) -> int:
     spec = _load_single_channel(args.channel)
     aff = bloch_affine(spec)
     unital = masking._unital(aff, DECISION_TOL)
-    fixed = _pure_fixed_points(spec, aff, DECISION_TOL)
+    fixed = _pure_fixed_points(aff, DECISION_TOL)
     if args.json:
         payload = {
             "matrix": [[float(v) for v in row] for row in aff.matrix],

@@ -120,7 +120,11 @@ def classical_members(members) -> list:
 
 @record
 class Masker:
-    """Isometry from the channel output space into a bipartite space."""
+    """Isometry from the channel output space into a bipartite space.
+
+    ``rows`` (not a field) is the view ``matrix[::d+1]`` when the factors are ``d x d`` and every row outside it is
+    exactly zero, as :func:`copy_masker` writes it, else ``None``; such a copy masker is checked as an isometry
+    on its rows alone, as ``R^dag R = M^dag M``."""
 
     matrix: np.ndarray
     dims: BipartiteDims
@@ -134,9 +138,14 @@ class Masker:
                 f"masker has {m.shape[0]} rows but factor dimensions "
                 f"{self.dims.dim_a} x {self.dims.dim_b}"
             )
-        if not is_isometry(m, 1e-9):
+        d = self.dims.dim_a
+        rows = m[:: d + 1]
+        if self.dims.dim_b != d or np.count_nonzero(m) != np.count_nonzero(rows):
+            rows = None
+        if not is_isometry(m if rows is None else rows, 1e-9):
             raise ValueError("masker matrix is not an isometry within 1e-9")
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def input_dim(self) -> int:
@@ -530,7 +539,7 @@ def decide_identity_family(specs, tol: float = DECISION_TOL) -> MaskingDecision:
     for index, aff in enumerate(affines):
         if not _unital(aff, tol):
             return _not_maskable(NonUnital(aff.shift, index=index))
-    fixed_sets = [_pure_fixed_points(spec, aff, tol) for spec, aff in zip(members, affines)]
+    fixed_sets = [_pure_fixed_points(aff, tol) for aff in affines]
     if all(f is ALL_DIRECTIONS for f in fixed_sets):
         return _maskable(FixedPointAxis(Z_AXIS.copy()))
     if len(members) == 1 and fixed_sets[0] is None:

@@ -7,9 +7,8 @@ aggregated with max (masking is a worst-case property over inputs and family
 members).
 
 The masker alone picks one of two routes at every input dimension, in
-:func:`_views`, by whether :func:`_copy_rows` finds copy rows in it.  A copy
-masker (``d x d`` factors, every row other than ``k*(d+1)`` exactly zero, as
-every masker this package writes) shows both sides one map,
+:func:`_views`, by whether it carries copy rows (``Masker.rows``).  A copy
+masker (as every masker this package writes) shows both sides one map,
 ``rho -> diag(R E(rho) R^dag)`` for its copy rows ``R``, whose Choi matrix is
 ``d`` blocks of size ``din x din``: block ``k`` holds
 ``(R E(|i><j|) R^dag)[k, k]`` at ``[i, j]``.  Unitary, depolarized and Kraus
@@ -73,10 +72,9 @@ def _views(masker: Masker, members: list) -> tuple:
     """``(views_a, views_b)``, what A and what B see of each member, from the route the masker picks (see the
     module docstring).  Copy blocks come as ``views_b is views_a``."""
     _check_input_dim(masker, members[0])
-    rows = _copy_rows(masker)
-    if rows is None:
+    if masker.rows is None:
         return tuple(zip(*(reduced_channel_choi(masker, spec) for spec in members)))
-    blocks = [_copy_blocks(rows, spec) for spec in members]
+    blocks = [_copy_blocks(masker.rows, spec) for spec in members]
     return blocks, blocks
 
 
@@ -89,21 +87,6 @@ def _check_input_dim(masker: Masker, spec: ChannelSpec) -> None:
 def _check_view_entries(entries: int) -> None:
     if entries > _MAX_VIEW_ENTRIES:
         raise ValueError(f"a reduced Choi matrix of {entries} entries exceeds the bound of 2**24 entries")
-
-
-def _copy_rows(masker: Masker):
-    """The rows ``R`` a copy masker writes to ``|kk>``, or ``None`` for any other masker.
-
-    A copy masker has ``d x d`` factors and every row other than ``k*(d+1)``
-    exactly zero; the test reads the matrix, not how it was made.
-    """
-    d = masker.dims.dim_a
-    if masker.dims.dim_b != d:
-        return None
-    rows = masker.matrix[:: d + 1]
-    if np.count_nonzero(masker.matrix) != np.count_nonzero(rows):
-        return None
-    return rows
 
 
 def _copy_blocks(rows: np.ndarray, spec: ChannelSpec) -> np.ndarray:

@@ -704,6 +704,7 @@ class TestMaskerFileReader:
         assert written.count(b"-0.0") == 4
         loaded = load_masker_file(masker_path)
         assert np.array_equal(loaded.matrix.view(np.uint64), masker.matrix.view(np.uint64))
+        assert loaded.rows.__array_interface__ == loaded.matrix[::3].__array_interface__
         save_masker_file(masker_path, loaded)
         assert masker_path.read_bytes() == written
 
@@ -904,7 +905,29 @@ class TestProcessEntry:
             assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), err.encode())
 
 
-_READERS = {"family": load_family_file, "masker": load_masker_file, "channel": cli._load_single_channel}
+@pytest.mark.parametrize("flags, locale", [
+    (["-X", "utf8=0"], {"LC_ALL": "C"}),  # text files default to ASCII
+    (["-X", "warn_default_encoding", "-W", "error::EncodingWarning"], {}),  # a default encoding is an error
+])
+def test_files_are_read_as_utf_8_whatever_the_locale(flags, locale, tmp_path, capsys):
+    gate = str(SAMPLES / "gate_family.json")
+    cafe = tmp_path / "cafe.json"
+    document = json.loads(Path(gate).read_text(encoding="utf-8"))
+    cafe.write_text(json.dumps({**document, "note": "café"}, ensure_ascii=False), encoding="utf-8")
+    masker = str(tmp_path / "gate.masker.json")
+    assert main(["synthesize", gate, "-o", masker]) == EXIT_OK
+    capsys.readouterr()
+    env = {**os.environ, **locale, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+    for argv in (["decide", gate], ["decide", str(cafe)], ["verify", gate, masker],
+                 ["bloch", str(SAMPLES / "identity_pair_dephasing.json")]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        done = subprocess.run([sys.executable, *flags, "-m", "channelmask.cli", *argv], capture_output=True, env=env,
+                              cwd=tmp_path, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), err.encode()), argv
+
+
+_READERS ={"family": load_family_file, "masker": load_masker_file, "channel": cli._load_single_channel}
 
 
 def _reader_cases(tmp_path, role):

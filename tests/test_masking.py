@@ -573,13 +573,13 @@ class TestSynthesizeIdentityMasker:
 
     @staticmethod
     def _count_fixed_points(monkeypatch) -> list:
-        """Record each member whose pure fixed points ``FixedPointAxis.copy_rows`` computes."""
+        """Record the Bloch map of each member whose pure fixed points ``FixedPointAxis.copy_rows`` computes."""
         calls = []
         fixed_points = masking._pure_fixed_points
 
-        def counted(spec, aff, tol):
-            calls.append(spec)
-            return fixed_points(spec, aff, tol)
+        def counted(aff, tol):
+            calls.append(aff)
+            return fixed_points(aff, tol)
 
         monkeypatch.setattr(masking, "_pure_fixed_points", counted)
         return calls
@@ -889,9 +889,24 @@ class TestClassicalNoGoSearch:
 
 
 class TestMaskerValidation:
-    def test_rejects_non_isometry(self):
-        with pytest.raises(ValueError):
-            Masker(np.ones((4, 2)), BipartiteDims(2, 2))
+    @pytest.mark.parametrize("matrix", [
+        np.ones((4, 2)),
+        np.array([[1, 0], [0, 0], [0, 0], [1, 0]]),  # copy rows [[1, 0], [1, 0]]
+        copy_masker(np.eye(2)).matrix * (1 + 1e-9),  # the rows' Gram defect is 2.8e-9
+    ])
+    def test_rejects_non_isometry(self, matrix):
+        with pytest.raises(ValueError, match=r"^masker matrix is not an isometry within 1e-9$"):
+            Masker(matrix, BipartiteDims(2, 2))
+
+    def test_rows_are_read_only_and_not_a_field(self):
+        masker = copy_masker(np.eye(2))
+        assert Masker.__match_args__ == ("matrix", "dims")
+        assert repr(masker) == f"Masker(matrix={masker.matrix!r}, dims={masker.dims!r})"
+        with pytest.raises(AttributeError):
+            masker.rows = None
+        with pytest.raises(AttributeError):
+            del masker.rows
+        assert masker.rows.__array_interface__ == masker.matrix[::3].__array_interface__
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -574,6 +574,7 @@ class TestCopyMaskerClosedForm:
         dout = spec.out_size if kind == "classical" else din
         rows = random_isometry(rng, dout + extra_row, dout)
         masker = copy_masker(rows)
+        assert masker.rows.__array_interface__ == masker.matrix[:: len(rows) + 1].__array_interface__
         closed = _expand(_kraus_choi(rows[:, None, None], spec))
         for view in _independent_views(masker, spec):
             assert np.abs(closed - view).max() <= 1e-12
@@ -635,6 +636,22 @@ class TestClosedFormCannotBeFooled:
         assert abs(report.max_deviation_a - expected_a) <= 1e-12
         assert abs(report.max_deviation_b - expected_b) <= 1e-12
 
+    def test_one_extra_entry_takes_the_general_route(self, monkeypatch):
+        # the smallest subnormal off the copy rows keeps the matrix an isometry, not a copy masker
+        rng = np.random.default_rng(9)
+        members = list(random_commuting_family(rng, 8, 3))
+        masker = copy_masker(decide_gate_family(members).certificate.copy_rows(members))
+        matrix = masker.matrix.copy()
+        matrix[1, 0] = 5e-324
+        edited = Masker(matrix, masker.dims)
+        assert edited.rows is None
+        calls = _count_general_route(monkeypatch)
+        report = verify_masking(edited, members, 1e-9)
+        assert len(calls) == len(members) and report.passed
+        expected_a, expected_b = _oracle_deviations(edited, members)
+        assert abs(report.max_deviation_a - expected_a) <= 1e-12
+        assert abs(report.max_deviation_b - expected_b) <= 1e-12
+
     def test_non_copy_maskers_above_sixteen_are_reported(self):
         # No input dimension is refused: at d = 32 a copy masker with a
         # leaking row and a dense 32 x 33 masker get reports, as the oracle's.
@@ -644,6 +661,7 @@ class TestClosedFormCannotBeFooled:
         assert verify_masking(masker, members, 1e-9).passed
         dense = Masker(random_isometry(rng, 32 * 33, 32), BipartiteDims(32, 33))
         for other in (_leak_off_copy_row(masker), dense):
+            assert other.rows is None
             report = verify_masking(other, members, 1e-9)
             assert not report.passed
             expected_a, expected_b = _oracle_deviations(other, members)
@@ -659,6 +677,7 @@ class TestClosedFormCannotBeFooled:
         matrix = np.zeros((dim * (dim + 1), dim), dtype=complex)
         matrix[:: dim + 1] = random_unitary(dim, rng)
         masker = Masker(matrix, BipartiteDims(dim, dim + 1))
+        assert masker.rows is None
         calls = _count_general_route(monkeypatch)
         report = verify_masking(masker, members, 1e-9)
         assert len(calls) == len(members)
