@@ -15,8 +15,10 @@ masker file in that layout is read row by row, each nonzero row parsed on its
 own by ``json``; any other text goes through ``json`` as a whole, with the
 same results and messages.
 Families of only unitary or only depolarized_unitary members are read as one
-stack.  A family file of at least 256 KiB is parsed by ``orjson`` where its
-reading cannot differ from ``json``'s, and by ``json`` otherwise.  Every file
+stack.  Once a process has read 256 KiB of family text, the file at hand
+included, each family file is parsed by ``orjson`` where its reading cannot
+differ from ``json``'s, and by ``json`` otherwise; so a command on one smaller
+file never imports ``orjson``.  Every file
 is read with the cyclic garbage collector paused until the parsed document has
 been freed; a collector that was off stays off.  Exit
 codes: 0 for a positive verdict or a passing verification, 1 for a definitive
@@ -325,9 +327,11 @@ def _family_from_json(raw: dict) -> FamilyFile:
     return FamilyFile(kind, members, dict(options))
 
 
-# Family texts of at least this many characters go to orjson: its import, about 3.3 ms after this module's,
-# costs about what it saves on one such parse, so smaller files and start-up never import it.
+# Family files go to orjson once the process has read this many characters of family text, the file at hand
+# included: its import, about 3.3 ms after this module's, costs about what it saves on one such parse, so
+# start-up and a command on a smaller file never import it, and every file after that gains the whole saving.
 _ORJSON_MIN = 256 * 1024
+_family_text_read = 0  # characters of family text that load_family_file has read in this process
 # every byte but those that quote, open or close a JSON value, or start an escape
 _NOT_STRUCTURE = bytes(b for b in range(256) if b not in b'"[]{}\\')
 
@@ -366,8 +370,10 @@ def _family_by_orjson(text: str) -> FamilyFile | None:
 
 @_collector_paused
 def load_family_file(path) -> FamilyFile:
+    global _family_text_read
     text = _read_text(path)
-    family = _family_by_orjson(text) if len(text) >= _ORJSON_MIN else None
+    _family_text_read += len(text)
+    family = _family_by_orjson(text) if _family_text_read >= _ORJSON_MIN else None
     return _family_from_json(_read_json_object(path, "family file", text)) if family is None else family
 
 
@@ -439,6 +445,7 @@ def _masker_from_layout(text: str) -> tuple[np.ndarray, BipartiteDims] | None:
         return None
     matrix = np.zeros((count, cols), dtype=complex)
     matrix[nonzero] = stack[0]
+    matrix.flags.writeable = False  # so Masker holds it without a copy
     return matrix, BipartiteDims(int(head[1]), int(head[2]))
 
 
@@ -467,8 +474,8 @@ def save_masker_file(path, masker: Masker) -> None:
     left empty rather than holding new bytes followed by old ones.
     """
     m = masker.matrix
-    # Masker refuses non-finite entries, so this holds unless the array was
-    # changed in place; json would write NaN or Infinity, which is not JSON.
+    # Masker refuses non-finite entries and holds a read-only array, so this holds unless
+    # the record's array was replaced; json would write NaN or Infinity, which is not JSON.
     if not np.isfinite(m).all():
         raise ValueError("masker matrix has non-finite entries")
     rows = _masker_rows(m)

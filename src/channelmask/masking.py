@@ -124,13 +124,20 @@ class Masker:
 
     ``rows`` (not a field) is the view ``matrix[::d+1]`` when the factors are ``d x d`` and every row outside it is
     exactly zero, as :func:`copy_masker` writes it, else ``None``; such a copy masker is checked as an isometry
-    on its rows alone, as ``R^dag R = M^dag M``."""
+    on its rows alone, as ``R^dag R = M^dag M``.
+
+    ``matrix`` is read-only, so ``rows`` cannot go stale.  A read-only array that owns its data is held as it is
+    (:func:`copy_masker` and the file reader pass theirs so); any other array is copied first, so that a caller's
+    array is never frozen and no view changes through its base."""
 
     matrix: np.ndarray
     dims: BipartiteDims
 
     def __post_init__(self) -> None:
         m = as_complex_matrix(self.matrix, "masker matrix")
+        if m.flags.writeable or m.base is not None:
+            m = m.copy()
+        m.flags.writeable = False
         if not m.shape[1]:
             raise ValueError("masker matrix has no columns")
         if m.shape[0] != self.dims.total:
@@ -417,6 +424,7 @@ def copy_masker(rows) -> Masker:
     d = v_dag.shape[0]
     m = np.zeros((d * d, v_dag.shape[1]), dtype=complex)
     m[:: d + 1] = v_dag
+    m.flags.writeable = False
     return Masker(m, BipartiteDims(d, d))
 
 

@@ -172,6 +172,15 @@ def random_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarra
     return np.linalg.qr(z)[0]
 
 
+def holding(masker: Masker, matrix: np.ndarray) -> Masker:
+    """``masker`` with its read-only array replaced by ``matrix``, and its copy rows by ``matrix``'s where it has
+    them, past the constructor's checks: how the writer and ``verify`` meet entries that no Masker would hold."""
+    object.__setattr__(masker, "matrix", matrix)
+    if masker.rows is not None:
+        object.__setattr__(masker, "rows", matrix[:: masker.dims.dim_a + 1])
+    return masker
+
+
 def random_kraus_channel(rng: np.random.Generator, din: int, dout: int, rank: int) -> KrausChannel:
     """Channel whose ``rank`` Kraus operators are blocks of one random isometry."""
     stacked = random_isometry(rng, rank * dout, din)

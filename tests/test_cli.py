@@ -41,9 +41,11 @@ from helpers import (
     choi_reduced_chois,
     dephasing_about,
     generalized_amplitude_damping,
+    holding,
     random_commuting_family,
     random_density,
     random_isometry,
+    random_kraus_channel,
     random_unitary,
 )
 
@@ -455,10 +457,10 @@ class TestMaskerFileBytes:
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=8, max_size=8))
     @example([-0.0, 5e-324, 1e16, 1e-7, 2.0, -3.0, 1e308, 2.2e-308])
     def test_every_finite_float(self, masker_path, values):
-        # an in-place edit skips Masker's isometry check, so the writer sees any finite entry
-        masker = copy_masker(np.eye(2))
-        masker.matrix[:2] = np.array(values).view(complex).reshape(2, 2)
-        _assert_saved_as_json_writes_it(masker, masker_path, loads_back=False)
+        # a replaced array skips Masker's isometry check, so the writer sees any finite entry
+        matrix = copy_masker(np.eye(2)).matrix.copy()
+        matrix[:2] = np.array(values).view(complex).reshape(2, 2)
+        _assert_saved_as_json_writes_it(holding(copy_masker(np.eye(2)), matrix), masker_path, loads_back=False)
 
     def test_masker_without_columns_is_refused(self):
         with pytest.raises(ValueError, match="^masker matrix has no columns$"):
@@ -475,8 +477,7 @@ class TestMaskerFileBytes:
         assert maskers == 6
 
     def test_non_finite_entry_is_refused_not_written(self, tmp_path):
-        masker = copy_masker(np.eye(2))
-        masker.matrix[0, 0] = np.nan
+        masker = holding(copy_masker(np.eye(2)), np.array([[np.nan, 0], [0, 0], [0, 0], [0, 1]], dtype=complex))
         path = tmp_path / "masker.json"
         with pytest.raises(ValueError, match="masker matrix has non-finite entries"):
             save_masker_file(path, masker)
@@ -556,8 +557,7 @@ class TestMaskerFileInPlace:
     def test_non_finite_refusal_leaves_an_existing_file_as_it_was(self, tmp_path):
         path = tmp_path / "masker.json"
         save_masker_file(path, self.LARGE)
-        masker = copy_masker(np.eye(2))
-        masker.matrix[0, 0] = np.inf
+        masker = holding(copy_masker(np.eye(2)), np.array([[np.inf, 0], [0, 0], [0, 0], [0, 1]], dtype=complex))
         with pytest.raises(ValueError, match="masker matrix has non-finite entries"):
             save_masker_file(path, masker)
         assert path.read_bytes() == _json_layout(self.LARGE)
@@ -607,19 +607,19 @@ def _maskers(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = draw(st.integers(1, 6))
     if draw(st.booleans()):
-        masker = copy_masker(random_unitary(d, rng))
+        matrix, dims = copy_masker(random_unitary(d, rng)).matrix.copy(), BipartiteDims(d, d)
     else:
         dim_a = draw(st.integers(1, 3))
         dim_b = -(-d // dim_a) + draw(st.integers(0, 2))
         integer = draw(st.sampled_from([int, np.int64, np.int32, np.uint8]))
-        masker = Masker(random_isometry(rng, dim_a * dim_b, d), BipartiteDims(integer(dim_a), integer(dim_b)))
-    zero_rows = np.flatnonzero(~masker.matrix.any(axis=1)).tolist()
+        matrix, dims = random_isometry(rng, dim_a * dim_b, d), BipartiteDims(integer(dim_a), integer(dim_b))
+    zero_rows = np.flatnonzero(~matrix.any(axis=1)).tolist()
     if zero_rows:
         entry = draw(st.sampled_from([None, complex(-0.0, -0.0), complex(0.0, -0.0), complex(5e-324, 0.0),
                                       complex(2.2e-308, -1e-7), complex(1e-07, 0.0)]))
         if entry is not None:
-            masker.matrix[draw(st.sampled_from(zero_rows))] = entry
-    return masker
+            matrix[draw(st.sampled_from(zero_rows))] = entry
+    return Masker(matrix, dims)
 
 
 def _rewritten(text, edit):
@@ -697,8 +697,9 @@ class TestMaskerFileReader:
             load_masker_file(masker_path)
 
     def test_row_of_negative_zeros_survives_save_load_save(self, masker_path):
-        masker = copy_masker(np.eye(2))
-        masker.matrix[1] = complex(-0.0, -0.0)
+        matrix = copy_masker(np.eye(2)).matrix.copy()
+        matrix[1] = complex(-0.0, -0.0)
+        masker = Masker(matrix, BipartiteDims(2, 2))
         save_masker_file(masker_path, masker)
         written = masker_path.read_bytes()
         assert written.count(b"-0.0") == 4
@@ -710,8 +711,7 @@ class TestMaskerFileReader:
 
     @pytest.mark.parametrize("entry", [complex(np.inf, 0.0), complex(0.0, -np.inf), complex(0.0, np.nan)])
     def test_non_finite_entries_in_zero_rows_are_refused(self, tmp_path, entry):
-        masker = copy_masker(np.eye(2))
-        masker.matrix[1, 0] = entry
+        masker = holding(copy_masker(np.eye(2)), np.array([[1, 0], [entry, 0], [0, 0], [0, 1]]))
         path = tmp_path / "masker.json"
         with pytest.raises(ValueError, match="^masker matrix has non-finite entries$"):
             save_masker_file(path, masker)
@@ -740,10 +740,10 @@ class TestMaskerRowScan:
     @staticmethod
     def _written(path):
         """The text of a masker with negative exponents, subnormals and long mantissas in its rows."""
-        masker = copy_masker(random_unitary(2, np.random.default_rng(7)))
-        masker.matrix[1] = complex(1e-07, 5e-324)
-        masker.matrix[2, 1] = complex(-2.2e-308, -0.0)
-        save_masker_file(path, masker)
+        matrix = copy_masker(random_unitary(2, np.random.default_rng(7))).matrix.copy()
+        matrix[1] = complex(1e-07, 5e-324)
+        matrix[2, 1] = complex(-2.2e-308, -0.0)
+        save_masker_file(path, Masker(matrix, BipartiteDims(2, 2)))
         return path.read_text()
 
     @staticmethod
@@ -823,6 +823,7 @@ class TestMaskerRowScan:
         assert loaded[0] == masker.matrix.view(np.uint64).tobytes() and parses == nonzero_rows
 
 
+@pytest.mark.usefixtures("family_route")
 @pytest.mark.parametrize("role", ["decide", "verify-family", "verify-masker", "bloch"])
 def test_deeply_nested_json_is_an_input_error(role, gate_family, tmp_path, capsys):
     deep = tmp_path / "deep.json"
@@ -839,6 +840,7 @@ def test_deeply_nested_json_is_an_input_error(role, gate_family, tmp_path, capsy
 _LONG_INTEGER = "7" * 5001
 
 
+@pytest.mark.usefixtures("family_route")
 @pytest.mark.parametrize("role, content", [
     ("decide", "long-integer"), ("decide-large", "long-integer"), ("verify-masker", "long-integer"),
     ("bloch", "long-integer"), ("decide", "not-utf-8"), ("verify-masker", "not-utf-8"), ("bloch", "not-utf-8"),
@@ -1244,6 +1246,7 @@ def big_gate_document():
 
 
 _DEEP = "[" * 100000 + "]" * 100000
+_DEEPER = "[" * 200000 + "]" * 200000  # orjson 3.8 reads _DEEP, but ends the process with SIGSEGV on these
 
 
 def _signed_permutations(document):
@@ -1305,32 +1308,126 @@ _LARGE_FAMILY_CASES = {
 }
 
 
+def _small_numbers(document) -> list:
+    """The list that holds the first number of ``document``'s first member: its matrix's first pair or its ``p``."""
+    member = document["members"][0]
+    return member["matrix"][0][0] if "matrix" in member else member["p"]
+
+
+def _small_entry(token):
+    return _on_document(lambda document: _small_numbers(document).__setitem__(0, token))
+
+
+def _small_ragged(document):
+    """The last member's last matrix row, or its ``p``, one entry short."""
+    member = document["members"][-1]
+    (member["matrix"][-1] if "matrix" in member else member["p"]).pop()
+
+
+_SMALL_DOCUMENTS = {
+    "gate": {"version": "1", "kind": "gate", "members": [{"type": "unitary", "matrix": m} for m in (X, XZ, X_SQRT_Z)]},
+    "pauli": {"version": "1", "kind": "pauli", "members": [{"type": "pauli", "p": [0.5, 0.5, 0, 0]},
+                                                           {"type": "pauli", "p": [0.25, 0.75, 0.0, -0.0]}]},
+}
+
+# name: (the text of an edited copy of a small gate or pauli document; whether orjson's reading is kept)
+_SMALL_FAMILY_CASES = {
+    "unedited": (_on_text(lambda text: text), True),
+    "NaN-entry": (_small_entry("@NaN"), False),
+    "Infinity-entry": (_small_entry("@Infinity"), False),
+    "1e400-entry": (_small_entry("@1e400"), False),
+    "byte-order-mark": (_on_text(lambda text: "\ufeff" + text), False),
+    # orjson 3.8 would end this process on these brackets; the structure scan keeps them from it
+    "200000-deep-under-a-key": (_on_text(lambda text: text[:-1] + ', "pad": ' + _DEEPER + "}"), False),
+    "escaped-quote-in-a-key": (_on_text(lambda text: '{"pad\\"": 0, ' + text[1:]), False),
+    "seed-of-2**64": (_options({"seed": 2**64}), False),
+    "seed-of-2**64-1": (_options({"seed": 2**64 - 1}), True),
+    "tol-of-2**70": (_options({"tol": 2**70}), False),
+    "true-entry": (_small_entry(True), False),
+    "ragged-row": (_on_document(_small_ragged), False),
+    "20-digit-integer-entry": (_small_entry("@12345678901234567890"), False),
+}
+
+
+def _assert_read_as_json_reads(text, kept, path, capsys):
+    """``orjson``'s family from ``text`` is ``json``'s bit for bit if ``kept``, else ``None``; and
+    ``load_family_file`` and ``decide`` on the route the test pins give ``json``'s members, options, message,
+    exit code and output."""
+    path.write_text(text)
+    by_json = _outcome(_read_by_json, path)
+    assert _outcome(cli._family_by_orjson, text) == (by_json if kept else pickle.dumps(None))
+    assert _outcome(load_family_file, path) == by_json
+    decided = main(["decide", str(path)]), capsys.readouterr()
+    with mock.patch.object(cli, "_family_by_orjson", lambda text: None):
+        assert (main(["decide", str(path)]), capsys.readouterr()) == decided
+
+
 class TestLargeFamilyFiles:
     """A family file of at least 256 KiB is parsed by orjson, with the members, options, messages, exit codes
     and output that json's reading gives."""
 
+    @pytest.mark.usefixtures("family_route")
     @pytest.mark.parametrize("name", list(_LARGE_FAMILY_CASES))
     def test_orjson_reads_as_json_reads(self, name, big_gate_document, tmp_path, capsys):
         edit, kept = _LARGE_FAMILY_CASES[name]
         text = edit(copy.deepcopy(big_gate_document))
         assert len(text) >= cli._ORJSON_MIN
-        assert (cli._family_by_orjson(text) is not None) == kept
-        path = tmp_path / "family.json"
-        path.write_text(text)
-        assert _outcome(load_family_file, path) == _outcome(_read_by_json, path)
-        decided = main(["decide", str(path)]), capsys.readouterr()
-        with mock.patch.object(cli, "_family_by_orjson", lambda text: None):
-            assert (main(["decide", str(path)]), capsys.readouterr()) == decided
+        _assert_read_as_json_reads(text, kept, tmp_path / "family.json", capsys)
 
     def test_nesting_that_overflows_orjsons_stack_is_left_to_json(self, tmp_path):
         # orjson 3.8 ends the process with SIGSEGV on these 200000 brackets; json raises RecursionError
         path = tmp_path / "deep.json"
-        path.write_text('{"version": "1", "pad": ' + "[" * 200000 + "]" * 200000 + "}")
+        path.write_text('{"version": "1", "pad": ' + _DEEPER + "}")
         done = subprocess.run([sys.executable, "-m", "channelmask.cli", "decide", str(path)], capture_output=True,
                               text=True, env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)},
                               timeout=120)
         assert done.returncode == EXIT_ERROR
         assert done.stderr.startswith(f"error: {path}: not valid JSON (maximum recursion depth exceeded")
+
+
+@pytest.mark.usefixtures("family_route")
+@pytest.mark.parametrize("kind", list(_SMALL_DOCUMENTS))
+@pytest.mark.parametrize("name", list(_SMALL_FAMILY_CASES))
+def test_small_family_files_are_read_by_orjson_as_json_reads_them(name, kind, tmp_path, capsys):
+    edit, kept = _SMALL_FAMILY_CASES[name]
+    text = edit(copy.deepcopy(_SMALL_DOCUMENTS[kind]))
+    assert len(text) < cli._ORJSON_MIN or name == "200000-deep-under-a-key"
+    _assert_read_as_json_reads(text, kept, tmp_path / "family.json", capsys)
+
+
+# One process reads the files named on its command line in turn, and records for each the count of family text
+# read so far, whether orjson was imported before and after, and the family pickled.
+_ONE_PROCESS_READS = """
+import pickle, sys
+from channelmask import cli
+steps = []
+for path in sys.argv[1:]:
+    before = "orjson" in sys.modules
+    family = cli.load_family_file(path)
+    steps.append((cli._family_text_read, before, "orjson" in sys.modules, pickle.dumps(family)))
+sys.stdout.buffer.write(pickle.dumps(steps))
+"""
+
+
+def test_a_process_takes_orjson_once_its_family_files_reach_256_kib_together(tmp_path):
+    rng = np.random.default_rng(46)
+    paths = []
+    for k, sample in enumerate(sorted(SAMPLES.glob("*.json"))):
+        members = [{"type": "unitary", "matrix": _matrix_json(u.matrix)} for u in random_commuting_family(rng, 16, 2)]
+        paths += [write_family(tmp_path / f"d16-{k}.json", "gate", members), str(sample)]
+    # no one file is 256 KiB, but together they pass it partway through: d=16, n=2 gate files of 47 KB and the
+    # samples, one after the other
+    assert all(len(Path(path).read_text()) < cli._ORJSON_MIN for path in paths)
+    done = subprocess.run([sys.executable, "-c", _ONE_PROCESS_READS, *paths], capture_output=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)})
+    assert done.returncode == 0, done.stderr
+    steps = pickle.loads(done.stdout)
+    totals = np.cumsum([len(Path(path).read_text()) for path in paths]).tolist()
+    assert [step[0] for step in steps] == totals
+    assert [step[1:3] for step in steps] == [(before >= cli._ORJSON_MIN, total >= cli._ORJSON_MIN)
+                                             for before, total in zip([0, *totals], totals)]
+    assert 2 < sum(total < cli._ORJSON_MIN for total in totals) < len(paths) - 2
+    assert [step[3] for step in steps] == [pickle.dumps(_read_by_json(path)) for path in paths]
 
 
 _ZERO_SPELLINGS = ("0", "-0", "0.0", "-0.0", "0e0", "-0E-5", "5e-324", "-4.9406564584124654e-324",
@@ -1349,32 +1446,68 @@ def _spelled(value: float, spelling: str, rng) -> str:
 
 @st.composite
 def _spelled_family_texts(draw):
-    """Gate and depolarized family texts, ``d`` 1-16 and ``n`` 1-32, as ``json.dumps`` writes them at a random
-    indent and separators, of Haar unitaries and signed permutations whose entries are spelled at random:
-    17-digit reprs, exponent forms, integers, ``-0.0`` and subnormals."""
+    """Family texts of every kind, as ``json.dumps`` writes them at a random indent and separators, whose entries
+    are spelled at random: 17-digit reprs, exponent forms, integers, ``-0.0`` and subnormals.  Half are gate and
+    depolarized files, ``d`` 1-16 and ``n`` 1-32, of Haar unitaries and signed permutations; the rest are pauli,
+    identity_pair and identity_family files (kraus, unitary and pauli members), classical files and files of
+    members of any type under any kind, at ``d <= 4``."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    d, n = draw(st.integers(1, 16)), draw(st.integers(1, 32))
     spellings = draw(st.lists(st.sampled_from(["repr", "17g", "exponent", "Exponent", "integer", "zero"]),
                               min_size=1, max_size=6, unique=True))
 
     def token(value):
         return "@" + _spelled(float(value), spellings[rng.integers(len(spellings))], rng)
 
-    members = []
-    for _ in range(n):
+    def matrix(m):
+        return [[[token(v.real), token(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
+
+    def unitary(d):
         if rng.integers(2):
-            u = random_unitary(d, rng)
-        else:
-            u = np.zeros((d, d))
-            u[rng.permutation(d), np.arange(d)] = rng.choice([-1.0, 1.0], d)
-        members.append({"type": "unitary", "matrix": [[[token(v.real), token(v.imag)] for v in row]
-                                                       for row in u.astype(complex)]})
-    document = {"version": "1", "kind": "gate", "members": members}
+            return matrix(random_unitary(d, rng))
+        u = np.zeros((d, d))
+        u[rng.permutation(d), np.arange(d)] = rng.choice([-1.0, 1.0], d)
+        return matrix(u)
+
+    def probabilities(size):
+        """A probability vector, some of whose entries are exactly zero."""
+        p = rng.dirichlet(np.ones(size)) * (rng.random(size) < 0.7)
+        return p / p.sum() if p.any() else np.eye(size)[rng.integers(size)]
+
+    def member(payload, din=2, dout=2):
+        if payload == "unitary":
+            return {"type": "unitary", "matrix": unitary(din)}
+        if payload == "kraus":
+            ops = random_kraus_channel(rng, din, din, int(rng.integers(1, 4))).kraus_ops
+            return {"type": "kraus", "ops": [matrix(op) for op in ops]}
+        if payload == "pauli":
+            return {"type": "pauli", "p": [token(v) for v in probabilities(4)]}
+        if payload == "classical":
+            probs = np.array([probabilities(dout) for _ in range(din)]).T
+            return {"type": "classical", "probs": [[token(v) for v in row] for row in probs]}
+        return {"type": "depolarized_unitary", "p": token(rng.random()), "matrix": unitary(din)}
+
     if draw(st.booleans()):
-        p = draw(st.sampled_from([0.0, 1.0, 0.25, -0.0, 1e-300, 0.7316490272153761, -1e-13, 1 + 1e-13]))
-        for member in members:
-            member.update(type="depolarized_unitary", p=token(p))
-        document["kind"] = "depolarized"
+        d, n = draw(st.integers(1, 16)), draw(st.integers(1, 32))
+        members = [member("unitary", d) for _ in range(n)]
+        document = {"version": "1", "kind": "gate", "members": members}
+        if draw(st.booleans()):
+            p = draw(st.sampled_from([0.0, 1.0, 0.25, -0.0, 1e-300, 0.7316490272153761, -1e-13, 1 + 1e-13]))
+            for m in members:
+                m.update(type="depolarized_unitary", p=token(p))
+            document["kind"] = "depolarized"
+    else:
+        kind = draw(st.sampled_from(["pauli", "identity_pair", "identity_family", "classical", "mixed"]))
+        n = 1 if kind == "identity_pair" else draw(st.integers(1, 5))
+        qubit = ["kraus", "unitary", "pauli"]
+        if kind == "classical":
+            din, dout = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+            members = [member("classical", din, dout) for _ in range(n)]
+        else:
+            payloads = {"pauli": ["pauli"], "mixed": [*qubit, "classical", "depolarized_unitary"]}.get(kind, qubit)
+            members = [member(draw(st.sampled_from(payloads))) for _ in range(n)]
+        if kind == "mixed":
+            kind = draw(st.sampled_from(list(cli.KINDS)))
+        document = {"version": "1", "kind": kind, "members": members}
     if draw(st.booleans()):
         document["options"] = {"tol": token(draw(st.sampled_from([1e-8, 3e-7, 1.0]))),
                                "seed": draw(st.integers(0, 2**63 - 1))}
@@ -1382,7 +1515,7 @@ def _spelled_family_texts(draw):
                        separators=draw(st.sampled_from([None, (",", ":"), (", ", ": "), (" ,\n", " : ")])))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(text=_spelled_family_texts())
 def test_orjsons_family_is_jsons_bit_for_bit_or_both_refuse(text):
     read = _outcome(cli._family_by_orjson, text)
@@ -1475,6 +1608,7 @@ def test_a_pauli_pair_judged_maskable_verifies(tmp_path, capsys):
 BIG = 10**400
 
 
+@pytest.mark.usefixtures("family_route")
 @pytest.mark.parametrize(
     "kind, member, options, field",
     [
@@ -1510,6 +1644,7 @@ _DECIDERS = {"gate": masking.decide_gate_family, "pauli": masking.decide_pauli_f
              "depolarized": masking.decide_depolarized_family, "classical": masking.decide_classical_family}
 
 
+@pytest.mark.usefixtures("family_route")
 @pytest.mark.parametrize(
     "kind, members, message",
     [
@@ -1556,6 +1691,7 @@ _MASKER = '{"version": "1", "dims": {"dimA": 2, "dimB": 1}, "matrix": %s}'
 _MATRIX_WITH = "[[[1, 0], [0, 0]], [[0, 0], %s]]"
 
 
+@pytest.mark.usefixtures("family_route")
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -1593,6 +1729,7 @@ def test_matrix_entries_are_refused_by_the_field_they_sit_in(text, message, gate
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.usefixtures("family_route")
 @pytest.mark.parametrize("text, message", [
     (_FAMILY_MATRIX % "[[[1, 0], [0, 0]], [[0, 0]], [[0, 0], [1, 0], [0, 0]]]",
      "members[0].matrix: row 1 has 1 entries, expected 2"),

@@ -908,6 +908,30 @@ class TestMaskerValidation:
             del masker.rows
         assert masker.rows.__array_interface__ == masker.matrix[::3].__array_interface__
 
+    def test_an_edit_off_the_copy_rows_raises_instead_of_passing_verification(self):
+        # the rows are found once, so an edit of the array after construction would leave them stale: this
+        # edit once verified against I and Z with deviation 0.0, where the edited isometry leaks 1.414 to A
+        masker = copy_masker(np.eye(2))
+        with pytest.raises(ValueError, match="read-only"):
+            masker.matrix[1, 0] = 0.5
+        assert not masker.matrix.flags.writeable and not masker.rows.flags.writeable
+        assert np.array_equal(masker.matrix, copy_masker(np.eye(2)).matrix)
+        assert verify_masking(masker, [Unitary(np.eye(2)), Unitary(np.diag([1.0, -1.0]))], 1e-9).passed
+
+    def test_a_callers_array_is_copied_not_frozen(self):
+        own = copy_masker(np.eye(2)).matrix.copy()
+        base = copy_masker(np.eye(2)).matrix.copy()
+        view = base[:]
+        view.flags.writeable = False  # read-only, yet it changes when its base does
+        for matrix in (own, view, own.tolist(), own.real):
+            held = Masker(matrix, BipartiteDims(2, 2)).matrix
+            assert not held.flags.writeable and held.base is None
+            assert not np.shares_memory(held, own) and not np.shares_memory(held, base)
+        assert own.flags.writeable and base.flags.writeable
+        frozen = own.copy()
+        frozen.flags.writeable = False  # one that owns its data is held as it is, as copy_masker's is
+        assert Masker(frozen, BipartiteDims(2, 2)).matrix is frozen
+
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             Masker(COPY2, BipartiteDims(2, 3))

@@ -35,6 +35,7 @@ from helpers import (
     brute_force_reduced_choi,
     choi_reduced_chois,
     gate_family,
+    holding,
     local_orthogonality_check,
     loop_max_pairwise,
     loop_reduced_channel_choi,
@@ -165,7 +166,9 @@ class TestVerifyMasking:
     def test_nan_in_a_copy_masker_fails(self):
         members = list(random_commuting_family(np.random.default_rng(5), 5, 3))
         masker = copy_masker(decide_gate_family(members).certificate.copy_rows(members))
-        masker.matrix[0, 0] = np.nan
+        matrix = masker.matrix.copy()
+        matrix[0, 0] = np.nan
+        holding(masker, matrix)
         report = verify_masking(masker, members, 1e-9)
         assert not report.passed
         assert np.isnan(report.max_deviation_a) and np.isnan(report.max_deviation_b)
